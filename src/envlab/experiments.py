@@ -23,7 +23,7 @@ from .envelopes import (
     weighted_envelope,
 )
 from .energy import energy_derivative_check, equilibrium_energy
-from .errors import InputError
+from .errors import InputError, NoSectionsError
 from .measures import (
     annulus_area_measure,
     circle_atom,
@@ -346,9 +346,11 @@ def run_approx(cfg: ExperimentConfig):
         for k in range(1, cfg.sweep_max + 1):
             try:
                 ap = bergman_approximant(k, u)
-            except Exception:
+            except NoSectionsError:
                 continue
-            if abs(ap.s_minus - u.s_minus) > Fraction(1, k):
+            nu0_gap = abs(ap.s_minus - u.s_minus)
+            nu_inf_gap = abs((ap.class_mass - ap.s_plus) - (u.class_mass - u.s_plus))
+            if nu0_gap > Fraction(1, k) or nu_inf_gap > Fraction(1, k):
                 failures.append(f"sweep: Lelong bound broken at k={k}")
     artifacts = {"approx_divergence.svg": lambda path: svg_plot(
         path, [("divergence", cfg.k, [max(d, 1e-18) for d in divs])],

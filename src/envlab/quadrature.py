@@ -3,6 +3,19 @@
 32 nodes per cell, cells refined with k so that k-fold exponent weights
 stay resolved; unbounded directions are closed exponential-tail
 integrals (profiles are exactly affine there).
+
+`refine_breakpoints` builds every cell's subdivision in one vectorized
+pass with `np.linspace`'s own arithmetic, so its nodes are bit for bit
+those of a per-cell `linspace` loop.  Callers that integrate many
+integrands on one grid (the section norms in `sections`) build the grid
+once and reduce each integrand with `logsumexp_inplace` on one reused
+buffer; `log_integral_exp` is the one-integrand form of the same steps.
+
+Terms below exp's underflow are written as the exact 0.0 exp returns for
+them, without calling exp (numpy's exp is one to two orders of magnitude
+slower on such arguments), and `logsumexp_inplace` can be told which
+range of a buffer holds every term that is not 0.0.  Sums still run over
+whole arrays in their original layout, so results do not move by a bit.
 """
 
 from __future__ import annotations
@@ -32,7 +45,12 @@ def gauss_cells(breakpoints: np.ndarray, nodes: int = GL_NODES):
 
 
 def refine_breakpoints(breakpoints, k: int, extra=None, max_width=None):
-    """Subdivide cells so widths track the k-fold weight's length scale."""
+    """Subdivide cells so widths track the k-fold weight's length scale.
+
+    Cell [a, b] splits into nsub = ⌈(b − a)/max_width⌉ equal parts with
+    nodes i·((b − a)/nsub) + a and the last node b exactly, as
+    `np.linspace(a, b, nsub + 1)` places them.
+    """
     bp = np.asarray(breakpoints, dtype=float)
     if extra is not None:
         inner = np.asarray(extra, dtype=float)
@@ -40,19 +58,60 @@ def refine_breakpoints(breakpoints, k: int, extra=None, max_width=None):
         bp = np.union1d(bp, inner)
     if max_width is None:
         max_width = min(0.5, 4.0 / np.sqrt(1.0 + float(k)))
-    out = [bp[0]]
-    for a, b in zip(bp[:-1], bp[1:]):
-        nsub = max(1, int(np.ceil((b - a) / max_width)))
-        out.extend(np.linspace(a, b, nsub + 1)[1:])
-    return np.asarray(out)
+    a, b = bp[:-1], bp[1:]
+    width = b - a
+    nsub = np.maximum(1, np.ceil(width / max_width)).astype(np.intp)
+    ends = np.cumsum(nsub)
+    cell = np.repeat(np.arange(a.size), nsub)
+    i = np.arange(1, int(nsub.sum()) + 1) - np.repeat(ends - nsub, nsub)
+    out = np.empty(i.size + 1)
+    out[0] = bp[0]
+    out[1:] = i * (width / nsub)[cell] + a[cell]
+    out[ends] = b
+    return out
+
+
+# exp(x) rounds to exactly 0.0 for x below this (the smallest subnormal
+# is e^-744.44); numpy's exp takes a slow path on such arguments.
+EXP_UNDERFLOW = -746.0
+
+
+def exp_inplace(buf: np.ndarray) -> np.ndarray:
+    """buf ← exp(buf), writing the exact 0.0 of underflowing entries directly."""
+    zero = buf < EXP_UNDERFLOW
+    np.exp(buf, out=buf, where=~zero)
+    buf[zero] = 0.0
+    return buf
+
+
+def logsumexp_inplace(buf: np.ndarray, lo: int = 0, hi: int | None = None) -> float:
+    """log Σ exp(buf), max-shifted; overwrites buf.
+
+    Only buf[lo:hi] is read: the caller guarantees that every entry outside
+    it lies more than −EXP_UNDERFLOW below the max inside, so its term is
+    exactly 0.0 and is written as such.  The sum still runs over all of
+    buf, so the result is the one the whole array gives.
+    """
+    live = buf[lo:hi]
+    m = np.max(live) if live.size else -np.inf
+    if not np.isfinite(m):
+        return -np.inf
+    live -= m
+    exp_inplace(live)
+    buf[:lo] = 0.0
+    buf[lo + live.size:] = 0.0
+    return float(m + np.log(np.sum(buf)))
 
 
 def logsumexp(vals: np.ndarray) -> float:
-    vals = np.asarray(vals, dtype=float)
-    m = np.max(vals) if vals.size else -np.inf
-    if not np.isfinite(m):
-        return -np.inf
-    return float(m + np.log(np.sum(np.exp(vals - m))))
+    return logsumexp_inplace(np.array(vals, dtype=float))
+
+
+def log_density(density_fn, ts: np.ndarray) -> np.ndarray:
+    """log ρ at the nodes, −∞ where ρ vanishes."""
+    dens = np.asarray(density_fn(ts), dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(dens > 0, np.log(np.maximum(dens, 1e-320)), -np.inf)
 
 
 def log_integral_exp(log_f, breakpoints, k: int = 1, density_fn=None,
@@ -64,16 +123,13 @@ def log_integral_exp(log_f, breakpoints, k: int = 1, density_fn=None,
     closed-form ∫ exp(rate·(t − edge)) contributions beyond the ends; the
     caller guarantees rate sign makes them finite.
     """
-    pieces = []
     bp = refine_breakpoints(breakpoints, k, extra=extra)
     ts, ws = gauss_cells(bp, nodes)
-    vals = np.asarray(log_f(ts), dtype=float)
+    vals = np.array(log_f(ts), dtype=float)
     if density_fn is not None:
-        dens = np.asarray(density_fn(ts), dtype=float)
-        with np.errstate(divide="ignore"):
-            vals = vals + np.where(dens > 0, np.log(np.maximum(dens, 1e-320)), -np.inf)
-    vals = vals + np.log(ws)
-    pieces.append(logsumexp(vals))
+        vals += log_density(density_fn, ts)
+    vals += np.log(ws)
+    pieces = [logsumexp_inplace(vals)]
     for t, w in atoms:
         pieces.append(float(np.atleast_1d(log_f(np.asarray([t])))[0]) + np.log(w))
     if tail_minus is not None:

@@ -10,6 +10,13 @@ the singular potential enters only through the admissible index filter.
 `singular_weight=True` switches to the e^{-k·u}-weighted integrand (the
 convention of the Bergman approximants' norm constraint), under which the
 boundary-index integrals genuinely diverge.
+
+Every index's norm is computed on one quadrature plan per (k, u, K, ν):
+the cells are refined, the Gauss nodes placed and the index-free parts of
+the exponent evaluated once per `section_basis`, `bergman` or `bm_rate`
+call, and each index only adds its j·t.  The arithmetic per index is the
+one a separate quadrature per index would do, so the norms are the same
+to the last bit.
 """
 
 from __future__ import annotations
@@ -29,7 +36,20 @@ from .errors import (
 )
 from .measures import RadialMeasure, fs_measure
 from .profiles import ConvexProfile, WeightedSet, _pad_to_asymptotes
-from .quadrature import gauss_cells, log_integral_exp, refine_breakpoints
+from .quadrature import (
+    EXP_UNDERFLOW,
+    GL_NODES,
+    exp_inplace,
+    gauss_cells,
+    log_density,
+    logsumexp,
+    logsumexp_inplace,
+    refine_breakpoints,
+)
+
+# Kernel exponents are evaluated in (t × J) blocks of about this many
+# entries, so the working set stays bounded at large k.
+KERNEL_BLOCK = 2 ** 16
 
 __all__ = [
     "TwistData",
@@ -186,19 +206,31 @@ def limit_mass(c, nu0, nu_inf) -> Fraction:
 # weighted norms
 # ---------------------------------------------------------------------------
 
-def _exponent_fn(j: int, k: int, m: int, u: ConvexProfile, K: WeightedSet,
+class _Exponent:
+    """E_j(t), the log of the squared pointwise weight of z^j, at fixed t.
+
+    E_j(t) = j·t − m·f_FS(t) − k·v(t), minus k·(u(t) − c·f_FS(t)) under
+    the singular weight.  The index-free terms are evaluated once; each j
+    then costs a multiply and two or three in-place subtractions, in the
+    order the terms are written, so every j sees the same arithmetic.
+    t may be an array, a 1-element array (an atom) or 0-d (an edge).
+    """
+
+    def __init__(self, t, k: int, m: int, u: ConvexProfile, K: WeightedSet,
                  singular: bool):
-    """t ↦ log of the squared pointwise weight of z^j."""
-    cf = float(u.class_mass)
-
-    def E(t):
         t = np.asarray(t, dtype=float)
-        out = float(j) * t - float(m) * softplus(t) - float(k) * K.weight_at(t)
+        self.t = t
+        terms = [float(m) * softplus(t), float(k) * K.weight_at(t)]
         if singular:
-            out = out - float(k) * (u(t) - cf * softplus(t))
-        return out
+            terms.append(float(k) * (u(t) - float(u.class_mass) * softplus(t)))
+        self.terms = tuple(np.asarray(x) for x in terms)
 
-    return E
+    def __call__(self, j: int, out=None, span=...):
+        """E_j at t[span]; into out (the same shape) when given."""
+        out = np.multiply(float(j), self.t[span], out=out)
+        for x in self.terms:
+            out -= x[span]
+        return out
 
 
 def _tail_slopes(j: int, k: int, m: int, u: ConvexProfile, singular: bool):
@@ -230,45 +262,160 @@ def _norm_breaks(u: ConvexProfile, K: WeightedSet, nu: RadialMeasure):
     return np.union1d(base, extra)
 
 
+class _NormPlan:
+    """log N² of every z^j against ν, from one quadrature plan.
+
+    The breakpoints are refined and the Gauss nodes placed once per
+    (k, u, K, ν); the index-free exponent terms, the log density and the
+    log weights are stored as separate arrays and applied to each j's
+    j·t in one reused buffer, in the order a per-index integrand adds
+    them.  Cells lying wholly beyond exp's underflow below index j's peak
+    are not evaluated for j: their terms are exactly 0.0.  The closed-form
+    tails beyond a whole-line measure's ends and the atoms are added per
+    j.  A measure of atoms only has no cells, and its quadrature piece is
+    −∞.
+    """
+
+    def __init__(self, k: int, m: int, u: ConvexProfile, K: WeightedSet,
+                 nu: RadialMeasure, singular: bool):
+        breaks = _norm_breaks(u, K, nu)
+        if breaks is None and not nu.atoms:
+            raise InputError("measure carries neither cells nor atoms")
+        self.k, self.m, self.u, self.singular = k, m, u, singular
+        self.breaks = breaks
+        self.refined = None
+        self.edges = None
+        if breaks is not None:
+            self.refined = refine_breakpoints(breaks, k)
+            ts, ws = gauss_cells(self.refined)
+            self.log_ws = np.log(ws)
+            del ws
+            self.body = _Exponent(ts, k, m, u, K, singular)
+            self.log_dens = (None if nu.density_fn is None
+                             else log_density(nu.density_fn, ts))
+            self.buf = np.empty_like(ts)
+            # per cell: its first and last node, and the max of the index-free
+            # part E_j − j·t + log ρ + log w over its nodes (built in buf)
+            free = self.buf
+            free[...] = self.log_ws
+            for x in self.body.terms:
+                free -= x
+            if self.log_dens is not None:
+                free += self.log_dens
+            cells = (self.refined.size - 1, GL_NODES)
+            self.cell_free = free.reshape(cells).max(axis=1)
+            self.cell_t0 = ts.reshape(cells)[:, 0].copy()
+            self.cell_t1 = ts.reshape(cells)[:, -1].copy()
+            if _measure_is_whole_line(nu):
+                self.edges = tuple(
+                    (_Exponent(edge, k, m, u, K, singular),
+                     float(np.log(nu.density_fn(edge))))
+                    for edge in (breaks[0], breaks[-1])
+                )
+        self.atoms = tuple((_Exponent(np.asarray([t]), k, m, u, K, singular), np.log(w))
+                           for t, w in nu.atoms)
+
+    def _live_nodes(self, j: int) -> tuple[int, int]:
+        """Node range outside which every term of index j is exactly 0.
+
+        For j ≥ 0 some node of a cell reaches j·t0 + free and none exceeds
+        j·t1 + free.  A cell whose bound lies more than −EXP_UNDERFLOW below
+        the best reach (less a unit margin that covers rounding) has every
+        exp(E_j + log ρ + log w − max) equal to 0.0.
+        """
+        if self.cell_free.size == 0:
+            return 0, 0
+        reach = np.max(float(j) * self.cell_t0 + self.cell_free)
+        top = float(j) * self.cell_t1 + self.cell_free
+        live = np.flatnonzero(~(top < reach + (EXP_UNDERFLOW - 1.0)))
+        return live[0] * GL_NODES, (live[-1] + 1) * GL_NODES
+
+    def _log_quadrature(self, j: int) -> float:
+        lo, hi = self._live_nodes(j)
+        span = slice(lo, hi)
+        live = self.body(j, out=self.buf[span], span=span)
+        if self.log_dens is not None:
+            live += self.log_dens[span]
+        live += self.log_ws[span]
+        return logsumexp_inplace(self.buf, lo, hi)
+
+    def edge_log_values(self, j: int) -> tuple[float, float]:
+        """E_j + log ρ at the two ends of a whole-line measure's cells."""
+        (lo, ld_lo), (hi, ld_hi) = self.edges
+        return float(lo(j)) + ld_lo, float(hi(j)) + ld_hi
+
+    def log_norm2(self, j: int) -> float:
+        tails = ()
+        if self.edges is not None:
+            s_lo, s_hi = _tail_slopes(j, self.k, self.m, self.u, self.singular)
+            rate_minus = s_lo + 1    # FS density contributes e^{t} at −∞
+            rate_plus = s_hi - 1     # and e^{-t} at +∞
+            if rate_minus <= 0 or rate_plus >= 0:
+                raise DivergentIntegralError(
+                    f"norm integral of index {j} diverges at k={self.k}"
+                )
+            lv_lo, lv_hi = self.edge_log_values(j)
+            tails = (lv_lo - np.log(float(rate_minus)),
+                     lv_hi - np.log(-float(rate_plus)))
+        pieces = [-np.inf]
+        if self.refined is not None:
+            pieces[0] = self._log_quadrature(j)
+        for E, log_w in self.atoms:
+            pieces.append(float(E(j)[0]) + log_w)
+        pieces.extend(tails)
+        return logsumexp(np.asarray(pieces))
+
+
+class _SupPlan:
+    """log sup over K of E_j for every j, on one refined scan grid.
+
+    Compact K: component grids refined against the weight scale.  Whole
+    space: the padded grid reaches the asymptotic range, so once the
+    exact tail slopes bound E_j the scan attains its sup.
+    """
+
+    def __init__(self, k: int, m: int, u: ConvexProfile, K: WeightedSet,
+                 singular: bool):
+        self.k, self.m, self.u, self.singular = k, m, u, singular
+        self.whole_space = K.whole_space
+        ts, _ = K.sample_points()
+        if K.whole_space:
+            scan = refine_breakpoints(_pad_to_asymptotes(ts), k,
+                                      extra=np.concatenate([u.grid, ts]))
+        else:
+            scan = np.concatenate([
+                np.asarray([a]) if a == b else refine_breakpoints(grid, k, extra=u.grid)
+                for a, b, grid, _ in K.components
+            ])
+        self.scan = _Exponent(scan, k, m, u, K, singular)
+        self.buf = np.empty_like(scan)
+
+    def log_sup2(self, j: int) -> float:
+        if self.whole_space:
+            s_lo, s_hi = _tail_slopes(j, self.k, self.m, self.u, self.singular)
+            if s_lo < 0:
+                raise DivergentIntegralError(f"sup of index {j} grows at t → -inf")
+            if s_hi > 0:
+                raise DivergentIntegralError(f"sup of index {j} grows at t → +inf")
+        return float(np.max(self.scan(j, out=self.buf)))
+
+
+def _degree(k: int, u: ConvexProfile, tw: TwistData) -> int:
+    return math.floor(k * u.class_mass) + tw.degree_shift
+
+
+def _check_index(j: int, m: int) -> None:
+    if not 0 <= j <= m:
+        raise InputError(f"index {j} outside [0, {m}]")
+
+
 def log_norm2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
               nu: RadialMeasure, tw: TwistData = TwistData(),
               singular_weight: bool = False) -> float:
     """log N² of z^j in the weighted L² norm against ν."""
-    m = math.floor(k * u.class_mass) + tw.degree_shift
-    if not 0 <= j <= m:
-        raise InputError(f"index {j} outside [0, {m}]")
-    return _log_norm2_deg(j, k, m, u, K, nu, singular_weight)
-
-
-def _log_norm2_deg(j, k, m, u, K, nu, singular) -> float:
-    E = _exponent_fn(j, k, m, u, K, singular)
-    breaks = _norm_breaks(u, K, nu)
-    tails = {}
-    if breaks is not None and _measure_is_whole_line(nu):
-        s_lo, s_hi = _tail_slopes(j, k, m, u, singular)
-        rate_minus = s_lo + 1    # FS density contributes e^{t} at −∞
-        rate_plus = s_hi - 1     # and e^{-t} at +∞
-        if rate_minus <= 0 or rate_plus >= 0:
-            raise DivergentIntegralError(
-                f"norm integral of index {j} diverges at k={k}"
-            )
-        edge_lo, edge_hi = breaks[0], breaks[-1]
-        tails["tail_minus"] = (
-            float(rate_minus),
-            float(E(edge_lo)) + float(np.log(nu.density_fn(edge_lo))),
-        )
-        tails["tail_plus"] = (
-            float(rate_plus),
-            float(E(edge_hi)) + float(np.log(nu.density_fn(edge_hi))),
-        )
-    if breaks is None:
-        if not nu.atoms:
-            raise InputError("measure carries neither cells nor atoms")
-        return log_integral_exp(E, np.asarray([0.0, 1.0]), k=k,
-                                density_fn=lambda t: np.zeros_like(t),
-                                atoms=nu.atoms)
-    return log_integral_exp(E, breaks, k=k, density_fn=nu.density_fn,
-                            atoms=nu.atoms, **tails)
+    m = _degree(k, u, tw)
+    _check_index(j, m)
+    return _NormPlan(k, m, u, K, nu, singular_weight).log_norm2(j)
 
 
 def l2_norm(j: int, k: int, u: ConvexProfile, K: WeightedSet,
@@ -279,33 +426,10 @@ def l2_norm(j: int, k: int, u: ConvexProfile, K: WeightedSet,
 
 def log_sup2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
              tw: TwistData = TwistData(), singular_weight: bool = False) -> float:
-    """log sup over K of the squared pointwise weight of z^j.
-
-    Compact K: scan of component grids refined against the weight scale.
-    Whole space: the exponent's exact tail slopes decide boundedness; the
-    padded grid reaches the asymptotic range, so the scan attains the sup.
-    """
-    m = math.floor(k * u.class_mass) + tw.degree_shift
-    if not 0 <= j <= m:
-        raise InputError(f"index {j} outside [0, {m}]")
-    E = _exponent_fn(j, k, m, u, K, singular_weight)
-    ts, _ = K.sample_points()
-    if K.whole_space:
-        s_lo, s_hi = _tail_slopes(j, k, m, u, singular_weight)
-        if s_lo < 0:
-            raise DivergentIntegralError(f"sup of index {j} grows at t → -inf")
-        if s_hi > 0:
-            raise DivergentIntegralError(f"sup of index {j} grows at t → +inf")
-        bp = refine_breakpoints(_pad_to_asymptotes(ts), k,
-                                extra=np.concatenate([u.grid, ts]))
-        return float(np.max(E(bp)))
-    segs = []
-    for a, b, grid, _ in K.components:
-        if a == b:
-            segs.append(np.asarray([a]))
-        else:
-            segs.append(refine_breakpoints(grid, k, extra=u.grid))
-    return float(np.max(E(np.concatenate(segs))))
+    """log sup over K of the squared pointwise weight of z^j."""
+    m = _degree(k, u, tw)
+    _check_index(j, m)
+    return _SupPlan(k, m, u, K, singular_weight).log_sup2(j)
 
 
 def sup_norm(j: int, k: int, u: ConvexProfile, K: WeightedSet,
@@ -318,10 +442,14 @@ def section_basis(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
                   norm_kind: str = "L2") -> SectionBasisData:
     """Diagonal norm data over the admissible index set."""
     basis = admissible_set(k, u, tw)
-    if norm_kind == "L2":
-        logs = [log_norm2(j, k, u, K, nu, tw, singular_weight) for j in basis.J]
-    else:
-        logs = [log_sup2(j, k, u, K, tw, singular_weight) for j in basis.J]
+    logs = []
+    if basis.J:
+        if norm_kind == "L2":
+            plan = _NormPlan(k, basis.m, u, K, nu, singular_weight)
+            logs = [plan.log_norm2(j) for j in basis.J]
+        else:
+            plan = _SupPlan(k, basis.m, u, K, singular_weight)
+            logs = [plan.log_sup2(j) for j in basis.J]
     return SectionBasisData(k, basis.m, basis.J, np.asarray(logs),
                             norm_kind=norm_kind)
 
@@ -344,26 +472,46 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
     """
     if abs(nu.total_mass() - 1.0) > 1e-9:
         raise InputError("reference measure must be a probability measure")
-    basis = section_basis(k, u, K, nu, tw)
+    basis = admissible_set(k, u, tw)
     m = basis.m
     n_sections = tw.rank * len(basis.J)
-    breaks = _norm_breaks(u, K, nu)
-    if breaks is None:
+    plan = _NormPlan(k, m, u, K, nu, False)
+    if plan.refined is None:
         eval_grid = np.asarray(sorted(t for t, _ in nu.atoms))
     else:
-        eval_grid = refine_breakpoints(breaks, k)
+        eval_grid = plan.refined
     if not basis.J:
         zero = RadialMeasure(np.empty(0), np.empty(0), ())
         return BergmanResult(k, eval_grid, np.zeros(eval_grid.size), zero, 0.0, 0)
 
     js = np.asarray(basis.J, dtype=float)
-    logs = basis.log_norms2
+    logs = np.asarray([plan.log_norm2(j) for j in basis.J])
+    rows = max(1, KERNEL_BLOCK // js.size)
 
     def kernel_at(t):
+        # (t × J) exponents in blocks of rows.  In a block, an index whose
+        # bound j·max t + max base − log N_j² lies below EXP_UNDERFLOW (less
+        # a unit margin for rounding) has exp exactly 0.0 on every row, and
+        # is written as such; each row still sums all |J| entries.
         t = np.asarray(t, dtype=float)
         base = -float(m) * softplus(t) - float(k) * K.weight_at(t)
-        ex = js[None, :] * t[:, None] + base[:, None] - logs[None, :]
-        return float(tw.rank) * np.sum(np.exp(ex), axis=1)
+        out = np.empty(t.size)
+        block = np.empty((min(rows, t.size), js.size))
+        for lo in range(0, t.size, rows):
+            sl = slice(lo, lo + rows)
+            ex = block[:t[sl].size]
+            ex[...] = 0.0
+            top = js * np.max(t[sl]) + np.max(base[sl]) - logs
+            live = np.flatnonzero(~(top < EXP_UNDERFLOW - 1.0))
+            if live.size:
+                cols = slice(live[0], live[-1] + 1)
+                sub = ex[:, cols]
+                np.multiply(js[None, cols], t[sl, None], out=sub)
+                sub += base[sl, None]
+                sub -= logs[None, cols]
+                exp_inplace(sub)
+            out[sl] = np.sum(ex, axis=1)
+        return float(tw.rank) * out
 
     kernel_vals = kernel_at(eval_grid)
 
@@ -372,19 +520,19 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
     cell_masses = np.empty(0)
     for t, w in nu.atoms:
         atoms.append((t, float(kernel_at(np.asarray([t]))[0]) * w / k))
-    if breaks is not None and nu.density_fn is not None:
-        fine = refine_breakpoints(breaks, 4 * k)
+    if plan.refined is not None and nu.density_fn is not None:
+        fine = refine_breakpoints(plan.breaks, 4 * k)
         ts, ws = gauss_cells(fine, nodes=48)
         vals = kernel_at(ts) * np.asarray(nu.density_fn(ts)) * ws / k
         per_cell = vals.reshape(fine.size - 1, -1).sum(axis=1)
-        if _measure_is_whole_line(nu):
-            lo, hi = fine[0], fine[-1]
+        if plan.edges is not None:
+            # closed-form tails beyond the cells' ends, the norms' own
             tail_lo = tail_hi = 0.0
             for j, ln in zip(basis.J, logs):
                 s_lo, s_hi = _tail_slopes(j, k, m, u, False)
-                E = _exponent_fn(j, k, m, u, K, False)
-                tail_lo += np.exp(float(E(lo)) + np.log(nu.density_fn(lo)) - ln) / float(s_lo + 1)
-                tail_hi += np.exp(float(E(hi)) + np.log(nu.density_fn(hi)) - ln) / float(1 - s_hi)
+                lv_lo, lv_hi = plan.edge_log_values(j)
+                tail_lo += np.exp(lv_lo - ln) / float(s_lo + 1)
+                tail_hi += np.exp(lv_hi - ln) / float(1 - s_hi)
             per_cell[0] += tw.rank * tail_lo / k
             per_cell[-1] += tw.rank * tail_hi / k
         cell_bp = fine
@@ -472,12 +620,12 @@ def bm_rate(k: int, K: WeightedSet, nu: RadialMeasure, c=Fraction(1),
     comparison on (K, v).
     """
     u = base_profile_cached(as_fraction(c))
-    m = math.floor(k * as_fraction(c)) + tw.degree_shift
+    m = _degree(k, u, tw)
+    sup = _SupPlan(k, m, u, K, False)
+    l2 = _NormPlan(k, m, u, K, nu, False)
     worst = -np.inf
     for j in range(m + 1):
-        ls = log_sup2(j, k, u, K, tw)
-        ln = log_norm2(j, k, u, K, nu, tw)
-        worst = max(worst, ls - ln)
+        worst = max(worst, sup.log_sup2(j) - l2.log_norm2(j))
     return worst / float(k)
 
 

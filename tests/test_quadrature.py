@@ -1,0 +1,121 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from envlab.quadrature import (
+    EXP_UNDERFLOW,
+    exp_inplace,
+    log_integral_exp,
+    logsumexp,
+    logsumexp_inplace,
+    refine_breakpoints,
+)
+
+
+def loop_refine(breakpoints, k, extra=None, max_width=None):
+    """Reference: one `np.linspace` per cell, in a Python loop."""
+    bp = np.asarray(breakpoints, dtype=float)
+    if extra is not None:
+        inner = np.asarray(extra, dtype=float)
+        inner = inner[(inner > bp[0]) & (inner < bp[-1])]
+        bp = np.union1d(bp, inner)
+    if max_width is None:
+        max_width = min(0.5, 4.0 / np.sqrt(1.0 + float(k)))
+    out = [bp[0]]
+    for a, b in zip(bp[:-1], bp[1:]):
+        nsub = max(1, int(np.ceil((b - a) / max_width)))
+        out.extend(np.linspace(a, b, nsub + 1)[1:])
+    return np.asarray(out)
+
+
+finite = st.floats(min_value=-60.0, max_value=60.0, allow_nan=False)
+breakpoints = st.lists(finite, min_size=1, max_size=40, unique=True).map(sorted)
+
+
+class TestRefineBreakpoints:
+    @settings(max_examples=60, deadline=None)
+    @given(bp=breakpoints, k=st.integers(0, 10 ** 4),
+           extra=st.none() | st.lists(st.floats(-80.0, 80.0), max_size=12),
+           max_width=st.none() | st.floats(1e-2, 5.0))
+    def test_matches_linspace_loop(self, bp, k, extra, max_width):
+        want = loop_refine(bp, k, extra, max_width)
+        got = refine_breakpoints(bp, k, extra, max_width)
+        assert np.array_equal(got, want)
+
+    def test_default_grid_at_large_k(self):
+        bp = np.linspace(-40.0, 40.0, 1281)
+        for k in (1, 200, 5000, 10 ** 4):
+            assert np.array_equal(refine_breakpoints(bp, k), loop_refine(bp, k))
+
+    def test_keeps_original_breakpoints(self):
+        bp = np.asarray([-3.0, -0.25, 0.1, 2.0])
+        out = refine_breakpoints(bp, 400)
+        assert np.all(np.isin(bp, out))
+        assert np.all(np.diff(out) > 0)
+        assert np.max(np.diff(out)) <= 4.0 / math.sqrt(401.0) * (1 + 1e-12)
+
+
+class TestLogSumExp:
+    def test_inplace_matches_copying_form(self):
+        rng = np.random.default_rng(3)
+        vals = rng.normal(scale=300.0, size=1001)
+        mx = np.max(vals)
+        want = float(mx + np.log(np.sum(np.exp(vals - mx))))
+        assert logsumexp(vals) == want
+        buf = vals.copy()
+        assert logsumexp_inplace(buf) == want
+
+    def test_exp_writes_underflow_as_exact_zero(self):
+        rng = np.random.default_rng(4)
+        x = np.concatenate([rng.uniform(-900.0, 0.0, 500), rng.uniform(-746.0, -700.0, 500),
+                            [-np.inf, EXP_UNDERFLOW, -745.2, -745.1, 0.0]])
+        rng.shuffle(x)
+        want = np.exp(x)
+        assert np.array_equal(exp_inplace(x.copy()), want)
+        grid = x.copy().reshape(-1, 5)
+        exp_inplace(grid[:, 1:4])      # a strided view, written in place
+        assert np.array_equal(grid[:, 1:4], want.reshape(-1, 5)[:, 1:4])
+        assert np.array_equal(grid[:, [0, 4]], x.reshape(-1, 5)[:, [0, 4]])
+
+    def test_live_range_gives_the_whole_array_result(self):
+        # entries outside [lo, hi) lie more than 746 below the max inside
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            vals = rng.normal(scale=50.0, size=int(rng.integers(1, 400)))
+            lo = int(rng.integers(0, vals.size))
+            hi = int(rng.integers(lo + 1, vals.size + 1))
+            top = np.max(vals[lo:hi])
+            vals[:lo] = top - 746.5 - rng.exponential(100.0, lo)
+            vals[hi:] = top - 746.5 - rng.exponential(100.0, vals.size - hi)
+            buf = vals.copy()
+            buf[:lo] = np.nan       # not read
+            buf[hi:] = np.nan
+            mx = np.max(vals)
+            assert logsumexp_inplace(buf, lo, hi) == float(mx + np.log(np.sum(np.exp(vals - mx))))
+
+    def test_empty_and_all_minus_inf(self):
+        assert logsumexp(np.empty(0)) == -np.inf
+        assert logsumexp(np.full(4, -np.inf)) == -np.inf
+
+
+class TestLogIntegralExp:
+    def test_gaussian_with_tails_and_atom(self):
+        # ∫_{-3}^{3} e^{-t²} dt + Gaussian tails in closed form are replaced by
+        # exponential tails of rate ±1 from ±3, plus an atom of weight 0.5 at 0
+        from scipy.integrate import quad
+
+        inner, _ = quad(lambda t: np.exp(-t * t), -3.0, 3.0, epsabs=0, epsrel=1e-13)
+        edge = -9.0
+        want = math.log(inner + 2.0 * math.exp(edge) + 0.5)
+        got = log_integral_exp(lambda t: -np.square(t), np.linspace(-3, 3, 7), k=1,
+                               atoms=((0.0, 0.5),), tail_minus=(1.0, edge),
+                               tail_plus=(-1.0, edge))
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_density_weights_the_integrand(self):
+        got = log_integral_exp(lambda t: np.zeros_like(t), np.asarray([0.0, 1.0]),
+                               density_fn=lambda t: 2.0 * t)
+        assert got == pytest.approx(0.0, abs=1e-14)

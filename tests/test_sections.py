@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +36,15 @@ from envlab.errors import (
     InputError,
     NoSectionsError,
 )
-from envlab.sections import approximant_lower_bound_constant, counting_bound_holds
+from envlab.basefun import softplus
+from envlab.experiments import weighted_fixture
+from envlab.profiles import _pad_to_asymptotes
+from envlab.quadrature import gauss_cells
+from envlab.sections import (
+    approximant_lower_bound_constant,
+    counting_bound_holds,
+    log_norm2,
+)
 
 
 THIRD_QUARTER = window_envelope(1, Fraction(1, 3), Fraction(1, 4))
@@ -205,6 +214,122 @@ class TestNorms:
             assert sup_norm(j, 9, b, K1) >= sup_norm(j, 9, b, K2)
 
 
+def loop_refine(bp, k, extra=None):
+    """Per-cell `np.linspace` refinement, as one loop iteration per cell."""
+    bp = np.asarray(bp, dtype=float)
+    if extra is not None:
+        inner = np.asarray(extra, dtype=float)
+        bp = np.union1d(bp, inner[(inner > bp[0]) & (inner < bp[-1])])
+    width = min(0.5, 4.0 / np.sqrt(1.0 + float(k)))
+    out = [bp[0]]
+    for a, b in zip(bp[:-1], bp[1:]):
+        out.extend(np.linspace(a, b, max(1, int(np.ceil((b - a) / width))) + 1)[1:])
+    return np.asarray(out)
+
+
+def index_exponent(j, k, m, u, K, singular):
+    """t ↦ j·t − m·f_FS − k·v (− k·(u − c·f_FS)), evaluated per index."""
+    def E(t):
+        t = np.asarray(t, dtype=float)
+        out = float(j) * t - float(m) * softplus(t) - float(k) * K.weight_at(t)
+        if singular:
+            out = out - float(k) * (u(t) - float(u.class_mass) * softplus(t))
+        return out
+    return E
+
+
+def lse(vals):
+    vals = np.asarray(vals, dtype=float)
+    mx = np.max(vals) if vals.size else -np.inf
+    if not np.isfinite(mx):
+        return -np.inf
+    return float(mx + np.log(np.sum(np.exp(vals - mx))))
+
+
+def per_index_log_norm2(k, m, u, K, nu, singular=False):
+    """j ↦ log N² of z^j, each index with its own exponent and reduction.
+
+    The refined cells are built once with `loop_refine`, since
+    `tests/test_quadrature.py` checks the refinement itself.
+    """
+    breaks = ts = None
+    if nu.breakpoints.size:
+        base = nu.breakpoints
+        extra = np.concatenate([u.grid, K.sample_points()[0]])
+        breaks = np.union1d(base, extra[(extra > base[0]) & (extra < base[-1])])
+        ts, ws = gauss_cells(loop_refine(breaks, k))
+        dens = np.asarray(nu.density_fn(ts))
+        with np.errstate(divide="ignore"):
+            log_dens = np.where(dens > 0, np.log(np.maximum(dens, 1e-320)), -np.inf)
+    whole_line = breaks is not None and breaks[0] <= -40 + 1e-9 and breaks[-1] >= 40 - 1e-9
+
+    def log_n2(j):
+        E = index_exponent(j, k, m, u, K, singular)
+        pieces = [-np.inf]
+        if ts is not None:
+            pieces[0] = lse(E(ts) + log_dens + np.log(ws))
+        for t, w in nu.atoms:
+            pieces.append(float(E(np.asarray([t]))[0]) + np.log(w))
+        if whole_line:
+            lo, hi = Fraction(j), Fraction(j - m)
+            if singular:
+                lo, hi = lo - k * u.s_minus, hi + k * (u.class_mass - u.s_plus)
+            for edge, rate in ((breaks[0], float(lo + 1)), (breaks[-1], -float(hi - 1))):
+                pieces.append(float(E(edge)) + float(np.log(nu.density_fn(edge)))
+                              - np.log(rate))
+        return lse(np.asarray(pieces))
+
+    return log_n2
+
+
+class TestSharedPlan:
+    """Norms from one shared quadrature plan equal per-index quadrature bit for bit.
+
+    At the larger k most cells lie far below each index's peak, so the plan
+    skips them; every 7th index and the last are checked there.
+    """
+
+    @pytest.mark.parametrize("fixture,k", [
+        ("vtheta-fs", 200), ("third-quarter-fs", 30), ("annulus-area", 12),
+        ("annulus-atom", 12), ("bump-fs", 25), ("bump-fs", 120),
+    ])
+    def test_log_norms_match_per_index_quadrature(self, fixture, k):
+        u, K, nu = weighted_fixture(fixture)
+        basis = section_basis(k, u, K, nu)
+        log_n2 = per_index_log_norm2(k, basis.m, u, K, nu)
+        idx = sorted(set(range(0, len(basis.J), 7 if k > 100 else 1)) | {len(basis.J) - 1})
+        assert np.array_equal(basis.log_norms2[idx], [log_n2(basis.J[i]) for i in idx])
+
+    @pytest.mark.parametrize("k", [12, 400])
+    def test_singular_weight_matches_per_index_quadrature(self, k):
+        u, K, nu = weighted_fixture("third-quarter-fs")
+        basis = section_basis(k, u, K, nu, singular_weight=True)
+        log_n2 = per_index_log_norm2(k, basis.m, u, K, nu, singular=True)
+        idx = sorted(set(range(0, len(basis.J), 7 if k > 100 else 1)) | {len(basis.J) - 1})
+        assert np.array_equal(basis.log_norms2[idx], [log_n2(basis.J[i]) for i in idx])
+
+    def test_sup_norms_match_per_index_scan(self):
+        u = THIRD_QUARTER
+        for K in (WeightedSet.interval(-1.0, 1.0, v=lambda t: 0.1 * t * t),
+                  WeightedSet.whole(v=lambda t: 0.2 * np.exp(-t * t))):
+            k = 20
+            basis = section_basis(k, u, K, fs_measure(), norm_kind="sup")
+            if K.whole_space:
+                ts = K.sample_points()[0]
+                scan = loop_refine(_pad_to_asymptotes(ts), k, np.concatenate([u.grid, ts]))
+            else:
+                scan = loop_refine(K.components[0][2], k, u.grid)
+            want = [float(np.max(index_exponent(j, k, basis.m, u, K, False)(scan)))
+                    for j in basis.J]
+            assert np.array_equal(basis.log_norms2, want)
+
+    def test_single_index_is_the_basis_entry(self):
+        u, K, nu = weighted_fixture("bump-fs")
+        basis = section_basis(20, u, K, nu)
+        for i, j in enumerate(basis.J):
+            assert log_norm2(j, 20, u, K, nu) == basis.log_norms2[i]
+
+
 class TestBergman:
     def test_constant_kernel(self):
         b = base_profile(1)
@@ -248,6 +373,30 @@ class TestBergman:
                        density_fn=nu.density_fn)
         with pytest.raises(InputError):
             bergman(5, base_profile(1), WeightedSet.interval(-1, 1), bad)
+
+    def test_blocked_kernel_equals_one_piece_sum(self):
+        # k = 60: 61 indices, so the eval grid spans two blocks of rows
+        u, K, nu = weighted_fixture("vtheta-fs")
+        k = 60
+        res = bergman(k, u, K, nu)
+        basis = section_basis(k, u, K, nu)
+        js = np.asarray(basis.J, dtype=float)
+        t = res.grid
+        base = -float(basis.m) * softplus(t) - float(k) * K.weight_at(t)
+        ex = js[None, :] * t[:, None] + base[:, None] - basis.log_norms2[None, :]
+        assert t.size > 2 ** 16 // js.size
+        assert np.array_equal(res.kernel, np.sum(np.exp(ex), axis=1))
+
+    def test_large_k_kernel_is_finite_and_keeps_mass(self):
+        u, K, nu = weighted_fixture("third-quarter-fs")
+        k = 2000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = bergman(k, u, K, nu)
+        assert res.h0 == h0(k, u)
+        assert np.all(np.isfinite(res.kernel))
+        assert np.all(np.isfinite(res.beta.cell_masses))
+        assert abs(res.total_mass - res.h0 / k) <= 1e-8 * (res.h0 / k)
 
     def test_atom_measure_kernel(self):
         # single-circle reference: beta = (h0/k) * delta
@@ -425,6 +574,15 @@ class TestApproximant:
             assert abs((1 - ap.s_plus) - Fraction(1, 4)) <= Fraction(1, k)
             gap = ap.mass - env.mass
             assert 0 <= gap <= Fraction(2, k)
+
+    def test_large_k_lelong_slopes(self):
+        k = 5000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ap = bergman_approximant(k, THIRD_QUARTER)
+        assert abs(ap.s_minus - Fraction(1, 3)) <= Fraction(1, k)
+        assert abs((1 - ap.s_plus) - Fraction(1, 4)) <= Fraction(1, k)
+        assert np.all(np.isfinite(ap.values))
 
     def test_lower_bound_constant(self):
         ap = bergman_approximant(25, THIRD_QUARTER)
