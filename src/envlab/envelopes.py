@@ -45,8 +45,6 @@ __all__ = [
     "envelope_of_samples",
 ]
 
-DIVERGENCE_TRIANGLE_CONSTANT = 1.0
-
 
 # ---------------------------------------------------------------------------
 # discrete Legendre machinery

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +39,6 @@ from .sections import (
     approximant_lower_bound_constant,
     bergman,
     bergman_approximant,
-    bm_rate,
     counting_bound_holds,
     donaldson_functional,
     h0,
@@ -112,6 +111,14 @@ VOLUME_RADIAL_PARAMS = {
 # configuration
 # ---------------------------------------------------------------------------
 
+# The tolerance names each runner reads; any other name is a typo that
+# would leave a gate on its default, so configs may not carry it.
+TOLERANCE_NAMES = {
+    "bergman": {"trend_slack", "final_threshold", "leak_tol"},
+    "energy": {"gap_slack", "fd_rel"},
+}
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -134,18 +141,21 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(ks, ks[1:])):
             raise InputError("k-schedule must be strictly increasing")
         self.k = ks
+        unread = sorted(set(self.tolerances) - TOLERANCE_NAMES.get(self.experiment, set()))
+        if unread:
+            raise InputError(
+                f"the {self.experiment} experiment reads no tolerance named "
+                f"{', '.join(map(repr, unread))}")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path) as fh:
             data = json.load(fh)
-        fields = {
-            key: data[key]
-            for key in ("experiment", "fixture", "k", "out", "tolerances",
-                        "sweep_max", "ranks", "shifts", "provenance")
-            if key in data
-        }
-        return cls(**fields)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InputError(
+                f"{path}: unknown config key {', '.join(map(repr, unknown))}")
+        return cls(**data)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ so quadrature downstream does not see sampling error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -80,13 +80,6 @@ class RadialMeasure:
                 out += np.where(ts >= t, w, 0.0)
             else:
                 out += np.where(ts > t, w, 0.0)
-        return out
-
-    def mean(self) -> float:
-        out = sum(t * w for t, w in self.atoms)
-        if self.cell_masses.size:
-            mids = 0.5 * (self.breakpoints[:-1] + self.breakpoints[1:])
-            out += float(np.sum(mids * self.cell_masses))
         return out
 
     def support_points(self) -> np.ndarray:

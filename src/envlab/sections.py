@@ -143,19 +143,26 @@ class BergmanResult:
 # admissible indices and section counts
 # ---------------------------------------------------------------------------
 
+def _index_window(k: int, c: Fraction, nu0: Fraction, nu_inf: Fraction,
+                  d: int) -> tuple[int, int, int]:
+    """(m, j_min, j_max) in integer arithmetic; J = [j_min, j_max] ∩ ℤ.
+
+    m = ⌊k·c⌋ + d.  The filter j + 1 > k·ν₀ and m − j + 1 > k·ν_∞ reads
+    j ≥ ⌊k·ν₀ − 1⌋ + 1 = ⌊k·ν₀⌋ and j ≤ ⌈m + 1 − k·ν_∞⌉ − 1 = m − ⌊k·ν_∞⌋.
+    """
+    if k < 1:
+        raise InputError("k must be a positive integer")
+    m = k * c.numerator // c.denominator + d
+    j_min = max(0, k * nu0.numerator // nu0.denominator)
+    j_max = min(m, m - k * nu_inf.numerator // nu_inf.denominator)
+    return m, j_min, j_max
+
+
 def admissible_indices(k: int, c, nu0, nu_inf,
                        tw: TwistData = TwistData()) -> tuple[int, list[int]]:
     """(m, J): exact rational filter of degree-m monomials by (ν₀, ν_∞)."""
-    if k < 1:
-        raise InputError("k must be a positive integer")
-    c = as_fraction(c)
-    nu0 = as_fraction(nu0)
-    nu_inf = as_fraction(nu_inf)
-    m = math.floor(k * c) + tw.degree_shift
-    if m < 0:
-        return m, []
-    j_min = max(0, math.floor(k * nu0 - 1) + 1)
-    j_max = min(m, math.ceil(m + 1 - k * nu_inf) - 1)
+    m, j_min, j_max = _index_window(k, as_fraction(c), as_fraction(nu0),
+                                    as_fraction(nu_inf), tw.degree_shift)
     return m, list(range(j_min, j_max + 1))
 
 
@@ -168,9 +175,13 @@ def admissible_set(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> Sec
 def h0(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> int:
     """Section count r·|J|; satisfies |h0/(r·k) − mass₊| < (|d| + 3)/k.
 
-    See `counting_bound_holds` for the exact two-sided window behind it.
+    O(1) integer operations per k: the count is taken from the ends of the
+    index window, and J itself is never built.  See `counting_bound_holds`
+    for the exact two-sided window behind the bound.
     """
-    return tw.rank * len(admissible_set(k, u, tw).J)
+    _, j_min, j_max = _index_window(k, u.class_mass, u.s_minus,
+                                    u.class_mass - u.s_plus, tw.degree_shift)
+    return tw.rank * max(0, j_max - j_min + 1)
 
 
 def counting_bound_holds(k: int, count: int, c, nu0, nu_inf,
@@ -186,10 +197,12 @@ def counting_bound_holds(k: int, count: int, c, nu0, nu_inf,
 
     for L ≤ −1 it holds none.  Either way |count/(r·k) − mass₊| < (|d| + 3)/k.
     """
-    m = math.floor(k * as_fraction(c)) + tw.degree_shift
-    nu = as_fraction(nu0) + as_fraction(nu_inf)
-    q = nu.denominator
-    qL = q * (m + 2) - k * nu.numerator   # q·L: integers keep per-k sweeps cheap
+    nu0, nu_inf = as_fraction(nu0), as_fraction(nu_inf)
+    m, _, _ = _index_window(k, as_fraction(c), nu0, nu_inf, tw.degree_shift)
+    # q·L with q = q₀·q_∞: integers keep per-k sweeps cheap
+    q = nu0.denominator * nu_inf.denominator
+    qL = q * (m + 2) - k * (nu0.numerator * nu_inf.denominator
+                            + nu_inf.numerator * nu0.denominator)
     if qL <= -q:
         return count == 0
     n, rem = divmod(count, tw.rank)

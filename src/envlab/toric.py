@@ -4,7 +4,12 @@ A potential is a finite max of affine pieces with rational gradients in
 the dilated simplex Δ_c; its singularity body is the convex hull of the
 gradients, the non-pluripolar mass is twice the body's area, and section
 counts reduce to exact lattice-point counting inside the body's interior.
-All arithmetic is rational.
+
+Geometry is rational.  Counting is integer: each profile builds its body
+once, and each body its edge table once, one integer inequality
+P·α₁ + Q·α₂ > k·A − B per edge.  `h0_toric` then evaluates all rows α₁
+at once in int64 numpy, O(edges·m) in C per k, after checking against
+integer bounds that no intermediate leaves the int64 range.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +35,12 @@ __all__ = [
 ]
 
 Vec = tuple[Fraction, Fraction]
+
+# Rows α₁ are counted in blocks of this many, so the working set stays
+# bounded at large k.
+ROW_BLOCK = 2 ** 16
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _cross(o: Vec, a: Vec, b: Vec) -> Fraction:
@@ -117,8 +129,28 @@ class RationalPolygon:
                 return False
         return True
 
-    def includes(self, other: "RationalPolygon") -> bool:
-        return all(self.contains(w) for w in other.vertices)
+    @cached_property
+    def edge_table(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(P, Q, A, B) per CCW edge, in integers: at level k the lattice
+        point α lies strictly inside the edge's half-plane, scaled by k,
+        iff P·α₁ + Q·α₂ > k·A − B.
+
+        For the edge v → w with e = w − v, cross(e, (α + 1)/k − v) > 0 reads
+        −e_y·α₁ + e_x·α₂ > k·(e_x·v_y − e_y·v_x) − (e_x − e_y); one positive
+        common denominator per edge makes the four coefficients integers.
+        """
+        v = self.vertices
+        if len(v) < 3:
+            return ()
+        table = []
+        for i in range(len(v)):
+            vx, vy = v[i]
+            wx, wy = v[(i + 1) % len(v)]
+            ex, ey = wx - vx, wy - vy
+            coeffs = (-ey, ex, ex * vy - ey * vx, ex - ey)
+            den = math.lcm(*(x.denominator for x in coeffs))
+            table.append(tuple(int(x * den) for x in coeffs))
+        return tuple(table)
 
     def to_dict(self) -> dict:
         return {
@@ -167,6 +199,11 @@ class TorusProfile2:
         if np.any(vals > base + cap + 1e-6):
             raise InputError("profile escapes the class bound on the probe grid")
 
+    @cached_property
+    def body(self) -> RationalPolygon:
+        """Singularity body: convex hull of the piece gradients, exact."""
+        return RationalPolygon(tuple(g for g, _ in self.pieces))
+
     def evaluate(self, t1, t2):
         t1 = np.asarray(t1, dtype=float)
         t2 = np.asarray(t2, dtype=float)
@@ -195,8 +232,8 @@ class TorusProfile2:
 
 
 def singularity_body(f: TorusProfile2) -> RationalPolygon:
-    """Convex hull of the piece gradients, exact."""
-    return RationalPolygon(tuple(g for g, _ in f.pieces))
+    """Convex hull of the piece gradients, exact; built once per profile."""
+    return f.body
 
 
 def np_mass2(f: TorusProfile2) -> Fraction:
@@ -204,15 +241,17 @@ def np_mass2(f: TorusProfile2) -> Fraction:
     return 2 * singularity_body(f).area
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 def h0_toric(k: int, f: TorusProfile2, tw=None) -> int:
     """r·#{α ≥ 0 : α₁+α₂ ≤ m, (α+(1,1))/k ∈ int body}, exact integers.
 
-    Row reduction: each CCW edge gives one integer inequality in (α₁, α₂);
-    rows in α₁ intersect the α₂ ranges in O(edges) integer operations.
+    Row reduction on the body's integer edge table: on row α₁ each edge
+    with Q > 0 raises the lower end of the α₂ range to ⌊rhs/Q⌋ + 1, each
+    edge with Q < 0 lowers the upper end to ⌈rhs/Q⌉ − 1, and an edge with
+    Q = 0 empties the row when rhs = k·A − B − P·α₁ ≥ 0.  All rows are
+    evaluated at once in int64 numpy, whose `//` floors as Python's does,
+    so the count costs O(edges·m) in C per k.  The int64 range is checked
+    against integer bounds before any array is allocated; past it the call
+    raises InputError.
     """
     from .sections import TwistData
 
@@ -222,37 +261,28 @@ def h0_toric(k: int, f: TorusProfile2, tw=None) -> int:
     m = math.floor(k * f.class_mass) + tw.degree_shift
     if m < 0:
         return 0
-    body = singularity_body(f)
-    verts = body.vertices
-    if len(verts) < 3:
+    table = singularity_body(f).edge_table
+    if not table:
         return 0
-    # edge (v -> w): cross(w - v, p - v) > 0 with p = (α + 1)/k, scaled to
-    # integers: P·α₁ + Q·α₂ > R
-    ineqs = []
-    for i in range(len(verts)):
-        vx, vy = verts[i]
-        wx, wy = verts[(i + 1) % len(verts)]
-        ex, ey = wx - vx, wy - vy
-        P = -ey
-        Q = ex
-        R = ex * (k * vy - 1) - ey * (k * vx - 1)
-        den = math.lcm(P.denominator, Q.denominator, R.denominator)
-        ineqs.append((int(P * den), int(Q * den), int(R * den)))
+    # |rhs| and |Q| are at most span on every row, so each operand, row
+    # end, row length and block sum of lengths stays within these bounds
+    span = max(abs(k * A - B) + abs(P) * m + abs(Q) for P, Q, A, B in table)
+    if 2 * span + 2 > _INT64_MAX or ROW_BLOCK * (m + 1) > _INT64_MAX:
+        raise InputError(f"k = {k} takes the toric row count past int64")
     count = 0
-    for a1 in range(0, m + 1):
-        lo, hi = 0, m - a1
-        feasible = True
-        for P, Q, R in ineqs:
-            rhs = R - P * a1
+    for start in range(0, m + 1, ROW_BLOCK):
+        a1 = np.arange(start, min(start + ROW_BLOCK, m + 1), dtype=np.int64)
+        lo = np.zeros_like(a1)
+        hi = m - a1
+        for P, Q, A, B in table:
+            rhs = (k * A - B) - P * a1
             if Q > 0:
-                lo = max(lo, rhs // Q + 1)
+                np.maximum(lo, rhs // Q + 1, out=lo)
             elif Q < 0:
-                hi = min(hi, _ceil_div(rhs, Q) - 1)
-            elif rhs >= 0:
-                feasible = False
-                break
-        if feasible and hi >= lo:
-            count += hi - lo + 1
+                np.minimum(hi, -(-rhs // Q) - 1, out=hi)
+            else:
+                hi[rhs >= 0] = -1
+        count += int(np.maximum(hi - lo + 1, 0).sum())
     return tw.rank * count
 
 

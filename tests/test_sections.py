@@ -98,6 +98,33 @@ class TestH0:
         assert h0(24, THIRD_QUARTER, TwistData(2, 0)) == 22
         assert h0(12, THIRD_QUARTER, TwistData(1, 1)) == 7
 
+    def test_count_is_rank_times_index_set(self):
+        # h0 takes the count from the ends of the window; J and the oracle
+        # enumerate it
+        cases = [(THIRD_QUARTER, (-1, 0, 1), range(1, 201)),
+                 (window_envelope(Fraction(3, 2), Fraction(2, 7), Fraction(1, 5)),
+                  (-4, -1, 0, 1), range(1, 120)),
+                 (base_profile(Fraction(141421356, 10 ** 8)), (-4, -1, 0, 1),
+                  range(1, 120))]
+        for u, shifts, ks in cases:
+            c, nu0, nu_inf = u.class_mass, u.s_minus, u.class_mass - u.s_plus
+            for d in shifts:
+                for k in ks:
+                    _, J = admissible_indices(k, c, nu0, nu_inf, TwistData(1, d))
+                    assert len(J) == oracle_count(k, c, nu0, nu_inf, d), (c, d, k)
+                    for r in (1, 2):
+                        assert h0(k, u, TwistData(r, d)) == r * len(J), (c, r, d, k)
+
+    def test_count_at_huge_k_is_closed_form(self):
+        # J = [⌊k/3⌋, m − ⌊k/4⌋] with m = k + d; J is never built
+        k = 10 ** 12
+        assert h0(k, THIRD_QUARTER) == 416_666_666_668
+        for r, d in ((1, 0), (2, 1), (1, -1)):
+            count = h0(k, THIRD_QUARTER, TwistData(r, d))
+            assert count == r * (k + d - k // 4 - k // 3 + 1)
+            assert counting_bound_holds(k, count, 1, Fraction(1, 3), Fraction(1, 4),
+                                        TwistData(r, d))
+
     def test_counting_bound(self):
         # J = integers in the open interval (k/3 − 1, m + 1 − k/4), m = k + d,
         # of length L = k·mass + d + 2 (c = 1, so {k·c} = 0).  An open

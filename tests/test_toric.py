@@ -1,0 +1,125 @@
+import math
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from envlab import TwistData
+from envlab.errors import InputError
+from envlab.experiments import toric_fixture
+from envlab.toric import (
+    TorusProfile2,
+    h0_toric,
+    h0_toric_bruteforce,
+    singularity_body,
+)
+
+
+def loop_h0_toric(k, f, tw=TwistData()):
+    """Reference: Fraction edge inequalities per k, one Python loop per row."""
+    m = math.floor(k * f.class_mass) + tw.degree_shift
+    verts = singularity_body(f).vertices
+    if m < 0 or len(verts) < 3:
+        return 0
+    ineqs = []
+    for i in range(len(verts)):
+        vx, vy = verts[i]
+        wx, wy = verts[(i + 1) % len(verts)]
+        ex, ey = wx - vx, wy - vy
+        R = ex * (k * vy - 1) - ey * (k * vx - 1)
+        den = math.lcm(ey.denominator, ex.denominator, R.denominator)
+        ineqs.append((int(-ey * den), int(ex * den), int(R * den)))
+    count = 0
+    for a1 in range(m + 1):
+        lo, hi = 0, m - a1
+        feasible = True
+        for P, Q, R in ineqs:
+            rhs = R - P * a1
+            if Q > 0:
+                lo = max(lo, rhs // Q + 1)
+            elif Q < 0:
+                hi = min(hi, -(-rhs // Q) - 1)
+            elif rhs >= 0:
+                feasible = False
+                break
+        if feasible and hi >= lo:
+            count += hi - lo + 1
+    return tw.rank * count
+
+
+FIXTURES = ("simplex", "half-square", "point")
+
+# gradients (a/q, b/q) in the unit simplex Δ₁ with q ≤ 6
+gradient = st.integers(1, 6).flatmap(
+    lambda q: st.tuples(st.integers(0, q), st.integers(0, q))
+    .filter(lambda ab: ab[0] + ab[1] <= q)
+    .map(lambda ab: (Fraction(ab[0], q), Fraction(ab[1], q))))
+polygon_profile = st.lists(gradient, min_size=1, max_size=6).map(
+    lambda gs: TorusProfile2(1, tuple((g, 0) for g in gs)))
+
+
+def assert_matches_bruteforce(f, ks):
+    for d in range(-2, 3):
+        for k in ks:
+            want = h0_toric_bruteforce(k, f, TwistData(1, d))
+            for r in (1, 2):
+                assert h0_toric(k, f, TwistData(r, d)) == r * want, (k, d, r)
+
+
+class TestAgainstBruteforce:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, name):
+        assert_matches_bruteforce(toric_fixture(name), range(1, 31))
+
+    @settings(max_examples=15, deadline=None)
+    @given(f=polygon_profile, ks=st.lists(st.integers(1, 30), min_size=1, max_size=2))
+    def test_rational_polygons(self, f, ks):
+        assert_matches_bruteforce(f, ks)
+
+
+class TestAgainstRowLoop:
+    KS = list(range(1, 60)) + list(range(61, 2001, 97)) + [2000]
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures_to_large_k(self, name):
+        f = toric_fixture(name)
+        for d in (-2, 0, 2):
+            for k in self.KS:
+                assert h0_toric(k, f, TwistData(1, d)) == loop_h0_toric(
+                    k, f, TwistData(1, d)), (k, d)
+
+    @settings(max_examples=20, deadline=None)
+    @given(f=polygon_profile, k=st.integers(1, 2000), d=st.integers(-2, 2))
+    def test_rational_polygons_to_large_k(self, f, k, d):
+        assert h0_toric(k, f, TwistData(1, d)) == loop_h0_toric(k, f, TwistData(1, d))
+
+    def test_body_and_edge_table_are_built_once(self):
+        f = toric_fixture("half-square")
+        assert singularity_body(f) is singularity_body(f)
+        assert f.body.edge_table is f.body.edge_table
+        # one inequality per edge, in integers
+        assert len(f.body.edge_table) == 4
+        assert all(isinstance(x, int) for row in f.body.edge_table for x in row)
+
+
+class TestInt64Guard:
+    @pytest.mark.parametrize("k", [2 ** 47 + 1, 10 ** 19])
+    def test_raises_before_allocating(self, k):
+        f = toric_fixture("simplex")
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="int64"):
+                h0_toric(k, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_large_coefficients_raise_at_small_k(self):
+        # a denominator of 10¹⁹ scales the edge table past int64 at k = 1
+        tiny = Fraction(1, 10 ** 19)
+        f = TorusProfile2(1, (((0, 0), 0), ((1 - tiny, 0), 0), ((0, tiny), 0)))
+        with pytest.raises(InputError, match="int64"):
+            h0_toric(1, f)
