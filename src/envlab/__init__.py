@@ -56,7 +56,6 @@ from .energy import (
     ma_energy,
     equilibrium_energy,
     energy_derivative_check,
-    cocycle_difference,
 )
 from .toric import (
     TorusProfile2,
@@ -64,8 +63,6 @@ from .toric import (
     singularity_body,
     np_mass2,
     h0_toric,
-    mix_toric,
-    minkowski_mix,
 )
 
 __version__ = "0.1.0"

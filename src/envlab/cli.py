@@ -1,21 +1,21 @@
 """Command-line experiment runner.
 
-Subcommands: volume, bergman, energy, approx, envelope, selftest.
-Experiments read a JSON config (--config; committed copies live under
-configs/), with --out and --k overriding the config in place.  Reports
-are CSV (fixed header) plus self-contained SVG; exit status 1 on any
-bound violation, with the offending rows printed.
+One subcommand per experiment runner: volume, bergman, energy, approx,
+envelope.  Experiments read a JSON config (--config; committed copies
+live under configs/), with --fixture, --k and --out overriding it; the
+overridden config passes the same checks as a loaded one.  Reports are
+CSV (fixed header) plus self-contained SVG; exit status 1 on any bound
+violation, with the offending rows printed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import RUNNERS, ExperimentConfig, run_experiment
 from .report import CSV_HEADER
-from .selftest import run_selftest
 
 DEFAULT_FIXTURES = {
     "volume": "third-quarter",
@@ -57,13 +57,15 @@ def _build_config(args) -> ExperimentConfig:
             k=DEFAULT_SCHEDULES[args.command],
             tolerances=DEFAULT_TOLERANCES.get((args.command, fixture), {}),
         )
+    overrides = {}
     if args.fixture:
-        cfg.fixture = args.fixture
+        overrides["fixture"] = args.fixture
     if args.k:
-        cfg.k = sorted(int(x) for x in args.k.split(","))
+        overrides["k"] = sorted(int(x) for x in args.k.split(","))
     if args.out:
-        cfg.out = args.out
-    return cfg
+        overrides["out"] = args.out
+    # replace() runs __post_init__ again, so the overrides are checked too
+    return dataclasses.replace(cfg, **overrides)
 
 
 def main(argv=None) -> int:
@@ -72,28 +74,15 @@ def main(argv=None) -> int:
         description="envelope / Bergman / energy laboratory on radial and toric models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("volume", "bergman", "energy", "approx", "envelope"):
+    for name in RUNNERS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--fixture", help="fixture id override")
         p.add_argument("--k", help="comma-separated k schedule override")
         p.add_argument("--out", help="output directory (default: config's)")
-    p = sub.add_parser("selftest", help="run the built-in invariant battery")
-    p.add_argument("--check-profile", help="validate a serialized profile JSON")
-    p.add_argument("--tol-scale", type=float, default=1.0,
-                   help="scale all tolerances (0 demands exactness)")
     args = parser.parse_args(argv)
 
-    if args.command == "selftest":
-        status, failures = run_selftest(args.tol_scale, args.check_profile)
-        if failures:
-            print(json.dumps({"status": "fail", "failures": failures}, indent=2))
-        else:
-            print(json.dumps({"status": "ok", "checks": "all passed"}))
-        return status
-
-    cfg = _build_config(args)
-    rows, failures = run_experiment(cfg)
+    rows, failures = run_experiment(_build_config(args))
     print(CSV_HEADER)
     for row in rows:
         print(row.line())

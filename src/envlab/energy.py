@@ -2,9 +2,10 @@
 
 The energy of φ against the anchor P (the I-model projection of u) is
 the two-term average ∫(F_φ − F_P) d(μ_P + μ_φ)/2, defined whenever φ
-shares the anchor's tail slopes so the difference is bounded.  The
-cocycle identity between two arguments is exact in this model (double
-integration by parts has no boundary terms when tails match).
+shares the anchor's tail slopes so the difference is bounded.  The same
+pair integral of two arguments φ₁, φ₂ is the energy difference
+𝓘(φ₁) − 𝓘(φ₂) (the cocycle identity): double integration by parts has no
+boundary terms when tails match.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "ma_energy",
     "equilibrium_energy",
     "energy_derivative_check",
-    "cocycle_difference",
 ]
 
 
@@ -38,8 +38,21 @@ class EnergyValue:
         return float(self.value)
 
 
-def _pair_integral(diff_fn, mu, other_grid):
-    return measure_integral(diff_fn, mu, extra_breaks=other_grid)
+def _pair_energy(phi: ConvexProfile, psi: ConvexProfile) -> float:
+    """(1/2)·[∫(F_φ − F_ψ) dμ_ψ + ∫(F_φ − F_ψ) dμ_φ] for matching tails.
+
+    The cells of both measures break at every node of both profiles, so
+    the integrand's kinks never fall inside a quadrature cell.
+    """
+
+    def diff(t):
+        return phi(t) - psi(t)
+
+    kinks = np.union1d(phi.grid, psi.grid)
+    return 0.5 * (
+        measure_integral(diff, ma_measure(psi), extra_breaks=kinks)
+        + measure_integral(diff, ma_measure(phi), extra_breaks=kinks)
+    )
 
 
 def ma_energy(u: ConvexProfile, phi: ConvexProfile) -> EnergyValue:
@@ -54,31 +67,7 @@ def ma_energy(u: ConvexProfile, phi: ConvexProfile) -> EnergyValue:
             "argument does not share the anchor's singularity type "
             f"({phi.s_minus}, {phi.s_plus}) vs ({p.s_minus}, {p.s_plus})"
         )
-
-    def diff(t):
-        return phi(t) - p(t)
-
-    kinks = np.union1d(phi.grid, p.grid)
-    val = 0.5 * (
-        _pair_integral(diff, ma_measure(p), kinks)
-        + _pair_integral(diff, ma_measure(phi), kinks)
-    )
-    return EnergyValue(float(val), p)
-
-
-def cocycle_difference(phi1: ConvexProfile, phi2: ConvexProfile) -> float:
-    """Right-hand side of the cocycle identity for I(φ₁) − I(φ₂)."""
-    if phi1.s_minus != phi2.s_minus or phi1.s_plus != phi2.s_plus:
-        raise SingularityTypeError("cocycle needs matching tail slopes")
-
-    def diff(t):
-        return phi1(t) - phi2(t)
-
-    kinks = np.union1d(phi1.grid, phi2.grid)
-    return 0.5 * (
-        _pair_integral(diff, ma_measure(phi1), kinks)
-        + _pair_integral(diff, ma_measure(phi2), kinks)
-    )
+    return EnergyValue(float(_pair_energy(phi, p)), p)
 
 
 def equilibrium_energy(u: ConvexProfile, K: WeightedSet,

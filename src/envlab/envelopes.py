@@ -8,10 +8,10 @@ lines, assembled as a piecewise-linear profile whose tail slopes are the
 exact rational window endpoints.
 
 Two closed-form fast paths exist: the slope-window envelope of the base
-potential (kind "ienv", the I-model projection) and rooftops of two such
-envelopes (window intersection).  Everything else lives in the
-piecewise-linear world, where the algebraic identities asserted by the
-test-suite hold exactly.
+potential (the I-model projection, evaluated by `WindowEnvelope`) and
+rooftops of two such envelopes (window intersection).  Everything else
+lives in the piecewise-linear world, where the algebraic identities
+asserted by the test-suite hold exactly.
 """
 
 from __future__ import annotations
@@ -20,16 +20,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basefun import ASYMPTOTE_T, as_fraction, fs_conjugate, softplus
+from .basefun import as_fraction, fs_conjugate, softplus
 from .errors import FeasibilityError, InfeasibleClassError, InputError
 from .profiles import (
     ConvexProfile,
     SlopeWindow,
     WeightedSet,
-    _ienv_values,
+    WindowEnvelope,
     _pad_to_asymptotes,
     base_profile,
+    merge_grids,
     mix_profiles,
+    sample_with_crossings,
 )
 
 __all__ = [
@@ -127,14 +129,9 @@ def _assemble(window: SlopeWindow, slopes, cvals, extra_nodes) -> ConvexProfile:
             window.c, grid, vals, window.lo, window.lo, -act_c[0], -act_c[0]
         )
     grid = np.sort(np.asarray(switches, dtype=float))
-    if extra_nodes is not None:
-        inner = extra_nodes[(extra_nodes > grid[0]) & (extra_nodes < grid[-1])]
-        grid = np.union1d(grid, inner)
-    if grid.size < 2:
-        grid = np.union1d(grid, grid + 1.0)
-    # merge float-coincident nodes: chord slopes over ~eps-wide cells are noise
-    keep = np.concatenate([[True], np.diff(grid) > 1e-9 * max(1.0, np.max(np.abs(grid)))])
-    grid = grid[keep]
+    inner = np.empty(0) if extra_nodes is None else (
+        extra_nodes[(extra_nodes > grid[0]) & (extra_nodes < grid[-1])])
+    grid = merge_grids(grid, inner)
     if grid.size < 2:
         grid = np.union1d(grid, grid + 1.0)
     vals = np.max(grid[:, None] * act_s[None, :] - act_c[None, :], axis=1)
@@ -202,11 +199,11 @@ def window_envelope(c, nu0, nu_inf, grid=None) -> ConvexProfile:
         grid = _pad_to_asymptotes(np.asarray([-1.0, 0.0, 1.0]))
     else:
         grid = _pad_to_asymptotes(np.asarray(grid, dtype=float))
-    vals = _ienv_values(grid, c, lo, hi)
+    exact = WindowEnvelope(c, lo, hi)
     # g*(0) = g*(c) = 0, so the same formula covers the base tails
     return ConvexProfile(
-        c, grid, vals, lo, hi,
-        -fs_conjugate(lo, c), -fs_conjugate(hi, c), kind="ienv",
+        c, grid, exact(grid), lo, hi,
+        -fs_conjugate(lo, c), -fs_conjugate(hi, c), exact=exact,
     )
 
 
@@ -223,17 +220,11 @@ def _obstacle_samples(class_mass, K: WeightedSet):
     """Sampled obstacle c·f_FS + v over K, extended for whole-space K."""
     ts, vs = K.sample_points()
     if K.whole_space:
-        pieces, vpieces = [ts], [vs]
-        if ts[0] > -ASYMPTOTE_T:
-            ext = np.arange(ts[0] - 1.0, -ASYMPTOTE_T - 1.0, -1.0)[::-1]
-            pieces.insert(0, ext)
-            vpieces.insert(0, np.full(ext.size, K.v_minus))
-        if ts[-1] < ASYMPTOTE_T:
-            ext = np.arange(ts[-1] + 1.0, ASYMPTOTE_T + 1.0, 1.0)
-            pieces.append(ext)
-            vpieces.append(np.full(ext.size, K.v_plus))
-        ts = np.concatenate(pieces)
-        vs = np.concatenate(vpieces)
+        padded = _pad_to_asymptotes(ts)
+        n_left = int(np.searchsorted(padded, ts[0]))
+        vs = np.concatenate([np.full(n_left, K.v_minus), vs,
+                             np.full(padded.size - n_left - ts.size, K.v_plus)])
+        ts = padded
     return ts, float(class_mass) * softplus(ts) + vs
 
 
@@ -282,17 +273,10 @@ def rooftop(p: ConvexProfile, q: ConvexProfile) -> ConvexProfile:
         raise InfeasibleClassError(
             "slope windows are disjoint: the minimum has no convex minorant"
         )
-    if p.kind in ("base", "ienv") and q.kind in ("base", "ienv"):
-        grid = np.union1d(p.grid, q.grid)
-        return window_envelope(p.class_mass, lo, p.class_mass - hi, grid)
     grid = np.union1d(p.grid, q.grid)
-    fp, fq = p(grid), q(grid)
-    d = fp - fq
-    sw = np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
-    if sw.size:
-        tc = grid[sw] + (grid[sw + 1] - grid[sw]) * d[sw] / (d[sw] - d[sw + 1])
-        grid = np.union1d(grid, tc)
-        fp, fq = p(grid), q(grid)
+    if isinstance(p.exact, WindowEnvelope) and isinstance(q.exact, WindowEnvelope):
+        return window_envelope(p.class_mass, lo, p.class_mass - hi, grid)
+    grid, fp, fq = sample_with_crossings(p, q, grid)
     obs = np.minimum(fp, fq)
     return envelope_of_samples(
         SlopeWindow(lo, hi, p.class_mass), grid, obs, extra_nodes=grid
@@ -330,17 +314,18 @@ def p_shift(b, u: ConvexProfile, v: ConvexProfile) -> ConvexProfile:
     h = envelope_of_samples(
         SlopeWindow(sig_lo, sig_hi, u.class_mass), grid, psi, extra_nodes=merged
     )
-    # smooth-kind operands curve below their chords between samples; verify
-    # the defining inequality on a finer aligned grid and absorb any excess
-    # (plus the analytic curvature slack) into a downward shift
+    # operands with an exact evaluator curve below their chords between
+    # samples; verify the defining inequality on a finer aligned grid and
+    # absorb any excess (plus the analytic curvature slack) into a
+    # downward shift
     h_val = 1.0 / 128.0
     vgrid = refine_breakpoints(np.union1d(h.grid, merged), 0, max_width=h_val)
     viol = float(np.max(h(vgrid) + (bf - 1.0) * v(vgrid) - bf * u(vgrid)))
     slack = 0.0
     curvature = float(u.class_mass) / 4.0
-    if u.kind != "pl":
+    if u.exact is not None:
         slack += bf * curvature * h_val ** 2 / 8.0
-    if v.kind != "pl":
+    if v.exact is not None:
         slack += (bf - 1.0) * curvature * h_val ** 2 / 8.0
     margin = viol + slack
     if margin > 0:

@@ -8,19 +8,18 @@ violation shows up as pass=0 in its row and as an entry in failures.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
 
-from .basefun import as_fraction
 from .envelopes import (
     contact_leakage,
     divergence,
     i_model_envelope,
     weighted_envelope,
+    window_envelope,
 )
 from .energy import energy_derivative_check, equilibrium_energy
 from .errors import InputError, NoSectionsError
@@ -32,7 +31,6 @@ from .measures import (
     ma_measure,
 )
 from .profiles import ConvexProfile, WeightedSet, base_profile
-from .envelopes import window_envelope
 from .report import ReportRow, svg_plot, write_csv
 from .sections import (
     TwistData,
@@ -45,7 +43,7 @@ from .sections import (
     limit_mass,
     section_basis,
 )
-from .toric import TorusProfile2, h0_toric, np_mass2, singularity_body
+from .toric import TorusProfile2, h0_toric, singularity_body
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +130,7 @@ class ExperimentConfig:
     provenance: str = ""
 
     def __post_init__(self):
-        known = {"volume", "bergman", "energy", "approx", "envelope", "selftest"}
-        if self.experiment not in known:
+        if self.experiment not in RUNNERS:
             raise InputError(f"unknown experiment {self.experiment!r}")
         ks = [int(k) for k in self.k]
         if any(k < 1 for k in ks):
@@ -163,61 +160,68 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def run_volume(cfg: ExperimentConfig):
-    rows, failures = [], []
-    series = []
+    """h0/(r·k^n) against its limit, gated by the fixture's counting bound.
+
+    Each fixture supplies a count, a bound check and a row label; the
+    schedule runs every twist, the sweep the fixture's sweep twists.
+    """
     if cfg.fixture in VOLUME_RADIAL_PARAMS:
         c, nu0, nu_inf = VOLUME_RADIAL_PARAMS[cfg.fixture]
         u = window_envelope(c, nu0, nu_inf) if (nu0, nu_inf) != (0, 0) else base_profile(c)
-        limit = limit_mass(c, nu0, nu_inf)
-        for r in cfg.ranks:
-            for d in cfg.shifts:
-                tw = TwistData(r, d)
-                errs = []
-                for k in cfg.k:
-                    count = h0(k, u, tw)
-                    val = Fraction(count, r * k)
-                    err = abs(val - limit)
-                    ok = counting_bound_holds(k, count, c, nu0, nu_inf, tw)
-                    rows.append(ReportRow(
-                        f"volume[{cfg.fixture},r={r},d={d}]", k, float(val),
-                        float(limit), float(err), bool(ok)))
-                    errs.append(max(float(err), 1e-18))
-                    if not ok:
-                        failures.append(f"volume bound broken at k={k}, r={r}, d={d}")
-                series.append((f"r={r},d={d}", cfg.k, errs))
-        if cfg.sweep_max:
-            for r in cfg.ranks:
-                for d in cfg.shifts:
-                    tw = TwistData(r, d)
-                    for k in range(1, cfg.sweep_max + 1):
-                        if not counting_bound_holds(k, h0(k, u, tw), c, nu0, nu_inf, tw):
-                            failures.append(
-                                f"volume sweep: bound broken at k={k}, r={r}, d={d}")
+        limit, dim = limit_mass(c, nu0, nu_inf), 1
+
+        def count(k, tw):
+            return h0(k, u, tw)
+
+        def holds(k, n, tw):
+            return counting_bound_holds(k, n, c, nu0, nu_inf, tw)
+
+        def tag(tw):
+            return f"r={tw.rank},d={tw.degree_shift}"
+
+        twists = [TwistData(r, d) for r in cfg.ranks for d in cfg.shifts]
+        sweep_twists, name, series_prefix = twists, cfg.fixture, ""
     else:
+        if cfg.shifts != [0]:
+            raise InputError(
+                f"'shifts' must be [0] on toric fixture {cfg.fixture!r}, got "
+                f"{cfg.shifts}: no toric counting bound is derived for d ≠ 0")
         f = toric_fixture(cfg.fixture)
         body = singularity_body(f)
-        area = body.area
-        perim = body.perimeter_lower
-        for r in cfg.ranks:
-            tw = TwistData(r, 0)
-            errs = []
-            for k in cfg.k:
-                count = h0_toric(k, f, tw)
-                val = Fraction(count, r * k * k)
-                err = abs(val - area)
-                ok = err <= Fraction(4, 1) * perim / k if perim > 0 else err == 0
-                rows.append(ReportRow(
-                    f"volume[toric:{cfg.fixture},r={r}]", k, float(val),
-                    float(area), float(err), bool(ok)))
-                errs.append(max(float(err), 1e-18))
-                if not ok:
-                    failures.append(f"toric bound broken at k={k}, r={r}")
-            series.append((f"toric r={r}", cfg.k, errs))
-        if cfg.sweep_max:
+        limit, dim, perim = body.area, 2, body.perimeter_lower
+
+        def count(k, tw):
+            return h0_toric(k, f, tw)
+
+        def holds(k, n, tw):
+            err = abs(Fraction(n, tw.rank * k * k) - limit)
+            return err <= 4 * perim / k if perim > 0 else err == 0
+
+        def tag(tw):
+            return f"r={tw.rank}"
+
+        twists = [TwistData(r, 0) for r in cfg.ranks]
+        sweep_twists, name, series_prefix = [TwistData()], f"toric:{cfg.fixture}", "toric "
+    rows, failures, series = [], [], []
+    for tw in twists:
+        label = f"volume[{name},{tag(tw)}]"
+        errs = []
+        for k in cfg.k:
+            n = count(k, tw)
+            val = Fraction(n, tw.rank * k ** dim)
+            err = abs(val - limit)
+            ok = holds(k, n, tw)
+            rows.append(ReportRow(label, k, float(val), float(limit), float(err), bool(ok)))
+            errs.append(max(float(err), 1e-18))
+            if not ok:
+                failures.append(f"bound broken at k={k}: {label}")
+        series.append((series_prefix + tag(tw), cfg.k, errs))
+    if cfg.sweep_max:
+        for tw in sweep_twists:
             for k in range(1, cfg.sweep_max + 1):
-                err = abs(Fraction(h0_toric(k, f), k * k) - area)
-                if perim > 0 and err > Fraction(4, 1) * perim / k:
-                    failures.append(f"toric sweep: bound broken at k={k}")
+                if not holds(k, count(k, tw), tw):
+                    failures.append(
+                        f"sweep: bound broken at k={k}: volume[{name},{tag(tw)}]")
     artifacts = {"volume_convergence.svg": lambda path: svg_plot(
         path, series, title=f"volume convergence: {cfg.fixture}",
         xlabel="k", ylabel="abs err", logy=True)}

@@ -1,11 +1,12 @@
 """Measures on the t-line: densities over cells plus finite atom lists.
 
 The non-pluripolar Monge–Ampère measure of a profile is its second
-derivative with the pole masses removed: analytic profile kinds produce a
-density with exact per-cell masses, piecewise-linear profiles produce
-atoms at their kinks.  Reference measures (Fubini–Study volume, area
-measure on an annulus, circle atoms) carry an analytic density callable
-so quadrature downstream does not see sampling error.
+derivative with the pole masses removed: profiles evaluated by
+`WindowEnvelope` produce a density with exact per-cell masses, all
+others produce atoms at the kinks of their samples.  Reference measures
+(Fubini–Study volume, area measure on an annulus, circle atoms) carry an
+analytic density callable so quadrature downstream does not see sampling
+error.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .basefun import logistic_density, sigmoid
+from .basefun import logistic_density, logit, sigmoid
 from .errors import InputError
-from .profiles import ConvexProfile
+from .profiles import ConvexProfile, WindowEnvelope
 
 __all__ = [
     "RadialMeasure",
@@ -115,17 +116,16 @@ class RadialMeasure:
 def ma_measure(p: ConvexProfile) -> RadialMeasure:
     """Non-pluripolar Monge–Ampère measure of a profile; mass s₊ − s₋.
 
-    Analytic kinds yield the exact density c·σ' restricted to the slope
-    window's contact range; PL profiles yield atoms at their kinks (tail
-    seams included).  Pole masses at t = ±∞ are never charged.
+    A `WindowEnvelope` profile yields the exact density c·σ' restricted
+    to the slope window's contact range; every other profile yields atoms
+    at the kinks of its samples (tail seams included).  Pole masses at
+    t = ±∞ are never charged.
     """
     c = float(p.class_mass)
     total = p.s_plus - p.s_minus
-    if p.kind in ("base", "ienv"):
+    if isinstance(p.exact, WindowEnvelope):
         if total == 0:
             return RadialMeasure(np.empty(0), np.empty(0), (), None, Fraction(0))
-        from .basefun import logit
-
         lo, hi = float(p.s_minus), float(p.s_plus)
         t_lo = float(logit(lo / c)) if lo > 0 else float(p.grid[0])
         t_hi = float(logit(hi / c)) if hi < c else float(p.grid[-1])

@@ -6,12 +6,12 @@ all singularity data: the pole masses are ν₀ = s₋ and ν_∞ = c − s₊, 
 the non-pluripolar mass is s₊ − s₋.
 
 Between grid nodes a profile evaluates either as the piecewise-linear
-interpolant (kind "pl", the exact object for PL fixtures) or by closed
-form (kind "base" for c·softplus, kind "ienv" for slope-window envelopes
-of the base, or an `exact` evaluator carried with the samples).
-Closed-form evaluation exists so that k-fold exponent weights in the
-quantization layer stay exact instead of picking up k·O(h²) sampling
-error.
+interpolant of its samples (the exact object for PL fixtures) or through
+an `exact` evaluator carried with the samples: `WindowEnvelope` for
+c·softplus and its slope-window envelopes, or any other closed form
+(the Bergman approximants carry one).  Closed-form evaluation exists so
+that k-fold exponent weights in the quantization layer stay exact
+instead of picking up k·O(h²) sampling error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .basefun import (
     fraction_str,
     fs_conjugate,
     logit,
-    sigmoid,
     softplus,
 )
 from .errors import InfeasibleClassError, InputError
@@ -66,29 +65,49 @@ class SlopeWindow:
     def contains(self, other: "SlopeWindow") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def mix(self, other: "SlopeWindow", lam: Fraction) -> "SlopeWindow":
-        lam = as_fraction(lam)
-        if self.c != other.c:
-            raise InputError("cannot mix windows of different class mass")
-        return SlopeWindow(
-            lam * self.lo + (1 - lam) * other.lo,
-            lam * self.hi + (1 - lam) * other.hi,
-            self.c,
-        )
+
+@dataclass(frozen=True)
+class WindowEnvelope:
+    """t ↦ sup over s in [lo, hi] of s·t − (c·f_FS)*(s), in closed form.
+
+    The envelope of c·softplus over a slope window: c·softplus where
+    c·σ(t) lies in [lo, hi], tangent lines beyond.  The window [0, c] is
+    c·softplus itself.  Profiles carry it as their `exact` evaluator, and
+    the closed-form paths of `rooftop` and `ma_measure` recognize it.
+    """
+
+    c: Fraction
+    lo: Fraction
+    hi: Fraction
+
+    def __call__(self, t):
+        # the unconstrained argmax is s = c·σ(t); the sup clamps it
+        c, lo, hi = self.c, self.lo, self.hi
+        cf = float(c)
+        lof, hif = float(lo), float(hi)
+        t = np.asarray(t, dtype=float)
+        out = cf * softplus(t)
+        if lof > 0.0:
+            t_lo = float(logit(lof / cf)) if lof < cf else np.inf
+            mask = t <= t_lo
+            out[mask] = lof * t[mask] - fs_conjugate(lo, c)
+        if hif < cf:
+            t_hi = float(logit(hif / cf)) if hif > 0.0 else -np.inf
+            mask = t >= t_hi
+            out[mask] = hif * t[mask] - fs_conjugate(hi, c)
+        if lo == hi:
+            out = lof * t - fs_conjugate(lo, c)
+        return out
 
 
 @dataclass(frozen=True)
 class ConvexProfile:
     """Convex full potential with exact affine tails.
 
-    kind:
-      "pl"   — piecewise linear between nodes (the exact object),
-      "base" — c·softplus everywhere,
-      "ienv" — slope-window envelope of the base, closed form.
-
-    exact, when set, evaluates the function on the whole line and takes
-    precedence over the kind; the grid values are its samples, and the
-    rest of the structure (chords, measures) still reads the samples.
+    Without `exact` the profile is piecewise linear between its nodes
+    (the exact object).  With it, `exact` evaluates the function on the
+    whole line; the grid values are its samples, and the rest of the
+    structure (chords, measures) still reads the samples.
     """
 
     class_mass: Fraction
@@ -98,7 +117,6 @@ class ConvexProfile:
     s_plus: Fraction
     a_minus: float
     a_plus: float
-    kind: str = "pl"
     exact: Callable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -142,8 +160,6 @@ class ConvexProfile:
         hi_line = float(self.s_plus) * self.grid[-1] + self.a_plus
         if abs(lo_line - self.values[0]) > seam_tol or abs(hi_line - self.values[-1]) > seam_tol:
             raise InputError("tail lines do not touch the boundary grid values")
-        if self.kind not in ("pl", "base", "ienv"):
-            raise InputError(f"unknown profile kind {self.kind!r}")
 
     # -- evaluation --------------------------------------------------------
 
@@ -153,10 +169,6 @@ class ConvexProfile:
         t = np.atleast_1d(t)
         if self.exact is not None:
             out = np.asarray(self.exact(t), dtype=float)
-        elif self.kind == "base":
-            out = float(self.class_mass) * softplus(t)
-        elif self.kind == "ienv":
-            out = _ienv_values(t, self.class_mass, self.s_minus, self.s_plus)
         else:
             out = np.interp(t, self.grid, self.values)
             left = t < self.grid[0]
@@ -169,9 +181,6 @@ class ConvexProfile:
 
     def singular_part(self, t):
         """u(t) = F(t) − c·f_FS(t); exactly 0 for the base profile."""
-        t = np.asarray(t, dtype=float)
-        if self.kind == "base":
-            return np.zeros_like(np.atleast_1d(t)) if t.ndim else 0.0
         return self(t) - float(self.class_mass) * softplus(t)
 
     # -- structure ---------------------------------------------------------
@@ -189,26 +198,25 @@ class ConvexProfile:
         return np.diff(self.values) / np.diff(self.grid)
 
     def resampled(self, grid) -> "ConvexProfile":
-        """Same function on a different (covering) grid; keeps the kind."""
+        """Same function on a different (covering) grid; keeps `exact`."""
         grid = np.asarray(grid, dtype=float)
         vals = self(grid)
         return ConvexProfile(
             self.class_mass, grid, vals, self.s_minus, self.s_plus,
             float(vals[0]) - float(self.s_minus) * grid[0],
             float(vals[-1]) - float(self.s_plus) * grid[-1],
-            kind=self.kind, exact=self.exact,
+            exact=self.exact,
         )
 
     def shifted(self, a: float) -> "ConvexProfile":
-        """F + a; constant shifts leave the analytic kind only when a = 0,
-        and carry an exact evaluator along."""
+        """F + a; an exact evaluator is carried along, wrapped unless a = 0."""
         exact = self.exact
         if exact is not None and a != 0:
             exact = lambda t, f=exact: f(t) + a
         return ConvexProfile(
             self.class_mass, self.grid, self.values + a,
             self.s_minus, self.s_plus, self.a_minus + a, self.a_plus + a,
-            kind=self.kind if a == 0 else "pl", exact=exact,
+            exact=exact,
         )
 
     # -- serialization (rationals as "p/q") --------------------------------
@@ -236,29 +244,6 @@ class ConvexProfile:
             )
         except KeyError as exc:
             raise InputError(f"profile dict missing field {exc}") from exc
-
-
-def _ienv_values(t, c, lo, hi):
-    """Closed-form slope-window envelope of c·softplus.
-
-    sup over s in [lo, hi] of s·t − (c f_FS)*(s); the unconstrained argmax
-    is s = c·σ(t), so the sup clamps it to the window.
-    """
-    cf = float(c)
-    lof, hif = float(lo), float(hi)
-    t = np.asarray(t, dtype=float)
-    out = cf * softplus(t)
-    if lof > 0.0:
-        t_lo = float(logit(lof / cf)) if lof < cf else np.inf
-        mask = t <= t_lo
-        out[mask] = lof * t[mask] - fs_conjugate(lo, c)
-    if hif < cf:
-        t_hi = float(logit(hif / cf)) if hif > 0.0 else -np.inf
-        mask = t >= t_hi
-        out[mask] = hif * t[mask] - fs_conjugate(hi, c)
-    if lo == hi:
-        out = lof * t - fs_conjugate(lo, c)
-    return out
 
 
 def default_grid(step: float = 1.0 / 16.0, span: float = ASYMPTOTE_T) -> np.ndarray:
@@ -296,9 +281,9 @@ def base_profile(c, grid=None) -> ConvexProfile:
     if np.any(np.diff(grid) <= 0):
         raise InputError("grid must be strictly increasing")
     grid = _pad_to_asymptotes(grid)
-    values = float(c) * softplus(grid)
+    exact = WindowEnvelope(c, Fraction(0), c)
     return ConvexProfile(
-        c, grid, values, Fraction(0), c, 0.0, 0.0, kind="base"
+        c, grid, exact(grid), Fraction(0), c, 0.0, 0.0, exact=exact
     )
 
 
@@ -308,7 +293,11 @@ def lelong(p: ConvexProfile) -> tuple[Fraction, Fraction]:
 
 
 def merge_grids(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Union of node sets with float-coincident nodes collapsed."""
+    """Union of node sets with float-coincident nodes collapsed.
+
+    Nodes closer than 1e-9·max(1, max |t|) merge into the first: chord
+    slopes over such cells are round-off noise.
+    """
     grid = np.union1d(a, b)
     scale = max(1.0, float(np.max(np.abs(grid))))
     keep = np.concatenate([[True], np.diff(grid) > 1e-9 * scale])
@@ -334,19 +323,24 @@ def mix_profiles(lam, p: ConvexProfile, q: ConvexProfile) -> ConvexProfile:
     )
 
 
-def max_profile(p: ConvexProfile, q: ConvexProfile) -> ConvexProfile:
-    """Pointwise maximum (convex at n = 1); tails (min s₋, max s₊)."""
-    if p.class_mass != q.class_mass:
-        raise InputError("class mass mismatch")
-    grid = merge_grids(p.grid, q.grid)
+def sample_with_crossings(p: ConvexProfile, q: ConvexProfile, grid):
+    """(grid, F_p, F_q) with the points where F_p − F_q changes sign
+    between nodes inserted, so max and min are sampled at their kinks."""
     fp, fq = p(grid), q(grid)
-    # insert crossing points so the max is sampled exactly at its kinks
     d = fp - fq
     sw = np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
     if sw.size:
         tc = grid[sw] + (grid[sw + 1] - grid[sw]) * d[sw] / (d[sw] - d[sw + 1])
         grid = np.union1d(grid, tc)
         fp, fq = p(grid), q(grid)
+    return grid, fp, fq
+
+
+def max_profile(p: ConvexProfile, q: ConvexProfile) -> ConvexProfile:
+    """Pointwise maximum (convex at n = 1); tails (min s₋, max s₊)."""
+    if p.class_mass != q.class_mass:
+        raise InputError("class mass mismatch")
+    grid, fp, fq = sample_with_crossings(p, q, merge_grids(p.grid, q.grid))
     vals = np.maximum(fp, fq)
     s_minus = min(p.s_minus, q.s_minus)
     s_plus = max(p.s_plus, q.s_plus)

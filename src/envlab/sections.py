@@ -35,7 +35,7 @@ from .errors import (
     NoSectionsError,
 )
 from .measures import RadialMeasure, fs_measure
-from .profiles import ConvexProfile, WeightedSet, _pad_to_asymptotes
+from .profiles import ConvexProfile, WeightedSet, _pad_to_asymptotes, base_profile
 from .quadrature import (
     EXP_UNDERFLOW,
     GL_NODES,
@@ -235,7 +235,7 @@ class _Exponent:
         self.t = t
         terms = [float(m) * softplus(t), float(k) * K.weight_at(t)]
         if singular:
-            terms.append(float(k) * (u(t) - float(u.class_mass) * softplus(t)))
+            terms.append(float(k) * u.singular_part(t))
         self.terms = tuple(np.asarray(x) for x in terms)
 
     def __call__(self, j: int, out=None, span=...):
@@ -632,7 +632,7 @@ def bm_rate(k: int, K: WeightedSet, nu: RadialMeasure, c=Fraction(1),
     Decays to 0 along k exactly when ν satisfies the Bernstein–Markov
     comparison on (K, v).
     """
-    u = base_profile_cached(as_fraction(c))
+    u = base_profile(as_fraction(c))
     m = _degree(k, u, tw)
     sup = _SupPlan(k, m, u, K, False)
     l2 = _NormPlan(k, m, u, K, nu, False)
@@ -640,17 +640,6 @@ def bm_rate(k: int, K: WeightedSet, nu: RadialMeasure, c=Fraction(1),
     for j in range(m + 1):
         worst = max(worst, sup.log_sup2(j) - l2.log_norm2(j))
     return worst / float(k)
-
-
-_BASE_CACHE: dict = {}
-
-
-def base_profile_cached(c: Fraction) -> ConvexProfile:
-    if c not in _BASE_CACHE:
-        from .profiles import base_profile
-
-        _BASE_CACHE[c] = base_profile(c)
-    return _BASE_CACHE[c]
 
 
 # ---------------------------------------------------------------------------

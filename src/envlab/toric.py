@@ -30,8 +30,6 @@ __all__ = [
     "singularity_body",
     "np_mass2",
     "h0_toric",
-    "mix_toric",
-    "minkowski_mix",
 ]
 
 Vec = tuple[Fraction, Fraction]
@@ -302,28 +300,3 @@ def h0_toric_bruteforce(k: int, f: TorusProfile2, tw=None) -> int:
             if body.contains(p, strict=True):
                 count += 1
     return tw.rank * count
-
-
-def mix_toric(lam, f1: TorusProfile2, f2: TorusProfile2) -> TorusProfile2:
-    """Pointwise combination λ·F₁ + (1−λ)·F₂: all pairwise pieces."""
-    lam = as_fraction(lam)
-    if not 0 <= lam <= 1:
-        raise InputError("mixing weight must lie in [0, 1]")
-    if f1.class_mass != f2.class_mass:
-        raise InputError("class mass mismatch")
-    pieces = []
-    for (g1, a1) in f1.pieces:
-        for (g2, a2) in f2.pieces:
-            g = (lam * g1[0] + (1 - lam) * g2[0], lam * g1[1] + (1 - lam) * g2[1])
-            pieces.append((g, lam * a1 + (1 - lam) * a2))
-    return TorusProfile2(f1.class_mass, tuple(pieces))
-
-
-def minkowski_mix(lam, p1: RationalPolygon, p2: RationalPolygon) -> RationalPolygon:
-    """λ·P₁ + (1−λ)·P₂ as the hull of pairwise vertex combinations."""
-    lam = as_fraction(lam)
-    pts = []
-    for x1, y1 in p1.vertices:
-        for x2, y2 in p2.vertices:
-            pts.append((lam * x1 + (1 - lam) * x2, lam * y1 + (1 - lam) * y2))
-    return RationalPolygon(tuple(pts))

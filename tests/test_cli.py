@@ -1,0 +1,41 @@
+import os
+
+import pytest
+
+from envlab.cli import main
+from envlab.errors import InputError
+from envlab.experiments import RUNNERS
+
+SIMPLEX = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                       "volume_simplex.json")
+
+
+def volume(tmp_path, *args):
+    return main(["volume", "--config", SIMPLEX, "--out", str(tmp_path), *args])
+
+
+def test_k_override_is_run(tmp_path, capsys):
+    assert volume(tmp_path, "--k", "25,10") == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    # the label holds commas; k is the fifth field from the end
+    assert [row.rsplit(",", 5)[1] for row in rows] == ["10", "25"] * 2
+
+
+@pytest.mark.parametrize("ks, message", [
+    ("25,10,10", "strictly increasing"),
+    ("10,10,0", "must be positive"),
+])
+def test_k_override_is_checked(tmp_path, ks, message):
+    with pytest.raises(InputError, match=message):
+        volume(tmp_path, "--k", ks)
+    assert not any(tmp_path.iterdir())
+
+
+def test_one_subcommand_per_runner(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    usage = capsys.readouterr().out
+    assert "{" + ",".join(RUNNERS) + "}" in usage
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])
+    assert exc.value.code == 2

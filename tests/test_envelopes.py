@@ -24,6 +24,7 @@ from envlab import (
 )
 from envlab.envelopes import window_envelope
 from envlab.errors import FeasibilityError, InfeasibleClassError, InputError
+from envlab.profiles import WindowEnvelope
 
 from conftest import random_pl_profile, random_weighted_set
 
@@ -109,7 +110,7 @@ class TestWeightedEnvelope:
         p = random_pl_profile(rng)
         env = weighted_envelope(p, WeightedSet.whole())
         proj = i_model_envelope(p)
-        assert env.kind == "ienv"
+        assert isinstance(env.exact, WindowEnvelope)
         assert np.max(np.abs(env(proj.grid) - proj(proj.grid))) < 1e-12
 
     def test_constant_weight_shift(self):
@@ -240,8 +241,10 @@ class TestRooftop:
         assert np.max(np.abs(r(grid) - p(grid))) < 1e-12
 
     def test_ordered_inputs(self):
+        # the lower operand is the PL interpolant of the shifted base samples
         b = base_profile(1)
-        shifted = b.shifted(-1.0)
+        shifted = ConvexProfile(1, b.grid, b.values - 1.0, b.s_minus, b.s_plus,
+                                b.a_minus - 1.0, b.a_plus - 1.0)
         r = rooftop(b, shifted)
         ts = np.linspace(-6, 6, 61)
         assert np.allclose(r(ts), shifted(ts), atol=1e-10)

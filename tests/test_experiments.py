@@ -5,7 +5,8 @@ import os
 import pytest
 
 from envlab.errors import InputError
-from envlab.experiments import ExperimentConfig
+from envlab.experiments import ExperimentConfig, run_experiment
+from envlab.report import CSV_HEADER
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -57,3 +58,43 @@ class TestFromJson:
     def test_missing_tolerances_keep_their_defaults(self, tmp_path):
         cfg = load(tmp_path, bergman_config())
         assert cfg.tolerances == {}
+
+    def test_unknown_experiment_is_rejected(self, tmp_path):
+        for name in ("selftest", "volumes"):
+            payload = {"experiment": name, "fixture": "simplex", "k": [10]}
+            with pytest.raises(InputError, match=repr(name)):
+                load(tmp_path, payload)
+
+
+class TestRunVolume:
+    def test_toric_shifts_are_rejected(self, tmp_path):
+        cfg = ExperimentConfig("volume", "simplex", k=[10], shifts=[-1, 1])
+        with pytest.raises(InputError, match="'shifts'"):
+            run_experiment(cfg, str(tmp_path))
+        assert not any(tmp_path.iterdir())
+
+
+# approx_third_quarter is left out: its 1..500 sweep of quadrature norms
+# alone takes about 20 s, until closed-form norms replace the quadrature
+FAST_CONFIGS = sorted(
+    path for path in glob.glob(os.path.join(CONFIG_DIR, "*.json"))
+    if os.path.basename(path) != "approx_third_quarter.json")
+
+
+def run_all(out):
+    for path in FAST_CONFIGS:
+        rows, failures = run_experiment(ExperimentConfig.from_json(path), str(out))
+        assert rows, path
+        assert failures == [], path
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestCommittedConfigs:
+    def test_run_clean_and_deterministic(self, tmp_path):
+        assert len(FAST_CONFIGS) == 10
+        first = run_all(tmp_path / "first")
+        csvs = [name for name in first if name.endswith(".csv")]
+        assert len(csvs) == len(FAST_CONFIGS)
+        for name in csvs:
+            assert first[name].startswith((CSV_HEADER + "\n").encode()), name
+        assert run_all(tmp_path / "second") == first

@@ -40,6 +40,16 @@ class TestBaseProfile:
         assert b(-45.0) == pytest.approx(0.0, abs=1e-17)
         assert b(45.0) == pytest.approx(45.0, abs=1e-12)
 
+    def test_shift_keeps_the_closed_form(self):
+        # off the 1/16 grid, where the PL interpolant would differ
+        b, a = base_profile(1), -0.75
+        ts = np.asarray([-3.03, -0.01, 0.1, 2.2, 7.77])
+        assert np.array_equal(b.shifted(a)(ts), b(ts) + a)
+
+    def test_singular_part_vanishes(self):
+        ts = np.asarray([-50.0, -3.03, 0.0, 2.2, 50.0])
+        assert np.array_equal(base_profile(1).singular_part(ts), np.zeros(5))
+
     def test_rejects_bad_grid(self):
         with pytest.raises(InputError):
             base_profile(1, np.asarray([0.0, 0.0, 1.0]))
