@@ -70,10 +70,9 @@ def ma_energy(u: ConvexProfile, phi: ConvexProfile) -> EnergyValue:
     return EnergyValue(float(_pair_energy(phi, p)), p)
 
 
-def equilibrium_energy(u: ConvexProfile, K: WeightedSet,
-                       mode: str = "i-order") -> EnergyValue:
+def equilibrium_energy(u: ConvexProfile, K: WeightedSet) -> EnergyValue:
     """Energy of the weighted envelope of (K, v) in u's singularity class."""
-    return ma_energy(u, weighted_envelope(u, K, mode=mode))
+    return ma_energy(u, weighted_envelope(u, K))
 
 
 def energy_derivative_check(u: ConvexProfile, K: WeightedSet, f, t: float,

@@ -228,16 +228,14 @@ def _obstacle_samples(class_mass, K: WeightedSet):
     return ts, float(class_mass) * softplus(ts) + vs
 
 
-def weighted_envelope(p: ConvexProfile, K: WeightedSet, mode: str = "i-order") -> ConvexProfile:
+def weighted_envelope(p: ConvexProfile, K: WeightedSet) -> ConvexProfile:
     """Maximal convex minorant of (c·f_FS + v on K) with p's slope window.
 
-    mode "i-order" takes the restricted conjugate of the obstacle
-    directly; mode "flat-order" goes through the base-window envelope of
-    (K, v) first and then projects below it.  The two coincide for exact
-    linear-tail profiles; the suite asserts the equality.
+    Takes the restricted conjugate of the sampled obstacle directly.  The
+    route through the base-window envelope of (K, v), projected below
+    afterwards, gives the same profile for exact linear-tail profiles;
+    the suite builds that route and asserts the equality.
     """
-    if mode not in ("i-order", "flat-order"):
-        raise InputError(f"unknown envelope mode {mode!r}")
     c = p.class_mass
     window = p.window
     _, vs = K.sample_points()
@@ -245,18 +243,11 @@ def weighted_envelope(p: ConvexProfile, K: WeightedSet, mode: str = "i-order") -
         # (K, v) = (X, 0): the weighted envelope is the I-model projection
         return i_model_envelope(p)
     obs_ts, obs_phi = _obstacle_samples(c, K)
-    if mode == "i-order":
-        return envelope_of_samples(
-            window, obs_ts, obs_phi, extra_nodes=obs_ts,
-            limit_lo=-K.v_minus if (K.whole_space and window.lo == 0) else None,
-            limit_hi=-K.v_plus if (K.whole_space and window.hi == c) else None,
-        )
-    q = envelope_of_samples(
-        SlopeWindow(Fraction(0), c, c), obs_ts, obs_phi, extra_nodes=obs_ts,
-        limit_lo=-K.v_minus if K.whole_space else None,
-        limit_hi=-K.v_plus if K.whole_space else None,
+    return envelope_of_samples(
+        window, obs_ts, obs_phi, extra_nodes=obs_ts,
+        limit_lo=-K.v_minus if (K.whole_space and window.lo == 0) else None,
+        limit_hi=-K.v_plus if (K.whole_space and window.hi == c) else None,
     )
-    return envelope_of_samples(window, q.grid, q.values, extra_nodes=q.grid)
 
 
 def rooftop(p: ConvexProfile, q: ConvexProfile) -> ConvexProfile:
@@ -388,11 +379,15 @@ def restricted_biconjugate(p: ConvexProfile) -> ConvexProfile:
     )
 
 
-def contact_leakage(env: ConvexProfile, K: WeightedSet, tol: float = 1e-9):
+# relative distance below which the envelope counts as touching the obstacle
+CONTACT_TOL = 1e-9
+
+
+def contact_leakage(env: ConvexProfile, K: WeightedSet):
     """(mass outside the contact set, total mass) for env's MA measure.
 
     Contact set: points of K where the envelope touches the obstacle
-    c·f_FS + v within tol·scale.
+    c·f_FS + v within CONTACT_TOL·scale.
     """
     from .measures import ma_measure
 
@@ -401,7 +396,7 @@ def contact_leakage(env: ConvexProfile, K: WeightedSet, tol: float = 1e-9):
     phi = float(env.class_mass) * softplus(ts) + vs
     gap = np.abs(env(ts) - phi)
     scale = max(1.0, float(np.max(np.abs(phi))))
-    contact = ts[gap <= tol * scale]
+    contact = ts[gap <= CONTACT_TOL * scale]
     leak = 0.0
     for t, w in mu.atoms:
         if contact.size and np.min(np.abs(contact - t)) <= 1e-9:

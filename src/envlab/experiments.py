@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -109,19 +109,23 @@ VOLUME_RADIAL_PARAMS = {
 # configuration
 # ---------------------------------------------------------------------------
 
-# The tolerance names each runner reads; any other name is a typo that
-# would leave a gate on its default, so configs may not carry it.
+# The exact set of tolerance names each runner reads: a config carries
+# every one (no gate has a fallback bound) and no other (a typo).
 TOLERANCE_NAMES = {
     "bergman": {"trend_slack", "final_threshold", "leak_tol"},
     "energy": {"gap_slack", "fd_rel"},
 }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
     fixture: str
-    k: list[int] = field(default_factory=list)
+    k: list[int]
     out: str = "out"
     tolerances: dict = field(default_factory=dict)
     sweep_max: int = 0
@@ -132,26 +136,34 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in RUNNERS:
             raise InputError(f"unknown experiment {self.experiment!r}")
-        ks = [int(k) for k in self.k]
-        if any(k < 1 for k in ks):
+        if not (isinstance(self.k, list) and self.k and all(map(_is_int, self.k))):
+            raise InputError(f"'k' must be a non-empty list of integers, got {self.k!r}")
+        if any(k < 1 for k in self.k):
             raise InputError("k-schedule entries must be positive")
-        if any(b <= a for a, b in zip(ks, ks[1:])):
+        if any(b <= a for a, b in zip(self.k, self.k[1:])):
             raise InputError("k-schedule must be strictly increasing")
-        self.k = ks
-        unread = sorted(set(self.tolerances) - TOLERANCE_NAMES.get(self.experiment, set()))
-        if unread:
+        if not (_is_int(self.sweep_max) and self.sweep_max >= 0):
             raise InputError(
-                f"the {self.experiment} experiment reads no tolerance named "
-                f"{', '.join(map(repr, unread))}")
+                f"'sweep_max' must be a non-negative integer, got {self.sweep_max!r}")
+        names = TOLERANCE_NAMES.get(self.experiment, set())
+        missing = sorted(names - set(self.tolerances))
+        unread = sorted(set(self.tolerances) - names)
+        if missing or unread:
+            raise InputError(
+                f"the {self.experiment} experiment reads exactly the tolerances "
+                f"{sorted(names)}; missing: {missing}, unread: {unread}")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path) as fh:
             data = json.load(fh)
+        required = {f.name for f in fields(cls)
+                    if f.default is MISSING and f.default_factory is MISSING}
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
+        missing = sorted(required - set(data))
+        if unknown or missing:
             raise InputError(
-                f"{path}: unknown config key {', '.join(map(repr, unknown))}")
+                f"{path}: unknown config keys {unknown}, missing {missing}")
         return cls(**data)
 
 
@@ -232,9 +244,9 @@ def run_bergman(cfg: ExperimentConfig):
     u, K, nu = weighted_fixture(cfg.fixture)
     env = weighted_envelope(u, K)
     target = ma_measure(env)
-    slack = float(cfg.tolerances.get("trend_slack", 1.1))
-    threshold = float(cfg.tolerances.get("final_threshold", np.inf))
-    leak_tol = float(cfg.tolerances.get("leak_tol", 1e-6))
+    slack = float(cfg.tolerances["trend_slack"])
+    threshold = float(cfg.tolerances["final_threshold"])
+    leak_tol = float(cfg.tolerances["leak_tol"])
     rows, failures = [], []
     dists = []
     cdf_series = []
@@ -259,7 +271,7 @@ def run_bergman(cfg: ExperimentConfig):
     for a, b in zip(dists, dists[1:]):
         if b > slack * a:
             failures.append(f"kolmogorov trend violated: {a:.4g} -> {b:.4g}")
-    if dists and dists[-1] > threshold:
+    if dists[-1] > threshold:
         failures.append(
             f"final kolmogorov {dists[-1]:.4g} above threshold {threshold:.4g}")
     rows.append(ReportRow(
@@ -296,9 +308,9 @@ def run_energy(cfg: ExperimentConfig):
         rows.append(ReportRow(
             f"energy[{cfg.fixture}:donaldson]", k, val, target, gap, True))
     for a, b in zip(gaps, gaps[1:]):
-        if b > a * float(cfg.tolerances.get("gap_slack", 1.0)) + 1e-12:
+        if b > a * float(cfg.tolerances["gap_slack"]) + 1e-12:
             failures.append(f"donaldson gap not decreasing: {a:.4g} -> {b:.4g}")
-    fd_tol = float(cfg.tolerances.get("fd_rel", 1e-3))
+    fd_tol = float(cfg.tolerances["fd_rel"])
     fd, exact = energy_derivative_check(u, K, _bump, t=0.0, delta=1e-3)
     err = abs(fd - exact) / (1.0 + abs(exact))
     ok = err <= fd_tol
@@ -322,6 +334,12 @@ def run_energy(cfg: ExperimentConfig):
     return rows, artifacts, failures
 
 
+def _lelong_gap(ap: ConvexProfile, u: ConvexProfile) -> Fraction:
+    """Larger of the two Lelong-number gaps |Δν₀| and |Δν_∞|, exact."""
+    return max(abs(ap.s_minus - u.s_minus),
+               abs((ap.class_mass - ap.s_plus) - (u.class_mass - u.s_plus)))
+
+
 def run_approx(cfg: ExperimentConfig):
     u = radial_fixture(cfg.fixture)
     env = i_model_envelope(u)
@@ -329,9 +347,8 @@ def run_approx(cfg: ExperimentConfig):
     divs = []
     for k in cfg.k:
         ap = bergman_approximant(k, u)
-        nu0_gap = abs(ap.s_minus - u.s_minus)
-        nu_inf_gap = abs((ap.class_mass - ap.s_plus) - (u.class_mass - u.s_plus))
-        ok_lelong = nu0_gap <= Fraction(1, k) and nu_inf_gap <= Fraction(1, k)
+        lelong_gap = _lelong_gap(ap, u)
+        ok_lelong = lelong_gap <= Fraction(1, k)
         mass_gap = ap.mass - env.mass
         ok_mass = 0 <= mass_gap <= Fraction(2, k)
         div = divergence(ap, env)
@@ -341,9 +358,8 @@ def run_approx(cfg: ExperimentConfig):
             f"approx[{cfg.fixture}:mass]", k, float(ap.mass), float(env.mass),
             float(abs(mass_gap)), bool(ok_mass)))
         rows.append(ReportRow(
-            f"approx[{cfg.fixture}:lelong-gap]", k,
-            float(max(nu0_gap, nu_inf_gap)), 0.0,
-            float(max(nu0_gap, nu_inf_gap)), bool(ok_lelong)))
+            f"approx[{cfg.fixture}:lelong-gap]", k, float(lelong_gap), 0.0,
+            float(lelong_gap), bool(ok_lelong)))
         rows.append(ReportRow(
             f"approx[{cfg.fixture}:divergence]", k, float(div), 0.0,
             float(div), True))
@@ -362,9 +378,7 @@ def run_approx(cfg: ExperimentConfig):
                 ap = bergman_approximant(k, u)
             except NoSectionsError:
                 continue
-            nu0_gap = abs(ap.s_minus - u.s_minus)
-            nu_inf_gap = abs((ap.class_mass - ap.s_plus) - (u.class_mass - u.s_plus))
-            if nu0_gap > Fraction(1, k) or nu_inf_gap > Fraction(1, k):
+            if _lelong_gap(ap, u) > Fraction(1, k):
                 failures.append(f"sweep: Lelong bound broken at k={k}")
     artifacts = {"approx_divergence.svg": lambda path: svg_plot(
         path, [("divergence", cfg.k, [max(d, 1e-18) for d in divs])],

@@ -150,23 +150,22 @@ def ma_measure(p: ConvexProfile) -> RadialMeasure:
                          exact_total=total)
 
 
-def fs_measure(grid=None) -> RadialMeasure:
+def fs_measure() -> RadialMeasure:
     """Fubini–Study probability volume pushed to the t-line (σ' density)."""
     from .profiles import default_grid
 
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
+    grid = default_grid()
     masses = np.diff(sigmoid(grid))
     return RadialMeasure(grid, masses, (), density_fn=logistic_density,
                          exact_total=Fraction(1))
 
 
-def annulus_area_measure(a: float = -1.0, b: float = 1.0, step: float = 1.0 / 64.0) -> RadialMeasure:
-    """Normalized area measure of the annulus {a ≤ t ≤ b}: density ∝ e^t."""
+def annulus_area_measure(a: float = -1.0, b: float = 1.0) -> RadialMeasure:
+    """Normalized area measure of the annulus {a ≤ t ≤ b} (density ∝ e^t)
+    on a 1/64 grid."""
     if not a < b:
         raise InputError("annulus needs a < b")
-    grid = np.linspace(a, b, max(2, int(np.ceil((b - a) / step)) + 1))
+    grid = np.linspace(a, b, max(2, int(np.ceil((b - a) * 64)) + 1))
     z = np.exp(b) - np.exp(a)
     masses = np.diff(np.exp(grid)) / z
     return RadialMeasure(grid, masses, (),
@@ -193,13 +192,13 @@ def kolmogorov_distance(m1: RadialMeasure, m2: RadialMeasure) -> float:
     return best
 
 
-def measure_integral(f, m: RadialMeasure, extra_breaks=None, nodes: int = 32) -> float:
+def measure_integral(f, m: RadialMeasure, extra_breaks=None) -> float:
     """∫ f dμ for continuous f: exact atom sums plus cell quadrature.
 
-    Cells with a density callable use Gauss–Legendre; cells without one
-    integrate f against the PL mass profile via the cell midpoint rule
-    refined by the cell masses (only exact for affine f, which is all the
-    callers need when no density is available).
+    Cells with a density callable use GL_NODES-point Gauss–Legendre;
+    cells without one integrate f against the PL mass profile via the
+    cell midpoint rule refined by the cell masses (only exact for affine
+    f, which is all the callers need when no density is available).
     """
     out = sum(w * float(np.atleast_1d(f(np.asarray([t])))[0]) for t, w in m.atoms)
     if m.cell_masses.size == 0:
@@ -214,6 +213,6 @@ def measure_integral(f, m: RadialMeasure, extra_breaks=None, nodes: int = 32) ->
         inner = np.asarray(extra_breaks, dtype=float)
         inner = inner[(inner > bps[0]) & (inner < bps[-1])]
         bps = np.union1d(bps, inner)
-    ts, ws = gauss_cells(bps, nodes)
+    ts, ws = gauss_cells(bps)
     out += float(np.sum(np.asarray(f(ts)) * np.asarray(m.density_fn(ts)) * ws))
     return out

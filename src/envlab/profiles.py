@@ -246,9 +246,9 @@ class ConvexProfile:
             raise InputError(f"profile dict missing field {exc}") from exc
 
 
-def default_grid(step: float = 1.0 / 16.0, span: float = ASYMPTOTE_T) -> np.ndarray:
-    n = int(round(span / step))
-    return np.linspace(-span, span, 2 * n + 1)
+def default_grid() -> np.ndarray:
+    """The 1/16 grid over [−ASYMPTOTE_T, ASYMPTOTE_T]."""
+    return np.linspace(-ASYMPTOTE_T, ASYMPTOTE_T, 2 * int(round(16 * ASYMPTOTE_T)) + 1)
 
 
 def _pad_to_asymptotes(grid: np.ndarray) -> np.ndarray:
@@ -368,6 +368,16 @@ def sup_difference(p: ConvexProfile, q: ConvexProfile) -> float:
     return best
 
 
+def _weight_samples(v, grid: np.ndarray):
+    """(samples on grid, exact callable or None) of a weight given as a
+    callable, as samples, or as None (zero)."""
+    if v is None:
+        return np.zeros_like(grid), None
+    if callable(v):
+        return np.asarray(v(grid), dtype=float), v
+    return np.asarray(v, dtype=float), None
+
+
 @dataclass(frozen=True)
 class WeightedSet:
     """Compact radial set K with a continuous weight v.
@@ -429,31 +439,21 @@ class WeightedSet:
         if grid is None:
             grid = default_grid()
         grid = np.asarray(grid, dtype=float)
-        if v is None:
-            vals = np.zeros_like(grid)
-        elif callable(v):
-            vals = np.asarray(v(grid), dtype=float)
-        else:
-            vals = np.asarray(v, dtype=float)
+        vals, v_fn = _weight_samples(v, grid)
         vm = float(vals[0]) if v_minus is None else float(v_minus)
         vp = float(vals[-1]) if v_plus is None else float(v_plus)
         return cls(
             ((grid[0], grid[-1], grid, vals),),
-            whole_space=True, v_minus=vm, v_plus=vp,
-            v_fn=v if callable(v) else None,
+            whole_space=True, v_minus=vm, v_plus=vp, v_fn=v_fn,
         )
 
     @classmethod
-    def interval(cls, a: float, b: float, v=None, step: float = 1.0 / 64.0) -> "WeightedSet":
-        """K = [a, b] with weight v (callable, kept exact, or samples)."""
-        grid = np.linspace(a, b, max(2, int(np.ceil((b - a) / step)) + 1))
-        if v is None:
-            vals = np.zeros_like(grid)
-        elif callable(v):
-            vals = np.asarray(v(grid), dtype=float)
-        else:
-            vals = np.asarray(v, dtype=float)
-        return cls(((a, b, grid, vals),), v_fn=v if callable(v) else None)
+    def interval(cls, a: float, b: float, v=None) -> "WeightedSet":
+        """K = [a, b] on a 1/64 grid with weight v (callable, kept exact,
+        or samples)."""
+        grid = np.linspace(a, b, max(2, int(np.ceil((b - a) * 64)) + 1))
+        vals, v_fn = _weight_samples(v, grid)
+        return cls(((a, b, grid, vals),), v_fn=v_fn)
 
     @classmethod
     def circles(cls, ts, vs=None) -> "WeightedSet":
@@ -489,10 +489,10 @@ class WeightedSet:
             out = np.where(t > ts[-1], self.v_plus, out)
         return out
 
-    def contains(self, t: float, tol: float = 1e-12) -> bool:
+    def contains(self, t: float) -> bool:
         if self.whole_space:
             return True
-        return any(a - tol <= t <= b + tol for a, b, _, _ in self.components)
+        return any(a - 1e-12 <= t <= b + 1e-12 for a, b, _, _ in self.components)
 
     def add_weight(self, f, scale: float = 1.0) -> "WeightedSet":
         """K with weight v + scale·f, exact between grid nodes.

@@ -2,8 +2,8 @@
 
 CSV rows follow the fixed header experiment,k,value,reference,abs_err,pass
 with %.12g float formatting, so identical configs produce byte-identical
-files.  Plots are written as minimal standalone SVG (no plotting
-dependency).
+files; a label holding a comma or a quote is quoted as RFC 4180 says.
+Plots are written as minimal standalone SVG (no plotting dependency).
 """
 
 from __future__ import annotations
@@ -34,8 +34,12 @@ class ReportRow:
     ok: bool
 
     def line(self) -> str:
+        label = self.experiment
+        if any(ch in label for ch in ',"\r\n'):
+            # RFC 4180: quote the field and double its quotes
+            label = '"' + label.replace('"', '""') + '"'
         return ",".join([
-            self.experiment, str(self.k), fmt(self.value),
+            label, str(self.k), fmt(self.value),
             fmt(self.reference), fmt(self.abs_err), fmt(self.ok),
         ])
 
@@ -55,17 +59,16 @@ def write_csv(path: str, rows: list[ReportRow]) -> None:
 _COLORS = ["#1f6feb", "#d1242f", "#1a7f37", "#8250df", "#9a6700", "#0969da"]
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return [float(t) for t in raw]
+    return [float(t) for t in np.linspace(lo, hi, 5)]
 
 
-def svg_plot(path: str, series, title: str = "", xlabel: str = "",
-             ylabel: str = "", logy: bool = False,
-             width: int = 640, height: int = 420) -> None:
-    """Write a line plot; series is [(label, xs, ys), ...]."""
+def svg_plot(path: str, series, title: str, xlabel: str, ylabel: str,
+             logy: bool = False) -> None:
+    """Write a 640×420 line plot; series is [(label, xs, ys), ...]."""
+    width, height = 640, 420
     ml, mr, mt, mb = 64, 16, 36, 48
     pw, ph = width - ml - mr, height - mt - mb
     xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
@@ -92,11 +95,8 @@ def svg_plot(path: str, series, title: str = "", xlabel: str = "",
         f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#444"/>',
+        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="13">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="13">{title}</text>'
-        )
     for tx in _ticks(x0, x1):
         parts.append(
             f'<line x1="{px(tx):.1f}" y1="{mt + ph}" x2="{px(tx):.1f}" y2="{mt + ph + 4}" stroke="#444"/>'
@@ -112,15 +112,13 @@ def svg_plot(path: str, series, title: str = "", xlabel: str = "",
         parts.append(
             f'<text x="{ml - 6}" y="{py(ty) + 3:.1f}" text-anchor="end">{label}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="14" y="{mt + ph / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {mt + ph / 2:.1f})">{ylabel}</text>'
-        )
+    parts.append(
+        f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="14" y="{mt + ph / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 14 {mt + ph / 2:.1f})">{ylabel}</text>'
+    )
     for i, (label, xs, ys) in enumerate(series):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)

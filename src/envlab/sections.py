@@ -90,7 +90,7 @@ class TwistData:
 
 @dataclass(frozen=True)
 class SectionBasisData:
-    """Admissible monomial indices plus norm data over them.
+    """Admissible monomial indices plus L² norm data over them.
 
     Diagonal case: log_norms2[i] = log N²(z^{J[i]}).  General case: a
     Hermitian positive-definite Gram matrix over J.
@@ -101,7 +101,6 @@ class SectionBasisData:
     J: tuple
     log_norms2: np.ndarray | None = None
     gram_matrix: np.ndarray | None = None
-    norm_kind: str = "L2"
 
     def __post_init__(self):
         object.__setattr__(self, "J", tuple(int(j) for j in self.J))
@@ -111,8 +110,6 @@ class SectionBasisData:
             object.__setattr__(self, "log_norms2", arr)
             if arr.size != len(self.J):
                 raise InputError("one log-norm per admissible index required")
-        if self.norm_kind not in ("L2", "sup"):
-            raise InputError("norm_kind must be 'L2' or 'sup'")
 
     @property
     def log_det_gram(self) -> float:
@@ -451,20 +448,15 @@ def sup_norm(j: int, k: int, u: ConvexProfile, K: WeightedSet,
 
 
 def section_basis(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
-                  tw: TwistData = TwistData(), singular_weight: bool = False,
-                  norm_kind: str = "L2") -> SectionBasisData:
-    """Diagonal norm data over the admissible index set."""
+                  tw: TwistData = TwistData(),
+                  singular_weight: bool = False) -> SectionBasisData:
+    """Diagonal L² norm data over the admissible set (sup norms: `log_sup2`)."""
     basis = admissible_set(k, u, tw)
     logs = []
     if basis.J:
-        if norm_kind == "L2":
-            plan = _NormPlan(k, basis.m, u, K, nu, singular_weight)
-            logs = [plan.log_norm2(j) for j in basis.J]
-        else:
-            plan = _SupPlan(k, basis.m, u, K, singular_weight)
-            logs = [plan.log_sup2(j) for j in basis.J]
-    return SectionBasisData(k, basis.m, basis.J, np.asarray(logs),
-                            norm_kind=norm_kind)
+        plan = _NormPlan(k, basis.m, u, K, nu, singular_weight)
+        logs = [plan.log_norm2(j) for j in basis.J]
+    return SectionBasisData(k, basis.m, basis.J, np.asarray(logs))
 
 
 def reference_basis(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> SectionBasisData:
@@ -560,11 +552,12 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
 # ---------------------------------------------------------------------------
 
 def gram(k: int, u: ConvexProfile, K: WeightedSet, v2d, nu: RadialMeasure,
-         tw: TwistData = TwistData(), n_angular: int = 64) -> SectionBasisData:
+         tw: TwistData = TwistData()) -> SectionBasisData:
     """Hermitian Gram matrix ⟨z^i, z^j⟩ for a weight v(t, angle).
 
     Tensor-product quadrature: ν's cells in t times a uniform angular
-    grid (reduced through the FFT of e^{-k·v(t,·)}).  Meant for moderate
+    grid of max(64, 2m + 2) points (reduced through the FFT of
+    e^{-k·v(t,·)}).  Meant for moderate
     degrees; raises on a condition number above 1e12.
     """
     basis = admissible_set(k, u, tw)
@@ -574,9 +567,7 @@ def gram(k: int, u: ConvexProfile, K: WeightedSet, v2d, nu: RadialMeasure,
     breaks = _norm_breaks(u, K, nu)
     if breaks is None:
         raise InputError("gram needs a reference measure with a density")
-    M = int(n_angular)
-    if M <= 2 * m:
-        M = 2 * m + 2
+    M = max(64, 2 * m + 2)
     ts, ws = gauss_cells(refine_breakpoints(breaks, k))
     dens = np.asarray(nu.density_fn(ts))
     phis = 2.0 * np.pi * np.arange(M) / M

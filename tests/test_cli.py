@@ -1,3 +1,4 @@
+import csv
 import os
 
 import pytest
@@ -16,9 +17,8 @@ def volume(tmp_path, *args):
 
 def test_k_override_is_run(tmp_path, capsys):
     assert volume(tmp_path, "--k", "25,10") == 0
-    rows = capsys.readouterr().out.splitlines()[1:]
-    # the label holds commas; k is the fifth field from the end
-    assert [row.rsplit(",", 5)[1] for row in rows] == ["10", "25"] * 2
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+    assert [row[1] for row in rows] == ["10", "25"] * 2
 
 
 @pytest.mark.parametrize("ks, message", [
@@ -39,3 +39,19 @@ def test_one_subcommand_per_runner(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["selftest"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args", [[], ["--k", "10"]])
+def test_config_is_required(tmp_path, args):
+    with pytest.raises(SystemExit) as exc:
+        main(["volume", *args, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_fixture_override_is_gone(tmp_path):
+    # a fixture's bounds live in its own config; none is swapped under another's
+    with pytest.raises(SystemExit) as exc:
+        volume(tmp_path, "--fixture", "half-square")
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
