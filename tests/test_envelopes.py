@@ -37,6 +37,18 @@ def brute_force_biconjugate(p, ts, slopes):
     return np.max(slopes[None, :] * ts[:, None] - c[None, :], axis=1)
 
 
+def _flat_order_envelope(p, K):
+    """Base-window envelope of the sampled (K, v) obstacle, then p's window."""
+    c = p.class_mass
+    obs_ts, obs_phi = _obstacle_samples(c, K)
+    q = envelope_of_samples(
+        SlopeWindow(Fraction(0), c, c), obs_ts, obs_phi, extra_nodes=obs_ts,
+        limit_lo=-K.v_minus if K.whole_space else None,
+        limit_hi=-K.v_plus if K.whole_space else None,
+    )
+    return envelope_of_samples(p.window, q.grid, q.values, extra_nodes=q.grid)
+
+
 class TestIModelEnvelope:
     def test_base_is_fixed_point(self):
         b = base_profile(1)
@@ -142,24 +154,29 @@ class TestWeightedEnvelope:
         grid = np.union1d(e1.grid, e2.grid)
         assert np.max(np.abs(e1(grid) - e2(grid))) < 1e-10
 
-    def test_composition_through_base_window(self, rng):
-        # K-envelope of u == envelope in u's window of the base-window
-        # K-envelope (the flat-order route, built here as the reference)
+    def test_modes_agree(self, rng):
+        # the direct route agrees with the flat-order route (envelope of the
+        # sampled obstacle in the base window, then in u's window), built here
         for _ in range(8):
             p = random_pl_profile(rng)
             K = random_weighted_set(rng)
             direct = weighted_envelope(p, K)
-            c = p.class_mass
-            obs_ts, obs_phi = _obstacle_samples(c, K)
-            q = envelope_of_samples(
-                SlopeWindow(Fraction(0), c, c), obs_ts, obs_phi, extra_nodes=obs_ts,
-                limit_lo=-K.v_minus if K.whole_space else None,
-                limit_hi=-K.v_plus if K.whole_space else None,
-            )
+            flat = _flat_order_envelope(p, K)
+            grid = np.union1d(direct.grid, flat.grid)
+            assert np.max(np.abs(direct(grid) - flat(grid))) < 1e-8
+            assert direct.s_minus == flat.s_minus and direct.s_plus == flat.s_plus
+
+    def test_composition_through_base_window(self, rng):
+        # K-envelope of u == envelope in u's window of the base-window
+        # K-envelope, the latter taken from weighted_envelope itself
+        for _ in range(5):
+            p = random_pl_profile(rng)
+            K = random_weighted_set(rng)
+            direct = weighted_envelope(p, K)
+            q = weighted_envelope(base_profile(p.class_mass), K)
             composed = envelope_of_samples(p.window, q.grid, q.values, extra_nodes=q.grid)
             grid = np.union1d(direct.grid, composed.grid)
             assert np.max(np.abs(direct(grid) - composed(grid))) < 1e-8
-            assert direct.s_minus == composed.s_minus and direct.s_plus == composed.s_plus
 
     def test_monotone_in_window(self, rng):
         # nested windows give pointwise-ordered envelopes
