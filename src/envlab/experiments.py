@@ -8,6 +8,7 @@ violation shows up as pass=0 in its row and as an entry in failures.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
@@ -121,6 +122,18 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_int_list(name: str, value) -> None:
+    if not (isinstance(value, list) and value and all(map(_is_int, value))):
+        raise InputError(f"'{name}' must be a non-empty list of integers, got {value!r}")
+
+
+def _is_finite_positive(x) -> bool:
+    """A real number in (0, ∞); bools, strings and NaN are not."""
+    if _is_int(x):
+        return x > 0
+    return isinstance(x, float) and math.isfinite(x) and x > 0
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -136,8 +149,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in RUNNERS:
             raise InputError(f"unknown experiment {self.experiment!r}")
-        if not (isinstance(self.k, list) and self.k and all(map(_is_int, self.k))):
-            raise InputError(f"'k' must be a non-empty list of integers, got {self.k!r}")
+        _check_int_list("k", self.k)
         if any(k < 1 for k in self.k):
             raise InputError("k-schedule entries must be positive")
         if any(b <= a for a, b in zip(self.k, self.k[1:])):
@@ -145,6 +157,10 @@ class ExperimentConfig:
         if not (_is_int(self.sweep_max) and self.sweep_max >= 0):
             raise InputError(
                 f"'sweep_max' must be a non-negative integer, got {self.sweep_max!r}")
+        _check_int_list("ranks", self.ranks)
+        if any(r < 1 for r in self.ranks):
+            raise InputError(f"'ranks' entries must be positive, got {self.ranks!r}")
+        _check_int_list("shifts", self.shifts)
         names = TOLERANCE_NAMES.get(self.experiment, set())
         missing = sorted(names - set(self.tolerances))
         unread = sorted(set(self.tolerances) - names)
@@ -152,6 +168,10 @@ class ExperimentConfig:
             raise InputError(
                 f"the {self.experiment} experiment reads exactly the tolerances "
                 f"{sorted(names)}; missing: {missing}, unread: {unread}")
+        for name, value in sorted(self.tolerances.items()):
+            if not _is_finite_positive(value):
+                raise InputError(
+                    f"tolerance {name!r} must be a finite positive number, got {value!r}")
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -340,6 +360,11 @@ def _lelong_gap(ap: ConvexProfile, u: ConvexProfile) -> Fraction:
                abs((ap.class_mass - ap.s_plus) - (u.class_mass - u.s_plus)))
 
 
+def _mass_gap_ok(ap: ConvexProfile, env: ConvexProfile, k: int) -> bool:
+    """0 ≤ mass(F̃) − mass(envelope) ≤ 2/k, exact."""
+    return 0 <= ap.mass - env.mass <= Fraction(2, k)
+
+
 def run_approx(cfg: ExperimentConfig):
     u = radial_fixture(cfg.fixture)
     env = i_model_envelope(u)
@@ -350,7 +375,7 @@ def run_approx(cfg: ExperimentConfig):
         lelong_gap = _lelong_gap(ap, u)
         ok_lelong = lelong_gap <= Fraction(1, k)
         mass_gap = ap.mass - env.mass
-        ok_mass = 0 <= mass_gap <= Fraction(2, k)
+        ok_mass = _mass_gap_ok(ap, env, k)
         div = divergence(ap, env)
         divs.append(float(div))
         const = approximant_lower_bound_constant(k, u, ap)
@@ -380,6 +405,8 @@ def run_approx(cfg: ExperimentConfig):
                 continue
             if _lelong_gap(ap, u) > Fraction(1, k):
                 failures.append(f"sweep: Lelong bound broken at k={k}")
+            if not _mass_gap_ok(ap, env, k):
+                failures.append(f"sweep: mass bound broken at k={k}")
     artifacts = {"approx_divergence.svg": lambda path: svg_plot(
         path, [("divergence", cfg.k, [max(d, 1e-18) for d in divs])],
         title=f"approximant divergence: {cfg.fixture}", xlabel="k",

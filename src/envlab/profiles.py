@@ -489,6 +489,13 @@ class WeightedSet:
             out = np.where(t > ts[-1], self.v_plus, out)
         return out
 
+    @property
+    def unweighted_whole_space(self) -> bool:
+        """K = X with v ≡ 0: no callable weight, zero samples and tails."""
+        return (self.whole_space and self.v_fn is None
+                and self.v_minus == 0.0 and self.v_plus == 0.0
+                and not any(np.any(vals) for _, _, _, vals in self.components))
+
     def contains(self, t: float) -> bool:
         if self.whole_space:
             return True

@@ -11,12 +11,21 @@ the singular potential enters only through the admissible index filter.
 convention of the Bergman approximants' norm constraint), under which the
 boundary-index integrals genuinely diverge.
 
-Every index's norm is computed on one quadrature plan per (k, u, K, ν):
-the cells are refined, the Gauss nodes placed and the index-free parts of
-the exponent evaluated once per `section_basis`, `bergman` or `bm_rate`
-call, and each index only adds its j·t.  The arithmetic per index is the
-one a separate quadrature per index would do, so the norms are the same
-to the last bit.
+L² norms come from one helper, `_log_norms2`, which every caller of a
+norm goes through (`log_norm2`, `section_basis` and so `reference_basis`
+and `bergman_approximant`, `bergman`, `bm_rate`).  It takes a closed form
+where one exists: v ≡ 0 on K = X against the Fubini–Study volume, where
+N_j² is the Beta value B(j+1, m−j+1) under the smooth-metric convention
+and, under the singular weight of a `WindowEnvelope` profile, a Beta value
+times a difference of regularized incomplete Beta functions plus two
+positive ₂F₁ tail series, all summed in numpy.  Everywhere else (sampled
+or nonzero weights, compact K, other measures, d ≤ −2 under the singular
+weight, a window end very near 0 or c) the norms come from one quadrature
+plan per (k, u, K, ν): the cells are refined, the Gauss nodes placed and
+the index-free parts of the exponent evaluated once per call, and each
+index only adds its j·t.  The plan's arithmetic per index is the one a
+separate quadrature per index would do, so its norms are the same to the
+last bit.
 """
 
 from __future__ import annotations
@@ -24,10 +33,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .basefun import ASYMPTOTE_T, as_fraction, softplus
+from .basefun import ASYMPTOTE_T, as_fraction, fs_conjugate, logistic_density, softplus
 from .errors import (
     ConditioningError,
     DivergentIntegralError,
@@ -35,7 +45,13 @@ from .errors import (
     NoSectionsError,
 )
 from .measures import RadialMeasure, fs_measure
-from .profiles import ConvexProfile, WeightedSet, _pad_to_asymptotes, base_profile
+from .profiles import (
+    ConvexProfile,
+    WeightedSet,
+    WindowEnvelope,
+    _pad_to_asymptotes,
+    base_profile,
+)
 from .quadrature import (
     EXP_UNDERFLOW,
     GL_NODES,
@@ -410,6 +426,188 @@ class _SupPlan:
         return float(np.max(self.scan(j, out=self.buf)))
 
 
+# ---------------------------------------------------------------------------
+# closed-form norms: v = 0, K = X, ν the Fubini–Study volume
+# ---------------------------------------------------------------------------
+#
+# Under x = σ(t) the FS measure is dx, e^t = x/(1 − x) and e^{−f_FS} = 1 − x,
+# so the integrand of z^j is x^j (1 − x)^{m−j}: N_j² = B(j+1, m−j+1).  Under
+# the singular weight of a `WindowEnvelope(c, lo, hi)` profile the middle
+# x ∈ [x₀, x₁] = [lo/c, hi/c] keeps that integrand, and each tangent-line
+# tail is e^{k·g*}·x^A (1 − x)^{B−A} with A = j − k·lo (mirrored at x₁) and
+# B = m − k·c.
+
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+# The tails' ₂F₁ series are summed to at most this many terms; a window end
+# so near 0 or c that more are needed leaves the norms to the plan.
+SERIES_MAX_TERMS = 256
+
+
+def _exp_normal(x: np.ndarray) -> np.ndarray:
+    """exp(x), with 0.0 written wherever the result would not be a normal
+    float: neither a subnormal nor an underflow flag is produced."""
+    return exp_inplace(np.where(x > _LOG_TINY, x, -np.inf))
+
+
+def _log_positive(x: np.ndarray) -> np.ndarray:
+    """log x, −∞ where x is 0."""
+    return np.log(x, out=np.full_like(x, -np.inf), where=x > 0)
+
+
+def _log_add(rows) -> np.ndarray:
+    """log Σ exp over rows, elementwise; each column has a finite entry."""
+    rows = np.vstack(rows)
+    mx = np.max(rows, axis=0)
+    return mx + np.log(np.sum(_exp_normal(rows - mx), axis=0))
+
+
+def _log1m_exp(d: np.ndarray) -> np.ndarray:
+    """log(1 − e^d) for d ≤ 0 (−∞ at d = 0), without cancellation."""
+    out = np.full_like(d, -np.inf)
+    near = (d > -math.log(2.0)) & (d < 0)
+    far = d <= -math.log(2.0)
+    out[near] = np.log(-np.expm1(d[near]))
+    out[far] = np.log1p(-_exp_normal(d[far]))
+    return out
+
+
+@lru_cache(maxsize=4)
+def _log_binomials(n: int) -> np.ndarray:
+    """log C(n, i) for i = 0..n, each the log of the exact integer."""
+    half = np.empty(n // 2 + 1)
+    c = 1
+    for i in range(half.size):
+        half[i] = math.log(c)
+        c = c * (n - i) // (i + 1)
+    out = np.concatenate([half, half[:(n + 1) // 2][::-1]])
+    out.setflags(write=False)
+    return out
+
+
+def _log_binomial_tails(n: int, x: Fraction, js: np.ndarray):
+    """(log P(Bin(n, x) ≤ j), log P(Bin(n, x) > j)) for j in js ⊂ [0, n).
+
+    Both tails are summed from their own end, so a small one keeps its
+    relative accuracy.  P(Bin(n, x) > j) = I_x(j + 1, n − j).
+    """
+    if x == 0:
+        return np.zeros(js.size), np.full(js.size, -np.inf)
+    if x == 1:
+        return np.full(js.size, -np.inf), np.zeros(js.size)
+    xf = float(x)
+    i = np.arange(n + 1)
+    log_pmf = _log_binomials(n) + i * math.log(xf) + (n - i) * math.log1p(-xf)
+    w = _exp_normal(log_pmf - np.max(log_pmf))
+    lower = np.cumsum(w)
+    upper = np.cumsum(w[::-1])[::-1]
+    log_total = math.log(lower[-1])
+    return _log_positive(lower[js]) - log_total, _log_positive(upper[js + 1]) - log_total
+
+
+def _log_middle(m: int, x0: Fraction, x1: Fraction, js: np.ndarray) -> np.ndarray:
+    """log(I_{x₁} − I_{x₀}) of (j + 1, m − j + 1), on the side where both
+    incomplete-Beta values (upper) or both complements (lower) are small."""
+    if x0 == x1:
+        return np.full(js.size, -np.inf)
+    low0, up0 = _log_binomial_tails(m + 1, x0, js)
+    low1, up1 = _log_binomial_tails(m + 1, x1, js)
+    upper = up1 <= low0
+    big = np.where(upper, up1, low0)
+    small = np.where(upper, up0, low1)
+    out = np.full(js.size, -np.inf)
+    live = np.isfinite(big)
+    out[live] = big[live] + _log1m_exp(small[live] - big[live])
+    return out
+
+
+def _log_tail(a1: np.ndarray, b2: float, x: float) -> np.ndarray | None:
+    """log ∫₀^x s^{a1−1} (1 − s)^{b2−a1−1} ds for a1 > 0 and b2 > 0.
+
+    Equals x^{a1}(1 − x)^{b2−a1}/a1 · ₂F₁(b2, 1; a1 + 1; x), whose series
+    Σₙ (b2)ₙ/(a1 + 1)ₙ·xⁿ has positive terms.  The term count starts at
+    log ε / log x and doubles until the bound t_{N+1}/(1 − q) on what the
+    terms t_0..t_N leave out lies below 2⁻⁵³ of their sum; None once it
+    would pass SERIES_MAX_TERMS.
+    """
+    log_x = math.log(x)
+    n_terms = math.ceil(-60.0 * math.log(2.0) / log_x)
+    while n_terms <= SERIES_MAX_TERMS:
+        n = np.arange(n_terms + 1, dtype=float)[:, None]
+        log_ratio = np.log((b2 + n) / (a1 + 1.0 + n)) + log_x
+        log_terms = np.cumsum(log_ratio, axis=0)     # row i: log t_{i+1}
+        total = 1.0 + np.sum(_exp_normal(log_terms[:-1]), axis=0)   # t_0..t_N
+        # the ratios t_{i+1}/t_i are monotone in i with limit x, so every
+        # one past N is at most q = max(x, ratio_N)
+        q = np.maximum(x, _exp_normal(log_ratio[-1]))
+        if np.all(q < 1.0):
+            bound = log_terms[-1] - np.log1p(-q)
+            if np.all(bound <= np.log(total) - 53.0 * math.log(2.0)):
+                return (a1 * log_x + (b2 - a1) * math.log1p(-x) - np.log(a1)
+                        + np.log(total))
+        n_terms *= 2
+    return None
+
+
+def _closed_form_log_norms2(k: int, m: int, js: np.ndarray, u: ConvexProfile,
+                            K: WeightedSet, nu: RadialMeasure,
+                            singular: bool) -> np.ndarray | None:
+    """log N_j² for j in js in closed form; None where none applies.
+
+    It applies for v ≡ 0 on K = X against `fs_measure`'s law (the logistic
+    density over the whole line, no atoms): always under the smooth-metric
+    convention, and under the singular weight when u is a `WindowEnvelope`
+    profile and B + 2 = 2 + d − {k·c} > 0 (the tail series then has
+    positive terms).  A boundary index raises DivergentIntegralError, as
+    the plan does.
+    """
+    if not (K.unweighted_whole_space and nu.density_fn is logistic_density
+            and not nu.atoms and _measure_is_whole_line(nu)):
+        return None
+    w = u.exact
+    if singular and not (isinstance(w, WindowEnvelope)
+                         and (w.c, w.lo, w.hi) == (u.class_mass, u.s_minus, u.s_plus)):
+        return None
+    log_beta = -math.log(m + 1) - _log_binomials(m)[js]
+    if not singular or (w.lo == 0 and w.hi == w.c):
+        return log_beta        # the singular weight is then exactly 1
+    c, lo, hi = w.c, w.lo, w.hi
+    # A + 1 = j + 1 − k·lo and m − j + 1 − k·ν_∞: integer part, then fraction
+    kl, kr = k * lo, k * (c - hi)
+    a_left = (js - math.floor(kl)) + float(1 - (kl - math.floor(kl)))
+    a_right = (m - js - math.floor(kr)) + float(1 - (kr - math.floor(kr)))
+    bad = js[(a_left <= 0) | (a_right <= 0)]
+    if bad.size:
+        raise DivergentIntegralError(
+            f"norm integral of index {bad[0]} diverges at k={k}")
+    b2 = Fraction(m + 2) - k * c
+    if b2 <= 0:
+        return None
+    pieces = [log_beta + _log_middle(m, lo / c, hi / c, js)]
+    for x, a1, s in ((lo / c, a_left, lo), ((c - hi) / c, a_right, hi)):
+        if x > 0:
+            tail = _log_tail(a1, float(b2), float(x))
+            if tail is None:
+                return None
+            pieces.append(float(k) * fs_conjugate(s, c) + tail)
+    return _log_add(pieces)
+
+
+def _log_norms2(k: int, m: int, J, u: ConvexProfile, K: WeightedSet,
+                nu: RadialMeasure, singular: bool, plan: _NormPlan | None = None):
+    """log N² of z^j for j in J: the closed form where one exists, else
+    the quadrature plan (built here unless the caller holds one)."""
+    js = np.asarray(J, dtype=np.int64)
+    if js.size == 0:
+        return np.empty(0)
+    logs = _closed_form_log_norms2(k, m, js, u, K, nu, singular)
+    if logs is not None:
+        return logs
+    if plan is None:
+        plan = _NormPlan(k, m, u, K, nu, singular)
+    return np.asarray([plan.log_norm2(j) for j in J])
+
+
 def _degree(k: int, u: ConvexProfile, tw: TwistData) -> int:
     return math.floor(k * u.class_mass) + tw.degree_shift
 
@@ -422,10 +620,11 @@ def _check_index(j: int, m: int) -> None:
 def log_norm2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
               nu: RadialMeasure, tw: TwistData = TwistData(),
               singular_weight: bool = False) -> float:
-    """log N² of z^j in the weighted L² norm against ν."""
+    """log N² of z^j in the weighted L² norm against ν (closed-form where
+    one exists, see `_log_norms2`)."""
     m = _degree(k, u, tw)
     _check_index(j, m)
-    return _NormPlan(k, m, u, K, nu, singular_weight).log_norm2(j)
+    return float(_log_norms2(k, m, [j], u, K, nu, singular_weight)[0])
 
 
 def l2_norm(j: int, k: int, u: ConvexProfile, K: WeightedSet,
@@ -450,17 +649,24 @@ def sup_norm(j: int, k: int, u: ConvexProfile, K: WeightedSet,
 def section_basis(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
                   tw: TwistData = TwistData(),
                   singular_weight: bool = False) -> SectionBasisData:
-    """Diagonal L² norm data over the admissible set (sup norms: `log_sup2`)."""
+    """Diagonal L² norm data over the admissible set (sup norms: `log_sup2`).
+
+    The norms are closed-form where `_log_norms2` finds one, else from one
+    quadrature plan shared by every index.
+    """
     basis = admissible_set(k, u, tw)
     logs = []
     if basis.J:
-        plan = _NormPlan(k, basis.m, u, K, nu, singular_weight)
-        logs = [plan.log_norm2(j) for j in basis.J]
+        logs = _log_norms2(k, basis.m, basis.J, u, K, nu, singular_weight)
     return SectionBasisData(k, basis.m, basis.J, np.asarray(logs))
 
 
 def reference_basis(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> SectionBasisData:
-    """The v = 0 Fubini–Study norms on the same filtered space."""
+    """The v = 0 Fubini–Study norms on the same filtered space.
+
+    In closed form: log N_j² = log B(j+1, m−j+1) = −log(m+1) − log C(m, j),
+    from the exact binomial integer.
+    """
     return section_basis(k, u, WeightedSet.whole(), fs_measure(), tw)
 
 
@@ -490,7 +696,7 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
         return BergmanResult(k, eval_grid, np.zeros(eval_grid.size), zero, 0.0, 0)
 
     js = np.asarray(basis.J, dtype=float)
-    logs = np.asarray([plan.log_norm2(j) for j in basis.J])
+    logs = _log_norms2(k, m, basis.J, u, K, nu, False, plan)
     rows = max(1, KERNEL_BLOCK // js.size)
 
     def kernel_at(t):
@@ -626,10 +832,10 @@ def bm_rate(k: int, K: WeightedSet, nu: RadialMeasure, c=Fraction(1),
     u = base_profile(as_fraction(c))
     m = _degree(k, u, tw)
     sup = _SupPlan(k, m, u, K, False)
-    l2 = _NormPlan(k, m, u, K, nu, False)
+    l2 = _log_norms2(k, m, range(m + 1), u, K, nu, False)
     worst = -np.inf
     for j in range(m + 1):
-        worst = max(worst, sup.log_sup2(j) - l2.log_norm2(j))
+        worst = max(worst, sup.log_sup2(j) - l2[j])
     return worst / float(k)
 
 
@@ -642,7 +848,10 @@ def bergman_approximant(k: int, u: ConvexProfile) -> ConvexProfile:
 
     F̃(t) = (1/k)·log Σ_{j∈J} e^{j·t}/N_j², with norms carrying the
     singular weight e^{-k·u} against the Fubini–Study volume; the tails
-    are exactly (j_min/k, j_max/k), giving the 1/k Lelong sandwich.
+    are exactly (j_min/k, j_max/k), giving the 1/k Lelong sandwich.  For
+    a `WindowEnvelope` profile (the fixtures') the norms are closed-form:
+    Beta and incomplete-Beta values for the middle of the window and ₂F₁
+    series for its tangent-line tails; other profiles use the plan.
     The returned profile evaluates F̃ exactly (a max-shifted log-sum-exp);
     its grid values, u's grid padded to the asymptotic range, are samples
     of it.

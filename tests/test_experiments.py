@@ -3,10 +3,13 @@ import glob
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from envlab.errors import InputError
+from envlab import experiments
+from envlab.envelopes import window_envelope
+from envlab.errors import InputError, NoSectionsError
 from envlab.experiments import ExperimentConfig, run_experiment
 from envlab.report import CSV_HEADER
 
@@ -93,6 +96,44 @@ class TestFromJson:
         with pytest.raises(InputError, match="'sweep_max' must be a non-negative integer"):
             load(tmp_path, payload)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       "1e-6", True, 0, -0.5, None, [0.1]])
+    def test_tolerance_must_be_finite_positive(self, tmp_path, value):
+        payload = bergman_config(trend_slack=1.1, final_threshold=value, leak_tol=1e-6)
+        with pytest.raises(InputError, match="tolerance 'final_threshold' must be "
+                                             "a finite positive number"):
+            load(tmp_path, payload)
+
+    def test_nonstandard_json_constants_are_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"experiment": "bergman", "fixture": "annulus-area", '
+                        '"k": [25, 50], "tolerances": {"trend_slack": Infinity, '
+                        '"final_threshold": 0.3, "leak_tol": 1e-6}}')
+        with pytest.raises(InputError, match="'trend_slack'"):
+            ExperimentConfig.from_json(str(path))
+
+    @pytest.mark.parametrize("name, value", [
+        ("ranks", [True, 2]), ("ranks", [0.5]), ("ranks", []), ("ranks", "1"),
+        ("shifts", [0.5]), ("shifts", [False]), ("shifts", []), ("shifts", 0),
+    ])
+    def test_ranks_and_shifts_must_be_nonempty_int_lists(self, tmp_path, name, value):
+        payload = {"experiment": "volume", "fixture": "third-quarter", "k": [10],
+                   name: value}
+        with pytest.raises(InputError, match=f"'{name}' must be a non-empty list of integers"):
+            load(tmp_path, payload)
+
+    @pytest.mark.parametrize("ranks", [[0], [1, -2]])
+    def test_ranks_must_be_positive(self, tmp_path, ranks):
+        payload = {"experiment": "volume", "fixture": "third-quarter", "k": [10],
+                   "ranks": ranks}
+        with pytest.raises(InputError, match="'ranks' entries must be positive"):
+            load(tmp_path, payload)
+
+    def test_negative_shifts_are_accepted(self, tmp_path):
+        payload = {"experiment": "volume", "fixture": "third-quarter", "k": [10],
+                   "ranks": [1, 2], "shifts": [-1, 0, 1]}
+        assert load(tmp_path, payload).shifts == [-1, 0, 1]
+
     def test_unknown_experiment_is_rejected(self, tmp_path):
         for name in ("selftest", "volumes"):
             payload = {"experiment": name, "fixture": "simplex", "k": [10]}
@@ -108,15 +149,27 @@ class TestRunVolume:
         assert not any(tmp_path.iterdir())
 
 
-# approx_third_quarter is left out: its 1..500 sweep of quadrature norms
-# alone takes about 20 s, until closed-form norms replace the quadrature
-FAST_CONFIGS = sorted(
-    path for path in glob.glob(os.path.join(CONFIG_DIR, "*.json"))
-    if os.path.basename(path) != "approx_third_quarter.json")
+class TestRunApprox:
+    def test_sweep_gates_the_mass_gap(self, tmp_path, monkeypatch):
+        # an approximant one slope 1/k narrower than the envelope: its Lelong
+        # gap is exactly 1/k (allowed), its mass gap −1/k (below 0)
+        def narrow(k, u):
+            if k < 3:
+                raise NoSectionsError("too narrow at small k")
+            return window_envelope(1, u.s_minus + Fraction(1, k), 1 - u.s_plus)
+
+        monkeypatch.setattr(experiments, "bergman_approximant", narrow)
+        cfg = ExperimentConfig("approx", "third-quarter", k=[12], sweep_max=5)
+        _, failures = run_experiment(cfg, str(tmp_path))
+        assert [f for f in failures if f.startswith("sweep:")] == [
+            f"sweep: mass bound broken at k={k}" for k in (3, 4, 5)]
+
+
+CONFIGS = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
 
 
 def run_all(out):
-    for path in FAST_CONFIGS:
+    for path in CONFIGS:
         rows, failures = run_experiment(ExperimentConfig.from_json(path), str(out))
         assert rows, path
         assert failures == [], path
@@ -130,9 +183,9 @@ def first_run(tmp_path_factory):
 
 class TestCommittedConfigs:
     def test_run_clean_and_deterministic(self, tmp_path, first_run):
-        assert len(FAST_CONFIGS) == 10
+        assert len(CONFIGS) == 11
         csvs = [name for name in first_run if name.endswith(".csv")]
-        assert len(csvs) == len(FAST_CONFIGS)
+        assert len(csvs) == len(CONFIGS)
         for name in csvs:
             assert first_run[name].startswith((CSV_HEADER + "\n").encode()), name
         assert run_all(tmp_path / "second") == first_run

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -41,6 +44,7 @@ from envlab.experiments import weighted_fixture
 from envlab.profiles import _pad_to_asymptotes
 from envlab.quadrature import gauss_cells
 from envlab.sections import (
+    _NormPlan,
     _SupPlan,
     approximant_lower_bound_constant,
     counting_bound_holds,
@@ -310,11 +314,21 @@ def per_index_log_norm2(k, m, u, K, nu, singular=False):
     return log_n2
 
 
+def plan_log_norms2(k, u, K, nu, tw=TwistData(), singular=False):
+    """(J, log N² of each z^j from one `_NormPlan`), bypassing the closed form."""
+    basis = admissible_set(k, u, tw)
+    assert basis.J
+    plan = _NormPlan(k, basis.m, u, K, nu, singular)
+    return basis, np.asarray([plan.log_norm2(j) for j in basis.J])
+
+
 class TestSharedPlan:
     """Norms from one shared quadrature plan equal per-index quadrature bit for bit.
 
-    At the larger k most cells lie far below each index's peak, so the plan
-    skips them; every 7th index and the last are checked there.
+    The plan is built directly: on the FS fixtures `section_basis` takes
+    the closed form instead.  At the larger k most cells lie far below
+    each index's peak, so the plan skips them; every 7th index and the
+    last are checked there.
     """
 
     @pytest.mark.parametrize("fixture,k", [
@@ -323,18 +337,26 @@ class TestSharedPlan:
     ])
     def test_log_norms_match_per_index_quadrature(self, fixture, k):
         u, K, nu = weighted_fixture(fixture)
-        basis = section_basis(k, u, K, nu)
+        basis, logs = plan_log_norms2(k, u, K, nu)
         log_n2 = per_index_log_norm2(k, basis.m, u, K, nu)
         idx = sorted(set(range(0, len(basis.J), 7 if k > 100 else 1)) | {len(basis.J) - 1})
-        assert np.array_equal(basis.log_norms2[idx], [log_n2(basis.J[i]) for i in idx])
+        assert np.array_equal(logs[idx], [log_n2(basis.J[i]) for i in idx])
 
     @pytest.mark.parametrize("k", [12, 400])
     def test_singular_weight_matches_per_index_quadrature(self, k):
         u, K, nu = weighted_fixture("third-quarter-fs")
-        basis = section_basis(k, u, K, nu, singular_weight=True)
+        basis, logs = plan_log_norms2(k, u, K, nu, singular=True)
         log_n2 = per_index_log_norm2(k, basis.m, u, K, nu, singular=True)
         idx = sorted(set(range(0, len(basis.J), 7 if k > 100 else 1)) | {len(basis.J) - 1})
-        assert np.array_equal(basis.log_norms2[idx], [log_n2(basis.J[i]) for i in idx])
+        assert np.array_equal(logs[idx], [log_n2(basis.J[i]) for i in idx])
+
+    @pytest.mark.parametrize("fixture,k", [
+        ("annulus-area", 12), ("annulus-atom", 12), ("bump-fs", 25),
+    ])
+    def test_basis_without_closed_form_is_the_plan(self, fixture, k):
+        u, K, nu = weighted_fixture(fixture)
+        _, logs = plan_log_norms2(k, u, K, nu)
+        assert np.array_equal(section_basis(k, u, K, nu).log_norms2, logs)
 
     def test_sup_norms_match_per_index_scan(self):
         u = THIRD_QUARTER
@@ -358,6 +380,137 @@ class TestSharedPlan:
         basis = section_basis(20, u, K, nu)
         for i, j in enumerate(basis.J):
             assert log_norm2(j, 20, u, K, nu) == basis.log_norms2[i]
+
+
+def mp_log_norms2(k, u, tw=TwistData(), singular=False):
+    """log N² over u's admissible set in mpmath: Beta values under the
+    smooth convention; under the singular weight `betainc` for the middle
+    and quadrature, split at x/2, for each tangent-line tail."""
+    import mpmath as mp
+
+    def mpq(q):
+        return mp.mpf(q.numerator) / q.denominator
+
+    basis = admissible_set(k, u, tw)
+    assert basis.J
+    m = basis.m
+    w = u.exact
+    c, lo, hi = mpq(w.c), mpq(w.lo), mpq(w.hi)
+    B = m - k * c
+
+    def g_star(s):
+        return s * mp.log(s / c) + (c - s) * mp.log((c - s) / c)
+
+    out = []
+    for j in basis.J:
+        if not singular:
+            out.append(mp.log(mp.beta(j + 1, m - j + 1)))
+            continue
+        total = mp.betainc(j + 1, m - j + 1, lo / c, hi / c)
+        for x, A, s in ((lo / c, j - k * lo, lo), (1 - hi / c, m - j - k * (c - hi), hi)):
+            if x > 0:
+                tail = mp.quad(lambda y: y ** A * (1 - y) ** (B - A), [0, x / 2, x])
+                total += mp.exp(k * g_star(s)) * tail
+        out.append(mp.log(total))
+    return basis, np.asarray([float(v) for v in out])
+
+
+SQRT2 = Fraction(141421356, 10 ** 8)
+SQRT2_WINDOW = window_envelope(SQRT2, Fraction(1, 2), SQRT2 - 1)   # slopes [1/2, 1]
+TQ_FS = (THIRD_QUARTER, WeightedSet.whole(), fs_measure())
+
+
+class TestClosedFormNorms:
+    """v = 0 on K = X against the FS volume: log N² in closed form."""
+
+    @pytest.mark.parametrize("u,k,d,singular", [
+        (THIRD_QUARTER, 12, 0, True),
+        (THIRD_QUARTER, 60, 0, True),
+        (SQRT2_WINDOW, 40, 0, True),       # {k·c} ≠ 0
+        (THIRD_QUARTER, 30, -1, True),
+        (THIRD_QUARTER, 30, 1, True),
+        (THIRD_QUARTER, 30, 12, True),     # the series needs more than log ε / log x terms
+        (window_envelope(1, Fraction(1, 3), 0), 30, 0, True),     # x₁ = 1
+        (window_envelope(1, 0, Fraction(1, 4)), 30, 0, True),     # x₀ = 0
+        (base_profile(1), 500, 0, False),
+        (THIRD_QUARTER, 500, 1, False),
+    ], ids=["tq-12", "tq-60", "sqrt2-40", "tq-30-d-1", "tq-30-d+1", "tq-30-d+12",
+            "left-tail-only", "right-tail-only", "vtheta-500-smooth",
+            "tq-500-d+1-smooth"])
+    def test_against_mpmath(self, u, k, d, singular):
+        import mpmath as mp
+
+        tw = TwistData(1, d)
+        with mp.workdps(30):
+            basis, want = mp_log_norms2(k, u, tw, singular)
+        if u is SQRT2_WINDOW:
+            assert (k * SQRT2).denominator != 1
+        got = section_basis(k, u, WeightedSet.whole(), fs_measure(), tw,
+                            singular_weight=singular).log_norms2
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("u,k,d,singular", [
+        (base_profile(1), 60, 0, False),
+        (THIRD_QUARTER, 60, 1, False),
+        (THIRD_QUARTER, 12, 0, True),
+        (THIRD_QUARTER, 60, 0, True),
+        (THIRD_QUARTER, 45, -1, True),
+        (SQRT2_WINDOW, 40, 1, True),
+    ])
+    def test_agrees_with_the_plan(self, u, k, d, singular):
+        K, nu = WeightedSet.whole(), fs_measure()
+        tw = TwistData(1, d)
+        _, want = plan_log_norms2(k, u, K, nu, tw, singular)
+        got = section_basis(k, u, K, nu, tw, singular_weight=singular).log_norms2
+        assert np.max(np.abs(got - want)) <= 1e-8
+
+    @pytest.mark.parametrize("u,k,d", [
+        (THIRD_QUARTER, 30, -2),                                  # B + 2 ≤ 0
+        (window_envelope(1, Fraction(99, 100), 0), 300, 0),      # x₀ = 0.99
+    ], ids=["d-2", "window-end-near-c"])
+    def test_plan_where_the_series_does_not_apply(self, u, k, d):
+        K, nu = WeightedSet.whole(), fs_measure()
+        tw = TwistData(1, d)
+        _, want = plan_log_norms2(k, u, K, nu, tw, singular=True)
+        got = section_basis(k, u, K, nu, tw, singular_weight=True).log_norms2
+        assert np.array_equal(got, want)
+
+    def test_boundary_indices_diverge(self):
+        u, K, nu = TQ_FS
+        _, J = admissible_indices(12, 1, Fraction(1, 3), Fraction(1, 4))
+        for j in (J[0] - 1, J[-1] + 1):
+            with pytest.raises(DivergentIntegralError):
+                log_norm2(j, 12, u, K, nu, singular_weight=True)
+
+    def test_large_k_is_finite_without_floating_point_exceptions(self):
+        u, K, nu = TQ_FS
+        k = 4000
+        with np.errstate(all="raise"):
+            bases = [section_basis(k, u, K, nu, singular_weight=True),
+                     section_basis(k, u, K, nu, TwistData(1, 1), singular_weight=True),
+                     reference_basis(k, u)]
+        for basis in bases:
+            assert len(basis.J) > 1600
+            assert np.all(np.isfinite(basis.log_norms2))
+
+    def test_no_scipy_at_runtime(self):
+        import envlab
+
+        src = os.path.dirname(os.path.dirname(envlab.__file__))
+        code = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from envlab import bergman_approximant, reference_basis\n"
+            "from envlab.envelopes import window_envelope\n"
+            "u = window_envelope(1, Fraction(1, 3), Fraction(1, 4))\n"
+            "bergman_approximant(60, u)\n"
+            "reference_basis(60, u)\n"
+            "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src},
+                             timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestBergman:
