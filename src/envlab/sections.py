@@ -26,6 +26,13 @@ the index-free parts of the exponent evaluated once per call, and each
 index only adds its j·t.  The plan's arithmetic per index is the one a
 separate quadrature per index would do, so its norms are the same to the
 last bit.
+
+The partial Bergman measure β = B·ν/k (`bergman`) is closed-form on the
+same FS volume with v ≡ 0: z^j's normalized mass has CDF
+I_x(j+1, m−j+1) at x = σ(t), whose sum over J is an expectation of a
+clipped Bin(m + 1, x) variable, so every cell mass is a difference of two
+such sums and neither a plan nor a Gauss node is built.  Elsewhere the
+kernel is integrated on a 48-node Gauss rule over cells refined at 4k.
 """
 
 from __future__ import annotations
@@ -37,7 +44,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basefun import ASYMPTOTE_T, as_fraction, fs_conjugate, logistic_density, softplus
+from .basefun import (
+    ASYMPTOTE_T,
+    as_fraction,
+    fs_conjugate,
+    logistic_density,
+    sigmoid,
+    softplus,
+)
 from .errors import (
     ConditioningError,
     DivergentIntegralError,
@@ -308,7 +322,6 @@ class _NormPlan:
         if breaks is None and not nu.atoms:
             raise InputError("measure carries neither cells nor atoms")
         self.k, self.m, self.u, self.singular = k, m, u, singular
-        self.breaks = breaks
         self.refined = None
         self.edges = None
         if breaks is not None:
@@ -427,7 +440,7 @@ class _SupPlan:
 
 
 # ---------------------------------------------------------------------------
-# closed-form norms: v = 0, K = X, ν the Fubini–Study volume
+# closed-form norms and β: v = 0, K = X, ν the Fubini–Study volume
 # ---------------------------------------------------------------------------
 #
 # Under x = σ(t) the FS measure is dx, e^t = x/(1 − x) and e^{−f_FS} = 1 − x,
@@ -437,7 +450,8 @@ class _SupPlan:
 # tail is e^{k·g*}·x^A (1 − x)^{B−A} with A = j − k·lo (mirrored at x₁) and
 # B = m − k·c.
 
-_LOG_TINY = math.log(np.finfo(float).tiny)
+_TINY = float(np.finfo(float).tiny)
+_LOG_TINY = math.log(_TINY)
 
 # The tails' ₂F₁ series are summed to at most this many terms; a window end
 # so near 0 or c that more are needed leaves the norms to the plan.
@@ -549,20 +563,26 @@ def _log_tail(a1: np.ndarray, b2: float, x: float) -> np.ndarray | None:
     return None
 
 
+def _is_fs_volume(K: WeightedSet, nu: RadialMeasure) -> bool:
+    """Whether (K, ν) is v ≡ 0 on K = X against `fs_measure`'s law: the
+    logistic density over the whole line, no atoms.  The closed forms of
+    the norms and of β apply exactly there."""
+    return (K.unweighted_whole_space and nu.density_fn is logistic_density
+            and not nu.atoms and _measure_is_whole_line(nu))
+
+
 def _closed_form_log_norms2(k: int, m: int, js: np.ndarray, u: ConvexProfile,
                             K: WeightedSet, nu: RadialMeasure,
                             singular: bool) -> np.ndarray | None:
     """log N_j² for j in js in closed form; None where none applies.
 
-    It applies for v ≡ 0 on K = X against `fs_measure`'s law (the logistic
-    density over the whole line, no atoms): always under the smooth-metric
-    convention, and under the singular weight when u is a `WindowEnvelope`
-    profile and B + 2 = 2 + d − {k·c} > 0 (the tail series then has
-    positive terms).  A boundary index raises DivergentIntegralError, as
-    the plan does.
+    It applies on the FS volume (`_is_fs_volume`): always under the
+    smooth-metric convention, and under the singular weight when u is a
+    `WindowEnvelope` profile and B + 2 = 2 + d − {k·c} > 0 (the tail series
+    then has positive terms).  A boundary index raises
+    DivergentIntegralError, as the plan does.
     """
-    if not (K.unweighted_whole_space and nu.density_fn is logistic_density
-            and not nu.atoms and _measure_is_whole_line(nu)):
+    if not _is_fs_volume(K, nu):
         return None
     w = u.exact
     if singular and not (isinstance(w, WindowEnvelope)
@@ -591,6 +611,69 @@ def _closed_form_log_norms2(k: int, m: int, js: np.ndarray, u: ConvexProfile,
                 return None
             pieces.append(float(k) * fs_conjugate(s, c) + tail)
     return _log_add(pieces)
+
+
+def _fs_beta_cdfs(t: np.ndarray, m: int, j_min: int, n_J: int,
+                  unit: float) -> np.ndarray:
+    """Columns unit·G(x) and unit·(|J| − G(x)) at x = σ(t), where
+    G(x) = Σ_J I_x(j+1, m−j+1) over J = [j_min, j_max], n_J = |J| > 0.
+
+    Under x = σ(t), z^j's normalized FS density is Beta(j+1, m−j+1), whose
+    CDF is I_x(j+1, m−j+1) = P(N > j) with N ~ Bin(m + 1, x).  Summed over
+    J, G(x) = E[clip(N − j_min, 0, |J|)] and |J| − G(x) =
+    E[clip(j_max + 1 − N, 0, |J|)]: one pmf row per point against a fixed
+    clip vector, each side summed from its own nonnegative terms.
+
+    A row's log pmf is taken relative to its mode i₀, as the cumulative
+    sum of log P(i+1)/P(i) = log((m + 1 − i)/(i + 1)) + t outward from i₀,
+    and the row is normalized by its own sum, so no term of the size of
+    log C(m + 1, i) is rounded.  The rows are built in blocks of at most
+    KERNEL_BLOCK entries, and a value that would not be a normal float is
+    written as 0.0.
+    """
+    n = m + 1
+    lower = np.clip(np.arange(n + 1) - j_min, 0, n_J)
+    weights = np.stack([lower, n_J - lower], axis=1).astype(float)
+    i = np.arange(n)
+    log_ratio = np.log((n - i) / (i + 1.0))
+    mode = np.clip(np.floor((n + 1) * sigmoid(t)), 0, n)
+    out = np.empty((t.size, 2))
+    rows = max(1, KERNEL_BLOCK // (n + 1))
+    log_w = np.empty((min(rows, t.size), n + 1))
+    for lo in range(0, t.size, rows):
+        sl = slice(lo, lo + rows)
+        steps = log_ratio + t[sl, None]
+        above = i >= mode[sl, None]
+        lw = log_w[:steps.shape[0]]
+        lw[:, 0] = 0.0
+        np.cumsum(np.where(above, steps, 0.0), axis=1, out=lw[:, 1:])
+        lw[:, :-1] -= np.cumsum(np.where(above, 0.0, steps)[:, ::-1], axis=1)[:, ::-1]
+        w = _exp_normal(lw)
+        num = w @ weights
+        den = (np.sum(w, axis=1) / unit)[:, None]
+        # 0.0 where num/den could leave the normal range; the bound is put on
+        # num (≥ tiny where nonzero), so no subnormal is ever formed
+        normal = num >= 2.0 * _TINY * np.maximum(den, 1.0)
+        out[sl] = np.divide(num, den, out=np.zeros_like(num), where=normal)
+    return out
+
+
+def _fs_beta_cell_masses(bp: np.ndarray, m: int, j_min: int, n_J: int,
+                         unit: float) -> np.ndarray:
+    """unit·Σ_J of each z^j's normalized FS mass on the cells of bp, with
+    the two tails beyond bp's ends in its first and last cell.
+
+    A cell's mass is the difference of G, or of |J| − G, on whichever side
+    both terms are small (as in `_log_middle`), so a small mass keeps its
+    relative accuracy.  G(0) = 0 and |J| − G(1) = 0 stand at the outer
+    ends, so the first cell's mass is G at bp[1] and the last one's is
+    |J| − G at bp[−2], each with its tail.
+    """
+    cdfs = _fs_beta_cdfs(bp[1:-1], m, j_min, n_J, unit)
+    total = unit * n_J
+    g = np.concatenate([[0.0], cdfs[:, 0], [total]])
+    h = np.concatenate([[total], cdfs[:, 1], [0.0]])
+    return np.where(g[1:] <= h[:-1], g[1:] - g[:-1], h[:-1] - h[1:])
 
 
 def _log_norms2(k: int, m: int, J, u: ConvexProfile, K: WeightedSet,
@@ -678,19 +761,29 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
             tw: TwistData = TwistData()) -> BergmanResult:
     """Partial Bergman kernel over (K, v, ν) and the measure β = B·ν/k.
 
-    The measure's cell masses integrate on a finer rule than the norms,
-    so the mass identity ∫β = h0/k is a genuine quadrature check.
+    The kernel is sampled on ν's breakpoints (with u's and K's kinks)
+    refined at k, the norms' quadrature grid.  On the FS volume
+    (v ≡ 0 on K = X, `_is_fs_volume`) β's cell masses are closed-form
+    differences of binomial expectations (`_fs_beta_cell_masses`), so the
+    mass identity ∫β = h0/k checks their exact telescoping.  Elsewhere the
+    cells integrate the kernel on a finer Gauss rule than the norms, with
+    the norms' closed-form tails beyond a whole-line measure's ends, and
+    the mass identity is a genuine quadrature check.
     """
     if abs(nu.total_mass() - 1.0) > 1e-9:
         raise InputError("reference measure must be a probability measure")
     basis = admissible_set(k, u, tw)
     m = basis.m
     n_sections = tw.rank * len(basis.J)
-    plan = _NormPlan(k, m, u, K, nu, False)
-    if plan.refined is None:
+    breaks = _norm_breaks(u, K, nu)
+    fs = _is_fs_volume(K, nu)
+    plan = None if fs or not basis.J else _NormPlan(k, m, u, K, nu, False)
+    if breaks is None:
         eval_grid = np.asarray(sorted(t for t, _ in nu.atoms))
-    else:
+    elif plan is not None:
         eval_grid = plan.refined
+    else:
+        eval_grid = refine_breakpoints(breaks, k)
     if not basis.J:
         zero = RadialMeasure(np.empty(0), np.empty(0), ())
         return BergmanResult(k, eval_grid, np.zeros(eval_grid.size), zero, 0.0, 0)
@@ -699,11 +792,14 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
     logs = _log_norms2(k, m, basis.J, u, K, nu, False, plan)
     rows = max(1, KERNEL_BLOCK // js.size)
 
+    @np.errstate(under="ignore")
     def kernel_at(t):
         # (t × J) exponents in blocks of rows.  In a block, an index whose
         # bound j·max t + max base − log N_j² lies below EXP_UNDERFLOW (less
         # a unit margin for rounding) has exp exactly 0.0 on every row, and
-        # is written as such; each row still sums all |J| entries.
+        # is written as such; each row still sums all |J| entries.  A term
+        # between that bound and the normal range is exp's correctly rounded
+        # subnormal value, so its underflow flag is not an error.
         t = np.asarray(t, dtype=float)
         base = -float(m) * softplus(t) - float(k) * K.weight_at(t)
         out = np.empty(t.size)
@@ -731,21 +827,25 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
     cell_masses = np.empty(0)
     for t, w in nu.atoms:
         atoms.append((t, float(kernel_at(np.asarray([t]))[0]) * w / k))
-    if plan.refined is not None and nu.density_fn is not None:
-        fine = refine_breakpoints(plan.breaks, 4 * k)
-        ts, ws = gauss_cells(fine, nodes=48)
-        vals = kernel_at(ts) * np.asarray(nu.density_fn(ts)) * ws / k
-        per_cell = vals.reshape(fine.size - 1, -1).sum(axis=1)
-        if plan.edges is not None:
-            # closed-form tails beyond the cells' ends, the norms' own
-            tail_lo = tail_hi = 0.0
-            for j, ln in zip(basis.J, logs):
-                s_lo, s_hi = _tail_slopes(j, k, m, u, False)
-                lv_lo, lv_hi = plan.edge_log_values(j)
-                tail_lo += np.exp(lv_lo - ln) / float(s_lo + 1)
-                tail_hi += np.exp(lv_hi - ln) / float(1 - s_hi)
-            per_cell[0] += tw.rank * tail_lo / k
-            per_cell[-1] += tw.rank * tail_hi / k
+    if breaks is not None and nu.density_fn is not None:
+        fine = refine_breakpoints(breaks, 4 * k)
+        if fs:
+            per_cell = _fs_beta_cell_masses(fine, m, basis.J[0], len(basis.J),
+                                            tw.rank / k)
+        else:
+            ts, ws = gauss_cells(fine, nodes=48)
+            vals = kernel_at(ts) * np.asarray(nu.density_fn(ts)) * ws / k
+            per_cell = vals.reshape(fine.size - 1, -1).sum(axis=1)
+            if plan.edges is not None:
+                # closed-form tails beyond the cells' ends, the norms' own
+                tail_lo = tail_hi = 0.0
+                for j, ln in zip(basis.J, logs):
+                    s_lo, s_hi = _tail_slopes(j, k, m, u, False)
+                    lv_lo, lv_hi = plan.edge_log_values(j)
+                    tail_lo += np.exp(lv_lo - ln) / float(s_lo + 1)
+                    tail_hi += np.exp(lv_hi - ln) / float(1 - s_hi)
+                per_cell[0] += tw.rank * tail_lo / k
+                per_cell[-1] += tw.rank * tail_hi / k
         cell_bp = fine
         cell_masses = per_cell
     beta = RadialMeasure(cell_bp, cell_masses, tuple(atoms))

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envlab import (
     TwistData,
@@ -39,13 +41,16 @@ from envlab.errors import (
     InputError,
     NoSectionsError,
 )
-from envlab.basefun import softplus
+from envlab import sections
+from envlab.basefun import logistic_density, softplus
 from envlab.experiments import weighted_fixture
+from envlab.measures import RadialMeasure
 from envlab.profiles import _pad_to_asymptotes
 from envlab.quadrature import gauss_cells
 from envlab.sections import (
     _NormPlan,
     _SupPlan,
+    _fs_beta_cdfs,
     approximant_lower_bound_constant,
     counting_bound_holds,
     log_norm2,
@@ -500,17 +505,41 @@ class TestClosedFormNorms:
         code = (
             "import sys\n"
             "from fractions import Fraction\n"
-            "from envlab import bergman_approximant, reference_basis\n"
+            "from envlab import (WeightedSet, bergman, bergman_approximant,\n"
+            "                    fs_measure, reference_basis)\n"
             "from envlab.envelopes import window_envelope\n"
             "u = window_envelope(1, Fraction(1, 3), Fraction(1, 4))\n"
             "bergman_approximant(60, u)\n"
             "reference_basis(60, u)\n"
+            "bergman(60, u, WeightedSet.whole(), fs_measure())\n"
             "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))\n"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, env={**os.environ, "PYTHONPATH": src},
                              timeout=120, check=True)
         assert out.stdout.strip() == "[]"
+
+
+def quadrature_route(nu):
+    """ν with its density wrapped, so that `bergman` declines the closed
+    form and integrates the kernel on its 48-node Gauss cells."""
+    return RadialMeasure(nu.breakpoints, nu.cell_masses, nu.atoms,
+                         density_fn=lambda t: logistic_density(t),
+                         exact_total=nu.exact_total)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("quadrature built where none is needed")
+
+
+@st.composite
+def window_profiles(draw):
+    """window_envelope(c, ν₀, ν_∞) with rational c ∈ (0, 2], ν₀ + ν_∞ ≤ c."""
+    q = draw(st.integers(1, 12))
+    c = Fraction(draw(st.integers(1, 2 * q)), q)
+    a = draw(st.integers(0, 24))
+    b = draw(st.integers(0, 24 - a))      # ν₀ and ν_∞: multiples of c/24
+    return window_envelope(c, c * Fraction(a, 24), c * Fraction(b, 24))
 
 
 class TestBergman:
@@ -588,6 +617,89 @@ class TestBergman:
         res = bergman(6, b, K, circle_atom(0.0))
         assert res.total_mass == pytest.approx(res.h0 / 6, rel=1e-12)
         assert len(res.beta.atoms) == 1
+
+    # β on the FS volume comes from binomial expectations, not quadrature
+
+    @pytest.mark.parametrize("fixture", ["vtheta-fs", "third-quarter-fs"])
+    @pytest.mark.parametrize("k", [10, 60])
+    @pytest.mark.parametrize("rank,d", [(1, 0), (2, 0), (1, 1), (1, -1)])
+    def test_matches_the_quadrature_route(self, fixture, k, rank, d):
+        u, K, nu = weighted_fixture(fixture)
+        tw = TwistData(rank, d)
+        exact = bergman(k, u, K, nu, tw)
+        quad = bergman(k, u, K, quadrature_route(nu), tw)
+        assert np.array_equal(exact.beta.breakpoints, quad.beta.breakpoints)
+        assert np.max(np.abs(exact.beta.cell_masses - quad.beta.cell_masses)) <= 1e-13
+
+    @pytest.mark.parametrize("k", [12, 60, 240])
+    def test_cdf_against_mpmath(self, k):
+        import mpmath as mp
+
+        u, K, nu = TQ_FS
+        basis = admissible_set(k, u)
+        m, J = basis.m, basis.J
+
+        def mp_cdfs(t):
+            """Σ_J I_x(j+1, m−j+1) and Σ_J of its complement at x = σ(t)."""
+            x = 1 / (1 + mp.exp(-mp.mpf(float(t))))
+            return (mp.fsum(mp.betainc(j + 1, m - j + 1, 0, x, regularized=True)
+                            for j in J),
+                    mp.fsum(mp.betainc(m - j + 1, j + 1, 0, 1 - x, regularized=True)
+                            for j in J))
+
+        res = bergman(k, u, K, nu)
+        bp = res.beta.breakpoints
+        cdf = res.beta.cdf(bp)
+        # the breakpoints where the CDF first reaches these shares of h0/k
+        picks = [int(np.searchsorted(cdf, q * res.h0 / k))
+                 for q in (1e-6, 0.1, 0.5, 0.9, 1 - 1e-6)]
+        with mp.workdps(30):
+            for i in picks:
+                want = mp_cdfs(bp[i])[0] / k
+                assert abs(cdf[i] - want) <= 1e-14 * want
+            # Far out (t = ±8) G and |J| − G are tiny, and their accuracy
+            # follows their conditioning in t: d log G/dt ≈ j_min + 1.
+            for t in (-8.0, 8.0):
+                got = _fs_beta_cdfs(np.asarray([t]), m, J[0], len(J), 1.0)[0]
+                for g, want in zip(got, mp_cdfs(t)):
+                    assert abs(g - want) <= 1e-12 * want
+
+    def test_builds_no_quadrature(self, monkeypatch):
+        monkeypatch.setattr(sections, "gauss_cells", refuse)
+        monkeypatch.setattr(sections, "_NormPlan", refuse)
+        for fixture in ("vtheta-fs", "third-quarter-fs"):
+            u, K, nu = weighted_fixture(fixture)
+            res = bergman(25, u, K, nu)
+            assert res.total_mass == pytest.approx(res.h0 / 25, rel=1e-14)
+
+    @pytest.mark.parametrize("fixture", ["vtheta-fs", "annulus-area", "annulus-atom",
+                                         "bump-fs"])
+    def test_empty_index_set_builds_only_the_grid(self, fixture, monkeypatch):
+        monkeypatch.setattr(sections, "gauss_cells", refuse)
+        monkeypatch.setattr(sections, "_NormPlan", refuse)
+        u, K, nu = weighted_fixture(fixture)
+        res = bergman(1, u, K, nu, TwistData(1, -2))
+        assert res.h0 == 0 and res.total_mass == 0.0
+        assert res.grid.size > 0 and not np.any(res.kernel)
+
+    def test_large_k_without_floating_point_exceptions(self):
+        u, K, nu = weighted_fixture("third-quarter-fs")
+        k = 4000
+        with np.errstate(all="raise"):
+            res = bergman(k, u, K, nu)
+        assert np.all(np.isfinite(res.beta.cell_masses))
+        assert abs(res.total_mass - res.h0 / k) <= 1e-8 * (res.h0 / k)
+
+    @settings(max_examples=25, deadline=None)
+    @given(u=window_profiles(), k=st.integers(1, 80), d=st.integers(-1, 1))
+    def test_random_windows_match_the_quadrature_route(self, u, k, d):
+        K, nu = WeightedSet.whole(), fs_measure()
+        tw = TwistData(1, d)
+        exact = bergman(k, u, K, nu, tw)
+        quad = bergman(k, u, K, quadrature_route(nu), tw)
+        assert np.max(np.abs(exact.beta.cell_masses - quad.beta.cell_masses),
+                      initial=0.0) <= 1e-12
+        assert exact.total_mass == pytest.approx(exact.h0 / k, rel=1e-13, abs=0.0)
 
 
 class TestGram:
