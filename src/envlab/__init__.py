@@ -61,7 +61,6 @@ from .toric import (
     TorusProfile2,
     RationalPolygon,
     singularity_body,
-    np_mass2,
     h0_toric,
 )
 

@@ -222,8 +222,8 @@ def _obstacle_samples(class_mass, K: WeightedSet):
     if K.whole_space:
         padded = _pad_to_asymptotes(ts)
         n_left = int(np.searchsorted(padded, ts[0]))
-        vs = np.concatenate([np.full(n_left, K.v_minus), vs,
-                             np.full(padded.size - n_left - ts.size, K.v_plus)])
+        vs = np.concatenate([np.full(n_left, vs[0]), vs,
+                             np.full(padded.size - n_left - ts.size, vs[-1])])
         ts = padded
     return ts, float(class_mass) * softplus(ts) + vs
 
@@ -239,14 +239,14 @@ def weighted_envelope(p: ConvexProfile, K: WeightedSet) -> ConvexProfile:
     c = p.class_mass
     window = p.window
     _, vs = K.sample_points()
-    if K.whole_space and not np.any(vs) and K.v_minus == 0.0 and K.v_plus == 0.0:
+    if K.whole_space and not np.any(vs):
         # (K, v) = (X, 0): the weighted envelope is the I-model projection
         return i_model_envelope(p)
     obs_ts, obs_phi = _obstacle_samples(c, K)
     return envelope_of_samples(
         window, obs_ts, obs_phi, extra_nodes=obs_ts,
-        limit_lo=-K.v_minus if (K.whole_space and window.lo == 0) else None,
-        limit_hi=-K.v_plus if (K.whole_space and window.hi == c) else None,
+        limit_lo=-vs[0] if (K.whole_space and window.lo == 0) else None,
+        limit_hi=-vs[-1] if (K.whole_space and window.hi == c) else None,
     )
 
 

@@ -384,8 +384,8 @@ class WeightedSet:
 
     components: list of (a, b, grid, v_values); a == b encodes a single
     circle.  whole_space=True models K = X, with v given on the span of
-    `grid` and held at the constant tail values beyond it (continuity at
-    the poles).
+    `grid` and held at its end samples beyond it (continuity at the
+    poles).
 
     v_fn, when set, is the exact weight on the span of the component
     grids: `weight_at` (the norms and kernels) evaluates it there, so
@@ -396,8 +396,6 @@ class WeightedSet:
 
     components: tuple
     whole_space: bool = False
-    v_minus: float = 0.0
-    v_plus: float = 0.0
     v_fn: Callable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -429,23 +427,18 @@ class WeightedSet:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def whole(cls, grid=None, v=None, v_minus=None, v_plus=None) -> "WeightedSet":
+    def whole(cls, grid=None, v=None) -> "WeightedSet":
         """K = X with weight v (callable or samples; default 0).
 
         A callable v is kept and evaluated exactly on the grid's span; its
-        samples on `grid` feed the envelopes.  The tail values default to
-        the weight at the grid ends.
+        samples on `grid` feed the envelopes.  Beyond the grid the weight
+        is held at the end samples.
         """
         if grid is None:
             grid = default_grid()
         grid = np.asarray(grid, dtype=float)
         vals, v_fn = _weight_samples(v, grid)
-        vm = float(vals[0]) if v_minus is None else float(v_minus)
-        vp = float(vals[-1]) if v_plus is None else float(v_plus)
-        return cls(
-            ((grid[0], grid[-1], grid, vals),),
-            whole_space=True, v_minus=vm, v_plus=vp, v_fn=v_fn,
-        )
+        return cls(((grid[0], grid[-1], grid, vals),), whole_space=True, v_fn=v_fn)
 
     @classmethod
     def interval(cls, a: float, b: float, v=None) -> "WeightedSet":
@@ -476,24 +469,18 @@ class WeightedSet:
 
     def weight_at(self, t) -> np.ndarray:
         """Weight extended continuously: v_fn (else the PL interpolant of the
-        samples) on the grid span, nearest/tail values outside (only
-        meaningful where integrands are supported)."""
+        samples) on the grid span, the end values outside (only meaningful
+        where integrands are supported)."""
         t = np.asarray(t, dtype=float)
         ts, vs = self.sample_points()
         if self.v_fn is None:
-            out = np.interp(t, ts, vs)
-        else:
-            out = np.asarray(self.v_fn(np.clip(t, ts[0], ts[-1])), dtype=float)
-        if self.whole_space:
-            out = np.where(t < ts[0], self.v_minus, out)
-            out = np.where(t > ts[-1], self.v_plus, out)
-        return out
+            return np.interp(t, ts, vs)
+        return np.asarray(self.v_fn(np.clip(t, ts[0], ts[-1])), dtype=float)
 
     @property
     def unweighted_whole_space(self) -> bool:
-        """K = X with v ≡ 0: no callable weight, zero samples and tails."""
+        """K = X with v ≡ 0: no callable weight and zero samples."""
         return (self.whole_space and self.v_fn is None
-                and self.v_minus == 0.0 and self.v_plus == 0.0
                 and not any(np.any(vals) for _, _, _, vals in self.components))
 
     def contains(self, t: float) -> bool:
@@ -502,11 +489,7 @@ class WeightedSet:
         return any(a - 1e-12 <= t <= b + 1e-12 for a, b, _, _ in self.components)
 
     def add_weight(self, f, scale: float = 1.0) -> "WeightedSet":
-        """K with weight v + scale·f, exact between grid nodes.
-
-        Whole space: the tails move by scale·f at the grid ends, where
-        `whole` takes them, so the weight stays continuous there.
-        """
+        """K with weight v + scale·f, exact between grid nodes."""
         comps = tuple(
             (a, b, grid, vals + scale * np.asarray(f(grid), dtype=float))
             for a, b, grid, vals in self.components
@@ -515,13 +498,4 @@ class WeightedSet:
         def v_fn(t):
             return self.weight_at(t) + scale * np.asarray(f(t), dtype=float)
 
-        if self.whole_space:
-            ts, _ = self.sample_points()
-            fm, fp = np.asarray(f(ts[[0, -1]]), dtype=float)
-            return WeightedSet(
-                comps, whole_space=True,
-                v_minus=self.v_minus + scale * float(fm),
-                v_plus=self.v_plus + scale * float(fp),
-                v_fn=v_fn,
-            )
-        return WeightedSet(comps, v_fn=v_fn)
+        return WeightedSet(comps, whole_space=self.whole_space, v_fn=v_fn)

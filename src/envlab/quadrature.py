@@ -77,9 +77,15 @@ EXP_UNDERFLOW = -746.0
 
 
 def exp_inplace(buf: np.ndarray) -> np.ndarray:
-    """buf ← exp(buf), writing the exact 0.0 of underflowing entries directly."""
+    """buf ← exp(buf), writing the exact 0.0 of underflowing entries directly.
+
+    An entry between EXP_UNDERFLOW and the normal range gets exp's
+    correctly rounded subnormal value, so its underflow flag is not an
+    error, whatever the caller's `np.errstate`.
+    """
     zero = buf < EXP_UNDERFLOW
-    np.exp(buf, out=buf, where=~zero)
+    with np.errstate(under="ignore"):
+        np.exp(buf, out=buf, where=~zero)
     buf[zero] = 0.0
     return buf
 

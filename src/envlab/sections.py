@@ -27,12 +27,14 @@ index only adds its j·t.  The plan's arithmetic per index is the one a
 separate quadrature per index would do, so its norms are the same to the
 last bit.
 
-The partial Bergman measure β = B·ν/k (`bergman`) is closed-form on the
-same FS volume with v ≡ 0: z^j's normalized mass has CDF
-I_x(j+1, m−j+1) at x = σ(t), whose sum over J is an expectation of a
-clipped Bin(m + 1, x) variable, so every cell mass is a difference of two
-such sums and neither a plan nor a Gauss node is built.  Elsewhere the
-kernel is integrated on a 48-node Gauss rule over cells refined at 4k.
+The partial Bergman measure β = B·ν/k (`bergman`) takes one of two
+routes.  On the same FS volume with v ≡ 0 it is closed-form: z^j's
+normalized mass has CDF I_x(j+1, m−j+1) at x = σ(t), whose sum over J is
+an expectation of a clipped Bin(m + 1, x) variable, so every cell mass is
+a difference of two such sums, and no norm, plan or kernel value is
+computed.  Elsewhere the kernel (`_kernel`), from the plan's norms, is
+evaluated only where β needs it: at a 48-node Gauss rule over cells
+refined at 4k and at ν's atoms.
 """
 
 from __future__ import annotations
@@ -156,11 +158,10 @@ class SectionBasisData:
 
 @dataclass(frozen=True)
 class BergmanResult:
-    """Partial Bergman kernel samples and the rescaled measure β = B·ν/k."""
+    """The partial Bergman measure β = B·ν/k at level k, its total mass,
+    and the section count h0 = r·|J| (the mass identity is ∫β = h0/k)."""
 
     k: int
-    grid: np.ndarray
-    kernel: np.ndarray
     beta: RadialMeasure
     total_mass: float
     h0: int
@@ -757,84 +758,83 @@ def reference_basis(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> Se
 # partial Bergman kernels and measures
 # ---------------------------------------------------------------------------
 
+def _kernel(t, k: int, m: int, js: np.ndarray, logs: np.ndarray,
+            K: WeightedSet, rank: int) -> np.ndarray:
+    """B(t) = rank·Σ_J e^{E_j(t)}/N_j² at the points t, log N_j² = logs.
+
+    (t × J) exponents in blocks of about KERNEL_BLOCK entries.  In a block,
+    an index whose bound j·max t + max base − log N_j² lies below
+    EXP_UNDERFLOW (less a unit margin for rounding) has exp exactly 0.0 on
+    every row, and is written as such; each row still sums all |J| entries.
+    """
+    t = np.asarray(t, dtype=float)
+    base = -float(m) * softplus(t) - float(k) * K.weight_at(t)
+    rows = max(1, KERNEL_BLOCK // js.size)
+    out = np.empty(t.size)
+    block = np.empty((min(rows, t.size), js.size))
+    for lo in range(0, t.size, rows):
+        sl = slice(lo, lo + rows)
+        ex = block[:t[sl].size]
+        ex[...] = 0.0
+        top = js * np.max(t[sl]) + np.max(base[sl]) - logs
+        live = np.flatnonzero(~(top < EXP_UNDERFLOW - 1.0))
+        if live.size:
+            cols = slice(live[0], live[-1] + 1)
+            sub = ex[:, cols]
+            np.multiply(js[None, cols], t[sl, None], out=sub)
+            sub += base[sl, None]
+            sub -= logs[None, cols]
+            exp_inplace(sub)
+        out[sl] = np.sum(ex, axis=1)
+    return float(rank) * out
+
+
 def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
             tw: TwistData = TwistData()) -> BergmanResult:
-    """Partial Bergman kernel over (K, v, ν) and the measure β = B·ν/k.
+    """The partial Bergman measure β = B·ν/k over (K, v, ν), with its mass.
 
-    The kernel is sampled on ν's breakpoints (with u's and K's kinks)
-    refined at k, the norms' quadrature grid.  On the FS volume
-    (v ≡ 0 on K = X, `_is_fs_volume`) β's cell masses are closed-form
-    differences of binomial expectations (`_fs_beta_cell_masses`), so the
+    β's cells are ν's breakpoints (with u's and K's kinks) refined at 4k.
+    On the FS volume (v ≡ 0 on K = X, `_is_fs_volume`) its cell masses are
+    closed-form differences of binomial expectations
+    (`_fs_beta_cell_masses`): no norm, plan or kernel is computed, and the
     mass identity ∫β = h0/k checks their exact telescoping.  Elsewhere the
-    cells integrate the kernel on a finer Gauss rule than the norms, with
-    the norms' closed-form tails beyond a whole-line measure's ends, and
-    the mass identity is a genuine quadrature check.
+    kernel, from the norms' quadrature plan, is integrated on a 48-node
+    Gauss rule over each cell, with the norms' closed-form tails beyond a
+    whole-line measure's ends and its value at each atom, and the mass
+    identity is a genuine quadrature check.  With no admissible index β is
+    0 and nothing is built.
     """
     if abs(nu.total_mass() - 1.0) > 1e-9:
         raise InputError("reference measure must be a probability measure")
     basis = admissible_set(k, u, tw)
+    if not basis.J:
+        zero = RadialMeasure(np.empty(0), np.empty(0), ())
+        return BergmanResult(k, zero, 0.0, 0)
     m = basis.m
     n_sections = tw.rank * len(basis.J)
     breaks = _norm_breaks(u, K, nu)
-    fs = _is_fs_volume(K, nu)
-    plan = None if fs or not basis.J else _NormPlan(k, m, u, K, nu, False)
-    if breaks is None:
-        eval_grid = np.asarray(sorted(t for t, _ in nu.atoms))
-    elif plan is not None:
-        eval_grid = plan.refined
-    else:
-        eval_grid = refine_breakpoints(breaks, k)
-    if not basis.J:
-        zero = RadialMeasure(np.empty(0), np.empty(0), ())
-        return BergmanResult(k, eval_grid, np.zeros(eval_grid.size), zero, 0.0, 0)
+    if _is_fs_volume(K, nu):
+        fine = refine_breakpoints(breaks, 4 * k)
+        masses = _fs_beta_cell_masses(fine, m, basis.J[0], len(basis.J),
+                                      tw.rank / k)
+        beta = RadialMeasure(fine, masses, ())
+        return BergmanResult(k, beta, beta.total_mass(), n_sections)
 
+    plan = _NormPlan(k, m, u, K, nu, False)
     js = np.asarray(basis.J, dtype=float)
     logs = _log_norms2(k, m, basis.J, u, K, nu, False, plan)
-    rows = max(1, KERNEL_BLOCK // js.size)
-
-    @np.errstate(under="ignore")
-    def kernel_at(t):
-        # (t × J) exponents in blocks of rows.  In a block, an index whose
-        # bound j·max t + max base − log N_j² lies below EXP_UNDERFLOW (less
-        # a unit margin for rounding) has exp exactly 0.0 on every row, and
-        # is written as such; each row still sums all |J| entries.  A term
-        # between that bound and the normal range is exp's correctly rounded
-        # subnormal value, so its underflow flag is not an error.
-        t = np.asarray(t, dtype=float)
-        base = -float(m) * softplus(t) - float(k) * K.weight_at(t)
-        out = np.empty(t.size)
-        block = np.empty((min(rows, t.size), js.size))
-        for lo in range(0, t.size, rows):
-            sl = slice(lo, lo + rows)
-            ex = block[:t[sl].size]
-            ex[...] = 0.0
-            top = js * np.max(t[sl]) + np.max(base[sl]) - logs
-            live = np.flatnonzero(~(top < EXP_UNDERFLOW - 1.0))
-            if live.size:
-                cols = slice(live[0], live[-1] + 1)
-                sub = ex[:, cols]
-                np.multiply(js[None, cols], t[sl, None], out=sub)
-                sub += base[sl, None]
-                sub -= logs[None, cols]
-                exp_inplace(sub)
-            out[sl] = np.sum(ex, axis=1)
-        return float(tw.rank) * out
-
-    kernel_vals = kernel_at(eval_grid)
-
-    atoms = []
-    cell_bp = np.empty(0)
-    cell_masses = np.empty(0)
-    for t, w in nu.atoms:
-        atoms.append((t, float(kernel_at(np.asarray([t]))[0]) * w / k))
+    atoms = [(t, float(_kernel([t], k, m, js, logs, K, tw.rank)[0]) * w / k)
+             for t, w in nu.atoms]
+    fine = np.empty(0)
+    per_cell = np.empty(0)
     if breaks is not None and nu.density_fn is not None:
         fine = refine_breakpoints(breaks, 4 * k)
-        if fs:
-            per_cell = _fs_beta_cell_masses(fine, m, basis.J[0], len(basis.J),
-                                            tw.rank / k)
-        else:
-            ts, ws = gauss_cells(fine, nodes=48)
-            vals = kernel_at(ts) * np.asarray(nu.density_fn(ts)) * ws / k
+        ts, ws = gauss_cells(fine, nodes=48)
+        kernel = _kernel(ts, k, m, js, logs, K, tw.rank)
+        # far out at large k a term may be a subnormal: the correctly rounded
+        # value, so its underflow flag is not an error
+        with np.errstate(under="ignore"):
+            vals = kernel * np.asarray(nu.density_fn(ts)) * ws / k
             per_cell = vals.reshape(fine.size - 1, -1).sum(axis=1)
             if plan.edges is not None:
                 # closed-form tails beyond the cells' ends, the norms' own
@@ -846,11 +846,8 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
                     tail_hi += np.exp(lv_hi - ln) / float(1 - s_hi)
                 per_cell[0] += tw.rank * tail_lo / k
                 per_cell[-1] += tw.rank * tail_hi / k
-        cell_bp = fine
-        cell_masses = per_cell
-    beta = RadialMeasure(cell_bp, cell_masses, tuple(atoms))
-    return BergmanResult(k, eval_grid, kernel_vals, beta, beta.total_mass(),
-                         n_sections)
+    beta = RadialMeasure(fine, per_cell, tuple(atoms))
+    return BergmanResult(k, beta, beta.total_mass(), n_sections)
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .basefun import as_fraction, fraction_str
+from .basefun import as_fraction
 from .errors import InputError
 
 __all__ = [
     "TorusProfile2",
     "RationalPolygon",
     "singularity_body",
-    "np_mass2",
     "h0_toric",
 ]
 
@@ -150,15 +149,6 @@ class RationalPolygon:
             table.append(tuple(int(x * den) for x in coeffs))
         return tuple(table)
 
-    def to_dict(self) -> dict:
-        return {
-            "vertices": [[fraction_str(x), fraction_str(y)] for x, y in self.vertices]
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RationalPolygon":
-        return cls(tuple((x, y) for x, y in d["vertices"]))
-
 
 @dataclass(frozen=True)
 class TorusProfile2:
@@ -210,33 +200,10 @@ class TorusProfile2:
             out = np.maximum(out, float(gx) * t1 + float(gy) * t2 + float(a))
         return out
 
-    def to_dict(self) -> dict:
-        return {
-            "class_mass": fraction_str(self.class_mass),
-            "pieces": [
-                {"gradient": [fraction_str(gx), fraction_str(gy)],
-                 "intercept": fraction_str(a)}
-                for (gx, gy), a in self.pieces
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TorusProfile2":
-        pieces = tuple(
-            ((p["gradient"][0], p["gradient"][1]), p["intercept"])
-            for p in d["pieces"]
-        )
-        return cls(d["class_mass"], pieces)
-
 
 def singularity_body(f: TorusProfile2) -> RationalPolygon:
     """Convex hull of the piece gradients, exact; built once per profile."""
     return f.body
-
-
-def np_mass2(f: TorusProfile2) -> Fraction:
-    """Non-pluripolar mass at n = 2: two factorial times the body area."""
-    return 2 * singularity_body(f).area
 
 
 def h0_toric(k: int, f: TorusProfile2, tw=None) -> int:

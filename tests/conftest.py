@@ -47,7 +47,7 @@ def random_weighted_set(rng) -> WeightedSet:
     grid = np.linspace(-8.0, 8.0, 65)
     vals = 0.4 * np.cos(grid) * np.exp(-0.1 * grid ** 2)
     vals = vals - vals[0]
-    return WeightedSet.whole(grid=grid, v=vals, v_minus=0.0, v_plus=float(vals[-1]))
+    return WeightedSet.whole(grid=grid, v=vals)
 
 
 @pytest.fixture

@@ -41,10 +41,11 @@ def _flat_order_envelope(p, K):
     """Base-window envelope of the sampled (K, v) obstacle, then p's window."""
     c = p.class_mass
     obs_ts, obs_phi = _obstacle_samples(c, K)
+    _, vs = K.sample_points()
     q = envelope_of_samples(
         SlopeWindow(Fraction(0), c, c), obs_ts, obs_phi, extra_nodes=obs_ts,
-        limit_lo=-K.v_minus if K.whole_space else None,
-        limit_hi=-K.v_plus if K.whole_space else None,
+        limit_lo=-vs[0] if K.whole_space else None,
+        limit_hi=-vs[-1] if K.whole_space else None,
     )
     return envelope_of_samples(p.window, q.grid, q.values, extra_nodes=q.grid)
 

@@ -178,9 +178,9 @@ class TestWeightedSet:
             lambda t: 0.01 * t, 2.0)
         grid, _ = K.sample_points()
         lo, hi = grid[0], grid[-1]
-        assert K.weight_at(lo - 1.0) == K.weight_at(lo) == K.v_minus
-        assert K.weight_at(hi + 1.0) == K.weight_at(hi) == K.v_plus
-        assert K.v_plus == pytest.approx(0.1 * np.tanh(hi) + 0.02 * hi, abs=1e-15)
+        assert K.weight_at(lo - 1.0) == K.weight_at(lo)
+        assert K.weight_at(hi + 1.0) == K.weight_at(hi)
+        assert K.weight_at(hi) == pytest.approx(0.1 * np.tanh(hi) + 0.02 * hi, abs=1e-15)
 
 
 class TestSerialization:

@@ -42,11 +42,11 @@ from envlab.errors import (
     NoSectionsError,
 )
 from envlab import sections
-from envlab.basefun import logistic_density, softplus
+from envlab.basefun import logistic_density, sigmoid, softplus
 from envlab.experiments import weighted_fixture
 from envlab.measures import RadialMeasure
 from envlab.profiles import _pad_to_asymptotes
-from envlab.quadrature import gauss_cells
+from envlab.quadrature import gauss_cells, refine_breakpoints
 from envlab.sections import (
     _NormPlan,
     _SupPlan,
@@ -529,7 +529,7 @@ def quadrature_route(nu):
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("quadrature built where none is needed")
+    raise AssertionError("built where nothing needs it")
 
 
 @st.composite
@@ -544,10 +544,21 @@ def window_profiles(draw):
 
 class TestBergman:
     def test_constant_kernel(self):
-        b = base_profile(1)
-        res = bergman(10, b, WeightedSet.whole(), fs_measure())
-        sel = np.abs(res.grid) < 6
-        assert np.max(np.abs(res.kernel[sel] - 11.0)) / 11.0 < 1e-10
+        # on vtheta-fs the kernel is the constant h0, so β = (h0/k)·ν cell by
+        # cell, tails included; σ's differences on the side where both are small
+        u, K, nu = weighted_fixture("vtheta-fs")
+        k = 10
+        for ref in (nu, quadrature_route(nu)):
+            res = bergman(k, u, K, ref)
+            bp = res.beta.breakpoints
+            lo = np.concatenate([[0.0], sigmoid(bp[1:-1])])
+            hi = np.concatenate([sigmoid(bp[1:-1]), [1.0]])
+            up_lo = np.concatenate([[1.0], sigmoid(-bp[1:-1])])
+            up_hi = np.concatenate([sigmoid(-bp[1:-1]), [0.0]])
+            cells = np.where(bp[1:] <= 0, hi - lo, up_lo - up_hi)
+            want = res.h0 / k * cells
+            assert res.h0 == 11
+            assert np.max(np.abs(res.beta.cell_masses - want) / want) <= 1e-12
 
     def test_mass_identity(self):
         u = THIRD_QUARTER
@@ -562,9 +573,11 @@ class TestBergman:
         big = base_profile(1)
         Js, Jb = admissible_set(k, small).J, admissible_set(k, big).J
         assert set(Js) <= set(Jb)
-        rs = bergman(k, small, K, nu)
-        rb = bergman(k, big, K, nu)
-        assert np.all(rs.kernel <= np.interp(rs.grid, rb.grid, rb.kernel) * (1 + 1e-9))
+        for ref in (nu, quadrature_route(nu)):
+            rs = bergman(k, small, K, ref).beta
+            rb = bergman(k, big, K, ref).beta
+            assert np.array_equal(rs.breakpoints, rb.breakpoints)
+            assert np.all(rs.cell_masses <= rb.cell_masses * (1 + 1e-12))
 
     def test_rank_scales_mass(self):
         u = THIRD_QUARTER
@@ -587,26 +600,27 @@ class TestBergman:
             bergman(5, base_profile(1), WeightedSet.interval(-1, 1), bad)
 
     def test_blocked_kernel_equals_one_piece_sum(self):
-        # k = 60: 61 indices, so the eval grid spans two blocks of rows
+        # k = 60: 61 indices, so the norms' grid spans two blocks of rows
         u, K, nu = weighted_fixture("vtheta-fs")
         k = 60
-        res = bergman(k, u, K, nu)
         basis = section_basis(k, u, K, nu)
         js = np.asarray(basis.J, dtype=float)
-        t = res.grid
+        t = refine_breakpoints(sections._norm_breaks(u, K, nu), k)
+        got = sections._kernel(t, k, basis.m, js, basis.log_norms2, K, 1)
         base = -float(basis.m) * softplus(t) - float(k) * K.weight_at(t)
         ex = js[None, :] * t[:, None] + base[:, None] - basis.log_norms2[None, :]
-        assert t.size > 2 ** 16 // js.size
-        assert np.array_equal(res.kernel, np.sum(np.exp(ex), axis=1))
+        assert t.size > sections.KERNEL_BLOCK // js.size     # at least two blocks
+        assert np.array_equal(got, np.sum(np.exp(ex), axis=1))
 
     def test_large_k_kernel_is_finite_and_keeps_mass(self):
+        # β's cells are the kernel integrated against ν/k, so a finite β is
+        # the kernel's finiteness as the FS route sees it
         u, K, nu = weighted_fixture("third-quarter-fs")
         k = 2000
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             res = bergman(k, u, K, nu)
         assert res.h0 == h0(k, u)
-        assert np.all(np.isfinite(res.kernel))
         assert np.all(np.isfinite(res.beta.cell_masses))
         assert abs(res.total_mass - res.h0 / k) <= 1e-8 * (res.h0 / k)
 
@@ -665,8 +679,8 @@ class TestBergman:
                     assert abs(g - want) <= 1e-12 * want
 
     def test_builds_no_quadrature(self, monkeypatch):
-        monkeypatch.setattr(sections, "gauss_cells", refuse)
-        monkeypatch.setattr(sections, "_NormPlan", refuse)
+        for name in ("gauss_cells", "_NormPlan", "_log_norms2", "_kernel"):
+            monkeypatch.setattr(sections, name, refuse)
         for fixture in ("vtheta-fs", "third-quarter-fs"):
             u, K, nu = weighted_fixture(fixture)
             res = bergman(25, u, K, nu)
@@ -675,18 +689,33 @@ class TestBergman:
     @pytest.mark.parametrize("fixture", ["vtheta-fs", "annulus-area", "annulus-atom",
                                          "bump-fs"])
     def test_empty_index_set_builds_only_the_grid(self, fixture, monkeypatch):
-        monkeypatch.setattr(sections, "gauss_cells", refuse)
-        monkeypatch.setattr(sections, "_NormPlan", refuse)
+        # an empty J now builds not even the refined grid: every builder is
+        # stubbed to raise, refine_breakpoints included
+        for name in ("refine_breakpoints", "gauss_cells", "_NormPlan",
+                     "_log_norms2", "_kernel"):
+            monkeypatch.setattr(sections, name, refuse)
         u, K, nu = weighted_fixture(fixture)
         res = bergman(1, u, K, nu, TwistData(1, -2))
         assert res.h0 == 0 and res.total_mass == 0.0
-        assert res.grid.size > 0 and not np.any(res.kernel)
+        assert res.beta.cell_masses.size == 0 and not res.beta.atoms
 
     def test_large_k_without_floating_point_exceptions(self):
         u, K, nu = weighted_fixture("third-quarter-fs")
         k = 4000
         with np.errstate(all="raise"):
             res = bergman(k, u, K, nu)
+        assert np.all(np.isfinite(res.beta.cell_masses))
+        assert abs(res.total_mass - res.h0 / k) <= 1e-8 * (res.h0 / k)
+
+    @pytest.mark.parametrize("fixture,k", [("annulus-area", 1000), ("bump-fs", 400)])
+    def test_plan_route_large_k_without_floating_point_exceptions(self, fixture, k):
+        # far out the exps and products are correctly rounded subnormals,
+        # which must not raise under the caller's errstate
+        u, K, nu = weighted_fixture(fixture)
+        with np.errstate(all="raise"):
+            basis = section_basis(k, u, K, nu)
+            res = bergman(k, u, K, nu)
+        assert np.all(np.isfinite(basis.log_norms2))
         assert np.all(np.isfinite(res.beta.cell_masses))
         assert abs(res.total_mass - res.h0 / k) <= 1e-8 * (res.h0 / k)
 
