@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .envelopes import i_model_envelope, weighted_envelope
 from .errors import SingularityTypeError
 from .measures import ma_measure, measure_integral
 from .profiles import ConvexProfile, WeightedSet
+from .quadrature import union
 
 __all__ = [
     "EnergyValue",
@@ -48,7 +47,7 @@ def _pair_energy(phi: ConvexProfile, psi: ConvexProfile) -> float:
     def diff(t):
         return phi(t) - psi(t)
 
-    kinks = np.union1d(phi.grid, psi.grid)
+    kinks = union(phi.grid, psi.grid)
     return 0.5 * (
         measure_integral(diff, ma_measure(psi), extra_breaks=kinks)
         + measure_integral(diff, ma_measure(phi), extra_breaks=kinks)

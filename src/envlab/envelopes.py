@@ -22,6 +22,7 @@ import numpy as np
 
 from .basefun import as_fraction, fs_conjugate, softplus
 from .errors import FeasibilityError, InfeasibleClassError, InputError
+from .measures import ma_measure
 from .profiles import (
     ConvexProfile,
     SlopeWindow,
@@ -33,6 +34,7 @@ from .profiles import (
     mix_profiles,
     sample_with_crossings,
 )
+from .quadrature import insert_interior, refine_breakpoints, union
 
 __all__ = [
     "i_model_envelope",
@@ -128,12 +130,9 @@ def _assemble(window: SlopeWindow, slopes, cvals, extra_nodes) -> ConvexProfile:
         return ConvexProfile(
             window.c, grid, vals, window.lo, window.lo, -act_c[0], -act_c[0]
         )
-    grid = np.sort(np.asarray(switches, dtype=float))
-    inner = np.empty(0) if extra_nodes is None else (
-        extra_nodes[(extra_nodes > grid[0]) & (extra_nodes < grid[-1])])
-    grid = merge_grids(grid, inner)
+    grid = merge_grids(insert_interior(np.sort(switches), extra_nodes))
     if grid.size < 2:
-        grid = np.union1d(grid, grid + 1.0)
+        grid = union(grid, grid + 1.0)
     vals = np.max(grid[:, None] * act_s[None, :] - act_c[None, :], axis=1)
     return ConvexProfile(
         window.c, grid, vals, window.lo, window.hi,
@@ -165,13 +164,13 @@ def envelope_of_samples(
     lo_f, hi_f = float(window.lo), float(window.hi)
     ht, hf = lower_hull(obs_ts, obs_fs)
     chords = np.diff(hf) / np.diff(ht) if ht.size > 1 else np.empty(0)
-    slopes = np.unique(np.concatenate([[lo_f, hi_f], np.clip(chords, lo_f, hi_f)]))
+    slopes = union([lo_f, hi_f], np.clip(chords, lo_f, hi_f))
     cvals = conjugate_at_slopes(ht, hf, slopes)
     if limit_lo is not None and slopes[0] == lo_f:
         cvals[0] = max(cvals[0], limit_lo)
     if limit_hi is not None and slopes[-1] == hi_f:
         cvals[-1] = max(cvals[-1], limit_hi)
-    nodes = obs_ts if extra_nodes is None else np.union1d(obs_ts, extra_nodes)
+    nodes = obs_ts if extra_nodes is None else union(obs_ts, extra_nodes)
     return _assemble(window, list(slopes), list(cvals), nodes)
 
 
@@ -264,7 +263,7 @@ def rooftop(p: ConvexProfile, q: ConvexProfile) -> ConvexProfile:
         raise InfeasibleClassError(
             "slope windows are disjoint: the minimum has no convex minorant"
         )
-    grid = np.union1d(p.grid, q.grid)
+    grid = union(p.grid, q.grid)
     if isinstance(p.exact, WindowEnvelope) and isinstance(q.exact, WindowEnvelope):
         return window_envelope(p.class_mass, lo, p.class_mass - hi, grid)
     grid, fp, fq = sample_with_crossings(p, q, grid)
@@ -296,9 +295,7 @@ def p_shift(b, u: ConvexProfile, v: ConvexProfile) -> ConvexProfile:
         )
     sig_lo = b * u.s_minus - (b - 1) * v.s_minus
     sig_hi = b * u.s_plus - (b - 1) * v.s_plus
-    from .quadrature import refine_breakpoints
-
-    merged = np.union1d(u.grid, v.grid)
+    merged = union(u.grid, v.grid)
     grid = refine_breakpoints(merged, 0, max_width=1.0 / 32.0)
     bf = float(b)
     psi = bf * u(grid) - (bf - 1.0) * v(grid)
@@ -310,7 +307,7 @@ def p_shift(b, u: ConvexProfile, v: ConvexProfile) -> ConvexProfile:
     # absorb any excess (plus the analytic curvature slack) into a
     # downward shift
     h_val = 1.0 / 128.0
-    vgrid = refine_breakpoints(np.union1d(h.grid, merged), 0, max_width=h_val)
+    vgrid = refine_breakpoints(union(h.grid, merged), 0, max_width=h_val)
     viol = float(np.max(h(vgrid) + (bf - 1.0) * v(vgrid) - bf * u(vgrid)))
     slack = 0.0
     curvature = float(u.class_mass) / 4.0
@@ -389,8 +386,6 @@ def contact_leakage(env: ConvexProfile, K: WeightedSet):
     Contact set: points of K where the envelope touches the obstacle
     c·f_FS + v within CONTACT_TOL·scale.
     """
-    from .measures import ma_measure
-
     mu = ma_measure(env)
     ts, vs = K.sample_points()
     phi = float(env.class_mass) * softplus(ts) + vs

@@ -18,7 +18,8 @@ import numpy as np
 
 from .basefun import logistic_density, logit, sigmoid
 from .errors import InputError
-from .profiles import ConvexProfile, WindowEnvelope
+from .profiles import ConvexProfile, WindowEnvelope, default_grid
+from .quadrature import gauss_cells, insert_interior, union
 
 __all__ = [
     "RadialMeasure",
@@ -57,13 +58,13 @@ class RadialMeasure:
             raise InputError("cell_masses must have len(breakpoints) - 1 entries")
         if bp.size == 0 and cm.size:
             raise InputError("cells without breakpoints")
-        if np.any(cm < -1e-15):
-            raise InputError("negative cell mass")
+        if not np.all(np.isfinite(cm) & (cm >= -1e-15)):
+            raise InputError("cell masses must be finite and nonnegative")
         for t, w in self.atoms:
             if not np.isfinite(t):
                 raise InputError("atom at infinity is not allowed")
-            if w <= 0:
-                raise InputError("atom weights must be positive")
+            if not 0 < w < np.inf:
+                raise InputError("atom weights must be finite and positive")
 
     def total_mass(self) -> float:
         return float(np.sum(self.cell_masses)) + sum(w for _, w in self.atoms)
@@ -84,10 +85,7 @@ class RadialMeasure:
         return out
 
     def support_points(self) -> np.ndarray:
-        pts = [np.asarray([t for t, _ in self.atoms])]
-        if self.breakpoints.size:
-            pts.append(self.breakpoints)
-        return np.unique(np.concatenate(pts)) if pts else np.empty(0)
+        return union([t for t, _ in self.atoms], self.breakpoints)
 
     # -- serialization (density as mass per unit t on the grid cells) -------
 
@@ -129,9 +127,7 @@ def ma_measure(p: ConvexProfile) -> RadialMeasure:
         lo, hi = float(p.s_minus), float(p.s_plus)
         t_lo = float(logit(lo / c)) if lo > 0 else float(p.grid[0])
         t_hi = float(logit(hi / c)) if hi < c else float(p.grid[-1])
-        bp = np.linspace(t_lo, t_hi, 513)
-        inner = p.grid[(p.grid > t_lo) & (p.grid < t_hi)]
-        bp = np.union1d(bp, inner)
+        bp = insert_interior(np.linspace(t_lo, t_hi, 513), p.grid)
         masses = c * np.diff(sigmoid(bp))
         return RadialMeasure(
             bp, masses, (),
@@ -152,8 +148,6 @@ def ma_measure(p: ConvexProfile) -> RadialMeasure:
 
 def fs_measure() -> RadialMeasure:
     """Fubini–Study probability volume pushed to the t-line (σ' density)."""
-    from .profiles import default_grid
-
     grid = default_grid()
     masses = np.diff(sigmoid(grid))
     return RadialMeasure(grid, masses, (), density_fn=logistic_density,
@@ -181,15 +175,11 @@ def circle_atom(t: float = 0.0) -> RadialMeasure:
 
 def kolmogorov_distance(m1: RadialMeasure, m2: RadialMeasure) -> float:
     """sup |CDF₁ − CDF₂| over the line, atoms included from both sides."""
-    pts = np.unique(np.concatenate([
-        m1.support_points(), m2.support_points(),
-        np.asarray([t for t, _ in m1.atoms] + [t for t, _ in m2.atoms]),
-    ])) if (m1.support_points().size or m2.support_points().size) else np.zeros(1)
-    best = 0.0
-    for side in ("right", "left"):
-        d = np.abs(m1.cdf(pts, side=side) - m2.cdf(pts, side=side))
-        best = max(best, float(np.max(d)) if d.size else 0.0)
-    return best
+    pts = union(m1.support_points(), m2.support_points())
+    if not pts.size:
+        pts = np.zeros(1)
+    return float(np.max([np.abs(m1.cdf(pts, side=side) - m2.cdf(pts, side=side))
+                         for side in ("right", "left")]))
 
 
 def measure_integral(f, m: RadialMeasure, extra_breaks=None) -> float:
@@ -206,13 +196,6 @@ def measure_integral(f, m: RadialMeasure, extra_breaks=None) -> float:
     if m.density_fn is None:
         mids = 0.5 * (m.breakpoints[:-1] + m.breakpoints[1:])
         return out + float(np.sum(np.asarray(f(mids)) * m.cell_masses))
-    from .quadrature import gauss_cells
-
-    bps = m.breakpoints
-    if extra_breaks is not None:
-        inner = np.asarray(extra_breaks, dtype=float)
-        inner = inner[(inner > bps[0]) & (inner < bps[-1])]
-        bps = np.union1d(bps, inner)
-    ts, ws = gauss_cells(bps)
+    ts, ws = gauss_cells(insert_interior(m.breakpoints, extra_breaks))
     out += float(np.sum(np.asarray(f(ts)) * np.asarray(m.density_fn(ts)) * ws))
     return out

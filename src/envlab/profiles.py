@@ -31,6 +31,7 @@ from .basefun import (
     softplus,
 )
 from .errors import InfeasibleClassError, InputError
+from .quadrature import union
 
 CONVEXITY_SLACK = 1e-9      # on chord-slope differences, scaled by max(1, |F|)
 TAIL_SEAM_TOL = 1e-12       # tail line must touch the boundary value
@@ -292,13 +293,13 @@ def lelong(p: ConvexProfile) -> tuple[Fraction, Fraction]:
     return p.s_minus, p.class_mass - p.s_plus
 
 
-def merge_grids(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Union of node sets with float-coincident nodes collapsed.
+def merge_grids(*grids: np.ndarray) -> np.ndarray:
+    """`union` of node sets with float-coincident nodes collapsed.
 
     Nodes closer than 1e-9·max(1, max |t|) merge into the first: chord
     slopes over such cells are round-off noise.
     """
-    grid = np.union1d(a, b)
+    grid = union(*grids)
     scale = max(1.0, float(np.max(np.abs(grid))))
     keep = np.concatenate([[True], np.diff(grid) > 1e-9 * scale])
     return grid[keep]
@@ -331,7 +332,7 @@ def sample_with_crossings(p: ConvexProfile, q: ConvexProfile, grid):
     sw = np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
     if sw.size:
         tc = grid[sw] + (grid[sw + 1] - grid[sw]) * d[sw] / (d[sw] - d[sw + 1])
-        grid = np.union1d(grid, tc)
+        grid = union(grid, tc)
         fp, fq = p(grid), q(grid)
     return grid, fp, fq
 
@@ -353,7 +354,7 @@ def max_profile(p: ConvexProfile, q: ConvexProfile) -> ConvexProfile:
 
 def sup_difference(p: ConvexProfile, q: ConvexProfile) -> float:
     """sup over the extended line of F_p − F_q (may be +inf)."""
-    grid = np.union1d(p.grid, q.grid)
+    grid = union(p.grid, q.grid)
     best = float(np.max(p(grid) - q(grid)))
     if p.s_minus < q.s_minus:
         return np.inf

@@ -4,6 +4,9 @@
 stay resolved; unbounded directions are closed exponential-tail
 integrals (profiles are exactly affine there).
 
+`union` merges t-grids into sorted distinct values, and
+`insert_interior` adds the points of one grid that lie strictly inside
+another's ends; every grid merge in the package goes through them.
 `refine_breakpoints` builds every cell's subdivision in one vectorized
 pass with `np.linspace`'s own arithmetic, so its nodes are bit for bit
 those of a per-cell `linspace` loop.  Callers that integrate many
@@ -44,7 +47,27 @@ def gauss_cells(breakpoints: np.ndarray, nodes: int = GL_NODES):
     return ts.ravel(), ws.ravel()
 
 
-def refine_breakpoints(breakpoints, k: int, extra=None, max_width=None):
+def union(*arrays) -> np.ndarray:
+    """Sorted distinct values of the flattened NaN-free arrays; of values
+    that compare equal (±0.0) the first in argument order is kept."""
+    # numpy's union1d and unique import numpy.ma on their first call
+    aux = np.sort(np.concatenate(arrays, axis=None), kind="stable")
+    keep = np.ones(aux.shape, dtype=bool)
+    keep[1:] = aux[1:] != aux[:-1]
+    return aux[keep]
+
+
+def insert_interior(bp, extra) -> np.ndarray:
+    """`union` of bp with the points of `extra` strictly inside
+    (bp[0], bp[-1]); `extra=None` returns bp as a float array."""
+    bp = np.asarray(bp, dtype=float)
+    if extra is None:
+        return bp
+    inner = np.asarray(extra, dtype=float)
+    return union(bp, inner[(inner > bp[0]) & (inner < bp[-1])])
+
+
+def refine_breakpoints(breakpoints, k: int, *, max_width=None):
     """Subdivide cells so widths track the k-fold weight's length scale.
 
     Cell [a, b] splits into nsub = ⌈(b − a)/max_width⌉ equal parts with
@@ -52,10 +75,6 @@ def refine_breakpoints(breakpoints, k: int, extra=None, max_width=None):
     `np.linspace(a, b, nsub + 1)` places them.
     """
     bp = np.asarray(breakpoints, dtype=float)
-    if extra is not None:
-        inner = np.asarray(extra, dtype=float)
-        inner = inner[(inner > bp[0]) & (inner < bp[-1])]
-        bp = np.union1d(bp, inner)
     if max_width is None:
         max_width = min(0.5, 4.0 / np.sqrt(1.0 + float(k)))
     a, b = bp[:-1], bp[1:]
@@ -129,7 +148,7 @@ def log_integral_exp(log_f, breakpoints, k: int = 1, density_fn=None,
     closed-form ∫ exp(rate·(t − edge)) contributions beyond the ends; the
     caller guarantees rate sign makes them finite.
     """
-    bp = refine_breakpoints(breakpoints, k, extra=extra)
+    bp = refine_breakpoints(insert_interior(breakpoints, extra), k)
     ts, ws = gauss_cells(bp, nodes)
     vals = np.array(log_f(ts), dtype=float)
     if density_fn is not None:

@@ -67,12 +67,14 @@ from .profiles import (
     WindowEnvelope,
     _pad_to_asymptotes,
     base_profile,
+    sup_difference,
 )
 from .quadrature import (
     EXP_UNDERFLOW,
     GL_NODES,
     exp_inplace,
     gauss_cells,
+    insert_interior,
     log_density,
     logsumexp,
     logsumexp_inplace,
@@ -298,9 +300,7 @@ def _norm_breaks(u: ConvexProfile, K: WeightedSet, nu: RadialMeasure):
     if base.size == 0:
         return None
     ts, _ = K.sample_points()
-    extra = np.concatenate([u.grid, ts])
-    extra = extra[(extra > base[0]) & (extra < base[-1])]
-    return np.union1d(base, extra)
+    return insert_interior(base, np.concatenate([u.grid, ts]))
 
 
 class _NormPlan:
@@ -420,11 +420,11 @@ class _SupPlan:
         self.whole_space = K.whole_space
         ts, _ = K.sample_points()
         if K.whole_space:
-            scan = refine_breakpoints(_pad_to_asymptotes(ts), k,
-                                      extra=np.concatenate([u.grid, ts]))
+            scan = refine_breakpoints(insert_interior(
+                _pad_to_asymptotes(ts), np.concatenate([u.grid, ts])), k)
         else:
             scan = np.concatenate([
-                np.asarray([a]) if a == b else refine_breakpoints(grid, k, extra=u.grid)
+                np.asarray([a]) if a == b else refine_breakpoints(insert_interior(grid, u.grid), k)
                 for a, b, grid, _ in K.components
             ])
         self.scan = _Exponent(scan, k, m, u, K, singular)
@@ -804,7 +804,7 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
     identity is a genuine quadrature check.  With no admissible index β is
     0 and nothing is built.
     """
-    if abs(nu.total_mass() - 1.0) > 1e-9:
+    if not abs(nu.total_mass() - 1.0) <= 1e-9:
         raise InputError("reference measure must be a probability measure")
     basis = admissible_set(k, u, tw)
     if not basis.J:
@@ -982,7 +982,5 @@ def bergman_approximant(k: int, u: ConvexProfile) -> ConvexProfile:
 def approximant_lower_bound_constant(k: int, u: ConvexProfile,
                                      approx: ConvexProfile) -> float:
     """Smallest C with F̃ + C·log(k)/k ≥ F_u over the line."""
-    from .profiles import sup_difference
-
     gap = sup_difference(u, approx)
     return max(0.0, float(gap) * k / np.log(max(2, k)))

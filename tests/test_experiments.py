@@ -3,10 +3,13 @@ import glob
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import envlab
 from envlab import experiments
 from envlab.envelopes import window_envelope
 from envlab.errors import InputError, NoSectionsError
@@ -149,6 +152,34 @@ class TestRunVolume:
         assert not any(tmp_path.iterdir())
 
 
+def committed(name):
+    return ExperimentConfig.from_json(os.path.join(CONFIG_DIR, f"{name}.json"))
+
+
+def nan(*args, **kwargs):
+    return float("nan")
+
+
+class TestRunBergman:
+    def test_nan_distance_fails_trend_and_threshold(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "kolmogorov_distance", nan)
+        cfg = committed("bergman_vtheta")
+        rows, failures = run_experiment(cfg, str(tmp_path))
+        assert [f for f in failures if f.startswith("kolmogorov trend")] != []
+        assert any(f.startswith("final kolmogorov nan") for f in failures)
+        final = [r for r in rows if r.experiment.endswith(":final-dist]")]
+        assert len(final) == 1 and not final[0].ok
+
+
+class TestRunEnergy:
+    def test_nan_donaldson_fails_the_gap_gate(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "donaldson_functional", nan)
+        cfg = committed("energy_bump")
+        _, failures = run_experiment(cfg, str(tmp_path))
+        assert [f for f in failures if f.startswith("donaldson gap")] == [
+            "donaldson gap not decreasing: nan -> nan"] * (len(cfg.k) - 1)
+
+
 class TestRunApprox:
     def test_sweep_gates_the_mass_gap(self, tmp_path, monkeypatch):
         # an approximant one slope 1/k narrower than the envelope: its Lelong
@@ -189,6 +220,23 @@ class TestCommittedConfigs:
         for name in csvs:
             assert first_run[name].startswith((CSV_HEADER + "\n").encode()), name
         assert run_all(tmp_path / "second") == first_run
+
+    def test_runs_without_numpy_ma(self, tmp_path):
+        # np.unique and np.union1d import numpy.ma on their first call, a
+        # cost each fresh process would pay; grid merges go through union
+        src = os.path.dirname(os.path.dirname(envlab.__file__))
+        code = (
+            "import sys\n"
+            "from envlab.experiments import ExperimentConfig, run_experiment\n"
+            f"for path in {CONFIGS!r}:\n"
+            f"    run_experiment(ExperimentConfig.from_json(path), {str(tmp_path)!r})\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src},
+                             timeout=300, check=True)
+        assert out.stdout.strip() == "False"
+        assert len(list(tmp_path.glob("*.csv"))) == len(CONFIGS)
 
     def test_csvs_parse_to_six_fields(self, first_run):
         header = CSV_HEADER.split(",")

@@ -72,6 +72,13 @@ class TestRadialMeasure:
         with pytest.raises(InputError):
             RadialMeasure(np.empty(0), np.empty(0), ((0.0, -1.0),))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_masses_and_weights_must_be_finite(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            RadialMeasure(np.asarray([0.0, 1.0, 2.0]), np.asarray([0.5, bad]))
+        with pytest.raises(InputError, match="finite"):
+            RadialMeasure(np.empty(0), np.empty(0), ((0.0, bad),))
+
     def test_cdf_with_atoms(self):
         m = RadialMeasure(np.asarray([0.0, 1.0]), np.asarray([0.5]),
                           ((2.0, 0.5),))

@@ -8,20 +8,27 @@ from hypothesis import strategies as st
 from envlab.quadrature import (
     EXP_UNDERFLOW,
     exp_inplace,
+    insert_interior,
     log_integral_exp,
     logsumexp,
     logsumexp_inplace,
     refine_breakpoints,
+    union,
 )
+
+
+def filter_then_union(bp, extra):
+    """Reference: the points of extra strictly inside bp's ends, then np.union1d."""
+    bp = np.asarray(bp, dtype=float)
+    if extra is None:
+        return bp
+    inner = np.asarray(extra, dtype=float)
+    return np.union1d(bp, inner[(inner > bp[0]) & (inner < bp[-1])])
 
 
 def loop_refine(breakpoints, k, extra=None, max_width=None):
     """Reference: one `np.linspace` per cell, in a Python loop."""
-    bp = np.asarray(breakpoints, dtype=float)
-    if extra is not None:
-        inner = np.asarray(extra, dtype=float)
-        inner = inner[(inner > bp[0]) & (inner < bp[-1])]
-        bp = np.union1d(bp, inner)
+    bp = filter_then_union(breakpoints, extra)
     if max_width is None:
         max_width = min(0.5, 4.0 / np.sqrt(1.0 + float(k)))
     out = [bp[0]]
@@ -42,7 +49,7 @@ class TestRefineBreakpoints:
            max_width=st.none() | st.floats(1e-2, 5.0))
     def test_matches_linspace_loop(self, bp, k, extra, max_width):
         want = loop_refine(bp, k, extra, max_width)
-        got = refine_breakpoints(bp, k, extra, max_width)
+        got = refine_breakpoints(insert_interior(bp, extra), k, max_width=max_width)
         assert np.array_equal(got, want)
 
     def test_default_grid_at_large_k(self):
@@ -56,6 +63,55 @@ class TestRefineBreakpoints:
         assert np.all(np.isin(bp, out))
         assert np.all(np.diff(out) > 0)
         assert np.max(np.diff(out)) <= 4.0 / math.sqrt(401.0) * (1 + 1e-12)
+
+
+# repeats and both signed zeros, as t-grids hold them
+grid_values = st.sampled_from([0.0, -0.0, -1.5, 2.0]) | st.floats(-80.0, 80.0)
+grid_lists = st.lists(grid_values, max_size=30)
+
+
+def first_zero_kept(want, *arrays):
+    """np.union1d's result with its 0.0 given the sign of the first zero of
+    the inputs: where both signs occur, np.union1d keeps whichever its
+    unstable sort leaves first."""
+    flat = np.concatenate(arrays, axis=None).astype(float)
+    zeros = flat[flat == 0]
+    signs = np.signbit(zeros)
+    if signs.all() or not signs.any():
+        return want
+    want = want.copy()
+    want[want == 0] = zeros[0]
+    return want
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestGridMerges:
+    @settings(max_examples=200, deadline=None)
+    @given(a=grid_lists, b=grid_lists, c=grid_lists)
+    def test_union_matches_union1d(self, a, b, c):
+        a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
+        assert same_bits(union(a, b), first_zero_kept(np.union1d(a, b), a, b))
+        three = np.union1d(np.union1d(a, b), c)
+        assert same_bits(union(a, b, c), first_zero_kept(three, a, b, c))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bp=st.lists(grid_values, min_size=1, max_size=20, unique=True).map(sorted),
+           extra=st.none() | st.just([]) | grid_lists
+           | st.lists(st.floats(81.0, 1e3) | st.floats(-1e3, -81.0), max_size=8))
+    def test_insert_interior_matches_filter_then_union(self, bp, extra):
+        want = filter_then_union(bp, extra)
+        if extra is not None:
+            want = first_zero_kept(want, bp, [t for t in extra if bp[0] < t < bp[-1]])
+        assert same_bits(insert_interior(bp, extra), want)
+
+    def test_first_of_equal_values_is_kept(self):
+        got = union(np.asarray([1.0, -0.0]), np.asarray([0.0, -0.0, 1.0]))
+        assert same_bits(got, np.asarray([-0.0, 1.0]))
+        assert same_bits(union([0.0], [-0.0]), np.asarray([0.0]))
+        assert same_bits(union(np.empty(0), []), np.empty(0))
 
 
 class TestLogSumExp:

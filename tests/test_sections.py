@@ -599,6 +599,11 @@ class TestBergman:
         with pytest.raises(InputError):
             bergman(5, base_profile(1), WeightedSet.interval(-1, 1), bad)
 
+    def test_nan_total_mass_is_not_a_probability_measure(self, monkeypatch):
+        monkeypatch.setattr(RadialMeasure, "total_mass", lambda self: float("nan"))
+        with pytest.raises(InputError, match="probability"):
+            bergman(5, base_profile(1), WeightedSet.whole(), fs_measure())
+
     def test_blocked_kernel_equals_one_piece_sum(self):
         # k = 60: 61 indices, so the norms' grid spans two blocks of rows
         u, K, nu = weighted_fixture("vtheta-fs")
