@@ -38,16 +38,17 @@ from .profiles import ConvexProfile, WeightedSet, base_profile
 from .report import ReportRow, svg_plot, write_csv
 from .sections import (
     TwistData,
+    _INT64_MAX,
     approximant_lower_bound_constant,
     bergman,
     bergman_approximant,
-    counting_bound_holds,
+    counting_window_holds,
     donaldson_functional,
-    h0,
     limit_mass,
     section_basis,
+    section_counts,
 )
-from .toric import TorusProfile2, h0_toric, singularity_body
+from .toric import RationalPolygon, TorusProfile2, _h0_toric_counts, singularity_body
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +197,47 @@ class ExperimentConfig:
 # runners
 # ---------------------------------------------------------------------------
 
+def _toric_bound_holds(ks, counts: np.ndarray, rank: int,
+                       body: RationalPolygon) -> np.ndarray:
+    """|n/(r·k²) − area| ≤ 4·perimeter/k at every k of an ascending
+    sequence, in int64 integers.
+
+    With area = A_n/A_d and perimeter = P_n/P_d, multiplying through by
+    r·k²·A_d·P_d > 0 gives |n·A_d − A_n·r·k²|·P_d ≤ 4·P_n·r·k·A_d; a zero
+    perimeter asks n·A_d = A_n·r·k².  Integer bounds at the largest k and
+    count check first that no operand leaves int64.
+    """
+    area, perim = body.area, body.perimeter_lower
+    a_n, a_d, p_n, p_d = area.numerator, area.denominator, perim.numerator, perim.denominator
+    k_hi = ks[-1]
+    n_hi = max(int(counts.max()), -int(counts.min()))
+    if max((n_hi * a_d + a_n * rank * k_hi * k_hi) * p_d,
+           4 * p_n * rank * k_hi * a_d) > _INT64_MAX:
+        raise InputError(f"k = {k_hi} takes the toric volume bound past int64")
+    k = np.asarray(ks, dtype=np.int64)
+    excess = counts * a_d - a_n * rank * k * k
+    if p_n == 0:
+        return excess == 0
+    return np.abs(excess) * p_d <= 4 * p_n * rank * k * a_d
+
+
 def run_volume(cfg: ExperimentConfig):
     """h0/(r·k^n) against its limit, gated by the fixture's counting bound.
 
-    Each fixture supplies a count, a bound check and a row label; the
-    schedule runs every twist, the sweep the fixture's sweep twists.
+    Each fixture supplies a count and a bound check that take a whole
+    ascending k-sequence in int64 arrays, and a row label; the schedule
+    runs every twist, and the sweep over k = 1..sweep_max the fixture's
+    sweep twists, each in one pass over all its k.
     """
     if cfg.fixture in VOLUME_RADIAL_PARAMS:
         c, nu0, nu_inf = VOLUME_RADIAL_PARAMS[cfg.fixture]
-        u = window_envelope(c, nu0, nu_inf) if (nu0, nu_inf) != (0, 0) else base_profile(c)
         limit, dim = limit_mass(c, nu0, nu_inf), 1
 
-        def count(k, tw):
-            return h0(k, u, tw)
+        def count(ks, tw):
+            return section_counts(ks, c, nu0, nu_inf, tw)
 
-        def holds(k, n, tw):
-            return counting_bound_holds(k, n, c, nu0, nu_inf, tw)
+        def holds(ks, n, tw):
+            return counting_window_holds(ks, n, c, nu0, nu_inf, tw)
 
         def tag(tw):
             return f"r={tw.rank},d={tw.degree_shift}"
@@ -225,14 +251,13 @@ def run_volume(cfg: ExperimentConfig):
                 f"{cfg.shifts}: no toric counting bound is derived for d ≠ 0")
         f = toric_fixture(cfg.fixture)
         body = singularity_body(f)
-        limit, dim, perim = body.area, 2, body.perimeter_lower
+        limit, dim = body.area, 2
 
-        def count(k, tw):
-            return h0_toric(k, f, tw)
+        def count(ks, tw):
+            return _h0_toric_counts(ks, f, tw)
 
-        def holds(k, n, tw):
-            err = abs(Fraction(n, tw.rank * k * k) - limit)
-            return err <= 4 * perim / k if perim > 0 else err == 0
+        def holds(ks, n, tw):
+            return _toric_bound_holds(ks, n, tw.rank, body)
 
         def tag(tw):
             return f"r={tw.rank}"
@@ -242,23 +267,22 @@ def run_volume(cfg: ExperimentConfig):
     rows, failures, series = [], [], []
     for tw in twists:
         label = f"volume[{name},{tag(tw)}]"
+        counts = count(cfg.k, tw)
         errs = []
-        for k in cfg.k:
-            n = count(k, tw)
+        for k, n, ok in zip(cfg.k, counts.tolist(), holds(cfg.k, counts, tw).tolist()):
             val = Fraction(n, tw.rank * k ** dim)
             err = abs(val - limit)
-            ok = holds(k, n, tw)
-            rows.append(ReportRow(label, k, float(val), float(limit), float(err), bool(ok)))
+            rows.append(ReportRow(label, k, float(val), float(limit), float(err), ok))
             errs.append(max(float(err), 1e-18))
             if not ok:
                 failures.append(f"bound broken at k={k}: {label}")
         series.append((series_prefix + tag(tw), cfg.k, errs))
     if cfg.sweep_max:
+        ks = range(1, cfg.sweep_max + 1)
         for tw in sweep_twists:
-            for k in range(1, cfg.sweep_max + 1):
-                if not holds(k, count(k, tw), tw):
-                    failures.append(
-                        f"sweep: bound broken at k={k}: volume[{name},{tag(tw)}]")
+            broken = np.flatnonzero(~holds(ks, count(ks, tw), tw)) + 1
+            failures += [f"sweep: bound broken at k={k}: volume[{name},{tag(tw)}]"
+                         for k in broken.tolist()]
     artifacts = {"volume_convergence.svg": lambda path: svg_plot(
         path, series, title=f"volume convergence: {cfg.fixture}",
         xlabel="k", ylabel="abs err", logy=True)}

@@ -92,7 +92,9 @@ __all__ = [
     "admissible_indices",
     "admissible_set",
     "h0",
+    "section_counts",
     "counting_bound_holds",
+    "counting_window_holds",
     "limit_mass",
     "l2_norm",
     "sup_norm",
@@ -173,26 +175,42 @@ class BergmanResult:
 # admissible indices and section counts
 # ---------------------------------------------------------------------------
 
-def _index_window(k: int, c: Fraction, nu0: Fraction, nu_inf: Fraction,
-                  d: int) -> tuple[int, int, int]:
-    """(m, j_min, j_max) in integer arithmetic; J = [j_min, j_max] ∩ ℤ.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _index_windows(ks, c, nu0, nu_inf, tw: TwistData):
+    """(k, m, j_min, j_max) as int64 arrays, one entry per k of an
+    ascending sequence; J = [j_min, j_max] ∩ ℤ at each k.
 
     m = ⌊k·c⌋ + d.  The filter j + 1 > k·ν₀ and m − j + 1 > k·ν_∞ reads
     j ≥ ⌊k·ν₀ − 1⌋ + 1 = ⌊k·ν₀⌋ and j ≤ ⌈m + 1 − k·ν_∞⌉ − 1 = m − ⌊k·ν_∞⌋.
+    Before the k array is formed, integer bounds at the largest k check
+    that no intermediate here, in `section_counts` or in
+    `counting_window_holds` leaves int64; past it this raises InputError.
     """
-    if k < 1:
+    c, nu0, nu_inf = as_fraction(c), as_fraction(nu0), as_fraction(nu_inf)
+    k_lo, k_hi = ks[0], ks[-1]
+    if k_lo < 1:
         raise InputError("k must be a positive integer")
+    d = tw.degree_shift
+    q = nu0.denominator * nu_inf.denominator
+    m = k_hi * abs(c.numerator) + abs(d)
+    drop = k_hi * (abs(nu0.numerator) + abs(nu_inf.numerator))
+    shift = k_hi * (abs(nu0.numerator) * nu_inf.denominator
+                    + abs(nu_inf.numerator) * nu0.denominator)
+    if max(tw.rank * (m + drop + 1), q * (m + 2) + shift) > _INT64_MAX:
+        raise InputError(f"k = {k_hi} takes the section count past int64")
+    k = np.asarray(ks, dtype=np.int64)
     m = k * c.numerator // c.denominator + d
-    j_min = max(0, k * nu0.numerator // nu0.denominator)
-    j_max = min(m, m - k * nu_inf.numerator // nu_inf.denominator)
-    return m, j_min, j_max
+    j_min = np.maximum(0, k * nu0.numerator // nu0.denominator)
+    j_max = np.minimum(m, m - k * nu_inf.numerator // nu_inf.denominator)
+    return k, m, j_min, j_max
 
 
 def admissible_indices(k: int, c, nu0, nu_inf,
                        tw: TwistData = TwistData()) -> tuple[int, list[int]]:
     """(m, J): exact rational filter of degree-m monomials by (ν₀, ν_∞)."""
-    m, j_min, j_max = _index_window(k, as_fraction(c), as_fraction(nu0),
-                                    as_fraction(nu_inf), tw.degree_shift)
+    _, m, j_min, j_max = (int(x[0]) for x in _index_windows((k,), c, nu0, nu_inf, tw))
     return m, list(range(j_min, j_max + 1))
 
 
@@ -202,16 +220,47 @@ def admissible_set(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> Sec
     return SectionBasisData(k, m, tuple(J))
 
 
+def section_counts(ks, c, nu0, nu_inf, tw: TwistData = TwistData()) -> np.ndarray:
+    """r·|J| at every k of an ascending sequence, as one int64 array.
+
+    Each count is taken from the ends of its index window, in a few array
+    operations for all k together; J itself is never built.
+    """
+    _, _, j_min, j_max = _index_windows(ks, c, nu0, nu_inf, tw)
+    return tw.rank * np.maximum(j_max - j_min + 1, 0)
+
+
 def h0(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> int:
     """Section count r·|J|; satisfies |h0/(r·k) − mass₊| < (|d| + 3)/k.
 
-    O(1) integer operations per k: the count is taken from the ends of the
-    index window, and J itself is never built.  See `counting_bound_holds`
-    for the exact two-sided window behind the bound.
+    The one-k case of `section_counts`: O(1) integer operations, with J
+    never built.  See `counting_bound_holds` for the exact two-sided
+    window behind the bound.
     """
-    _, j_min, j_max = _index_window(k, u.class_mass, u.s_minus,
-                                    u.class_mass - u.s_plus, tw.degree_shift)
-    return tw.rank * max(0, j_max - j_min + 1)
+    return int(section_counts((k,), u.class_mass, u.s_minus,
+                              u.class_mass - u.s_plus, tw)[0])
+
+
+def counting_window_holds(ks, counts, c, nu0, nu_inf,
+                          tw: TwistData = TwistData()) -> np.ndarray:
+    """Whether each int64 count r·|J| lies in its exact counting window, at
+    every k of an ascending sequence; `counting_bound_holds` derives the
+    window.
+
+    With q = q₀·q_∞ the window length L is the integer q·L over q, and
+    L − 1 ≤ n < L + 1 holds for an integer n exactly when
+    ⌈L⌉ − 1 ≤ n ≤ ⌈L⌉, so each test compares counts with integers.
+    """
+    nu0, nu_inf = as_fraction(nu0), as_fraction(nu_inf)
+    k, m, _, _ = _index_windows(ks, c, nu0, nu_inf, tw)
+    q = nu0.denominator * nu_inf.denominator
+    qL = q * (m + 2) - k * (nu0.numerator * nu_inf.denominator
+                            + nu_inf.numerator * nu0.denominator)
+    ceil_L = -(-qL // q)
+    counts = np.asarray(counts, dtype=np.int64)
+    n, rem = np.divmod(counts, tw.rank)
+    return np.where(ceil_L <= -1, counts == 0,
+                    (rem == 0) & (ceil_L - 1 <= n) & (n <= ceil_L))
 
 
 def counting_bound_holds(k: int, count: int, c, nu0, nu_inf,
@@ -226,17 +275,12 @@ def counting_bound_holds(k: int, count: int, c, nu0, nu_inf,
         d + 1 − {k·c} ≤ count/r − k·mass < d + 3 − {k·c};
 
     for L ≤ −1 it holds none.  Either way |count/(r·k) − mass₊| < (|d| + 3)/k.
+    The one-k case of `counting_window_holds`; a count past int64 raises
+    InputError.
     """
-    nu0, nu_inf = as_fraction(nu0), as_fraction(nu_inf)
-    m, _, _ = _index_window(k, as_fraction(c), nu0, nu_inf, tw.degree_shift)
-    # q·L with q = q₀·q_∞: integers keep per-k sweeps cheap
-    q = nu0.denominator * nu_inf.denominator
-    qL = q * (m + 2) - k * (nu0.numerator * nu_inf.denominator
-                            + nu_inf.numerator * nu0.denominator)
-    if qL <= -q:
-        return count == 0
-    n, rem = divmod(count, tw.rank)
-    return rem == 0 and q * (n - 1) < qL <= q * (n + 1)     # L − 1 ≤ n < L + 1
+    if abs(count) > _INT64_MAX:
+        raise InputError(f"count {count} is past int64")
+    return bool(counting_window_holds((k,), (count,), c, nu0, nu_inf, tw)[0])
 
 
 def limit_mass(c, nu0, nu_inf) -> Fraction:

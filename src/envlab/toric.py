@@ -7,9 +7,11 @@ counts reduce to exact lattice-point counting inside the body's interior.
 
 Geometry is rational.  Counting is integer: each profile builds its body
 once, and each body its edge table once, one integer inequality
-P·α₁ + Q·α₂ > k·A − B per edge.  `h0_toric` then evaluates all rows α₁
-at once in int64 numpy, O(edges·m) in C per k, after checking against
-integer bounds that no intermediate leaves the int64 range.
+P·α₁ + Q·α₂ > k·A − B per edge.  The rows (k, α₁) of a whole ascending
+k-sequence are then reduced together in blocked int64 numpy passes,
+O(edges·Σₖ m_k) work in C, after checking against integer bounds at the
+largest k that no intermediate leaves the int64 range; `h0_toric` is the
+one-k case.
 """
 
 from __future__ import annotations
@@ -33,11 +35,10 @@ __all__ = [
 
 Vec = tuple[Fraction, Fraction]
 
-# Rows α₁ are counted in blocks of this many, so the working set stays
-# bounded at large k.
-ROW_BLOCK = 2 ** 16
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
+# Rows (k, α₁) are counted in blocks of this many, so each int64
+# temporary is 64 KiB at any k and over any k-sequence.  Larger blocks
+# run no faster and raise a sweep's peak RSS (by 5 MiB at 2¹⁶ rows).
+ROW_BLOCK = 2 ** 13
 
 
 def _cross(o: Vec, a: Vec, b: Vec) -> Fraction:
@@ -206,39 +207,51 @@ def singularity_body(f: TorusProfile2) -> RationalPolygon:
     return f.body
 
 
-def h0_toric(k: int, f: TorusProfile2, tw=None) -> int:
-    """r·#{α ≥ 0 : α₁+α₂ ≤ m, (α+(1,1))/k ∈ int body}, exact integers.
+def _h0_toric_counts(ks, f: TorusProfile2, tw=None) -> np.ndarray:
+    """`h0_toric` at every k of a strictly ascending sequence, as one int64
+    array.
 
-    Row reduction on the body's integer edge table: on row α₁ each edge
-    with Q > 0 raises the lower end of the α₂ range to ⌊rhs/Q⌋ + 1, each
-    edge with Q < 0 lowers the upper end to ⌈rhs/Q⌉ − 1, and an edge with
-    Q = 0 empties the row when rhs = k·A − B − P·α₁ ≥ 0.  All rows are
-    evaluated at once in int64 numpy, whose `//` floors as Python's does,
-    so the count costs O(edges·m) in C per k.  The int64 range is checked
-    against integer bounds before any array is allocated; past it the call
-    raises InputError.
+    The rows (k, α₁), α₁ = 0..m_k, of all k are laid end to end and
+    reduced in blocks of at most ROW_BLOCK rows, each row by the edge
+    table at its own k.  A k's count is the difference of the block's
+    cumulative row lengths at the ends of its rows, summed over the
+    blocks they touch.  Integer bounds at the largest k check, before the
+    k array is formed, that no operand, row end, block sum, row index or
+    count leaves int64; past it the call raises InputError.
     """
-    from .sections import TwistData
+    from .sections import _INT64_MAX, TwistData
 
     tw = tw or TwistData()
-    if k < 1:
+    k_lo, k_hi = ks[0], ks[-1]
+    if k_lo < 1:
         raise InputError("k must be a positive integer")
-    m = math.floor(k * f.class_mass) + tw.degree_shift
-    if m < 0:
-        return 0
+    c, d = f.class_mass, tw.degree_shift
+    m_hi = k_hi * c.numerator // c.denominator + d
     table = singularity_body(f).edge_table
-    if not table:
-        return 0
+    if m_hi < 0 or not table:
+        return np.zeros(len(ks), dtype=np.int64)
     # |rhs| and |Q| are at most span on every row, so each operand, row
-    # end, row length and block sum of lengths stays within these bounds
-    span = max(abs(k * A - B) + abs(P) * m + abs(Q) for P, Q, A, B in table)
-    if 2 * span + 2 > _INT64_MAX or ROW_BLOCK * (m + 1) > _INT64_MAX:
-        raise InputError(f"k = {k} takes the toric row count past int64")
-    count = 0
-    for start in range(0, m + 1, ROW_BLOCK):
-        a1 = np.arange(start, min(start + ROW_BLOCK, m + 1), dtype=np.int64)
+    # end and row length stays within ±(2·span + 2)
+    span = max(max(k_hi * abs(A), abs(k_lo * A - B), abs(k_hi * A - B))
+               + abs(P) * (m_hi + 1) + abs(Q) for P, Q, A, B in table)
+    rows_hi = m_hi + 1
+    if max(2 * span + 2, k_hi * c.numerator, (k_hi - k_lo + 1) * rows_hi,
+           ROW_BLOCK * rows_hi, tw.rank * rows_hi * (m_hi + 2) // 2) > _INT64_MAX:
+        raise InputError(f"k = {k_hi} takes the toric row count past int64")
+    k_all = np.asarray(ks, dtype=np.int64)
+    m_all = k_all * c.numerator // c.denominator + d
+    ends = np.cumsum(np.maximum(m_all + 1, 0))
+    starts = np.concatenate(([0], ends[:-1]))
+    counts = np.zeros(k_all.size, dtype=np.int64)
+    total = int(ends[-1])
+    for b0 in range(0, total, ROW_BLOCK):
+        b1 = min(b0 + ROW_BLOCK, total)
+        row = np.arange(b0, b1, dtype=np.int64)
+        owner = np.searchsorted(ends, row, side="right")
+        a1 = row - starts[owner]
+        k = k_all[owner]
         lo = np.zeros_like(a1)
-        hi = m - a1
+        hi = m_all[owner] - a1
         for P, Q, A, B in table:
             rhs = (k * A - B) - P * a1
             if Q > 0:
@@ -247,8 +260,27 @@ def h0_toric(k: int, f: TorusProfile2, tw=None) -> int:
                 np.minimum(hi, -(-rhs // Q) - 1, out=hi)
             else:
                 hi[rhs >= 0] = -1
-        count += int(np.maximum(hi - lo + 1, 0).sum())
-    return tw.rank * count
+        cum = np.concatenate(([0], np.cumsum(np.maximum(hi - lo + 1, 0))))
+        i0, i1 = owner[0], owner[-1] + 1
+        counts[i0:i1] += (cum[np.minimum(ends[i0:i1], b1) - b0]
+                          - cum[np.maximum(starts[i0:i1], b0) - b0])
+    return tw.rank * counts
+
+
+def h0_toric(k: int, f: TorusProfile2, tw=None) -> int:
+    """r·#{α ≥ 0 : α₁+α₂ ≤ m, (α+(1,1))/k ∈ int body}, exact integers.
+
+    Row reduction on the body's integer edge table: on row α₁ each edge
+    with Q > 0 raises the lower end of the α₂ range to ⌊rhs/Q⌋ + 1, each
+    edge with Q < 0 lowers the upper end to ⌈rhs/Q⌉ − 1, and an edge with
+    Q = 0 empties the row when rhs = k·A − B − P·α₁ ≥ 0.  The rows are
+    reduced in int64 numpy, whose `//` floors as Python's does; this is
+    the one-k case of `_h0_toric_counts`, which reduces the rows of a
+    whole k-sequence in one blocked pass.  The int64 range is checked
+    against integer bounds before any array is allocated; past it the
+    call raises InputError.
+    """
+    return int(_h0_toric_counts((k,), f, tw)[0])
 
 
 def h0_toric_bruteforce(k: int, f: TorusProfile2, tw=None) -> int:

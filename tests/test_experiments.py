@@ -2,11 +2,13 @@ import csv
 import glob
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import envlab
@@ -144,12 +146,91 @@ class TestFromJson:
                 load(tmp_path, payload)
 
 
+def off_at(counter, chosen, move):
+    """A stand-in counter: the real counts, with `move(count, k, tw)` in
+    place of the count at each k in `chosen`."""
+    def count(ks, *args):
+        counts = counter(ks, *args).copy()
+        tw = args[-1]
+        for i, k in enumerate(ks):
+            if k in chosen:
+                counts[i] = move(int(counts[i]), k, tw)
+        return counts
+    return count
+
+
+def broken_rows(rows):
+    return [(r.experiment, r.k) for r in rows if not r.ok]
+
+
 class TestRunVolume:
     def test_toric_shifts_are_rejected(self, tmp_path):
         cfg = ExperimentConfig("volume", "simplex", k=[10], shifts=[-1, 1])
         with pytest.raises(InputError, match="'shifts'"):
             run_experiment(cfg, str(tmp_path))
         assert not any(tmp_path.iterdir())
+
+    def test_radial_window_fails_where_counts_are_off(self, tmp_path, monkeypatch):
+        # the window is two ranks wide, so a count 2·r off leaves it
+        monkeypatch.setattr(experiments, "section_counts", off_at(
+            experiments.section_counts, (24, 37), lambda n, k, tw: n + 2 * tw.rank))
+        cfg = ExperimentConfig("volume", "third-quarter", k=[12, 24, 48],
+                               sweep_max=60, ranks=[1, 2], shifts=[0, 1])
+        rows, failures = run_experiment(cfg, str(tmp_path))
+        labels = [f"volume[third-quarter,r={r},d={d}]" for r in (1, 2) for d in (0, 1)]
+        assert failures == (
+            [f"bound broken at k=24: {label}" for label in labels]
+            + [f"sweep: bound broken at k={k}: {label}"
+               for label in labels for k in (24, 37)])
+        assert broken_rows(rows) == [(label, 24) for label in labels]
+        assert len(rows) == 12
+
+    def test_toric_bound_fails_where_counts_are_off(self, tmp_path, monkeypatch):
+        # no count at all: |0 − area| = 1/2 exceeds 4·perimeter/k = 12/k for k > 24
+        monkeypatch.setattr(experiments, "_h0_toric_counts", off_at(
+            experiments._h0_toric_counts, (50, 110), lambda n, k, tw: 0))
+        cfg = ExperimentConfig("volume", "simplex", k=[10, 50, 100],
+                               sweep_max=120, ranks=[1, 2])
+        rows, failures = run_experiment(cfg, str(tmp_path))
+        labels = [f"volume[toric:simplex,r={r}]" for r in (1, 2)]
+        assert failures == (
+            [f"bound broken at k=50: {label}" for label in labels]
+            + [f"sweep: bound broken at k={k}: volume[toric:simplex,r=1]"
+               for k in (50, 110)])
+        assert broken_rows(rows) == [(label, 50) for label in labels]
+
+    @pytest.mark.parametrize("name", ["simplex", "half-square", "point"])
+    def test_toric_bound_matches_fractions(self, name):
+        # the gate |n/(r·k²) − area| ≤ 4·perimeter/k in Fractions, at counts
+        # on each side of and exactly on both ends of the window
+        body = experiments.singularity_body(experiments.toric_fixture(name))
+        area, perim = body.area, body.perimeter_lower
+        ks = range(1, 61)
+        for r in (1, 3):
+            ends = [[area * r * k * k + s * 4 * perim * r * k for s in (-1, 1)]
+                    for k in ks]
+            for move in (-1, 0, 1):
+                for side in (0, 1):
+                    counts = [math.floor(e[side]) + move for e in ends]
+                    want = [abs(Fraction(n, r * k * k) - area) <= 4 * perim / k
+                            if perim > 0 else Fraction(n, r * k * k) == area
+                            for k, n in zip(ks, counts)]
+                    got = experiments._toric_bound_holds(
+                        ks, np.asarray(counts, dtype=np.int64), r, body)
+                    assert got.tolist() == want, (r, move, side)
+            assert any(e[0].denominator == 1 for e in ends)
+
+    def test_zero_area_bound_fails_on_one_count(self, tmp_path, monkeypatch):
+        # a body with no perimeter asks for no section at all: one breaks it
+        monkeypatch.setattr(experiments, "_h0_toric_counts", off_at(
+            experiments._h0_toric_counts, (3, 7), lambda n, k, tw: n + 1))
+        cfg = ExperimentConfig("volume", "point", k=[3, 5], sweep_max=9)
+        rows, failures = run_experiment(cfg, str(tmp_path))
+        assert failures == [
+            "bound broken at k=3: volume[toric:point,r=1]",
+            "sweep: bound broken at k=3: volume[toric:point,r=1]",
+            "sweep: bound broken at k=7: volume[toric:point,r=1]"]
+        assert broken_rows(rows) == [("volume[toric:point,r=1]", 3)]
 
 
 def committed(name):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -43,7 +44,7 @@ from envlab.errors import (
 )
 from envlab import sections
 from envlab.basefun import logistic_density, sigmoid, softplus
-from envlab.experiments import weighted_fixture
+from envlab.experiments import ExperimentConfig, run_volume, weighted_fixture
 from envlab.measures import RadialMeasure
 from envlab.profiles import _pad_to_asymptotes
 from envlab.quadrature import gauss_cells, refine_breakpoints
@@ -53,7 +54,9 @@ from envlab.sections import (
     _fs_beta_cdfs,
     approximant_lower_bound_constant,
     counting_bound_holds,
+    counting_window_holds,
     log_norm2,
+    section_counts,
 )
 
 
@@ -175,6 +178,69 @@ class TestH0:
                     count = oracle_count(k, c, nu0, nu_inf, d)
                     assert counting_bound_holds(k, count, c, nu0, nu_inf,
                                                 TwistData(1, d)), (c, d, k)
+
+
+def py_window(k, c, nu0, nu_inf, d):
+    """Reference (m, j_min, j_max) for one k, in Python integers."""
+    m = k * c.numerator // c.denominator + d
+    j_min = max(0, k * nu0.numerator // nu0.denominator)
+    j_max = min(m, m - k * nu_inf.numerator // nu_inf.denominator)
+    return m, j_min, j_max
+
+
+def py_window_holds(k, count, c, nu0, nu_inf, tw):
+    """Reference counting-window verdict for one k: q·(n − 1) < q·L ≤ q·(n + 1)
+    in Python integers, with q = q₀·q_∞."""
+    m, _, _ = py_window(k, c, nu0, nu_inf, tw.degree_shift)
+    q = nu0.denominator * nu_inf.denominator
+    qL = q * (m + 2) - k * (nu0.numerator * nu_inf.denominator
+                            + nu_inf.numerator * nu0.denominator)
+    if qL <= -q:
+        return count == 0
+    n, rem = divmod(count, tw.rank)
+    return rem == 0 and q * (n - 1) < qL <= q * (n + 1)
+
+
+def fractions(max_num, max_den=12):
+    return st.builds(Fraction, st.integers(0, max_num), st.integers(1, max_den))
+
+
+class TestArrayCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(c=fractions(36).filter(lambda c: c > 0), nu0=fractions(12),
+           nu_inf=fractions(12), d=st.integers(-3, 2), r=st.sampled_from([1, 2, 3]),
+           ks=st.one_of(
+               st.integers(1, 600).map(lambda hi: range(1, hi + 1)),
+               st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=20,
+                        unique=True).map(sorted)))
+    def test_counts_and_verdicts_match_python_ints(self, c, nu0, nu_inf, d, r, ks):
+        tw = TwistData(r, d)
+        want = []
+        for k in ks:
+            _, j_min, j_max = py_window(k, c, nu0, nu_inf, d)
+            want.append(r * max(0, j_max - j_min + 1))
+        got = section_counts(ks, c, nu0, nu_inf, tw)
+        assert got.dtype == np.int64 and got.tolist() == want
+        # the true counts, and counts moved by a unit or by one or two ranks
+        for off in (0, -1, 1, -r, r, -2 * r, 2 * r):
+            verdicts = counting_window_holds(ks, got + off, c, nu0, nu_inf, tw)
+            assert verdicts.tolist() == [
+                py_window_holds(k, n + off, c, nu0, nu_inf, tw)
+                for k, n in zip(ks, want)], off
+
+    @pytest.mark.parametrize("k", [2 ** 62, 10 ** 19])
+    def test_huge_k_raises_before_allocating(self, k):
+        cfg = ExperimentConfig("volume", "third-quarter", k=[10], sweep_max=k)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="int64"):
+                run_volume(cfg)
+            with pytest.raises(InputError, match="int64"):
+                counting_bound_holds(10, 2 ** 63, 1, Fraction(1, 3), Fraction(1, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestNorms:

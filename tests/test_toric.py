@@ -1,16 +1,19 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envlab import TwistData
+from envlab import TwistData, toric
 from envlab.errors import InputError
-from envlab.experiments import toric_fixture
+from envlab.experiments import ExperimentConfig, run_volume, toric_fixture
 from envlab.toric import (
     TorusProfile2,
+    _h0_toric_counts,
     h0_toric,
     h0_toric_bruteforce,
     singularity_body,
@@ -104,6 +107,50 @@ class TestAgainstRowLoop:
         assert all(isinstance(x, int) for row in f.body.edge_table for x in row)
 
 
+def rows_of(ks, f, d):
+    """Σ (m_k + 1)₊: the number of rows (k, α₁) a batched count reduces."""
+    return sum(max(math.floor(k * f.class_mass) + d + 1, 0) for k in ks)
+
+
+@functools.cache
+def bruteforce_counts(name, d):
+    """{k: h0_toric_bruteforce} for k = 1..30, shared by the block sizes."""
+    f = toric_fixture(name)
+    return {k: h0_toric_bruteforce(k, f, TwistData(1, d)) for k in range(1, 31)}
+
+
+class TestBatchedCounts:
+    # ascending k-sequences: a whole range, a schedule with gaps, one k
+    KS = (range(1, 31), [2, 3, 5, 8, 13, 21, 30], [17])
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_small_blocks_match_bruteforce(self, name, block, monkeypatch):
+        # blocks of 1 and 7 rows split every k's rows; 64 splits some and
+        # holds several k in one block
+        monkeypatch.setattr(toric, "ROW_BLOCK", block)
+        f = toric_fixture(name)
+        for d in (-2, 0, 2):
+            want = bruteforce_counts(name, d)
+            for ks in self.KS:
+                for r in (1, 3):
+                    got = _h0_toric_counts(ks, f, TwistData(r, d))
+                    assert got.dtype == np.int64
+                    assert got.tolist() == [r * want[k] for k in ks], (ks, d, r)
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_default_block_boundary_matches_row_loop(self, name):
+        # the rows of k = 1..400 at d = 0 run past one default block
+        f = toric_fixture(name)
+        ks = range(1, 401)
+        assert rows_of(ks, f, 0) > toric.ROW_BLOCK
+        got = _h0_toric_counts(ks, f, TwistData(2, 0)).tolist()
+        assert got == [2 * loop_h0_toric(k, f) for k in ks]
+        if name == "point":
+            # a body with no interior has no sections at any k
+            assert got == [0] * len(ks)
+
+
 class TestInt64Guard:
     @pytest.mark.parametrize("k", [2 ** 47 + 1, 10 ** 19])
     def test_raises_before_allocating(self, k):
@@ -123,3 +170,15 @@ class TestInt64Guard:
         f = TorusProfile2(1, (((0, 0), 0), ((1 - tiny, 0), 0), ((0, tiny), 0)))
         with pytest.raises(InputError, match="int64"):
             h0_toric(1, f)
+
+    @pytest.mark.parametrize("sweep_max", [2 ** 62, 10 ** 19])
+    def test_sweep_raises_before_allocating(self, sweep_max):
+        cfg = ExperimentConfig("volume", "simplex", k=[10], sweep_max=sweep_max)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="int64"):
+                run_volume(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
