@@ -76,12 +76,12 @@ def lower_hull(ts: np.ndarray, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def conjugate_at_slopes(ts, fs, slopes) -> np.ndarray:
     """c(s) = max_i (s·t_i − f_i) for ascending slopes.
 
-    The hull is taken first (the conjugate only sees it), then a single
-    monotone pointer walks the vertices: O(n + |slopes|) total.
+    (ts, fs) must be the vertices of a lower convex hull (`lower_hull`),
+    which is all the conjugate sees of any data: a single monotone pointer
+    walks them, O(n + |slopes|) total.
     """
-    ts = np.asarray(ts, dtype=float)
-    fs = np.asarray(fs, dtype=float)
-    ht, hf = (a.tolist() for a in lower_hull(ts, fs))
+    ht = np.asarray(ts, dtype=float).tolist()
+    hf = np.asarray(fs, dtype=float).tolist()
     out = np.empty(len(slopes))
     j = 0
     n = len(ht)

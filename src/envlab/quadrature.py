@@ -11,14 +11,15 @@ another's ends; every grid merge in the package goes through them.
 pass with `np.linspace`'s own arithmetic, so its nodes are bit for bit
 those of a per-cell `linspace` loop.  Callers that integrate many
 integrands on one grid (the section norms in `sections`) build the grid
-once and reduce each integrand with `logsumexp_inplace` on one reused
-buffer; `log_integral_exp` is the one-integrand form of the same steps.
+once and reduce the integrands as the rows of a 2-D block with
+`logsumexp_rows`; `log_integral_exp` is the one-integrand form of the
+same steps, through `logsumexp_inplace`, its one-row case.
 
 Terms below exp's underflow are written as the exact 0.0 exp returns for
 them, without calling exp (numpy's exp is one to two orders of magnitude
-slower on such arguments), and `logsumexp_inplace` can be told which
-range of a buffer holds every term that is not 0.0.  Sums still run over
-whole arrays in their original layout, so results do not move by a bit.
+slower on such arguments), and `logsumexp_rows` can be told which
+columns of a block hold every term that is not 0.0.  Sums still run over
+whole rows, so results do not move by a bit.
 """
 
 from __future__ import annotations
@@ -109,23 +110,28 @@ def exp_inplace(buf: np.ndarray) -> np.ndarray:
     return buf
 
 
-def logsumexp_inplace(buf: np.ndarray, lo: int = 0, hi: int | None = None) -> float:
-    """log Σ exp(buf), max-shifted; overwrites buf.
+def logsumexp_rows(buf: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """log Σ exp of each row of a 2-D buf, max-shifted; overwrites buf.
 
-    Only buf[lo:hi] is read: the caller guarantees that every entry outside
-    it lies more than −EXP_UNDERFLOW below the max inside, so its term is
-    exactly 0.0 and is written as such.  The sum still runs over all of
-    buf, so the result is the one the whole array gives.
+    Only buf[:, lo:hi] is read: the caller guarantees that every entry
+    outside it lies more than −EXP_UNDERFLOW below its row's max inside,
+    so its term is exactly 0.0 and is written as such.  Each sum runs over
+    the whole row, as for that row alone.  A non-finite row max gives −∞.
     """
-    live = buf[lo:hi]
-    m = np.max(live) if live.size else -np.inf
-    if not np.isfinite(m):
-        return -np.inf
-    live -= m
+    live = buf[:, lo:hi]
+    mx = np.max(live, axis=1) if live.size else np.full(buf.shape[0], -np.inf)
+    ok = np.isfinite(mx)
+    live -= np.where(ok, mx, 0.0)[:, None]
     exp_inplace(live)
-    buf[:lo] = 0.0
-    buf[lo + live.size:] = 0.0
-    return float(m + np.log(np.sum(buf)))
+    buf[:, :lo] = 0.0
+    buf[:, lo + live.shape[1]:] = 0.0
+    out = np.log(np.sum(buf, axis=1), out=np.full(buf.shape[0], -np.inf), where=ok)
+    return np.add(mx, out, out=out, where=ok)
+
+
+def logsumexp_inplace(buf: np.ndarray, lo: int = 0, hi: int | None = None) -> float:
+    """log Σ exp(buf) of a 1-D buf: `logsumexp_rows` of its one row."""
+    return float(logsumexp_rows(buf[None, :], lo, hi)[0])
 
 
 def logsumexp(vals: np.ndarray) -> float:

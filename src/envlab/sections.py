@@ -13,7 +13,8 @@ boundary-index integrals genuinely diverge.
 
 L² norms come from one helper, `_log_norms2`, which every caller of a
 norm goes through (`log_norm2`, `section_basis` and so `reference_basis`
-and `bergman_approximant`, `bergman`, `bm_rate`).  It takes a closed form
+and `bergman_approximant`, `bm_rate`; `bergman` holds the plan itself
+off the FS volume, where no closed form applies).  It takes a closed form
 where one exists: v ≡ 0 on K = X against the Fubini–Study volume, where
 N_j² is the Beta value B(j+1, m−j+1) under the smooth-metric convention
 and, under the singular weight of a `WindowEnvelope` profile, a Beta value
@@ -21,11 +22,10 @@ times a difference of regularized incomplete Beta functions plus two
 positive ₂F₁ tail series, all summed in numpy.  Everywhere else (sampled
 or nonzero weights, compact K, other measures, d ≤ −2 under the singular
 weight, a window end very near 0 or c) the norms come from one quadrature
-plan per (k, u, K, ν): the cells are refined, the Gauss nodes placed and
-the index-free parts of the exponent evaluated once per call, and each
-index only adds its j·t.  The plan's arithmetic per index is the one a
-separate quadrature per index would do, so its norms are the same to the
-last bit.
+plan per (k, u, K, ν), on cells at the integrand's kinks refined at k.
+It reduces all indices together, in blocks; each index's row is the
+arithmetic a separate quadrature of it on those cells would do, so its
+norms are the same to the last bit.
 
 The partial Bergman measure β = B·ν/k (`bergman`) takes one of two
 routes.  On the same FS volume with v ≡ 0 it is closed-form: z^j's
@@ -51,6 +51,7 @@ from .basefun import (
     as_fraction,
     fs_conjugate,
     logistic_density,
+    logit,
     sigmoid,
     softplus,
 )
@@ -76,13 +77,13 @@ from .quadrature import (
     gauss_cells,
     insert_interior,
     log_density,
-    logsumexp,
-    logsumexp_inplace,
+    logsumexp_rows,
     refine_breakpoints,
 )
 
-# Kernel exponents are evaluated in (t × J) blocks of about this many
-# entries, so the working set stays bounded at large k.
+# Kernel exponents (t × J) and the norm plan's exponents (J × node) are
+# evaluated in blocks of about this many entries, so the working set stays
+# bounded at large k.
 KERNEL_BLOCK = 2 ** 16
 
 __all__ = [
@@ -312,20 +313,21 @@ class _Exponent:
             terms.append(float(k) * u.singular_part(t))
         self.terms = tuple(np.asarray(x) for x in terms)
 
-    def __call__(self, j: int, out=None, span=...):
-        """E_j at t[span]; into out (the same shape) when given."""
-        out = np.multiply(float(j), self.t[span], out=out)
+    def __call__(self, j, out=None, span=...):
+        """E_j at t[span]; into out when given.  j is a float, or a float
+        array that broadcasts against t[span] (a column of indices gives
+        one row per index)."""
+        out = np.multiply(j, self.t[span], out=out)
         for x in self.terms:
             out -= x[span]
         return out
 
 
-def _tail_slopes(j: int, k: int, m: int, u: ConvexProfile, singular: bool):
-    """Exact asymptotic slopes of E_j at t → −∞ and t → +∞."""
-    if singular:
-        nu0, nu_inf = u.s_minus, u.class_mass - u.s_plus
-        return Fraction(j) - k * nu0, Fraction(j - m) + k * nu_inf
-    return Fraction(j), Fraction(j - m)
+def _tail_shifts(k: int, u: ConvexProfile, singular: bool):
+    """(k·ν₀, k·ν_∞) under the singular weight, else (0, 0): E_j's exact
+    slopes are j − k·ν₀ at t → −∞ and j − m + k·ν_∞ at t → +∞."""
+    return ((k * u.s_minus, k * (u.class_mass - u.s_plus)) if singular
+            else (Fraction(0), Fraction(0)))
 
 
 def _measure_is_whole_line(nu: RadialMeasure) -> bool:
@@ -339,7 +341,8 @@ def _measure_is_whole_line(nu: RadialMeasure) -> bool:
 
 
 def _norm_breaks(u: ConvexProfile, K: WeightedSet, nu: RadialMeasure):
-    """Quadrature breakpoints aligned with every integrand kink."""
+    """β's cells in `bergman`, before refinement: ν's breakpoints with u's
+    grid and K's sample nodes inserted."""
     base = np.asarray(nu.breakpoints, dtype=float)
     if base.size == 0:
         return None
@@ -347,49 +350,79 @@ def _norm_breaks(u: ConvexProfile, K: WeightedSet, nu: RadialMeasure):
     return insert_interior(base, np.concatenate([u.grid, ts]))
 
 
+def _plan_breaks(u: ConvexProfile, K: WeightedSet, nu: RadialMeasure):
+    """The norm integrand's kinks on ν's support, ends included (None for
+    atoms only): a density measure is its `density_fn` on [bp[0], bp[−1]],
+    as every constructor in `measures` builds it; v kinks at K's component
+    ends, and at its nodes where it is their nonzero piecewise-linear
+    interpolant (no `v_fn`); u at the contact points where a
+    `WindowEnvelope` switches to its tangent lines, else at its grid."""
+    bp = nu.breakpoints
+    if bp.size == 0:
+        return None
+    ts, vs = K.sample_points()
+    kinks = [np.ravel([(a, b) for a, b, _, _ in K.components])]
+    if K.v_fn is None and np.any(vs):
+        kinks.append(ts)
+    w = u.exact
+    if isinstance(w, WindowEnvelope):
+        kinks.append([float(logit(float(s) / float(w.c))) for s in (w.lo, w.hi)
+                      if 0 < s < w.c])
+    else:
+        kinks.append(u.grid)
+    return insert_interior(bp[[0, -1]], np.concatenate(kinks))
+
+
+def _minus_fraction(n: np.ndarray, x: Fraction) -> np.ndarray:
+    """n − x for int64 n, rounded once from the exact rational, as `float`
+    rounds a Fraction: both division operands stay below 2⁵³."""
+    num = n * x.denominator - x.numerator
+    if max(np.max(np.abs(num)), x.denominator) >= 2 ** 53:
+        raise InputError(f"tail rate {x} is not exact in floating point")
+    return num / x.denominator
+
+
 class _NormPlan:
     """log N² of every z^j against ν, from one quadrature plan.
 
-    The breakpoints are refined and the Gauss nodes placed once per
-    (k, u, K, ν); the index-free exponent terms, the log density and the
-    log weights are stored as separate arrays and applied to each j's
-    j·t in one reused buffer, in the order a per-index integrand adds
-    them.  Cells lying wholly beyond exp's underflow below index j's peak
-    are not evaluated for j: their terms are exactly 0.0.  The closed-form
-    tails beyond a whole-line measure's ends and the atoms are added per
-    j.  A measure of atoms only has no cells, and its quadrature piece is
-    −∞.
+    The cells are the integrand's kinks (`_plan_breaks`) refined at k, so
+    no Gauss cell straddles a jump of u″ or v″.  The nodes, the index-free
+    exponent terms, log ρ and log w are evaluated once.  `log_norms2`
+    takes the indices as the rows of (index × node) blocks of at most
+    KERNEL_BLOCK entries, each row the arithmetic of a separate quadrature
+    of its index: j·t, less the index-free terms in order, plus log ρ and
+    log w; the row max, `exp_inplace` and the sum over the whole row.
+    Cells wholly beyond exp's underflow below every row's peak are not
+    evaluated: their terms are exactly 0.0.  The atoms and the closed-form
+    tails beyond a whole-line measure's ends are arrays over the indices
+    too.  A measure of atoms only has no cells: its quadrature piece is −∞.
     """
 
     def __init__(self, k: int, m: int, u: ConvexProfile, K: WeightedSet,
                  nu: RadialMeasure, singular: bool):
-        breaks = _norm_breaks(u, K, nu)
+        breaks = _plan_breaks(u, K, nu)
         if breaks is None and not nu.atoms:
             raise InputError("measure carries neither cells nor atoms")
-        self.k, self.m, self.u, self.singular = k, m, u, singular
-        self.refined = None
-        self.edges = None
+        self.k, self.m = k, m
+        self.tail_shifts = _tail_shifts(k, u, singular)
+        self.cells = self.body = self.edges = None
         if breaks is not None:
-            self.refined = refine_breakpoints(breaks, k)
-            ts, ws = gauss_cells(self.refined)
+            self.cells = refine_breakpoints(breaks, k)
+            ts, ws = gauss_cells(self.cells)
             self.log_ws = np.log(ws)
-            del ws
             self.body = _Exponent(ts, k, m, u, K, singular)
             self.log_dens = (None if nu.density_fn is None
                              else log_density(nu.density_fn, ts))
-            self.buf = np.empty_like(ts)
             # per cell: its first and last node, and the max of the index-free
-            # part E_j − j·t + log ρ + log w over its nodes (built in buf)
-            free = self.buf
-            free[...] = self.log_ws
+            # part E_j − j·t + log ρ + log w over its nodes
+            free = self.log_ws.copy()
             for x in self.body.terms:
                 free -= x
             if self.log_dens is not None:
                 free += self.log_dens
-            cells = (self.refined.size - 1, GL_NODES)
+            cells = (self.cells.size - 1, GL_NODES)
             self.cell_free = free.reshape(cells).max(axis=1)
-            self.cell_t0 = ts.reshape(cells)[:, 0].copy()
-            self.cell_t1 = ts.reshape(cells)[:, -1].copy()
+            self.cell_t0, self.cell_t1 = ts.reshape(cells)[:, [0, -1]].T
             if _measure_is_whole_line(nu):
                 self.edges = tuple(
                     (_Exponent(edge, k, m, u, K, singular),
@@ -399,55 +432,55 @@ class _NormPlan:
         self.atoms = tuple((_Exponent(np.asarray([t]), k, m, u, K, singular), np.log(w))
                            for t, w in nu.atoms)
 
-    def _live_nodes(self, j: int) -> tuple[int, int]:
-        """Node range outside which every term of index j is exactly 0.
+    def _log_quadrature(self, jf: np.ndarray) -> np.ndarray:
+        """The cells' piece of log N² for the float indices jf ≥ 0.
 
-        For j ≥ 0 some node of a cell reaches j·t0 + free and none exceeds
-        j·t1 + free.  A cell whose bound lies more than −EXP_UNDERFLOW below
-        the best reach (less a unit margin that covers rounding) has every
-        exp(E_j + log ρ + log w − max) equal to 0.0.
+        Some node of a cell reaches j·t0 + free and none exceeds j·t1 + free;
+        a block's cells whose bound lies more than −EXP_UNDERFLOW below each
+        row's best reach (less a unit margin for rounding) are left as 0.0.
         """
-        if self.cell_free.size == 0:
-            return 0, 0
-        reach = np.max(float(j) * self.cell_t0 + self.cell_free)
-        top = float(j) * self.cell_t1 + self.cell_free
-        live = np.flatnonzero(~(top < reach + (EXP_UNDERFLOW - 1.0)))
-        return live[0] * GL_NODES, (live[-1] + 1) * GL_NODES
+        n = self.body.t.size
+        rows = max(1, KERNEL_BLOCK // n)
+        block = np.empty((min(rows, jf.size), n))
+        out = np.empty(jf.size)
+        for lo in range(0, jf.size, rows):
+            j = jf[lo:lo + rows, None]
+            reach = np.max(j * self.cell_t0 + self.cell_free, axis=1)
+            top = j * self.cell_t1 + self.cell_free
+            live = np.flatnonzero(np.any(
+                ~(top < reach[:, None] + (EXP_UNDERFLOW - 1.0)), axis=0))
+            span = slice(live[0] * GL_NODES, (live[-1] + 1) * GL_NODES)
+            ex = block[:j.size]
+            sub = self.body(j, out=ex[:, span], span=span)
+            if self.log_dens is not None:
+                sub += self.log_dens[span]
+            sub += self.log_ws[span]
+            out[lo:lo + j.size] = logsumexp_rows(ex, span.start, span.stop)
+        return out
 
-    def _log_quadrature(self, j: int) -> float:
-        lo, hi = self._live_nodes(j)
-        span = slice(lo, hi)
-        live = self.body(j, out=self.buf[span], span=span)
-        if self.log_dens is not None:
-            live += self.log_dens[span]
-        live += self.log_ws[span]
-        return logsumexp_inplace(self.buf, lo, hi)
+    def tails(self, js: np.ndarray):
+        """At each end of a whole-line measure's cells: E_j + log ρ there,
+        and the rate at which it decays beyond, j + 1 − k·ν₀ at −∞ and
+        m − j + 1 − k·ν_∞ at +∞ (ρ contributes e^{t} and e^{−t}); a rate
+        ≤ 0 diverges."""
+        s_lo, s_hi = self.tail_shifts
+        rates = (_minus_fraction(js + 1, s_lo), _minus_fraction(self.m - js + 1, s_hi))
+        bad = js[(rates[0] <= 0) | (rates[1] <= 0)]
+        if bad.size:
+            raise DivergentIntegralError(
+                f"norm integral of index {bad[0]} diverges at k={self.k}")
+        return [(E(js.astype(float)) + log_rho, rate)
+                for (E, log_rho), rate in zip(self.edges, rates)]
 
-    def edge_log_values(self, j: int) -> tuple[float, float]:
-        """E_j + log ρ at the two ends of a whole-line measure's cells."""
-        (lo, ld_lo), (hi, ld_hi) = self.edges
-        return float(lo(j)) + ld_lo, float(hi(j)) + ld_hi
-
-    def log_norm2(self, j: int) -> float:
-        tails = ()
-        if self.edges is not None:
-            s_lo, s_hi = _tail_slopes(j, self.k, self.m, self.u, self.singular)
-            rate_minus = s_lo + 1    # FS density contributes e^{t} at −∞
-            rate_plus = s_hi - 1     # and e^{-t} at +∞
-            if rate_minus <= 0 or rate_plus >= 0:
-                raise DivergentIntegralError(
-                    f"norm integral of index {j} diverges at k={self.k}"
-                )
-            lv_lo, lv_hi = self.edge_log_values(j)
-            tails = (lv_lo - np.log(float(rate_minus)),
-                     lv_hi - np.log(-float(rate_plus)))
-        pieces = [-np.inf]
-        if self.refined is not None:
-            pieces[0] = self._log_quadrature(j)
-        for E, log_w in self.atoms:
-            pieces.append(float(E(j)[0]) + log_w)
-        pieces.extend(tails)
-        return logsumexp(np.asarray(pieces))
+    def log_norms2(self, js: np.ndarray) -> np.ndarray:
+        """log N² of z^j for every j of the int64 array js."""
+        tails = ([] if self.edges is None
+                 else [lv - np.log(rate) for lv, rate in self.tails(js)])
+        jf = js.astype(float)
+        pieces = [np.full(js.size, -np.inf) if self.body is None
+                  else self._log_quadrature(jf)]
+        pieces.extend(E(jf) + log_w for E, log_w in self.atoms)
+        return logsumexp_rows(np.column_stack(pieces + tails))
 
 
 class _SupPlan:
@@ -460,7 +493,7 @@ class _SupPlan:
 
     def __init__(self, k: int, m: int, u: ConvexProfile, K: WeightedSet,
                  singular: bool):
-        self.k, self.m, self.u, self.singular = k, m, u, singular
+        self.m, self.tail_shifts = m, _tail_shifts(k, u, singular)
         self.whole_space = K.whole_space
         ts, _ = K.sample_points()
         if K.whole_space:
@@ -476,10 +509,10 @@ class _SupPlan:
 
     def log_sup2(self, j: int) -> float:
         if self.whole_space:
-            s_lo, s_hi = _tail_slopes(j, self.k, self.m, self.u, self.singular)
-            if s_lo < 0:
+            s_lo, s_hi = self.tail_shifts
+            if j < s_lo:
                 raise DivergentIntegralError(f"sup of index {j} grows at t → -inf")
-            if s_hi > 0:
+            if j - self.m + s_hi > 0:
                 raise DivergentIntegralError(f"sup of index {j} grows at t → +inf")
         return float(np.max(self.scan(j, out=self.buf)))
 
@@ -722,18 +755,16 @@ def _fs_beta_cell_masses(bp: np.ndarray, m: int, j_min: int, n_J: int,
 
 
 def _log_norms2(k: int, m: int, J, u: ConvexProfile, K: WeightedSet,
-                nu: RadialMeasure, singular: bool, plan: _NormPlan | None = None):
+                nu: RadialMeasure, singular: bool):
     """log N² of z^j for j in J: the closed form where one exists, else
-    the quadrature plan (built here unless the caller holds one)."""
+    the quadrature plan."""
     js = np.asarray(J, dtype=np.int64)
     if js.size == 0:
         return np.empty(0)
     logs = _closed_form_log_norms2(k, m, js, u, K, nu, singular)
     if logs is not None:
         return logs
-    if plan is None:
-        plan = _NormPlan(k, m, u, K, nu, singular)
-    return np.asarray([plan.log_norm2(j) for j in J])
+    return _NormPlan(k, m, u, K, nu, singular).log_norms2(js)
 
 
 def _degree(k: int, u: ConvexProfile, tw: TwistData) -> int:
@@ -864,9 +895,11 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
         beta = RadialMeasure(fine, masses, ())
         return BergmanResult(k, beta, beta.total_mass(), n_sections)
 
+    # off the FS volume no closed form applies: the norms are the plan's
     plan = _NormPlan(k, m, u, K, nu, False)
-    js = np.asarray(basis.J, dtype=float)
-    logs = _log_norms2(k, m, basis.J, u, K, nu, False, plan)
+    J = np.asarray(basis.J)
+    logs = plan.log_norms2(J)
+    js = J.astype(float)
     atoms = [(t, float(_kernel([t], k, m, js, logs, K, tw.rank)[0]) * w / k)
              for t, w in nu.atoms]
     fine = np.empty(0)
@@ -882,14 +915,8 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
             per_cell = vals.reshape(fine.size - 1, -1).sum(axis=1)
             if plan.edges is not None:
                 # closed-form tails beyond the cells' ends, the norms' own
-                tail_lo = tail_hi = 0.0
-                for j, ln in zip(basis.J, logs):
-                    s_lo, s_hi = _tail_slopes(j, k, m, u, False)
-                    lv_lo, lv_hi = plan.edge_log_values(j)
-                    tail_lo += np.exp(lv_lo - ln) / float(s_lo + 1)
-                    tail_hi += np.exp(lv_hi - ln) / float(1 - s_hi)
-                per_cell[0] += tw.rank * tail_lo / k
-                per_cell[-1] += tw.rank * tail_hi / k
+                for i, (lv, rate) in zip((0, -1), plan.tails(J)):
+                    per_cell[i] += tw.rank * np.sum(exp_inplace(lv - logs) / rate) / k
     beta = RadialMeasure(fine, per_cell, tuple(atoms))
     return BergmanResult(k, beta, beta.total_mass(), n_sections)
 
@@ -902,16 +929,16 @@ def gram(k: int, u: ConvexProfile, K: WeightedSet, v2d, nu: RadialMeasure,
          tw: TwistData = TwistData()) -> SectionBasisData:
     """Hermitian Gram matrix ⟨z^i, z^j⟩ for a weight v(t, angle).
 
-    Tensor-product quadrature: ν's cells in t times a uniform angular
-    grid of max(64, 2m + 2) points (reduced through the FFT of
-    e^{-k·v(t,·)}).  Meant for moderate
-    degrees; raises on a condition number above 1e12.
+    Tensor-product quadrature: the norm plan's cells in t (the kinks of
+    `_plan_breaks` refined at k) times a uniform angular grid of
+    max(64, 2m + 2) points (reduced through the FFT of e^{-k·v(t,·)}).
+    Meant for moderate degrees; raises on a condition number above 1e12.
     """
     basis = admissible_set(k, u, tw)
     if not basis.J:
         raise NoSectionsError("no admissible indices")
     m = basis.m
-    breaks = _norm_breaks(u, K, nu)
+    breaks = _plan_breaks(u, K, nu)
     if breaks is None:
         raise InputError("gram needs a reference measure with a density")
     M = max(64, 2 * m + 2)

@@ -260,6 +260,54 @@ class TestRunEnergy:
         assert [f for f in failures if f.startswith("donaldson gap")] == [
             "donaldson gap not decreasing: nan -> nan"] * (len(cfg.k) - 1)
 
+    def test_rising_gaps_fail_the_gap_gate(self, tmp_path, monkeypatch):
+        # ℒ_k = k: every gap |k − target| is larger than the one before
+        monkeypatch.setattr(experiments, "donaldson_functional",
+                            lambda k, u, basis: float(k))
+        cfg = committed("energy_bump")
+        u, K, _ = experiments.weighted_fixture(cfg.fixture)
+        target = experiments.equilibrium_energy(u, K).value
+        gaps = [abs(k - target) for k in cfg.k]
+        _, failures = run_experiment(cfg, str(tmp_path))
+        assert failures == [f"donaldson gap not decreasing: {a:.4g} -> {b:.4g}"
+                            for a, b in zip(gaps, gaps[1:])]
+
+    @staticmethod
+    def derivative_off(monkeypatch, direction, shift):
+        """`energy_derivative_check` whose finite difference in `direction`
+        (the bump, or not) is moved by shift(exact) from the true one."""
+        check = experiments.energy_derivative_check
+
+        def off(u, K, f, t, delta):
+            fd, exact = check(u, K, f, t=t, delta=delta)
+            if (f is experiments._bump) == (direction == "bump"):
+                fd = exact + shift(exact)
+            return fd, exact
+
+        monkeypatch.setattr(experiments, "energy_derivative_check", off)
+
+    def test_derivative_off_by_more_than_fd_rel_fails(self, tmp_path, monkeypatch):
+        cfg = committed("energy_bump")
+        fd_rel = cfg.tolerances["fd_rel"]
+        self.derivative_off(monkeypatch, "bump",
+                            lambda exact: 1.5 * fd_rel * (1.0 + abs(exact)))
+        rows, failures = run_experiment(cfg, str(tmp_path))
+        row, = [r for r in rows if r.experiment.endswith(":derivative]")]
+        assert not row.ok and row.value == row.reference + 1.5 * fd_rel * (
+            1.0 + abs(row.reference))
+        assert failures == [f"derivative mismatch: fd={row.value:.8g} "
+                            f"exact={row.reference:.8g}"]
+        assert broken_rows(rows) == [(row.experiment, cfg.k[-1])]
+
+    def test_constant_direction_off_the_mass_fails(self, tmp_path, monkeypatch):
+        # the constant direction's derivative is the mass 5/12, to 1e-6
+        self.derivative_off(monkeypatch, "constant", lambda exact: 2e-6)
+        cfg = committed("energy_bump")
+        rows, failures = run_experiment(cfg, str(tmp_path))
+        assert failures == ["constant-direction derivative does not match the mass"]
+        label = "energy[bump-fs:constant-direction]"
+        assert broken_rows(rows) == [(label, cfg.k[-1])]
+
 
 class TestRunApprox:
     def test_sweep_gates_the_mass_gap(self, tmp_path, monkeypatch):

@@ -43,10 +43,10 @@ from envlab.errors import (
     NoSectionsError,
 )
 from envlab import sections
-from envlab.basefun import logistic_density, sigmoid, softplus
+from envlab.basefun import logistic_density, logit, sigmoid, softplus
 from envlab.experiments import ExperimentConfig, run_volume, weighted_fixture
 from envlab.measures import RadialMeasure
-from envlab.profiles import _pad_to_asymptotes
+from envlab.profiles import WindowEnvelope, _pad_to_asymptotes
 from envlab.quadrature import gauss_cells, refine_breakpoints
 from envlab.sections import (
     _NormPlan,
@@ -349,17 +349,35 @@ def lse(vals):
     return float(mx + np.log(np.sum(np.exp(vals - mx))))
 
 
+def kink_breaks(u, K, nu):
+    """The norm integrand's kinks on ν's support, ends included: ν's ends;
+    K's component ends, and its sample nodes where its weight is their
+    nonzero piecewise-linear interpolant; u's contact points c·σ(t) = lo
+    and = hi when it evaluates as a `WindowEnvelope`, else its grid."""
+    lo, hi = nu.breakpoints[0], nu.breakpoints[-1]
+    pts = [t for a, b, _, _ in K.components for t in (a, b)]
+    ts, vs = K.sample_points()
+    if K.v_fn is None and np.any(vs):
+        pts.extend(ts)
+    w = u.exact
+    if isinstance(w, WindowEnvelope):
+        c = float(w.c)
+        pts.extend(float(logit(s / c)) for s in (float(w.lo), float(w.hi)) if 0 < s < c)
+    else:
+        pts.extend(u.grid)
+    inner = np.asarray(pts, dtype=float)
+    return np.union1d([lo, hi], inner[(inner > lo) & (inner < hi)])
+
+
 def per_index_log_norm2(k, m, u, K, nu, singular=False):
     """j ↦ log N² of z^j, each index with its own exponent and reduction.
 
-    The refined cells are built once with `loop_refine`, since
+    The cells are `kink_breaks` refined once with `loop_refine`, since
     `tests/test_quadrature.py` checks the refinement itself.
     """
     breaks = ts = None
     if nu.breakpoints.size:
-        base = nu.breakpoints
-        extra = np.concatenate([u.grid, K.sample_points()[0]])
-        breaks = np.union1d(base, extra[(extra > base[0]) & (extra < base[-1])])
+        breaks = kink_breaks(u, K, nu)
         ts, ws = gauss_cells(loop_refine(breaks, k))
         dens = np.asarray(nu.density_fn(ts))
         with np.errstate(divide="ignore"):
@@ -390,7 +408,7 @@ def plan_log_norms2(k, u, K, nu, tw=TwistData(), singular=False):
     basis = admissible_set(k, u, tw)
     assert basis.J
     plan = _NormPlan(k, basis.m, u, K, nu, singular)
-    return basis, np.asarray([plan.log_norm2(j) for j in basis.J])
+    return basis, plan.log_norms2(np.asarray(basis.J, dtype=np.int64))
 
 
 class TestSharedPlan:
@@ -398,28 +416,30 @@ class TestSharedPlan:
 
     The plan is built directly: on the FS fixtures `section_basis` takes
     the closed form instead.  At the larger k most cells lie far below
-    each index's peak, so the plan skips them; every 7th index and the
-    last are checked there.
+    each index's peak, so the plan skips them.  Every index is checked,
+    so the seams between the plan's blocks of indices are too.
     """
 
     @pytest.mark.parametrize("fixture,k", [
         ("vtheta-fs", 200), ("third-quarter-fs", 30), ("annulus-area", 12),
-        ("annulus-atom", 12), ("bump-fs", 25), ("bump-fs", 120),
+        ("annulus-atom", 12), ("bump-fs", 25), ("bump-fs", 120), ("bump-fs", 400),
     ])
     def test_log_norms_match_per_index_quadrature(self, fixture, k):
         u, K, nu = weighted_fixture(fixture)
         basis, logs = plan_log_norms2(k, u, K, nu)
         log_n2 = per_index_log_norm2(k, basis.m, u, K, nu)
-        idx = sorted(set(range(0, len(basis.J), 7 if k > 100 else 1)) | {len(basis.J) - 1})
-        assert np.array_equal(logs[idx], [log_n2(basis.J[i]) for i in idx])
+        assert np.array_equal(logs, [log_n2(j) for j in basis.J])
+        if k == 400:
+            # the indices span several blocks of (index × node) entries
+            n_nodes = refine_breakpoints(kink_breaks(u, K, nu), k).size * 32
+            assert len(basis.J) > 3 * (sections.KERNEL_BLOCK // n_nodes)
 
     @pytest.mark.parametrize("k", [12, 400])
     def test_singular_weight_matches_per_index_quadrature(self, k):
         u, K, nu = weighted_fixture("third-quarter-fs")
         basis, logs = plan_log_norms2(k, u, K, nu, singular=True)
         log_n2 = per_index_log_norm2(k, basis.m, u, K, nu, singular=True)
-        idx = sorted(set(range(0, len(basis.J), 7 if k > 100 else 1)) | {len(basis.J) - 1})
-        assert np.array_equal(logs[idx], [log_n2(basis.J[i]) for i in idx])
+        assert np.array_equal(logs, [log_n2(j) for j in basis.J])
 
     @pytest.mark.parametrize("fixture,k", [
         ("annulus-area", 12), ("annulus-atom", 12), ("bump-fs", 25),
@@ -451,6 +471,43 @@ class TestSharedPlan:
         basis = section_basis(20, u, K, nu)
         for i, j in enumerate(basis.J):
             assert log_norm2(j, 20, u, K, nu) == basis.log_norms2[i]
+
+
+class TestPlanCells:
+    """The plan's cells are the integrand's kinks refined at k, not ν's
+    storage grid."""
+
+    @pytest.mark.parametrize("k", [100, 400])
+    def test_storage_nodes_are_no_cell_ends_on_the_fs_volume(self, k):
+        # on vtheta-fs the integrand has no kink inside (−40, 40); the
+        # refinement's own ends i·80/n − 40 with n = 201 and 401 cells miss
+        # every 1/16 node
+        u, K, nu = weighted_fixture("vtheta-fs")
+        cells = _NormPlan(k, k, u, K, nu, False).cells
+        storage = nu.breakpoints[1:-1]
+        assert storage.size == 1279
+        assert not np.isin(storage, cells).any()
+        assert np.array_equal(cells, refine_breakpoints(nu.breakpoints[[0, -1]], k))
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_window_contact_points_are_cell_ends(self, singular):
+        u, K, nu = weighted_fixture("third-quarter-fs")
+        contacts = [float(logit(1 / 3)), float(logit(3 / 4))]
+        cells = _NormPlan(60, 60, u, K, nu, singular).cells
+        assert np.isin(contacts, cells).all()
+        assert np.array_equal(cells, refine_breakpoints(
+            [-40.0, contacts[0], contacts[1], 40.0], 60))
+
+    def test_sampled_nonzero_weight_keeps_its_nodes(self):
+        u, nu = base_profile(1), annulus_area_measure()
+        sampled = WeightedSet.interval(-1.0, 1.0, v=0.1 * np.linspace(-1, 1, 129) ** 2)
+        exact = WeightedSet.interval(-1.0, 1.0, v=lambda t: 0.1 * t * t)
+        nodes = sampled.components[0][2]
+        assert np.isin(nodes, _NormPlan(12, 12, u, sampled, nu, False).cells).all()
+        # as a callable, or as zero samples, the weight has no kink inside
+        for K in (exact, WeightedSet.interval(-1.0, 1.0)):
+            cells = _NormPlan(12, 12, u, K, nu, False).cells
+            assert np.array_equal(cells, refine_breakpoints([-1.0, 1.0], 12))
 
 
 def mp_log_norms2(k, u, tw=TwistData(), singular=False):
@@ -533,7 +590,7 @@ class TestClosedFormNorms:
         tw = TwistData(1, d)
         _, want = plan_log_norms2(k, u, K, nu, tw, singular)
         got = section_basis(k, u, K, nu, tw, singular_weight=singular).log_norms2
-        assert np.max(np.abs(got - want)) <= 1e-8
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("u,k,d", [
         (THIRD_QUARTER, 30, -2),                                  # B + 2 ≤ 0
