@@ -431,8 +431,19 @@ class TestSharedPlan:
         assert np.array_equal(logs, [log_n2(j) for j in basis.J])
         if k == 400:
             # the indices span several blocks of (index × node) entries
-            n_nodes = refine_breakpoints(kink_breaks(u, K, nu), k).size * 32
+            n_nodes = (refine_breakpoints(kink_breaks(u, K, nu), k).size - 1) * 32
             assert len(basis.J) > 3 * (sections.KERNEL_BLOCK // n_nodes)
+
+    @pytest.mark.parametrize("block", [1, 2 ** 24])
+    def test_any_block_size_matches_per_index_quadrature(self, block, monkeypatch):
+        # one index per block, and all 1,001 in one block: on [−1, 1] at
+        # k = 1000, z^0's and z^1000's peaks lie at opposite ends, so the
+        # nodes one row skips are live in another row of the same block
+        monkeypatch.setattr(sections, "KERNEL_BLOCK", block)
+        u, K, nu = weighted_fixture("annulus-area")
+        basis, logs = plan_log_norms2(1000, u, K, nu)
+        log_n2 = per_index_log_norm2(1000, basis.m, u, K, nu)
+        assert np.array_equal(logs, [log_n2(j) for j in basis.J])
 
     @pytest.mark.parametrize("k", [12, 400])
     def test_singular_weight_matches_per_index_quadrature(self, k):
