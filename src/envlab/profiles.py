@@ -109,6 +109,13 @@ class ConvexProfile:
     (the exact object).  With it, `exact` evaluates the function on the
     whole line; the grid values are its samples, and the rest of the
     structure (chords, measures) still reads the samples.
+
+    Invariant: `values` is `self(grid)` bit for bit.  np.interp returns a
+    node's own value there, and every profile with `exact` takes its
+    values from that evaluator at its grid (`window_envelope`,
+    `base_profile`, `bergman_approximant`, `resampled`; `shifted` adds the
+    same a to both).  `sup_difference` reads `values` in place of
+    evaluating the profile again on its own grid.
     """
 
     class_mass: Fraction
@@ -352,21 +359,24 @@ def max_profile(p: ConvexProfile, q: ConvexProfile) -> ConvexProfile:
     )
 
 
+def _on_union(p: ConvexProfile, grid: np.ndarray) -> np.ndarray:
+    """p at the points of grid, a union that contains p.grid: p's own
+    values where the union adds no point (the `ConvexProfile` invariant)."""
+    return p.values if grid.size == p.grid.size else p(grid)
+
+
 def sup_difference(p: ConvexProfile, q: ConvexProfile) -> float:
-    """sup over the extended line of F_p − F_q (may be +inf)."""
+    """sup over the extended line of F_p − F_q (may be +inf).
+
+    +inf where the tail slopes let the difference grow without bound, else
+    its max over the union of the two grids: past the union's ends it
+    follows the tails' slopes, so it does not rise above its value at the
+    end, which the union holds.
+    """
+    if p.s_minus < q.s_minus or p.s_plus > q.s_plus:
+        return np.inf
     grid = union(p.grid, q.grid)
-    best = float(np.max(p(grid) - q(grid)))
-    if p.s_minus < q.s_minus:
-        return np.inf
-    if p.s_minus == q.s_minus:
-        t0 = min(p.grid[0], q.grid[0])
-        best = max(best, float(p(t0) - q(t0)))
-    if p.s_plus > q.s_plus:
-        return np.inf
-    if p.s_plus == q.s_plus:
-        t1 = max(p.grid[-1], q.grid[-1])
-        best = max(best, float(p(t1) - q(t1)))
-    return best
+    return float(np.max(_on_union(p, grid) - _on_union(q, grid)))
 
 
 def _weight_samples(v, grid: np.ndarray):

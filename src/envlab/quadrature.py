@@ -15,15 +15,21 @@ once and reduce the integrands as the rows of a 2-D block with
 `logsumexp_rows`; `log_integral_exp` is the one-integrand form of the
 same steps, through `logsumexp_inplace`, its one-row case.
 
-Terms below exp's underflow are written as the exact 0.0 exp returns for
-them, without calling exp (numpy's exp is one to two orders of magnitude
-slower on such arguments), and `logsumexp_rows` can be told which
-columns of a block hold every term that is not 0.0.  Sums still run over
-whole rows, so results do not move by a bit.
+numpy's exp is one to two orders of magnitude slower on arguments whose
+result is not a normal float, slowest where it is a subnormal.
+`exp_inplace` writes the exact 0.0 that exp returns below EXP_UNDERFLOW
+without calling it, and keeps exp's subnormals.  `exp_normal` calls exp
+only where the result is a normal float and writes 0.0 at or below
+LOG_TINY, the log of the smallest one; `logsumexp_rows` reduces through
+it.  A max-shifted row holds the term e⁰ = 1, and a term below 2⁻¹⁰²²
+cannot move such a row's sum by a bit, so its results are those of exp
+on every entry.  It can also be told which columns of a block hold
+every term that is not 0.0; sums still run over whole rows.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -95,6 +101,11 @@ def refine_breakpoints(breakpoints, k: int, *, max_width=None):
 # is e^-744.44); numpy's exp takes a slow path on such arguments.
 EXP_UNDERFLOW = -746.0
 
+# The smallest normal float and its log: exp(x) is a normal float for
+# every x above LOG_TINY, and at most TINY at or below it.
+TINY = float(np.finfo(float).tiny)
+LOG_TINY = math.log(TINY)
+
 
 def exp_inplace(buf: np.ndarray) -> np.ndarray:
     """buf ← exp(buf), writing the exact 0.0 of underflowing entries directly.
@@ -110,8 +121,25 @@ def exp_inplace(buf: np.ndarray) -> np.ndarray:
     return buf
 
 
+def exp_normal(x, out=None) -> np.ndarray:
+    """exp(x) where it is a normal float; the exact 0.0, written without
+    calling exp, wherever x ≤ LOG_TINY or x is NaN.  No subnormal is
+    formed and no floating-point flag is raised.  `out` may be x itself."""
+    x = np.asarray(x, dtype=float)
+    keep = x > LOG_TINY
+    out = np.exp(x, out=np.empty_like(x) if out is None else out, where=keep)
+    out[~keep] = 0.0
+    return out
+
+
 def logsumexp_rows(buf: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """log Σ exp of each row of a 2-D buf, max-shifted; overwrites buf.
+
+    A shifted term at or below LOG_TINY is written as 0.0 (`exp_normal`)
+    rather than exp's subnormal or 0.0.  The row's max term is exactly 1,
+    so such a term, below 2⁻¹⁰²², changes only partial sums far below 1,
+    and those vanish in the addition to the partial that holds the 1: each
+    result is bit for bit that of exp on every entry.
 
     Only buf[:, lo:hi] is read: the caller guarantees that every entry
     outside it lies more than −EXP_UNDERFLOW below its row's max inside,
@@ -122,7 +150,7 @@ def logsumexp_rows(buf: np.ndarray, lo: int = 0, hi: int | None = None) -> np.nd
     mx = np.max(live, axis=1) if live.size else np.full(buf.shape[0], -np.inf)
     ok = np.isfinite(mx)
     live -= np.where(ok, mx, 0.0)[:, None]
-    exp_inplace(live)
+    exp_normal(live, out=live)
     buf[:, :lo] = 0.0
     buf[:, lo + live.shape[1]:] = 0.0
     out = np.log(np.sum(buf, axis=1), out=np.full(buf.shape[0], -np.inf), where=ok)

@@ -73,7 +73,9 @@ from .profiles import (
 from .quadrature import (
     EXP_UNDERFLOW,
     GL_NODES,
+    TINY,
     exp_inplace,
+    exp_normal,
     gauss_cells,
     insert_interior,
     log_density,
@@ -356,10 +358,14 @@ def _plan_breaks(u: ConvexProfile, K: WeightedSet, nu: RadialMeasure):
     as every constructor in `measures` builds it; v kinks at K's component
     ends, and at its nodes where it is their nonzero piecewise-linear
     interpolant (no `v_fn`); u at the contact points where a
-    `WindowEnvelope` switches to its tangent lines, else at its grid."""
+    `WindowEnvelope` switches to its tangent lines, else at its grid.
+    Cells without a `density_fn` raise InputError: quadrature integrates
+    the density, and their masses alone do not give it."""
     bp = nu.breakpoints
     if bp.size == 0:
         return None
+    if nu.density_fn is None:
+        raise InputError("a measure with cells needs a density_fn to integrate against")
     ts, vs = K.sample_points()
     kinks = [np.ravel([(a, b) for a, b, _, _ in K.components])]
     if K.v_fn is None and np.any(vs):
@@ -391,7 +397,8 @@ class _NormPlan:
     takes the indices as the rows of (index × node) blocks of at most
     KERNEL_BLOCK entries, each row the arithmetic of a separate quadrature
     of its index: j·t, less the index-free terms in order, plus log ρ and
-    log w; the row max, `exp_inplace` and the sum over the whole row.
+    log w; then `logsumexp_rows`: the row max, exp and the sum over the
+    whole row.
     Cells wholly beyond exp's underflow below every row's peak are not
     evaluated: their terms are exactly 0.0.  The atoms and the closed-form
     tails beyond a whole-line measure's ends are arrays over the indices
@@ -411,15 +418,13 @@ class _NormPlan:
             ts, ws = gauss_cells(self.cells)
             self.log_ws = np.log(ws)
             self.body = _Exponent(ts, k, m, u, K, singular)
-            self.log_dens = (None if nu.density_fn is None
-                             else log_density(nu.density_fn, ts))
+            self.log_dens = log_density(nu.density_fn, ts)
             # per cell: its first and last node, and the max of the index-free
             # part E_j − j·t + log ρ + log w over its nodes
             free = self.log_ws.copy()
             for x in self.body.terms:
                 free -= x
-            if self.log_dens is not None:
-                free += self.log_dens
+            free += self.log_dens
             cells = (self.cells.size - 1, GL_NODES)
             self.cell_free = free.reshape(cells).max(axis=1)
             self.cell_t0, self.cell_t1 = ts.reshape(cells)[:, [0, -1]].T
@@ -452,8 +457,7 @@ class _NormPlan:
             span = slice(live[0] * GL_NODES, (live[-1] + 1) * GL_NODES)
             ex = block[:j.size]
             sub = self.body(j, out=ex[:, span], span=span)
-            if self.log_dens is not None:
-                sub += self.log_dens[span]
+            sub += self.log_dens[span]
             sub += self.log_ws[span]
             out[lo:lo + j.size] = logsumexp_rows(ex, span.start, span.stop)
         return out
@@ -528,30 +532,14 @@ class _SupPlan:
 # tail is e^{k·g*}·x^A (1 − x)^{B−A} with A = j − k·lo (mirrored at x₁) and
 # B = m − k·c.
 
-_TINY = float(np.finfo(float).tiny)
-_LOG_TINY = math.log(_TINY)
-
 # The tails' ₂F₁ series are summed to at most this many terms; a window end
 # so near 0 or c that more are needed leaves the norms to the plan.
 SERIES_MAX_TERMS = 256
 
 
-def _exp_normal(x: np.ndarray) -> np.ndarray:
-    """exp(x), with 0.0 written wherever the result would not be a normal
-    float: neither a subnormal nor an underflow flag is produced."""
-    return exp_inplace(np.where(x > _LOG_TINY, x, -np.inf))
-
-
 def _log_positive(x: np.ndarray) -> np.ndarray:
     """log x, −∞ where x is 0."""
     return np.log(x, out=np.full_like(x, -np.inf), where=x > 0)
-
-
-def _log_add(rows) -> np.ndarray:
-    """log Σ exp over rows, elementwise; each column has a finite entry."""
-    rows = np.vstack(rows)
-    mx = np.max(rows, axis=0)
-    return mx + np.log(np.sum(_exp_normal(rows - mx), axis=0))
 
 
 def _log1m_exp(d: np.ndarray) -> np.ndarray:
@@ -560,7 +548,7 @@ def _log1m_exp(d: np.ndarray) -> np.ndarray:
     near = (d > -math.log(2.0)) & (d < 0)
     far = d <= -math.log(2.0)
     out[near] = np.log(-np.expm1(d[near]))
-    out[far] = np.log1p(-_exp_normal(d[far]))
+    out[far] = np.log1p(-exp_normal(d[far]))
     return out
 
 
@@ -590,7 +578,7 @@ def _log_binomial_tails(n: int, x: Fraction, js: np.ndarray):
     xf = float(x)
     i = np.arange(n + 1)
     log_pmf = _log_binomials(n) + i * math.log(xf) + (n - i) * math.log1p(-xf)
-    w = _exp_normal(log_pmf - np.max(log_pmf))
+    w = exp_normal(log_pmf - np.max(log_pmf))
     lower = np.cumsum(w)
     upper = np.cumsum(w[::-1])[::-1]
     log_total = math.log(lower[-1])
@@ -628,10 +616,10 @@ def _log_tail(a1: np.ndarray, b2: float, x: float) -> np.ndarray | None:
         n = np.arange(n_terms + 1, dtype=float)[:, None]
         log_ratio = np.log((b2 + n) / (a1 + 1.0 + n)) + log_x
         log_terms = np.cumsum(log_ratio, axis=0)     # row i: log t_{i+1}
-        total = 1.0 + np.sum(_exp_normal(log_terms[:-1]), axis=0)   # t_0..t_N
+        total = 1.0 + np.sum(exp_normal(log_terms[:-1]), axis=0)   # t_0..t_N
         # the ratios t_{i+1}/t_i are monotone in i with limit x, so every
         # one past N is at most q = max(x, ratio_N)
-        q = np.maximum(x, _exp_normal(log_ratio[-1]))
+        q = np.maximum(x, exp_normal(log_ratio[-1]))
         if np.all(q < 1.0):
             bound = log_terms[-1] - np.log1p(-q)
             if np.all(bound <= np.log(total) - 53.0 * math.log(2.0)):
@@ -688,7 +676,7 @@ def _closed_form_log_norms2(k: int, m: int, js: np.ndarray, u: ConvexProfile,
             if tail is None:
                 return None
             pieces.append(float(k) * fs_conjugate(s, c) + tail)
-    return _log_add(pieces)
+    return logsumexp_rows(np.column_stack(pieces))
 
 
 def _fs_beta_cdfs(t: np.ndarray, m: int, j_min: int, n_J: int,
@@ -726,12 +714,12 @@ def _fs_beta_cdfs(t: np.ndarray, m: int, j_min: int, n_J: int,
         lw[:, 0] = 0.0
         np.cumsum(np.where(above, steps, 0.0), axis=1, out=lw[:, 1:])
         lw[:, :-1] -= np.cumsum(np.where(above, 0.0, steps)[:, ::-1], axis=1)[:, ::-1]
-        w = _exp_normal(lw)
+        w = exp_normal(lw)
         num = w @ weights
         den = (np.sum(w, axis=1) / unit)[:, None]
         # 0.0 where num/den could leave the normal range; the bound is put on
         # num (≥ tiny where nonzero), so no subnormal is ever formed
-        normal = num >= 2.0 * _TINY * np.maximum(den, 1.0)
+        normal = num >= 2.0 * TINY * np.maximum(den, 1.0)
         out[sl] = np.divide(num, den, out=np.zeros_like(num), where=normal)
     return out
 
@@ -904,7 +892,7 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
              for t, w in nu.atoms]
     fine = np.empty(0)
     per_cell = np.empty(0)
-    if breaks is not None and nu.density_fn is not None:
+    if breaks is not None:
         fine = refine_breakpoints(breaks, 4 * k)
         ts, ws = gauss_cells(fine, nodes=48)
         kernel = _kernel(ts, k, m, js, logs, K, tw.rank)
@@ -1020,9 +1008,11 @@ def bergman_approximant(k: int, u: ConvexProfile) -> ConvexProfile:
     a `WindowEnvelope` profile (the fixtures') the norms are closed-form:
     Beta and incomplete-Beta values for the middle of the window and ₂F₁
     series for its tangent-line tails; other profiles use the plan.
-    The returned profile evaluates F̃ exactly (a max-shifted log-sum-exp);
-    its grid values, u's grid padded to the asymptotic range, are samples
-    of it.
+    The returned profile evaluates F̃ exactly: the (point × index)
+    exponents j·t − log N_j² go through `logsumexp_rows`, one row per
+    point, and are divided by k.  Its grid is u's grid padded to the
+    asymptotic range, so it contains u's, and its values are F̃ there, bit
+    for bit what evaluating it gives.
     """
     if u.mass <= 0:
         raise NoSectionsError("approximant needs positive mass")
@@ -1034,9 +1024,9 @@ def bergman_approximant(k: int, u: ConvexProfile) -> ConvexProfile:
     logs = basis.log_norms2
 
     def F(t):
-        ex = js * np.asarray(t, dtype=float)[..., None] - logs
-        mx = np.max(ex, axis=-1)
-        return (mx + np.log(np.sum(np.exp(ex - mx[..., None]), axis=-1))) / float(k)
+        t = np.asarray(t, dtype=float)
+        ex = js * t.reshape(-1, 1) - logs
+        return (logsumexp_rows(ex) / float(k)).reshape(t.shape)
 
     grid = _pad_to_asymptotes(u.grid)
     vals = F(grid)

@@ -324,6 +324,53 @@ class TestRunApprox:
         assert [f for f in failures if f.startswith("sweep:")] == [
             f"sweep: mass bound broken at k={k}" for k in (3, 4, 5)]
 
+    # On the committed third-quarter config (window [1/3, 3/4], k = 25 …
+    # 400, sweep 1..500) the real approximant at k has J = [j₀, j₁] with
+    # j₀ the least integer > k/3 − 1 and j₁ the greatest < 3k/4 + 1.  Each
+    # stand-in below replaces it at one k by the window [1/3 + a, 3/4 + b],
+    # whose Lelong gap is max(|a|, |b|), mass gap b − a and divergence
+    # |a| + |b|; the sweep sees the stand-in at that k too.
+
+    @staticmethod
+    def window_at(monkeypatch, at, a, b):
+        real = experiments.bergman_approximant
+
+        def approximant(k, u):
+            if k != at:
+                return real(k, u)
+            return window_envelope(1, u.s_minus + a, 1 - u.s_plus - b)
+
+        monkeypatch.setattr(experiments, "bergman_approximant", approximant)
+
+    def test_lelong_gap_past_one_over_k_fails(self, tmp_path, monkeypatch):
+        # Lelong gap 3/50 > 1/25 at the mass the envelope has; divergence
+        # 6/50 at k = 25, then 1/75 + 1/100 at k = 50
+        self.window_at(monkeypatch, 25, Fraction(3, 50), Fraction(3, 50))
+        rows, failures = run_experiment(committed("approx_third_quarter"), str(tmp_path))
+        assert failures == ["Lelong sandwich broken at k=25",
+                            "sweep: Lelong bound broken at k=25"]
+        assert broken_rows(rows) == [("approx[third-quarter:lelong-gap]", 25)]
+
+    def test_mass_below_the_envelope_fails(self, tmp_path, monkeypatch):
+        # mass gap −1/400 at Lelong gap 1/400; divergence 1/400 after 1/300
+        self.window_at(monkeypatch, 400, Fraction(1, 400), Fraction(0))
+        rows, failures = run_experiment(committed("approx_third_quarter"), str(tmp_path))
+        assert failures == ["mass bound broken at k=400",
+                            "sweep: mass bound broken at k=400"]
+        assert broken_rows(rows) == [("approx[third-quarter:mass]", 400)]
+
+    def test_rising_divergence_fails(self, tmp_path, monkeypatch):
+        # both gates at their bounds (Lelong gap 1/200, mass gap 2/200)
+        # pass, but the divergence rises from 1/300 at k = 100 (J = [33, 75])
+        # to 2/200 = 0.01; the divergence rows claim a pass regardless
+        self.window_at(monkeypatch, 200, Fraction(-1, 200), Fraction(1, 200))
+        rows, failures = run_experiment(committed("approx_third_quarter"), str(tmp_path))
+        assert failures == ["divergence not monotone: 0.003333 -> 0.01"]
+        assert broken_rows(rows) == []
+        div, = [r.value for r in rows
+                if r.experiment.endswith(":divergence]") and r.k == 200]
+        assert div == 0.01
+
 
 CONFIGS = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
 

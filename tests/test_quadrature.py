@@ -7,11 +7,15 @@ from hypothesis import strategies as st
 
 from envlab.quadrature import (
     EXP_UNDERFLOW,
+    LOG_TINY,
+    TINY,
     exp_inplace,
+    exp_normal,
     insert_interior,
     log_integral_exp,
     logsumexp,
     logsumexp_inplace,
+    logsumexp_rows,
     refine_breakpoints,
     union,
 )
@@ -155,6 +159,96 @@ class TestLogSumExp:
     def test_empty_and_all_minus_inf(self):
         assert logsumexp(np.empty(0)) == -np.inf
         assert logsumexp(np.full(4, -np.inf)) == -np.inf
+
+
+def exp_every_entry_logsumexp_rows(vals):
+    """Reference: per row the max shift, np.exp on every entry (its
+    subnormals and 0.0 included), the sum and the log; −∞ where the row
+    max is not finite."""
+    mx = np.max(vals, axis=1)
+    ok = np.isfinite(mx)
+    with np.errstate(under="ignore", divide="ignore"):
+        terms = np.exp(vals - np.where(ok, mx, 0.0)[:, None])
+        return np.where(ok, mx + np.log(np.sum(terms, axis=1)), -np.inf)
+
+
+# offsets below a row's max: in exp's normal range, in the band
+# (EXP_UNDERFLOW, LOG_TINY] where exp gives a subnormal, below exp's
+# underflow, the band's edges, and −∞
+row_offsets = st.one_of(
+    st.floats(-700.0, 0.0),
+    st.floats(EXP_UNDERFLOW, LOG_TINY, exclude_min=True),
+    st.floats(-2000.0, EXP_UNDERFLOW, exclude_max=True),
+    st.sampled_from([LOG_TINY, float(np.nextafter(LOG_TINY, 0.0)), EXP_UNDERFLOW,
+                     -745.1, -744.4]),
+    st.just(-np.inf),
+)
+
+
+@st.composite
+def row_blocks(draw):
+    """(vals, lo, hi): rows whose max lies in [lo, hi) and whose entries
+    outside it lie more than −EXP_UNDERFLOW below that max; some rows are
+    all −∞."""
+    n = draw(st.integers(1, 40))
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n))
+    vals = np.empty((draw(st.integers(1, 6)), n))
+    for row in vals:
+        if draw(st.integers(0, 4)) == 0:
+            row[:] = -np.inf
+            continue
+        row[:] = draw(st.lists(row_offsets, min_size=n, max_size=n))
+        row[lo + draw(st.integers(0, hi - lo - 1))] = 0.0
+        outside = np.r_[0:lo, hi:n]
+        row[outside] = np.minimum(row[outside], EXP_UNDERFLOW - 1.0)
+        row += draw(st.floats(-400.0, 400.0))
+    return vals, lo, hi
+
+
+class TestLogSumExpRows:
+    @settings(max_examples=200, deadline=None)
+    @given(block=row_blocks())
+    def test_matches_exp_on_every_entry(self, block):
+        vals, lo, hi = block
+        want = exp_every_entry_logsumexp_rows(vals)
+        assert np.array_equal(logsumexp_rows(vals.copy()), want)
+        buf = vals.copy()
+        buf[:, :lo] = np.nan     # not read
+        buf[:, hi:] = np.nan
+        with np.errstate(all="raise"):
+            assert np.array_equal(logsumexp_rows(buf, lo, hi), want)
+
+    def test_no_term_at_or_below_log_tiny_reaches_exp(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        vals = rng.uniform(-2000.0, 0.0, (50, 200))
+        vals[:, 0] = 0.0
+        vals[:, 1:20] = rng.uniform(EXP_UNDERFLOW, LOG_TINY, (50, 19))
+        want = exp_every_entry_logsumexp_rows(vals)
+        real, args = np.exp, []
+
+        def spy(x, *rest, where=True, **kw):
+            args.append(np.asarray(x)[np.broadcast_to(where, np.shape(x))])
+            return real(x, *rest, where=where, **kw)
+
+        monkeypatch.setattr(np, "exp", spy)
+        got = logsumexp_rows(vals.copy())
+        monkeypatch.undo()
+        assert np.array_equal(got, want)
+        seen = np.concatenate(args)
+        assert seen.size == np.count_nonzero(vals > LOG_TINY)
+        assert np.all(seen > LOG_TINY)
+
+    def test_exp_normal_writes_zero_at_and_below_log_tiny(self):
+        x = np.asarray([-np.inf, -1000.0, EXP_UNDERFLOW, -720.0, LOG_TINY,
+                        float(np.nextafter(LOG_TINY, 0.0)), -1.0, 0.0, np.nan])
+        with np.errstate(all="raise"):
+            got = exp_normal(x)
+        assert np.array_equal(got[:5], np.zeros(5)) and got[8] == 0.0
+        assert np.all(got[5:8] >= TINY)
+        assert np.array_equal(got[5:8], np.exp(x[5:8]))
+        buf = x.copy()
+        assert exp_normal(buf, out=buf) is buf and np.array_equal(buf, got)
 
 
 class TestLogIntegralExp:

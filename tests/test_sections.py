@@ -42,7 +42,7 @@ from envlab.errors import (
     InputError,
     NoSectionsError,
 )
-from envlab import sections
+from envlab import experiments, profiles, sections
 from envlab.basefun import logistic_density, logit, sigmoid, softplus
 from envlab.experiments import ExperimentConfig, run_volume, weighted_fixture
 from envlab.measures import RadialMeasure
@@ -1058,3 +1058,72 @@ class TestApproximant:
         line = window_envelope(1, Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(NoSectionsError):
             bergman_approximant(10, line)
+
+
+def inline_approximant(js, logs, k, t):
+    """Reference: F̃_k as a separate max-shifted log-sum-exp, np.exp on
+    every (point, index) entry."""
+    ex = js * np.asarray(t, dtype=float)[..., None] - logs
+    mx = np.max(ex, axis=-1)
+    return (mx + np.log(np.sum(np.exp(ex - mx[..., None]), axis=-1))) / float(k)
+
+
+# the approx configs' fixtures at their scheduled k, and k across the
+# third-quarter config's 1..500 sweep, one in each quarter
+APPROX_CASES = ([("vtheta", k) for k in (12, 24, 48, 96)]
+                + [("third-quarter", k) for k in (25, 50, 100, 200, 400)]
+                + [("third-quarter", k) for k in (109, 142, 300, 451)])
+
+
+class TestApproximantEvaluation:
+    @pytest.mark.parametrize("fixture,k", APPROX_CASES)
+    def test_matches_the_inline_formula(self, fixture, k):
+        u = experiments.radial_fixture(fixture)
+        basis = section_basis(k, u, WeightedSet.whole(), fs_measure(),
+                              singular_weight=True)
+        js = np.asarray(basis.J, dtype=float)
+        ap = bergman_approximant(k, u)
+        ts = np.concatenate([ap.grid, np.linspace(-50.0, 50.0, 37), [0.1, -7.3]])
+        assert np.array_equal(ap(ts), inline_approximant(js, basis.log_norms2, k, ts))
+        assert ap(0.1) == inline_approximant(js, basis.log_norms2, k, 0.1)
+
+    @pytest.mark.parametrize("fixture,k", APPROX_CASES)
+    def test_values_are_the_evaluation_on_the_grid(self, fixture, k):
+        ap = bergman_approximant(k, experiments.radial_fixture(fixture))
+        assert np.array_equal(ap(ap.grid), ap.values)
+        assert np.array_equal(ap.shifted(0.5)(ap.grid), ap.shifted(0.5).values)
+
+    def test_sup_difference_reads_the_values(self, monkeypatch):
+        # two profiles on one grid: the union adds no point, so neither is
+        # evaluated there
+        u = experiments.radial_fixture("third-quarter")
+        ap = bergman_approximant(50, u)
+        on_ap_grid = u.resampled(ap.grid)
+        want = float(np.max(u(ap.grid) - ap(ap.grid)))
+        monkeypatch.setattr(type(ap), "__call__", refuse)
+        assert profiles.sup_difference(ap, ap) == 0.0
+        assert profiles.sup_difference(on_ap_grid, ap) == want
+
+
+class TestCellsWithoutDensity:
+    """ν with the FS cells and masses but no density: quadrature has no
+    density to integrate, so every route refuses it."""
+
+    NU = RadialMeasure(fs_measure().breakpoints, fs_measure().cell_masses, ())
+
+    def test_section_basis(self):
+        K = WeightedSet.whole(v=lambda t: 0.1 + 0.0 * t)
+        with pytest.raises(InputError, match="density_fn"):
+            section_basis(10, base_profile(1), K, self.NU)
+        with pytest.raises(InputError, match="density_fn"):
+            section_basis(10, base_profile(1), WeightedSet.whole(), self.NU)
+
+    def test_bergman(self):
+        assert self.NU.total_mass() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(InputError, match="density_fn"):
+            bergman(10, base_profile(1), WeightedSet.whole(), self.NU)
+
+    def test_gram(self):
+        with pytest.raises(InputError, match="density_fn"):
+            gram(5, base_profile(1), WeightedSet.whole(),
+                 lambda t, phi: 0.3 * np.cos(phi) + 0.0 * t, self.NU)
