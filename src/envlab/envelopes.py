@@ -7,6 +7,18 @@ lower hull; the envelope is the upper envelope of the resulting tangent
 lines, assembled as a piecewise-linear profile whose tail slopes are the
 exact rational window endpoints.
 
+The hull is taken only on the contact slice of the samples: from the
+first maximizer of lo·t − f to the last maximizer of hi·t − f.  Every
+hull chord left of it is at most lo and every one right of it at least
+hi, so they clip to the window ends, which are slopes already; the slopes
+and the conjugate values are those of the whole line's hull.  That holds
+bit for bit wherever float rounding does not decide the hull at the
+slice's ends.  On samples that lie on a line of slope lo or hi only to
+rounding, the chords near a slice end can differ from lo or hi by an
+ulp, differently on the slice and on the whole line, and one of the two
+hulls then gives an extra slope an ulp inside the window; the two
+envelopes agree as functions to rounding.
+
 Two closed-form fast paths exist: the slope-window envelope of the base
 potential (the I-model projection, evaluated by `WindowEnvelope`) and
 rooftops of two such envelopes (window intersection).  Everything else
@@ -156,16 +168,24 @@ def envelope_of_samples(
     limit_lo / limit_hi inject sup values attained at t = ∓∞ into the
     conjugate at the window endpoints (only meaningful when lo = 0 resp.
     hi = c, where the obstacle levels off in the unbounded direction).
+    The hull and the conjugate see only the contact slice (module doc).
     """
     obs_ts = np.asarray(obs_ts, dtype=float)
     obs_fs = np.asarray(obs_fs, dtype=float)
     if obs_ts.size == 0:
         raise InputError("empty obstacle")
+    if not (np.all(np.isfinite(obs_ts)) and np.all(np.isfinite(obs_fs))):
+        raise InputError("obstacle samples must be finite")
     order = np.argsort(obs_ts)
     obs_ts, obs_fs = obs_ts[order], obs_fs[order]
 
     lo_f, hi_f = float(window.lo), float(window.hi)
-    ht, hf = lower_hull(obs_ts, obs_fs)
+    # the contact slice: from the first maximizer of lo·t − f to the last
+    # of hi·t − f; hull chords outside it clip to lo resp. hi
+    first = int(np.argmax(lo_f * obs_ts - obs_fs))
+    last = obs_ts.size - 1 - int(np.argmax((hi_f * obs_ts - obs_fs)[::-1]))
+    contact = slice(first, max(first, last) + 1)
+    ht, hf = lower_hull(obs_ts[contact], obs_fs[contact])
     chords = np.diff(hf) / np.diff(ht) if ht.size > 1 else np.empty(0)
     slopes = union([lo_f, hi_f], np.clip(chords, lo_f, hi_f))
     cvals = conjugate_at_slopes(ht, hf, slopes)

@@ -77,11 +77,13 @@ class RadialMeasure:
             cum = np.concatenate([[0.0], np.cumsum(self.cell_masses)])
             out += np.interp(ts, self.breakpoints, cum,
                              left=0.0, right=cum[-1])
-        for t, w in self.atoms:
-            if side == "right":
-                out += np.where(ts >= t, w, 0.0)
-            else:
-                out += np.where(ts > t, w, 0.0)
+        if self.atoms:
+            at, w = np.array(self.atoms).T
+            hit = ts[..., None] >= at if side == "right" else ts[..., None] > at
+            # the cell CDF, then each atom's term in atom order, one add at
+            # a time: the float sums of a loop over the atoms
+            terms = np.concatenate([out[..., None], np.where(hit, w, 0.0)], axis=-1)
+            out = np.add.accumulate(terms, axis=-1)[..., -1]
         return out
 
     def support_points(self) -> np.ndarray:
@@ -190,7 +192,12 @@ def measure_integral(f, m: RadialMeasure, extra_breaks=None) -> float:
     cell midpoint rule refined by the cell masses (only exact for affine
     f, which is all the callers need when no density is available).
     """
-    out = sum(w * float(np.atleast_1d(f(np.asarray([t])))[0]) for t, w in m.atoms)
+    out = 0
+    if m.atoms:
+        # f once on every atom; the weighted values summed in atom order
+        at = np.array([t for t, _ in m.atoms])
+        fa = np.broadcast_to(np.asarray(f(at), dtype=float), at.shape).tolist()
+        out = sum(w * fv for (_, w), fv in zip(m.atoms, fa))
     if m.cell_masses.size == 0:
         return out
     if m.density_fn is None:

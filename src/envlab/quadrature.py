@@ -4,6 +4,11 @@
 stay resolved; unbounded directions are closed exponential-tail
 integrals (profiles are exactly affine there).
 
+The rules come from a table in this module: the 32- and 48-node rules,
+the floats of `np.polynomial.legendre.leggauss` written as `float.hex`.
+No run imports `numpy.polynomial` or solves its eigenproblem, and a node
+count outside the table raises `InputError`.
+
 `union` merges t-grids into sorted distinct values, and
 `insert_interior` adds the points of one grid that lie strictly inside
 another's ends; every grid merge in the package goes through them.
@@ -30,17 +35,85 @@ every term that is not 0.0; sums still run over whole rows.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
+
+from .errors import InputError
 
 GL_NODES = 32
 
 
-@lru_cache(maxsize=8)
-def _leggauss(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+# The positive nodes, ascending, and their weights of the n-point
+# Gauss–Legendre rules on [−1, 1] that the package uses, as the float.hex
+# of `np.polynomial.legendre.leggauss(n)`.  That rule is exactly
+# symmetric (x = −x[::-1], w = w[::-1]), so each half determines it.
+_GL_HALVES = {
+    32: """
+        0x1.8bbc8488cc49ap-5 0x1.8b6d9eaec77a3p-4
+        0x1.27e0ea717f237p-3 0x1.87bc776f8c6ccp-4
+        0x1.ea0f7e19c094bp-3 0x1.8062fc0f6fef5p-4
+        0x1.53d55ce57bdf6p-2 0x1.7572bdb3f6e49p-4
+        0x1.af76b57c6f8f1p-2 0x1.6705e18e13ecfp-4
+        0x1.038862866b29dp-1 0x1.553ee25ebebc3p-4
+        0x1.2ce9146962ca4p-1 0x1.40483e126fd0ep-4
+        0x1.537a89c487f8ap-1 0x1.2854103b35e00p-4
+        0x1.76e0931d693bap-1 0x1.0d9b9a62cac04p-4
+        0x1.96c69481c4bc5p-1 0x1.e0bd76c924984p-5
+        0x1.b2e04fd686a13p-1 0x1.a1c6ae961fbeep-5
+        0x1.caea9b4574cb9p-1 0x1.5ee963a3354abp-5
+        0x1.deac0259f7f42p-1 0x1.18c5800a35609p-5
+        0x1.edf5518053baap-1 0x1.a0060a8531ff0p-6
+        0x1.f8a212714bcdcp-1 0x1.0aa3c248696dep-6
+        0x1.fe995e70409b6p-1 0x1.cbf8bc743ce34p-8
+    """,
+    48: """
+        0x1.094223ea6196ep-5 0x1.092a652a0fba4p-4
+        0x1.8d54ccaa9b7b4p-4 0x1.080dac3f3724cp-4
+        0x1.4a2ef25599831p-3 0x1.05d56c2248c2dp-4
+        0x1.cc50f5488fbefp-3 0x1.028406fc86d22p-4
+        0x1.26425a1527d42p-2 0x1.fc3a19b11a281p-5
+        0x1.65204357a6388p-2 0x1.f14a6f9e10aacp-5
+        0x1.a27eb589dea3bp-2 0x1.e444cde6cfffcp-5
+        0x1.de1bcb894046ap-2 0x1.d537300bfd4b4p-5
+        0x1.0bdbc159f3714p-1 0x1.c431bfe4b318dp-5
+        0x1.2789ffd1f24a0p-1 0x1.b146c443c7e03p-5
+        0x1.41fae84d5a001p-1 0x1.9c8a8d586186bp-5
+        0x1.5b1216aac49a1p-1 0x1.86135edf0a9e7p-5
+        0x1.72b49a0302d99p-1 0x1.6df9583af7196p-5
+        0x1.88c91196f8e2dp-1 0x1.54565a91a83e9p-5
+        0x1.9d37c81006d1dp-1 0x1.3945ed05d7d52p-5
+        0x1.afeaccf5eeb9ep-1 0x1.1ce51f31f7018p-5
+        0x1.c0ce0c3f55453p-1 0x1.fea4d40fed237p-6
+        0x1.cfcf63e4a4e84p-1 0x1.c15b1e8f69982p-6
+        0x1.dcdeb7610754bp-1 0x1.822eefbc974b7p-6
+        0x1.e7ee011520dfap-1 0x1.416423e8cbb26p-6
+        0x1.f0f161978472fp-1 0x1.fe80c5c315b36p-7
+        0x1.f7df2d6c8eed7p-1 0x1.781605954a664p-7
+        0x1.fcaffc9af24a4p-1 0x1.e037f45d9bc6dp-8
+        0x1.ff5ee9d8af2e2p-1 0x1.9d50bc55d51a7p-9
+    """,
+}
+
+
+def _mirrored(half: str):
+    x, w = np.array([float.fromhex(v) for v in half.split()]).reshape(-1, 2).T
+    x, w = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
+
+
+_GL_RULES = {n: _mirrored(half) for n, half in _GL_HALVES.items()}
+
+
+def _leggauss(n: int):
+    """Nodes and weights of the tabulated n-point Gauss–Legendre rule."""
+    try:
+        return _GL_RULES[n]
+    except KeyError:
+        raise InputError(
+            f"no {n}-point Gauss–Legendre rule; tabulated: {sorted(_GL_RULES)}"
+        ) from None
 
 
 def gauss_cells(breakpoints: np.ndarray, nodes: int = GL_NODES):

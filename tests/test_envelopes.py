@@ -1,9 +1,13 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from envlab import envelopes
 from envlab import (
     ConvexProfile,
     WeightedSet,
@@ -24,7 +28,9 @@ from envlab import (
 )
 from envlab.envelopes import _obstacle_samples, envelope_of_samples, window_envelope
 from envlab.errors import FeasibilityError, InfeasibleClassError, InputError
+from envlab.experiments import weighted_fixture
 from envlab.profiles import SlopeWindow, WindowEnvelope
+from envlab.quadrature import union
 
 from conftest import random_pl_profile, random_weighted_set
 
@@ -111,6 +117,122 @@ class TestBiconjugacy:
         want = brute_force_biconjugate(p, ts, slopes)
         got = restricted_biconjugate(p)(ts)
         assert np.max(np.abs(got - want)) < 1e-9
+
+
+def full_hull_envelope(window, obs_ts, obs_fs, extra_nodes=None,
+                       limit_lo=None, limit_hi=None):
+    """Reference: `envelope_of_samples` with the hull and the conjugate
+    taken over every sample, not only the contact slice."""
+    obs_ts = np.asarray(obs_ts, dtype=float)
+    obs_fs = np.asarray(obs_fs, dtype=float)
+    order = np.argsort(obs_ts)
+    obs_ts, obs_fs = obs_ts[order], obs_fs[order]
+    lo_f, hi_f = float(window.lo), float(window.hi)
+    ht, hf = envelopes.lower_hull(obs_ts, obs_fs)
+    chords = np.diff(hf) / np.diff(ht) if ht.size > 1 else np.empty(0)
+    slopes = union([lo_f, hi_f], np.clip(chords, lo_f, hi_f))
+    cvals = envelopes.conjugate_at_slopes(ht, hf, slopes)
+    if limit_lo is not None and slopes[0] == lo_f:
+        cvals[0] = max(cvals[0], limit_lo)
+    if limit_hi is not None and slopes[-1] == hi_f:
+        cvals[-1] = max(cvals[-1], limit_hi)
+    nodes = obs_ts if extra_nodes is None else union(obs_ts, extra_nodes)
+    return envelopes._assemble(window, list(slopes), list(cvals), nodes)
+
+
+def same_profile(got, want):
+    assert got.grid.tobytes() == want.grid.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.s_minus, got.s_plus) == (want.s_minus, want.s_plus)
+    assert float(got.a_minus).hex() == float(want.a_minus).hex()
+    assert float(got.a_plus).hex() == float(want.a_plus).hex()
+
+
+@st.composite
+def windowed_obstacles(draw):
+    """(window, ts, fs, limit_lo, limit_hi) with distinct sample points.
+
+    Integer levels repeat, which gives flat runs and argmax ties at slope
+    0.  When every point is a multiple of 1/8, a run may also lie on a
+    line of slope lo or hi that is a multiple of 1/4: s·t − 1 is then
+    exact, and so are the ties at that slope."""
+    c = Fraction(draw(st.integers(1, 3)))
+    ends = st.integers(0, 12).map(lambda i: c * Fraction(i, 12))
+    lo, hi = sorted([draw(ends), draw(ends)])
+    window = SlopeWindow(lo, hi, c)
+    n = draw(st.integers(1, 24))
+    eighths = st.integers(-80, 80).map(lambda i: i / 8)
+    on_grid = draw(st.booleans())
+    point = eighths if on_grid else eighths | st.floats(-20.0, 20.0)
+    ts = sorted(draw(st.lists(point, min_size=n, max_size=n, unique=True)))
+    level = st.integers(-3, 3).map(float) | st.floats(-20.0, 20.0)
+    fs = draw(st.lists(level, min_size=n, max_size=n))
+    for s in (lo, hi):
+        if on_grid and (4 * s).denominator == 1 and draw(st.booleans()):
+            a = draw(st.integers(0, n - 1))
+            b = draw(st.integers(a, n - 1))
+            fs[a:b + 1] = [float(s) * t - 1.0 for t in ts[a:b + 1]]
+    limit = st.none() | st.floats(-20.0, 20.0)
+    limit_lo = draw(limit) if lo == 0 else None
+    limit_hi = draw(limit) if hi == c else None
+    return window, ts, fs, limit_lo, limit_hi
+
+
+class TestEnvelopeOfSamples:
+    @settings(max_examples=400, deadline=None)
+    @given(case=windowed_obstacles())
+    @example(case=(SlopeWindow(0, 1, 1), [-1.0, 1.0], [0.5, 0.25], 0.75, -3.0))
+    @example(case=(SlopeWindow(Fraction(1, 2), Fraction(1, 2), 1),
+                   [-1.0, 0.0, 1.0, 2.0], [1.0, -0.5, 0.0, 0.5], None, None))
+    @example(case=(SlopeWindow(0, Fraction(1, 3), 1),
+                   [0.0, 1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 1.0, 1.0, 3.0], 0.0, None))
+    def test_contact_slice_matches_full_hull(self, case):
+        window, ts, fs, limit_lo, limit_hi = case
+        kw = dict(extra_nodes=ts, limit_lo=limit_lo, limit_hi=limit_hi)
+        try:
+            want = full_hull_envelope(window, ts, fs, **kw)
+        except InputError as exc:
+            # e.g. samples 1e-264 apart: the profile fails validation
+            with pytest.raises(InputError, match=re.escape(str(exc))):
+                envelope_of_samples(window, ts, fs, **kw)
+            return
+        same_profile(envelope_of_samples(window, ts, fs, **kw), want)
+
+    def test_rounding_collinear_end_agrees_to_rounding(self):
+        # the last four samples lie on the line of slope hi = 5/6 only to
+        # rounding, and hi·t − f is largest, by an ulp, at t = −1.25.  The
+        # whole hull joins t = −5.625 to the last sample with a chord of
+        # exactly 5/6; the slice ends at −1.25, and its chords differ from
+        # 5/6 by an ulp, one of them an extra slope inside the window.  The
+        # profiles differ in their grids and agree as functions to within
+        # two float spacings at 8.
+        window = SlopeWindow(Fraction(2, 3), Fraction(5, 6), 1)
+        ts = [-7.25, -5.625, -4.5, -1.25, -3.8001821797990174e-130]
+        fs = [3.0, -5.6875, -4.75, -2.041666666666667, -1.0]
+        got = envelope_of_samples(window, ts, fs, extra_nodes=ts)
+        want = full_hull_envelope(window, ts, fs, extra_nodes=ts)
+        assert got.grid.tobytes() != want.grid.tobytes()
+        probe = np.linspace(-30.0, 30.0, 6001)
+        assert np.max(np.abs(got(probe) - want(probe))) <= 2 * np.spacing(8.0)
+
+    def test_hull_sees_only_the_contact_slice(self, monkeypatch):
+        # bump-fs: the obstacle c·f_FS + v over the whole line, window [1/3, 3/4]
+        u, K, _ = weighted_fixture("bump-fs")
+        ts, fs = _obstacle_samples(u.class_mass, K)
+        lo, hi = float(u.s_minus), float(u.s_plus)
+        first = int(np.argmax(lo * ts - fs))
+        last = int(np.flatnonzero(hi * ts - fs == np.max(hi * ts - fs))[-1])
+        seen = []
+        real = envelopes.lower_hull
+        monkeypatch.setattr(envelopes, "lower_hull",
+                            lambda t, f: seen.append(t.size) or real(t, f))
+        got = weighted_envelope(u, K)
+        assert seen == [last - first + 1] and 0 < last - first + 1 < ts.size
+        same_profile(got, full_hull_envelope(u.window, ts, fs, extra_nodes=ts))
+
+    def test_non_finite_samples_raise(self):
+        with pytest.raises(InputError, match="finite"):
+            envelope_of_samples(SlopeWindow(0, 1, 1), [0.0, 1.0], [0.0, np.nan])
 
 
 class TestWeightedEnvelope:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import glob
 import io
 import json
@@ -251,6 +252,61 @@ class TestRunBergman:
         final = [r for r in rows if r.experiment.endswith(":final-dist]")]
         assert len(final) == 1 and not final[0].ok
 
+    # On the committed vtheta-fs config (k = 25, 50, 100, 200) the distance
+    # is 1/k to rounding, the leak 0 of a total mass 1, and the mass identity
+    # holds to 2.2e-16.  Each stand-in below breaks one gate at one k.
+
+    @staticmethod
+    def distance_scaled(monkeypatch, call, factor):
+        """`kolmogorov_distance` times factor at its call-th call (from 0)."""
+        real = experiments.kolmogorov_distance
+        calls = []
+
+        def scaled(m1, m2):
+            calls.append(None)
+            return real(m1, m2) * (factor if len(calls) == call + 1 else 1.0)
+
+        monkeypatch.setattr(experiments, "kolmogorov_distance", scaled)
+
+    def test_rising_distance_fails_the_trend(self, tmp_path, monkeypatch):
+        # k = 100: 0.025 after 0.02, above the slack 1.1; the final 0.005 passes
+        self.distance_scaled(monkeypatch, 2, 2.5)
+        rows, failures = run_experiment(committed("bergman_vtheta"), str(tmp_path))
+        assert failures == ["kolmogorov trend violated: 0.02 -> 0.025"]
+        # the per-k distance rows hard-code a pass
+        assert broken_rows(rows) == []
+
+    def test_final_distance_above_the_threshold_fails(self, tmp_path, monkeypatch):
+        # k = 200: 0.00625 > 0.006, yet below 1.1 times 0.01, so the trend holds
+        self.distance_scaled(monkeypatch, 3, 1.25)
+        rows, failures = run_experiment(committed("bergman_vtheta"), str(tmp_path))
+        assert failures == ["final kolmogorov 0.00625 above threshold 0.006"]
+        assert broken_rows(rows) == [("bergman[vtheta-fs:final-dist]", 200)]
+
+    def test_leak_above_the_tolerance_fails(self, tmp_path, monkeypatch):
+        # 1e-5 of the total mass 1 off the contact set, against leak_tol 1e-6
+        real = experiments.contact_leakage
+        monkeypatch.setattr(experiments, "contact_leakage",
+                            lambda env, K: (1e-5, real(env, K)[1]))
+        rows, failures = run_experiment(committed("bergman_vtheta"), str(tmp_path))
+        assert failures == ["contact-set leakage 1e-05 above 1e-06"]
+        assert broken_rows(rows) == [("bergman[vtheta-fs:leak]", 200)]
+
+    def test_broken_mass_identity_fails(self, tmp_path, monkeypatch):
+        # k = 50: ∫β moved by 2e-8 relative to h0/k = 1.02, past the 1e-8 bound
+        real = experiments.bergman
+
+        def heavier(k, u, K, nu):
+            res = real(k, u, K, nu)
+            if k != 50:
+                return res
+            return dataclasses.replace(res, total_mass=res.total_mass * (1 + 2e-8))
+
+        monkeypatch.setattr(experiments, "bergman", heavier)
+        rows, failures = run_experiment(committed("bergman_vtheta"), str(tmp_path))
+        assert failures == ["mass identity broken at k=50"]
+        assert broken_rows(rows) == [("bergman[vtheta-fs:mass]", 50)]
+
 
 class TestRunEnergy:
     def test_nan_donaldson_fails_the_gap_gate(self, tmp_path, monkeypatch):
@@ -399,19 +455,21 @@ class TestCommittedConfigs:
 
     def test_runs_without_numpy_ma(self, tmp_path):
         # np.unique and np.union1d import numpy.ma on their first call, a
-        # cost each fresh process would pay; grid merges go through union
+        # cost each fresh process would pay; grid merges go through union.
+        # numpy.polynomial would come with leggauss; the Gauss rules are
+        # tabulated instead
         src = os.path.dirname(os.path.dirname(envlab.__file__))
         code = (
             "import sys\n"
             "from envlab.experiments import ExperimentConfig, run_experiment\n"
             f"for path in {CONFIGS!r}:\n"
             f"    run_experiment(ExperimentConfig.from_json(path), {str(tmp_path)!r})\n"
-            "print('numpy.ma' in sys.modules)\n"
+            "print('numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, env={**os.environ, "PYTHONPATH": src},
                              timeout=300, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "False False"
         assert len(list(tmp_path.glob("*.csv"))) == len(CONFIGS)
 
     def test_csvs_parse_to_six_fields(self, first_run):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from envlab import (
     ConvexProfile,
@@ -65,6 +67,36 @@ class TestMAMeasure:
         assert mu.breakpoints[-1] == pytest.approx(np.log(3), abs=1e-12)
 
 
+def loop_cdf(m, ts, side):
+    """Reference: the cell CDF, then one `np.where` per atom, in atom order."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    out = np.zeros_like(ts)
+    if m.breakpoints.size:
+        cum = np.concatenate([[0.0], np.cumsum(m.cell_masses)])
+        out += np.interp(ts, m.breakpoints, cum, left=0.0, right=cum[-1])
+    for t, w in m.atoms:
+        out += np.where(ts >= t if side == "right" else ts > t, w, 0.0)
+    return out
+
+
+points = st.integers(-16, 16).map(lambda i: i / 4) | st.floats(-5.0, 5.0)
+weights = st.floats(1e-3, 10.0)
+
+
+@st.composite
+def measures(draw, max_atoms=12):
+    """Cells, atoms, both or neither; atoms may repeat a position or sit on
+    a breakpoint."""
+    bp = sorted(draw(st.lists(points, max_size=8, unique=True)))
+    bp = bp if len(bp) >= 2 else []
+    masses = draw(st.lists(weights, min_size=max(len(bp) - 1, 0),
+                           max_size=max(len(bp) - 1, 0)))
+    atoms = draw(st.lists(st.tuples(points | st.sampled_from(bp or [0.0]), weights),
+                          max_size=max_atoms))
+    return RadialMeasure(np.asarray(bp, dtype=float), np.asarray(masses, dtype=float),
+                         tuple(atoms))
+
+
 class TestRadialMeasure:
     def test_atoms_must_be_finite_positive(self):
         with pytest.raises(InputError):
@@ -86,6 +118,16 @@ class TestRadialMeasure:
         assert m.cdf(0.5)[0] == pytest.approx(0.25)
         assert m.cdf(2.0)[0] == pytest.approx(1.0)
         assert m.cdf(2.0, side="left")[0] == pytest.approx(0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=measures(), ts=st.lists(points, min_size=1, max_size=20),
+           side=st.sampled_from(["right", "left"]))
+    @example(m=RadialMeasure(np.empty(0), np.empty(0)), ts=[0.0], side="right")
+    def test_cdf_matches_atom_loop(self, m, ts, side):
+        # query points include every atom, so some sit exactly on one
+        ts = np.asarray(ts + [t for t, _ in m.atoms])
+        got = m.cdf(ts, side=side)
+        assert got.tobytes() == loop_cdf(m, ts, side).tobytes()
 
     def test_kolmogorov_hand_example(self):
         m1 = RadialMeasure(np.empty(0), np.empty(0), ((0.0, 1.0),))
@@ -132,11 +174,57 @@ class TestReferenceMeasures:
         assert nu.atoms == ((0.5, 1.0),)
 
 
+def wiggle(t):
+    t = np.asarray(t)
+    return np.sin(3.0 * t) + np.exp(t)
+
+
+def per_atom_sum(f, m):
+    """Reference: f on one atom at a time, as a one-point array, and the
+    weighted values summed in atom order."""
+    return sum(w * float(np.atleast_1d(f(np.asarray([t])))[0]) for t, w in m.atoms)
+
+
 class TestMeasureIntegral:
     def test_atom_integral_exact(self):
         m = RadialMeasure(np.empty(0), np.empty(0), ((1.0, 2.0), (-1.0, 3.0)))
         val = measure_integral(lambda t: np.asarray(t) ** 2, m)
         assert val == pytest.approx(5.0, abs=1e-14)
+
+    @pytest.mark.parametrize("cells", [False, True], ids=["atoms", "atoms-and-cells"])
+    def test_atoms_evaluate_f_once(self, cells):
+        env = weighted_envelope(base_profile(1), WeightedSet.circles([-1.0, 0.5, 2.0]))
+        mu = ma_measure(env)
+        if cells:
+            mu = RadialMeasure(np.asarray([-1.0, 0.0, 1.0]), np.asarray([0.25, 0.5]),
+                               mu.atoms, density_fn=logistic_density)
+        calls = []
+
+        def counted(t):
+            calls.append(np.size(t))
+            return wiggle(t)
+
+        got = measure_integral(counted, mu)
+        assert len(mu.atoms) > 1 and calls[0] == len(mu.atoms)
+        assert len(calls) == 1 + cells
+        want = per_atom_sum(wiggle, mu)
+        if cells:
+            want += measure_integral(wiggle, RadialMeasure(
+                mu.breakpoints, mu.cell_masses, (), density_fn=logistic_density))
+        assert float(got).hex() == float(want).hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=measures(max_atoms=40))
+    def test_matches_a_per_atom_loop(self, m):
+        # up to 40 atoms: numpy's unrolled or pairwise sums would round
+        # differently from the loop
+        want = per_atom_sum(wiggle, m)
+        want += measure_integral(wiggle, RadialMeasure(m.breakpoints, m.cell_masses))
+        assert float(measure_integral(wiggle, m)).hex() == float(want).hex()
+
+    def test_constant_f_weighs_every_atom(self):
+        m = RadialMeasure(np.empty(0), np.empty(0), ((1.0, 2.0), (-1.0, 3.0)))
+        assert measure_integral(lambda t: 1.5, m) == 7.5
 
     def test_density_integral_against_quad(self):
         from scipy.integrate import quad

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from envlab import quadrature
+from envlab.errors import InputError
 from envlab.quadrature import (
     EXP_UNDERFLOW,
     LOG_TINY,
     TINY,
     exp_inplace,
     exp_normal,
+    gauss_cells,
     insert_interior,
     log_integral_exp,
     logsumexp,
@@ -44,6 +47,29 @@ def loop_refine(breakpoints, k, extra=None, max_width=None):
 
 finite = st.floats(min_value=-60.0, max_value=60.0, allow_nan=False)
 breakpoints = st.lists(finite, min_size=1, max_size=40, unique=True).map(sorted)
+
+
+class TestGaussTable:
+    def test_every_rule_is_leggauss_bit_for_bit(self):
+        assert sorted(quadrature._GL_RULES) == [32, 48]
+        for n, (x, w) in quadrature._GL_RULES.items():
+            want_x, want_w = np.polynomial.legendre.leggauss(n)
+            assert x.tobytes() == want_x.tobytes(), n
+            assert w.tobytes() == want_w.tobytes(), n
+
+    @pytest.mark.parametrize("n", [32, 48])
+    def test_cells_are_those_of_leggauss(self, n):
+        bp = np.asarray([-2.5, -1.0, 0.125, 3.0])
+        x, w = np.polynomial.legendre.leggauss(n)
+        a, h = bp[:-1, None], np.diff(bp)[:, None]
+        ts, ws = gauss_cells(bp, nodes=n)
+        assert ts.tobytes() == (a + 0.5 * h * (x + 1.0)).ravel().tobytes()
+        assert ws.tobytes() == (0.5 * h * w).ravel().tobytes()
+
+    @pytest.mark.parametrize("n", [0, 16, 31, 64])
+    def test_untabulated_node_count_raises(self, n):
+        with pytest.raises(InputError, match=f"no {n}-point Gauss–Legendre rule"):
+            gauss_cells(np.asarray([0.0, 1.0]), nodes=n)
 
 
 class TestRefineBreakpoints:
