@@ -165,6 +165,8 @@ def envelope_of_samples(
 ) -> ConvexProfile:
     """Maximal convex minorant of PL sample data with slopes in `window`.
 
+    Samples that repeat a t count once, with their smallest f.
+
     limit_lo / limit_hi inject sup values attained at t = ∓∞ into the
     conjugate at the window endpoints (only meaningful when lo = 0 resp.
     hi = c, where the obstacle levels off in the unbounded direction).
@@ -176,8 +178,11 @@ def envelope_of_samples(
         raise InputError("empty obstacle")
     if not (np.all(np.isfinite(obs_ts)) and np.all(np.isfinite(obs_fs))):
         raise InputError("obstacle samples must be finite")
-    order = np.argsort(obs_ts)
+    # by t, then f: a repeated t keeps its smallest f, as a minorant must
+    order = np.lexsort((obs_fs, obs_ts))
     obs_ts, obs_fs = obs_ts[order], obs_fs[order]
+    first_at_t = np.concatenate(([True], obs_ts[1:] != obs_ts[:-1]))
+    obs_ts, obs_fs = obs_ts[first_at_t], obs_fs[first_at_t]
 
     lo_f, hi_f = float(window.lo), float(window.hi)
     # the contact slice: from the first maximizer of lo·t − f to the last

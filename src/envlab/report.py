@@ -124,9 +124,11 @@ def svg_plot(path: str, series, title: str, xlabel: str, ylabel: str,
         ys = np.asarray(ys, dtype=float)
         if logy:
             ys = np.log10(np.maximum(ys, 1e-300))
-        # Python floats: the same IEEE arithmetic as numpy scalars, faster
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}"
-                       for x, y in zip(xs.tolist(), ys.tolist()))
+        # px and py on whole arrays: the same IEEE operations in the same
+        # order as on scalars, so the same digits; one format call per line
+        xy = np.empty(2 * xs.size)
+        xy[0::2], xy[1::2] = px(xs), py(ys)
+        pts = ("%.2f,%.2f " * xs.size % tuple(xy.tolist()))[:-1]
         color = _COLORS[i % len(_COLORS)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'

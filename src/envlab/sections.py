@@ -192,7 +192,8 @@ def _index_windows(ks, c, nu0, nu_inf, tw: TwistData):
     `counting_window_holds` leaves int64; past it this raises InputError.
     """
     c, nu0, nu_inf = as_fraction(c), as_fraction(nu0), as_fraction(nu_inf)
-    k_lo, k_hi = ks[0], ks[-1]
+    # Python ints: numpy ints would wrap in the bounds below
+    k_lo, k_hi = int(ks[0]), int(ks[-1])
     if k_lo < 1:
         raise InputError("k must be a positive integer")
     d = tw.degree_shift

@@ -7,11 +7,12 @@ counts reduce to exact lattice-point counting inside the body's interior.
 
 Geometry is rational.  Counting is integer: each profile builds its body
 once, and each body its edge table once, one integer inequality
-P·α₁ + Q·α₂ > k·A − B per edge.  The rows (k, α₁) of a whole ascending
-k-sequence are then reduced together in blocked int64 numpy passes,
-O(edges·Σₖ m_k) work in C, after checking against integer bounds at the
-largest k that no intermediate leaves the int64 range; `h0_toric` is the
-one-k case.
+P·α₁ + Q·α₂ > k·A − B per edge.  With the simplex α ≥ 0, α₁ + α₂ ≤ m
+these are lines bounding α₂ over α₁, and a count is a few Euclidean
+floor sums per line (`floor_sum`): O(edges²) int64 operations per k,
+whatever its size, done for every k of an ascending sequence at once
+after checking against integer bounds at the largest k that no
+intermediate leaves the int64 range; `h0_toric` is the one-k case.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ __all__ = [
 
 Vec = tuple[Fraction, Fraction]
 
-# Rows (k, α₁) are counted in blocks of this many, so each int64
-# temporary is 64 KiB at any k and over any k-sequence.  Larger blocks
-# run no faster and raise a sweep's peak RSS (by 5 MiB at 2¹⁶ rows).
-ROW_BLOCK = 2 ** 13
+# A k-sequence is counted in blocks of this many k, so each int64
+# temporary is 64 KiB however long the sequence is.
+K_BLOCK = 2 ** 13
 
 
 def _cross(o: Vec, a: Vec, b: Vec) -> Fraction:
@@ -207,22 +207,107 @@ def singularity_body(f: TorusProfile2) -> RationalPolygon:
     return f.body
 
 
+def floor_sum(n, m: int, a: int, b) -> np.ndarray:
+    """Σ_{i=0}^{n−1} ⌊(a·i + b)/m⌋ at each entry of int64 arrays n ≥ 0 and b,
+    for integers m > 0 and a of either sign.
+
+    Euclid's reduction (ACL's floor_sum): a and b are split as q·m + r
+    with 0 ≤ r < m, and what is left, Σ ⌊(a·i + b)/m⌋ with 0 ≤ a, b < m,
+    counts the lattice points under a line, which read with the axes
+    swapped is the sum (⌊y/m⌋, a, m, y mod m) with y = a·n + b.  The pair
+    (a, m) steps as in Euclid's algorithm whatever n and b are, so every
+    entry takes the same steps, and an entry whose n reaches 0 adds 0.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    qa, a = divmod(a, m)
+    qb, b = np.divmod(np.asarray(b, dtype=np.int64), m)
+    total = n * (n - 1) // 2 * qa + n * qb
+    while a:
+        n, b = np.divmod(a * n + b, m)
+        m, a = a, m
+        qa, a = divmod(a, m)
+        qb, b = np.divmod(b, m)
+        total += n * (n - 1) // 2 * qa + n * qb
+    return total
+
+
+def _cut(lo, hi, D: int, E) -> None:
+    """Intersect [lo, hi] with {α₁ ∈ ℤ : D·α₁ > E}, in place; an empty
+    D = 0 cut sets hi to −1, below every lo ≥ 0."""
+    if D > 0:
+        np.maximum(lo, E // D + 1, out=lo)
+    elif D < 0:
+        np.minimum(hi, -(E // -D) - 1, out=hi)
+    else:
+        np.putmask(hi, E >= 0, -1)
+
+
+def _floor_max_sum(lines, lo, hi):
+    """Σ_{α₁=lo}^{hi} ⌊max_l (C_l − P_l·α₁)/Q_l⌋ over lines (P, Q > 0, C).
+
+    Each line takes the α₁ where it is the first maximizer, an integer
+    interval cut out by one inequality per other line, and sums its own
+    floors there in one `floor_sum`.
+    """
+    total = np.zeros_like(lo)
+    for j, (P, Q, C) in enumerate(lines):
+        s, e = lo.copy(), hi.copy()
+        for i, (P2, Q2, C2) in enumerate(lines):
+            if i != j:
+                # line j above line i, strictly for i < j: (C − Pα₁)/Q vs
+                # (C2 − P2α₁)/Q2 times Q·Q2 > 0
+                _cut(s, e, Q * P2 - Q2 * P, Q * C2 - Q2 * C - (i > j))
+        np.minimum(s, hi + 1, out=s)  # an empty piece keeps C − P·s in range
+        total += floor_sum(np.maximum(e - s + 1, 0), Q, -P, C - P * s)
+    return total
+
+
+def _lattice_counts(k, m, table):
+    """#{α ∈ ℤ² : α ≥ 0, α₁ + α₂ ≤ m, P·α₁ + Q·α₂ > k·A − B per edge}
+    at each entry of the int64 arrays k and m.
+
+    Every constraint is a half-plane P·α₁ + Q·α₂ > C.  A line with Q > 0
+    bounds α₂ below by L = (C − P·α₁)/Q, one with Q < 0 bounds it above
+    by U, and one with Q = 0 bounds α₁.  α₁ runs over the integers where
+    L < U for every lower and upper pair, and there the column holds
+    ⌈min U⌉ − ⌊max L⌋ − 1 points; with ⌈U⌉ = −⌊(C − P·α₁)/|Q|⌋ both
+    families sum floors of a maximum.
+    """
+    lines = [(P, Q, k * A - B) for P, Q, A, B in table]
+    lines += [(0, 1, np.full_like(k, -1)), (-1, -1, -m - 1)]  # α₂ ≥ 0, α₁ + α₂ ≤ m
+    lower = [(P, Q, C) for P, Q, C in lines if Q > 0]
+    upper = [(P, -Q, C) for P, Q, C in lines if Q < 0]
+    # α₁ ≥ 0, and α₁ ≤ m + 1 from the last two lines
+    lo, hi = np.zeros_like(k), m + 1
+    for P, Q, C in lines:
+        if Q == 0:
+            _cut(lo, hi, P, C)
+    for P, Q, C in lower:
+        for P2, Q2, C2 in upper:
+            # L < U: (C − Pα₁)/Q + (C2 − P2α₁)/Q2 < 0, times Q·Q2 > 0
+            _cut(lo, hi, Q2 * P + Q * P2, Q2 * C + Q * C2)
+    empty = hi < lo
+    np.putmask(lo, empty, 0)
+    np.putmask(hi, empty, -1)
+    return -_floor_max_sum(upper, lo, hi) - _floor_max_sum(lower, lo, hi) - (hi - lo + 1)
+
+
 def _h0_toric_counts(ks, f: TorusProfile2, tw=None) -> np.ndarray:
     """`h0_toric` at every k of a strictly ascending sequence, as one int64
     array.
 
-    The rows (k, α₁), α₁ = 0..m_k, of all k are laid end to end and
-    reduced in blocks of at most ROW_BLOCK rows, each row by the edge
-    table at its own k.  A k's count is the difference of the block's
-    cumulative row lengths at the ends of its rows, summed over the
-    blocks they touch.  Integer bounds at the largest k check, before the
-    k array is formed, that no operand, row end, block sum, row index or
-    count leaves int64; past it the call raises InputError.
+    Each k's count is exact integer arithmetic on the edge table and the
+    ambient simplex: O(edges²) int64 operations per k, independent of k's
+    size, done for blocks of K_BLOCK k at once (`_lattice_counts`).
+    Integer bounds at the largest k check, before any array is formed,
+    that no line value, cut, floor sum or count leaves int64; past it the
+    call raises InputError.
     """
     from .sections import _INT64_MAX, TwistData
 
     tw = tw or TwistData()
-    k_lo, k_hi = ks[0], ks[-1]
+    # Python ints: numpy ints would wrap in the bounds below
+    k_lo, k_hi = int(ks[0]), int(ks[-1])
     if k_lo < 1:
         raise InputError("k must be a positive integer")
     c, d = f.class_mass, tw.degree_shift
@@ -230,55 +315,35 @@ def _h0_toric_counts(ks, f: TorusProfile2, tw=None) -> np.ndarray:
     table = singularity_body(f).edge_table
     if m_hi < 0 or not table:
         return np.zeros(len(ks), dtype=np.int64)
-    # |rhs| and |Q| are at most span on every row, so each operand, row
-    # end and row length stays within ±(2·span + 2)
-    span = max(max(k_hi * abs(A), abs(k_lo * A - B), abs(k_hi * A - B))
-               + abs(P) * (m_hi + 1) + abs(Q) for P, Q, A, B in table)
-    rows_hi = m_hi + 1
-    if max(2 * span + 2, k_hi * c.numerator, (k_hi - k_lo + 1) * rows_hi,
-           ROW_BLOCK * rows_hi, tw.rank * rows_hi * (m_hi + 2) // 2) > _INT64_MAX:
-        raise InputError(f"k = {k_hi} takes the toric row count past int64")
-    k_all = np.asarray(ks, dtype=np.int64)
-    m_all = k_all * c.numerator // c.denominator + d
-    ends = np.cumsum(np.maximum(m_all + 1, 0))
-    starts = np.concatenate(([0], ends[:-1]))
-    counts = np.zeros(k_all.size, dtype=np.int64)
-    total = int(ends[-1])
-    for b0 in range(0, total, ROW_BLOCK):
-        b1 = min(b0 + ROW_BLOCK, total)
-        row = np.arange(b0, b1, dtype=np.int64)
-        owner = np.searchsorted(ends, row, side="right")
-        a1 = row - starts[owner]
-        k = k_all[owner]
-        lo = np.zeros_like(a1)
-        hi = m_all[owner] - a1
-        for P, Q, A, B in table:
-            rhs = (k * A - B) - P * a1
-            if Q > 0:
-                np.maximum(lo, rhs // Q + 1, out=lo)
-            elif Q < 0:
-                np.minimum(hi, -(-rhs // Q) - 1, out=hi)
-            else:
-                hi[rhs >= 0] = -1
-        cum = np.concatenate(([0], np.cumsum(np.maximum(hi - lo + 1, 0))))
-        i0, i1 = owner[0], owner[-1] + 1
-        counts[i0:i1] += (cum[np.minimum(ends[i0:i1], b1) - b0]
-                          - cum[np.maximum(starts[i0:i1], b0) - b0])
+    # α₁ and each floor sum's n lie in [0, n_hi), where |C − P·α₁| ≤ g_hi;
+    # the terms and totals of the floor sums then stay within
+    # n_hi·(2·g_hi + n_hi), and the cuts and Euclid's a·n + b within
+    # 2·q_hi·(g_hi + n_hi)
+    n_hi = m_hi + 3
+    c_hi = max([m_hi + abs(d) + 1] + [k_hi * abs(A) + abs(B) for _, _, A, B in table])
+    p_hi = max([1] + [abs(P) for P, _, _, _ in table])
+    q_hi = max([1] + [abs(Q) for _, Q, _, _ in table])
+    g_hi = c_hi + p_hi * n_hi
+    if max(k_hi * c.numerator, n_hi * (2 * g_hi + n_hi), 2 * q_hi * (g_hi + n_hi),
+           tw.rank * n_hi * n_hi) > _INT64_MAX:
+        raise InputError(f"k = {k_hi} takes the toric lattice count past int64")
+    counts = np.empty(len(ks), dtype=np.int64)
+    for b0 in range(0, len(ks), K_BLOCK):
+        k = np.asarray(ks[b0:b0 + K_BLOCK], dtype=np.int64)
+        counts[b0:b0 + k.size] = _lattice_counts(
+            k, k * c.numerator // c.denominator + d, table)
     return tw.rank * counts
 
 
 def h0_toric(k: int, f: TorusProfile2, tw=None) -> int:
     """r·#{α ≥ 0 : α₁+α₂ ≤ m, (α+(1,1))/k ∈ int body}, exact integers.
 
-    Row reduction on the body's integer edge table: on row α₁ each edge
-    with Q > 0 raises the lower end of the α₂ range to ⌊rhs/Q⌋ + 1, each
-    edge with Q < 0 lowers the upper end to ⌈rhs/Q⌉ − 1, and an edge with
-    Q = 0 empties the row when rhs = k·A − B − P·α₁ ≥ 0.  The rows are
-    reduced in int64 numpy, whose `//` floors as Python's does; this is
-    the one-k case of `_h0_toric_counts`, which reduces the rows of a
-    whole k-sequence in one blocked pass.  The int64 range is checked
-    against integer bounds before any array is allocated; past it the
-    call raises InputError.
+    The one-k case of `_h0_toric_counts`: the body's integer edge table
+    and the simplex α ≥ 0, α₁ + α₂ ≤ m give lower and upper lines for α₂
+    over α₁, and the count sums ⌈min U⌉ − ⌊max L⌋ − 1 over α₁ with one
+    Euclidean floor sum per line, in O(edges²) operations whatever k is.
+    The int64 range is checked against integer bounds before any array
+    is allocated; past it the call raises InputError.
     """
     return int(_h0_toric_counts((k,), f, tw)[0])
 

@@ -230,6 +230,23 @@ class TestEnvelopeOfSamples:
         assert seen == [last - first + 1] and 0 < last - first + 1 < ts.size
         same_profile(got, full_hull_envelope(u.window, ts, fs, extra_nodes=ts))
 
+    @settings(max_examples=300, deadline=None)
+    @given(case=windowed_obstacles(), data=st.data())
+    def test_repeated_points_keep_the_smallest_value(self, case, data):
+        # integer t repeat; the reference sees each t once, at its least f
+        window, _, _, limit_lo, limit_hi = case
+        n = data.draw(st.integers(1, 24))
+        ts = data.draw(st.lists(st.integers(-6, 6).map(float), min_size=n, max_size=n))
+        fs = data.draw(st.lists(st.integers(-3, 3).map(float) | st.floats(-20.0, 20.0),
+                                min_size=n, max_size=n))
+        least = {}
+        for t, f in zip(ts, fs):
+            least[t] = min(f, least.get(t, f))
+        uts = sorted(least)
+        kw = dict(extra_nodes=ts, limit_lo=limit_lo, limit_hi=limit_hi)
+        want = full_hull_envelope(window, uts, [least[t] for t in uts], **kw)
+        same_profile(envelope_of_samples(window, ts, fs, **kw), want)
+
     def test_non_finite_samples_raise(self):
         with pytest.raises(InputError, match="finite"):
             envelope_of_samples(SlopeWindow(0, 1, 1), [0.0, 1.0], [0.0, np.nan])

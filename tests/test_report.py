@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envlab.report import svg_plot
 
@@ -51,6 +53,23 @@ def test_polylines_match_numpy_scalar_arithmetic(tmp_path, logy):
         ("ints", [25, 50, 100, 200, 400], [0.04, 0.02, 0.01, 0.005, 1e-18]),
     ]
     path = tmp_path / "plot.svg"
+    svg_plot(str(path), series, title="t", xlabel="x", ylabel="y", logy=logy)
+    got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+    assert got == numpy_scalar_points(series, logy)
+
+
+finite = st.floats(-1e6, 1e6) | st.integers(-3, 3).map(float)
+random_series = st.lists(
+    st.integers(1, 40).flatmap(lambda n: st.tuples(
+        st.just("s"), st.lists(finite, min_size=n, max_size=n),
+        st.lists(finite | st.floats(0.0, 1e-290), min_size=n, max_size=n))),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(series=random_series, logy=st.booleans())
+def test_polylines_match_per_point_format_on_random_series(tmp_path_factory, series, logy):
+    path = tmp_path_factory.mktemp("svg") / "plot.svg"
     svg_plot(str(path), series, title="t", xlabel="x", ylabel="y", logy=logy)
     got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
     assert got == numpy_scalar_points(series, logy)

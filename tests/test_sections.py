@@ -242,6 +242,11 @@ class TestArrayCounts:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
+    def test_numpy_k_sequence_raises_past_int64(self):
+        # the bounds are Python ints even when the k come as int64
+        with pytest.raises(InputError, match="int64"):
+            section_counts(np.array([2 ** 62, 2 ** 63 - 1]), 1, 0, 0)
+
 
 class TestNorms:
     def test_beta_function_identity(self):

@@ -2,6 +2,7 @@ import functools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from envlab.experiments import ExperimentConfig, run_volume, toric_fixture
 from envlab.toric import (
     TorusProfile2,
     _h0_toric_counts,
+    floor_sum,
     h0_toric,
     h0_toric_bruteforce,
     singularity_body,
@@ -107,48 +109,84 @@ class TestAgainstRowLoop:
         assert all(isinstance(x, int) for row in f.body.edge_table for x in row)
 
 
-def rows_of(ks, f, d):
-    """Σ (m_k + 1)₊: the number of rows (k, α₁) a batched count reduces."""
-    return sum(max(math.floor(k * f.class_mass) + d + 1, 0) for k in ks)
-
-
 @functools.cache
-def bruteforce_counts(name, d):
-    """{k: h0_toric_bruteforce} for k = 1..30, shared by the block sizes."""
+def loop_counts(name, d):
+    """{k: loop_h0_toric} for k = 1..400, shared by the block sizes."""
     f = toric_fixture(name)
-    return {k: h0_toric_bruteforce(k, f, TwistData(1, d)) for k in range(1, 31)}
+    return {k: loop_h0_toric(k, f, TwistData(1, d)) for k in range(1, 401)}
+
+
+def closed_form_count(name, k):
+    """h0_toric at d = 0, r = 1: β = α + 1 strictly inside k·body."""
+    if name == "simplex":
+        return (k - 1) * (k - 2) // 2
+    if name == "half-square":
+        return (-(-k // 2) - 1) ** 2
+    return 0  # a point has no interior
 
 
 class TestBatchedCounts:
-    # ascending k-sequences: a whole range, a schedule with gaps, one k
-    KS = (range(1, 31), [2, 3, 5, 8, 13, 21, 30], [17])
+    # ascending k-sequences: a whole range, a schedule with gaps, one k;
+    # blocks of 1 and 7 split each of the first two, 64 splits both
+    KS = (range(1, 151), list(range(3, 401, 3)), [17])
 
     @pytest.mark.parametrize("name", FIXTURES)
     @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_small_blocks_match_bruteforce(self, name, block, monkeypatch):
-        # blocks of 1 and 7 rows split every k's rows; 64 splits some and
-        # holds several k in one block
-        monkeypatch.setattr(toric, "ROW_BLOCK", block)
+    def test_small_blocks_match_row_loop(self, name, block, monkeypatch):
+        monkeypatch.setattr(toric, "K_BLOCK", block)
         f = toric_fixture(name)
-        for d in (-2, 0, 2):
-            want = bruteforce_counts(name, d)
+        for d in (-6, -2, 0, 2):
+            want = loop_counts(name, d)
             for ks in self.KS:
+                assert len(ks) == 1 or len(ks) > block
                 for r in (1, 3):
                     got = _h0_toric_counts(ks, f, TwistData(r, d))
                     assert got.dtype == np.int64
                     assert got.tolist() == [r * want[k] for k in ks], (ks, d, r)
 
     @pytest.mark.parametrize("name", FIXTURES)
-    def test_default_block_boundary_matches_row_loop(self, name):
-        # the rows of k = 1..400 at d = 0 run past one default block
+    def test_default_blocks_match_closed_forms(self, name):
+        # k = 1..2·K_BLOCK + 5 runs through three default blocks
+        ks = range(1, 2 * toric.K_BLOCK + 6)
+        got = _h0_toric_counts(ks, toric_fixture(name), TwistData(2, 0)).tolist()
+        assert got == [2 * closed_form_count(name, k) for k in ks]
+
+    @settings(max_examples=60, deadline=None)
+    @given(f=polygon_profile,
+           ks=st.lists(st.integers(1, 300), min_size=1, max_size=9, unique=True).map(sorted),
+           d=st.integers(-6, 4), r=st.integers(1, 3), block=st.sampled_from([1, 3, 2 ** 13]))
+    def test_rational_polygons_match_row_loop(self, f, ks, d, r, block):
+        with mock.patch.object(toric, "K_BLOCK", block):
+            got = _h0_toric_counts(ks, f, TwistData(r, d)).tolist()
+        assert got == [loop_h0_toric(k, f, TwistData(r, d)) for k in ks]
+
+
+class TestLargeK:
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("k", [10 ** 4, 10 ** 6])
+    def test_closed_forms(self, name, k):
         f = toric_fixture(name)
-        ks = range(1, 401)
-        assert rows_of(ks, f, 0) > toric.ROW_BLOCK
-        got = _h0_toric_counts(ks, f, TwistData(2, 0)).tolist()
-        assert got == [2 * loop_h0_toric(k, f) for k in ks]
-        if name == "point":
-            # a body with no interior has no sections at any k
-            assert got == [0] * len(ks)
+        assert h0_toric(k, f) == closed_form_count(name, k)
+        assert h0_toric(k, f, TwistData(3, 0)) == 3 * closed_form_count(name, k)
+
+    @pytest.mark.parametrize("name", FIXTURES[:2])
+    def test_numpy_k_sequence_raises_past_int64(self, name):
+        # the bounds are Python ints even when the k come as int64
+        with pytest.raises(InputError, match="int64"):
+            _h0_toric_counts(np.array([2 ** 40, 2 ** 47 + 1]), toric_fixture(name))
+
+
+class TestFloorSum:
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 40), a=st.integers(-90, 90),
+           nb=st.lists(st.tuples(st.integers(0, 60), st.integers(-500, 500)),
+                       min_size=1, max_size=6))
+    def test_matches_python_loop(self, m, a, nb):
+        n, b = zip(*nb)
+        got = floor_sum(np.asarray(n), m, a, np.asarray(b))
+        assert got.dtype == np.int64
+        assert got.tolist() == [sum((a * i + bi) // m for i in range(ni))
+                                for ni, bi in nb]
 
 
 class TestInt64Guard:
