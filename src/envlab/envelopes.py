@@ -46,7 +46,7 @@ from .profiles import (
     mix_profiles,
     sample_with_crossings,
 )
-from .quadrature import insert_interior, refine_breakpoints, union
+from .quadrature import TINY, insert_interior, refine_breakpoints, union
 
 __all__ = [
     "i_model_envelope",
@@ -75,8 +75,15 @@ def lower_hull(ts: np.ndarray, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for i in range(len(t)):
         while len(keep) >= 2:
             i0, i1 = keep[-2], keep[-1]
+            df1, df = f[i1] - f[i0], f[i] - f[i0]
+            lhs, rhs = df1 * (t[i] - t[i0]), df * (t[i1] - t[i0])
+            if (df1 and -TINY < lhs < TINY) or (df and -TINY < rhs < TINY):
+                # a product of nonzero factors (the ts are distinct) has
+                # underflowed, to 0.0 say: decide the test in exact Fractions
+                x0, x1, x, y0, y1, y = map(Fraction, (t[i0], t[i1], t[i], f[i0], f[i1], f[i]))
+                lhs, rhs = (y1 - y0) * (x - x0), (y - y0) * (x1 - x0)
             # pop i1 when it lies on or above the chord i0 -> i
-            if (f[i1] - f[i0]) * (t[i] - t[i0]) >= (f[i] - f[i0]) * (t[i1] - t[i0]):
+            if lhs >= rhs:
                 keep.pop()
             else:
                 break

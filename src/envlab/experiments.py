@@ -26,7 +26,7 @@ from .envelopes import (
     window_envelope,
 )
 from .energy import energy_derivative_check, equilibrium_energy
-from .errors import InputError, NoSectionsError
+from .errors import InputError
 from .measures import (
     annulus_area_measure,
     circle_atom,
@@ -39,6 +39,7 @@ from .report import ReportRow, svg_plot, write_csv
 from .sections import (
     TwistData,
     _INT64_MAX,
+    _index_windows,
     approximant_lower_bound_constant,
     bergman,
     bergman_approximant,
@@ -383,34 +384,37 @@ def run_energy(cfg: ExperimentConfig):
     return rows, artifacts, failures
 
 
-def _lelong_gap(ap: ConvexProfile, u: ConvexProfile) -> Fraction:
-    """Larger of the two Lelong-number gaps |Δν₀| and |Δν_∞|, exact."""
-    return max(abs(ap.s_minus - u.s_minus),
-               abs((ap.class_mass - ap.s_plus) - (u.class_mass - u.s_plus)))
-
-
-def _mass_gap_ok(ap: ConvexProfile, env: ConvexProfile, k: int) -> bool:
-    """0 ≤ mass(F̃) − mass(envelope) ≤ 2/k, exact."""
-    return 0 <= ap.mass - env.mass <= Fraction(2, k)
+def _window_gaps(ks, u: ConvexProfile, env: ConvexProfile):
+    """(k, Lelong gap, gap ≤ 1/k, mass gap, 0 ≤ gap ≤ 2/k) with exact gaps,
+    at each k of an ascending sequence with a nonempty J, from F̃_k's tail
+    slopes s₋ = j_min/k and s₊ = j_max/k."""
+    _, _, j_min, j_max = _index_windows(ks, u.class_mass, u.s_minus,
+                                        u.class_mass - u.s_plus, TwistData())
+    for k, lo, hi in zip(ks, j_min.tolist(), j_max.tolist()):
+        if lo <= hi:
+            s_minus, s_plus = Fraction(lo, k), Fraction(hi, k)
+            lelong = max(abs(s_minus - u.s_minus), abs(s_plus - u.s_plus))
+            mass = s_plus - s_minus - env.mass
+            yield k, lelong, lelong <= Fraction(1, k), mass, 0 <= mass <= Fraction(2, k)
 
 
 def run_approx(cfg: ExperimentConfig):
+    """The Lelong and mass gates read J's ends (`_window_gaps`) at the
+    schedule and over the sweep k = 1..sweep_max; F̃_k itself is built only
+    at the scheduled k, for the divergence and lower-bound-C rows."""
     u = radial_fixture(cfg.fixture)
     env = i_model_envelope(u)
-    rows, failures = [], []
-    divs = []
+    rows, failures, divs = [], [], []
+    gates = {k: g for k, *g in _window_gaps(cfg.k, u, env)}
     for k in cfg.k:
-        ap = bergman_approximant(k, u)
-        lelong_gap = _lelong_gap(ap, u)
-        ok_lelong = lelong_gap <= Fraction(1, k)
-        mass_gap = ap.mass - env.mass
-        ok_mass = _mass_gap_ok(ap, env, k)
+        ap = bergman_approximant(k, u)  # raises NoSectionsError on an empty J
+        lelong_gap, ok_lelong, mass_gap, ok_mass = gates[k]
         div = divergence(ap, env)
         divs.append(float(div))
         const = approximant_lower_bound_constant(k, u, ap)
         rows.append(ReportRow(
-            f"approx[{cfg.fixture}:mass]", k, float(ap.mass), float(env.mass),
-            float(abs(mass_gap)), bool(ok_mass)))
+            f"approx[{cfg.fixture}:mass]", k, float(env.mass + mass_gap),
+            float(env.mass), float(abs(mass_gap)), bool(ok_mass)))
         rows.append(ReportRow(
             f"approx[{cfg.fixture}:lelong-gap]", k, float(lelong_gap), 0.0,
             float(lelong_gap), bool(ok_lelong)))
@@ -427,14 +431,10 @@ def run_approx(cfg: ExperimentConfig):
         if b > a + 1e-15:
             failures.append(f"divergence not monotone: {a:.4g} -> {b:.4g}")
     if cfg.sweep_max:
-        for k in range(1, cfg.sweep_max + 1):
-            try:
-                ap = bergman_approximant(k, u)
-            except NoSectionsError:
-                continue
-            if _lelong_gap(ap, u) > Fraction(1, k):
+        for k, _, ok_lelong, _, ok_mass in _window_gaps(range(1, cfg.sweep_max + 1), u, env):
+            if not ok_lelong:
                 failures.append(f"sweep: Lelong bound broken at k={k}")
-            if not _mass_gap_ok(ap, env, k):
+            if not ok_mass:
                 failures.append(f"sweep: mass bound broken at k={k}")
     artifacts = {"approx_divergence.svg": lambda path: svg_plot(
         path, [("divergence", cfg.k, [max(d, 1e-18) for d in divs])],

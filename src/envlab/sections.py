@@ -973,10 +973,7 @@ def donaldson(k: int, u: ConvexProfile, A: SectionBasisData,
 def donaldson_functional(k: int, u: ConvexProfile, A: SectionBasisData,
                          tw: TwistData = TwistData()) -> float:
     """ℒ_{k,u}(A) against the v = 0 Fubini–Study reference norms."""
-    ref = reference_basis(k, u, tw)
-    if ref.J != A.J:
-        raise InputError("basis index set does not match the filtered space")
-    return (ref.log_det_gram - A.log_det_gram) / float(k) ** 2
+    return donaldson(k, u, A, reference_basis(k, u, tw))
 
 
 def bm_rate(k: int, K: WeightedSet, nu: RadialMeasure, c=Fraction(1),

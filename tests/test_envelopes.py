@@ -178,6 +178,34 @@ def windowed_obstacles(draw):
     return window, ts, fs, limit_lo, limit_hi
 
 
+def exact_lower_hull(ts, fs):
+    """Indices of the lower hull's vertices, by definition and in exact
+    Fractions: the ends, and each sample strictly below every chord over it."""
+    t, f = [Fraction(x) for x in ts], [Fraction(x) for x in fs]
+    n = len(t)
+    return [j for j in range(n)
+            if j in (0, n - 1) or all(
+                (f[j] - f[a]) * (t[b] - t[a]) < (f[b] - f[a]) * (t[j] - t[a])
+                for a in range(j) for b in range(j + 1, n))]
+
+
+class TestLowerHull:
+    # every product of two differences of these samples is at most 4e-310,
+    # below the smallest normal float: the float orientation test alone
+    # would read most of them as 0.0
+    tiny = st.floats(-1e-155, 1e-155)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ts=st.lists(tiny, min_size=1, max_size=12, unique=True), data=st.data())
+    def test_matches_the_exact_hull_on_tiny_samples(self, ts, data):
+        ts = sorted(ts)
+        fs = data.draw(st.lists(self.tiny | st.just(0.0), min_size=len(ts), max_size=len(ts)))
+        ht, hf = envelopes.lower_hull(np.asarray(ts), np.asarray(fs))
+        want = exact_lower_hull(ts, fs)
+        assert ht.tolist() == [ts[j] for j in want]
+        assert hf.tolist() == [fs[j] for j in want]
+
+
 class TestEnvelopeOfSamples:
     @settings(max_examples=400, deadline=None)
     @given(case=windowed_obstacles())
@@ -186,6 +214,15 @@ class TestEnvelopeOfSamples:
                    [-1.0, 0.0, 1.0, 2.0], [1.0, -0.5, 0.0, 0.5], None, None))
     @example(case=(SlopeWindow(0, Fraction(1, 3), 1),
                    [0.0, 1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 1.0, 1.0, 3.0], 0.0, None))
+    # both orientation products underflow to 0.0 at the middle sample, which
+    # lies strictly below the chord and is the conjugate's maximizer at lo
+    # resp. hi: the whole-line hull once dropped it
+    @example(case=(SlopeWindow(0, Fraction(1, 12), 1),
+                   [0.0, 8.567514649370104e-278, 2.4035891656995154e-259],
+                   [0.0, 0.0, 7.377083652029965e-113], None, None))
+    @example(case=(SlopeWindow(Fraction(1, 12), Fraction(1, 6), 1),
+                   [0.0, 8.567514649370104e-278, 2.4035891656995154e-259],
+                   [0.0, 0.0, 7.377083652029965e-113], None, None))
     def test_contact_slice_matches_full_hull(self, case):
         window, ts, fs, limit_lo, limit_hi = case
         kw = dict(extra_nodes=ts, limit_lo=limit_lo, limit_hi=limit_hi)

@@ -15,7 +15,7 @@ import pytest
 import envlab
 from envlab import experiments
 from envlab.envelopes import window_envelope
-from envlab.errors import InputError, NoSectionsError
+from envlab.errors import InputError
 from envlab.experiments import ExperimentConfig, run_experiment
 from envlab.report import CSV_HEADER
 
@@ -366,60 +366,95 @@ class TestRunEnergy:
 
 
 class TestRunApprox:
-    def test_sweep_gates_the_mass_gap(self, tmp_path, monkeypatch):
-        # an approximant one slope 1/k narrower than the envelope: its Lelong
-        # gap is exactly 1/k (allowed), its mass gap −1/k (below 0)
-        def narrow(k, u):
-            if k < 3:
-                raise NoSectionsError("too narrow at small k")
-            return window_envelope(1, u.s_minus + Fraction(1, k), 1 - u.s_plus)
+    # The Lelong and mass gates read J = [j_min, j_max] at each k through
+    # `_index_windows`, so a stand-in J there moves them and nothing else;
+    # the divergence reads the approximant itself.  On the committed
+    # third-quarter config (window [1/3, 3/4], mass 5/12, k = 25 … 400,
+    # sweep 1..500) the real J at k is [⌊k/3⌋, k − ⌊k/4⌋].
 
-        monkeypatch.setattr(experiments, "bergman_approximant", narrow)
+    @staticmethod
+    def stand_in(monkeypatch, ends):
+        """Replace J's ends (j_min, j_max) at each k by ends(k, j_min, j_max)."""
+        real = experiments._index_windows
+
+        def index_windows(ks, c, nu0, nu_inf, tw):
+            k, m, j_min, j_max = real(ks, c, nu0, nu_inf, tw)
+            lo, hi = zip(*map(ends, k.tolist(), j_min.tolist(), j_max.tolist()))
+            return k, m, np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+
+        monkeypatch.setattr(experiments, "_index_windows", index_windows)
+
+    @staticmethod
+    def row(rows, gate, k):
+        row, = [r for r in rows if r.experiment == f"approx[third-quarter:{gate}]" and r.k == k]
+        return row
+
+    def test_sweep_gates_the_mass_gap(self, tmp_path, monkeypatch):
+        # J one index shorter at its low end: s₋ moves up by 1/k, so the
+        # Lelong gap stays ≤ 1/k (allowed) and the mass gap is below 0 at
+        # k = 3, 4, 5; at k = 1, 2 the stand-in J is empty and the sweep
+        # skips k
+        self.stand_in(monkeypatch, lambda k, lo, hi: (lo + 1, hi if k >= 3 else lo))
         cfg = ExperimentConfig("approx", "third-quarter", k=[12], sweep_max=5)
         _, failures = run_experiment(cfg, str(tmp_path))
         assert [f for f in failures if f.startswith("sweep:")] == [
             f"sweep: mass bound broken at k={k}" for k in (3, 4, 5)]
 
-    # On the committed third-quarter config (window [1/3, 3/4], k = 25 …
-    # 400, sweep 1..500) the real approximant at k has J = [j₀, j₁] with
-    # j₀ the least integer > k/3 − 1 and j₁ the greatest < 3k/4 + 1.  Each
-    # stand-in below replaces it at one k by the window [1/3 + a, 3/4 + b],
-    # whose Lelong gap is max(|a|, |b|), mass gap b − a and divergence
-    # |a| + |b|; the sweep sees the stand-in at that k too.
-
-    @staticmethod
-    def window_at(monkeypatch, at, a, b):
-        real = experiments.bergman_approximant
-
-        def approximant(k, u):
-            if k != at:
-                return real(k, u)
-            return window_envelope(1, u.s_minus + a, 1 - u.s_plus - b)
-
-        monkeypatch.setattr(experiments, "bergman_approximant", approximant)
-
     def test_lelong_gap_past_one_over_k_fails(self, tmp_path, monkeypatch):
-        # Lelong gap 3/50 > 1/25 at the mass the envelope has; divergence
-        # 6/50 at k = 25, then 1/75 + 1/100 at k = 50
-        self.window_at(monkeypatch, 25, Fraction(3, 50), Fraction(3, 50))
+        # J = [10, 21] for [8, 19] at k = 25: both ends move by 2/25, so at
+        # an unchanged mass the Lelong gaps are 2/5 − 1/3 = 1/15 at s₋ and
+        # 21/25 − 3/4 = 9/100 at s₊, both past 1/25
+        self.stand_in(monkeypatch,
+                      lambda k, lo, hi: (lo + 2, hi + 2) if k == 25 else (lo, hi))
         rows, failures = run_experiment(committed("approx_third_quarter"), str(tmp_path))
         assert failures == ["Lelong sandwich broken at k=25",
                             "sweep: Lelong bound broken at k=25"]
         assert broken_rows(rows) == [("approx[third-quarter:lelong-gap]", 25)]
+        assert self.row(rows, "lelong-gap", 25).value == 0.09
 
     def test_mass_below_the_envelope_fails(self, tmp_path, monkeypatch):
-        # mass gap −1/400 at Lelong gap 1/400; divergence 1/400 after 1/300
-        self.window_at(monkeypatch, 400, Fraction(1, 400), Fraction(0))
+        # J = [134, 300] for [133, 300] at k = 400: mass gap 166/400 − 5/12
+        # = −1/600 at Lelong gap 134/400 − 1/3 = 1/600, from s₋ alone
+        self.stand_in(monkeypatch,
+                      lambda k, lo, hi: (lo + 1, hi) if k == 400 else (lo, hi))
         rows, failures = run_experiment(committed("approx_third_quarter"), str(tmp_path))
         assert failures == ["mass bound broken at k=400",
                             "sweep: mass bound broken at k=400"]
         assert broken_rows(rows) == [("approx[third-quarter:mass]", 400)]
+        mass = self.row(rows, "mass", 400)
+        assert (mass.value, mass.reference, mass.abs_err) == (
+            float(Fraction(166, 400)), float(Fraction(5, 12)), float(Fraction(1, 600)))
+        assert self.row(rows, "lelong-gap", 400).value == float(Fraction(1, 600))
+
+    def test_builds_one_approximant_per_scheduled_k(self, tmp_path, monkeypatch):
+        # the sweep's gates read J's ends alone: no approximant past the schedule
+        real, built = experiments.bergman_approximant, []
+
+        def approximant(k, u):
+            built.append(k)
+            return real(k, u)
+
+        monkeypatch.setattr(experiments, "bergman_approximant", approximant)
+        cfg = committed("approx_third_quarter")
+        assert cfg.sweep_max == 500
+        run_experiment(cfg, str(tmp_path))
+        assert built == cfg.k
 
     def test_rising_divergence_fails(self, tmp_path, monkeypatch):
-        # both gates at their bounds (Lelong gap 1/200, mass gap 2/200)
-        # pass, but the divergence rises from 1/300 at k = 100 (J = [33, 75])
-        # to 2/200 = 0.01; the divergence rows claim a pass regardless
-        self.window_at(monkeypatch, 200, Fraction(-1, 200), Fraction(1, 200))
+        # the approximant at k = 200 replaced by the window [1/3 − 1/200,
+        # 3/4 + 1/200], whose divergence from the envelope is 2/200; the
+        # gates read the real J and pass, but the divergence rises from
+        # 1/300 at k = 100 (J = [33, 75]) to 0.01; the divergence rows
+        # claim a pass regardless
+        real = experiments.bergman_approximant
+
+        def approximant(k, u):
+            if k != 200:
+                return real(k, u)
+            return window_envelope(1, u.s_minus - Fraction(1, 200),
+                                   1 - u.s_plus - Fraction(1, 200))
+
+        monkeypatch.setattr(experiments, "bergman_approximant", approximant)
         rows, failures = run_experiment(committed("approx_third_quarter"), str(tmp_path))
         assert failures == ["divergence not monotone: 0.003333 -> 0.01"]
         assert broken_rows(rows) == []

@@ -1043,6 +1043,18 @@ class TestApproximant:
             gap = ap.mass - env.mass
             assert 0 <= gap <= Fraction(2, k)
 
+    def test_tail_slopes_are_the_window_ends_over_the_sweep(self):
+        # the approx gates read s₋ = j_min/k and s₊ = j_max/k off the index
+        # window; the approximant built at every k of the committed sweep
+        # has exactly those tail slopes
+        u = THIRD_QUARTER
+        ks = range(1, 501)
+        _, _, j_min, j_max = sections._index_windows(
+            ks, u.class_mass, u.s_minus, u.class_mass - u.s_plus, TwistData())
+        for k, lo, hi in zip(ks, j_min.tolist(), j_max.tolist()):
+            ap = bergman_approximant(k, u)
+            assert (ap.s_minus, ap.s_plus) == (Fraction(lo, k), Fraction(hi, k))
+
     def test_large_k_lelong_slopes(self):
         k = 5000
         with warnings.catch_warnings():
