@@ -11,13 +11,14 @@ The hull is taken only on the contact slice of the samples: from the
 first maximizer of lo·t − f to the last maximizer of hi·t − f.  Every
 hull chord left of it is at most lo and every one right of it at least
 hi, so they clip to the window ends, which are slopes already; the slopes
-and the conjugate values are those of the whole line's hull.  That holds
-bit for bit wherever float rounding does not decide the hull at the
-slice's ends.  On samples that lie on a line of slope lo or hi only to
-rounding, the chords near a slice end can differ from lo or hi by an
-ulp, differently on the slice and on the whole line, and one of the two
-hulls then gives an extra slope an ulp inside the window; the two
-envelopes agree as functions to rounding.
+and the conjugate values are those of the whole line's hull.  Both hulls
+are exact: `lower_hull` decides an orientation test in `Fraction`s
+wherever float rounding could decide it.  The slice's ends are not: they
+are maximizers among float values.  On samples that lie on a line of
+slope lo or hi only to rounding, a slice end can fall on another of
+those samples than in exact arithmetic, and the whole line's hull then
+gives an extra slope an ulp inside the window; the two envelopes agree
+as functions to rounding.
 
 Two closed-form fast paths exist: the slope-window envelope of the base
 potential (the I-model projection, evaluated by `WindowEnvelope`) and
@@ -77,9 +78,12 @@ def lower_hull(ts: np.ndarray, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             i0, i1 = keep[-2], keep[-1]
             df1, df = f[i1] - f[i0], f[i] - f[i0]
             lhs, rhs = df1 * (t[i] - t[i0]), df * (t[i1] - t[i0])
-            if (df1 and -TINY < lhs < TINY) or (df and -TINY < rhs < TINY):
+            if ((df1 and -TINY < lhs < TINY) or (df and -TINY < rhs < TINY)
+                    or abs(lhs - rhs) <= 1e-15 * (abs(lhs) + abs(rhs))):
                 # a product of nonzero factors (the ts are distinct) has
-                # underflowed, to 0.0 say: decide the test in exact Fractions
+                # underflowed, to 0.0 say, or the two sides agree to within
+                # the rounding of their differences and products (relative
+                # 3·2⁻⁵³ each): decide the test in exact Fractions
                 x0, x1, x, y0, y1, y = map(Fraction, (t[i0], t[i1], t[i], f[i0], f[i1], f[i]))
                 lhs, rhs = (y1 - y0) * (x - x0), (y - y0) * (x1 - x0)
             # pop i1 when it lies on or above the chord i0 -> i
@@ -427,14 +431,11 @@ def contact_leakage(env: ConvexProfile, K: WeightedSet):
     gap = np.abs(env(ts) - phi)
     scale = max(1.0, float(np.max(np.abs(phi))))
     contact = ts[gap <= CONTACT_TOL * scale]
-    leak = 0.0
-    for t, w in mu.atoms:
-        if contact.size and np.min(np.abs(contact - t)) <= 1e-9:
-            continue
-        leak += w
-    if mu.cell_masses.size:
-        mids = 0.5 * (mu.breakpoints[:-1] + mu.breakpoints[1:])
-        for m_cell, tm in zip(mu.cell_masses, mids):
-            if not K.contains(tm):
-                leak += m_cell
+    at, aw = np.asarray(mu.atoms, dtype=float).reshape(-1, 2).T
+    touched = np.any(np.abs(contact[None, :] - at[:, None]) <= 1e-9, axis=1)
+    bp = mu.breakpoints
+    inside = K.contains(0.5 * (bp[:-1] + bp[1:]))
+    # added one by one, atoms then cells, as a loop over them would
+    leaked = np.concatenate([aw[~touched], mu.cell_masses[~inside]])
+    leak = float(np.cumsum(leaked)[-1]) if leaked.size else 0.0
     return leak, mu.total_mass()

@@ -35,7 +35,6 @@ from .quadrature import union
 
 CONVEXITY_SLACK = 1e-9      # on chord-slope differences, scaled by max(1, |F|)
 TAIL_SEAM_TOL = 1e-12       # tail line must touch the boundary value
-FIXED_POINT_TOL = 1e-8      # envelope fixed-point comparisons
 
 
 @dataclass(frozen=True)
@@ -494,10 +493,14 @@ class WeightedSet:
         return (self.whole_space and self.v_fn is None
                 and not any(np.any(vals) for _, _, _, vals in self.components))
 
-    def contains(self, t: float) -> bool:
-        if self.whole_space:
-            return True
-        return any(a - 1e-12 <= t <= b + 1e-12 for a, b, _, _ in self.components)
+    def contains(self, t) -> np.ndarray:
+        """Whether t lies in K, to 1e-12 at the component ends; elementwise
+        on an array t."""
+        t = np.asarray(t, dtype=float)
+        inside = np.full(t.shape, self.whole_space)
+        for a, b, _, _ in self.components:
+            inside |= (a - 1e-12 <= t) & (t <= b + 1e-12)
+        return inside
 
     def add_weight(self, f, scale: float = 1.0) -> "WeightedSet":
         """K with weight v + scale·f, exact between grid nodes."""

@@ -1,13 +1,11 @@
 """Composite Gauss–Legendre quadrature with stable log-space reduction.
 
-32 nodes per cell, cells refined with k so that k-fold exponent weights
-stay resolved; unbounded directions are closed exponential-tail
-integrals (profiles are exactly affine there).
-
-The rules come from a table in this module: the 32- and 48-node rules,
-the floats of `np.polynomial.legendre.leggauss` written as `float.hex`.
-No run imports `numpy.polynomial` or solves its eigenproblem, and a node
-count outside the table raises `InputError`.
+One rule: GL_NODES = 32 nodes per cell, cells refined with k so that
+k-fold exponent weights stay resolved; unbounded directions are closed
+exponential-tail integrals (profiles are exactly affine there).  The rule
+is a table in this module, the floats of
+`np.polynomial.legendre.leggauss(32)` written as `float.hex`, so no run
+imports `numpy.polynomial` or solves its eigenproblem.
 
 `union` merges t-grids into sorted distinct values, and
 `insert_interior` adds the points of one grid that lie strictly inside
@@ -18,18 +16,18 @@ those of a per-cell `linspace` loop.  Callers that integrate many
 integrands on one grid (the section norms in `sections`) build the grid
 once and reduce the integrands as the rows of a 2-D block with
 `logsumexp_rows`; `log_integral_exp` is the one-integrand form of the
-same steps, through `logsumexp_inplace`, its one-row case.
+same steps, and `logsumexp` the one-row form of the reduction.
 
-numpy's exp is one to two orders of magnitude slower on arguments whose
-result is not a normal float, slowest where it is a subnormal.
-`exp_inplace` writes the exact 0.0 that exp returns below EXP_UNDERFLOW
-without calling it, and keeps exp's subnormals.  `exp_normal` calls exp
-only where the result is a normal float and writes 0.0 at or below
-LOG_TINY, the log of the smallest one; `logsumexp_rows` reduces through
-it.  A max-shifted row holds the term e⁰ = 1, and a term below 2⁻¹⁰²²
-cannot move such a row's sum by a bit, so its results are those of exp
-on every entry.  It can also be told which columns of a block hold
-every term that is not 0.0; sums still run over whole rows.
+One exp policy: numpy's exp is one to two orders of magnitude slower on
+arguments whose result is not a normal float, slowest where it is a
+subnormal.  `exp_normal` calls exp only where the result is a normal
+float and writes 0.0 at or below LOG_TINY, the log of the smallest one.
+The reductions here and the Bergman kernel in `sections` go through it,
+and a prune skips only terms that it writes as 0.0.  A max-shifted row
+holds the term e⁰ = 1, and a term below 2⁻¹⁰²² cannot move such a row's
+sum by a bit, so `logsumexp_rows` gives the results of exp on every
+entry.  It can also be told which columns of a block hold every term
+that is not 0.0; sums still run over whole rows.
 """
 
 from __future__ import annotations
@@ -38,61 +36,31 @@ import math
 
 import numpy as np
 
-from .errors import InputError
-
 GL_NODES = 32
 
 
-# The positive nodes, ascending, and their weights of the n-point
-# Gauss–Legendre rules on [−1, 1] that the package uses, as the float.hex
-# of `np.polynomial.legendre.leggauss(n)`.  That rule is exactly
-# symmetric (x = −x[::-1], w = w[::-1]), so each half determines it.
-_GL_HALVES = {
-    32: """
-        0x1.8bbc8488cc49ap-5 0x1.8b6d9eaec77a3p-4
-        0x1.27e0ea717f237p-3 0x1.87bc776f8c6ccp-4
-        0x1.ea0f7e19c094bp-3 0x1.8062fc0f6fef5p-4
-        0x1.53d55ce57bdf6p-2 0x1.7572bdb3f6e49p-4
-        0x1.af76b57c6f8f1p-2 0x1.6705e18e13ecfp-4
-        0x1.038862866b29dp-1 0x1.553ee25ebebc3p-4
-        0x1.2ce9146962ca4p-1 0x1.40483e126fd0ep-4
-        0x1.537a89c487f8ap-1 0x1.2854103b35e00p-4
-        0x1.76e0931d693bap-1 0x1.0d9b9a62cac04p-4
-        0x1.96c69481c4bc5p-1 0x1.e0bd76c924984p-5
-        0x1.b2e04fd686a13p-1 0x1.a1c6ae961fbeep-5
-        0x1.caea9b4574cb9p-1 0x1.5ee963a3354abp-5
-        0x1.deac0259f7f42p-1 0x1.18c5800a35609p-5
-        0x1.edf5518053baap-1 0x1.a0060a8531ff0p-6
-        0x1.f8a212714bcdcp-1 0x1.0aa3c248696dep-6
-        0x1.fe995e70409b6p-1 0x1.cbf8bc743ce34p-8
-    """,
-    48: """
-        0x1.094223ea6196ep-5 0x1.092a652a0fba4p-4
-        0x1.8d54ccaa9b7b4p-4 0x1.080dac3f3724cp-4
-        0x1.4a2ef25599831p-3 0x1.05d56c2248c2dp-4
-        0x1.cc50f5488fbefp-3 0x1.028406fc86d22p-4
-        0x1.26425a1527d42p-2 0x1.fc3a19b11a281p-5
-        0x1.65204357a6388p-2 0x1.f14a6f9e10aacp-5
-        0x1.a27eb589dea3bp-2 0x1.e444cde6cfffcp-5
-        0x1.de1bcb894046ap-2 0x1.d537300bfd4b4p-5
-        0x1.0bdbc159f3714p-1 0x1.c431bfe4b318dp-5
-        0x1.2789ffd1f24a0p-1 0x1.b146c443c7e03p-5
-        0x1.41fae84d5a001p-1 0x1.9c8a8d586186bp-5
-        0x1.5b1216aac49a1p-1 0x1.86135edf0a9e7p-5
-        0x1.72b49a0302d99p-1 0x1.6df9583af7196p-5
-        0x1.88c91196f8e2dp-1 0x1.54565a91a83e9p-5
-        0x1.9d37c81006d1dp-1 0x1.3945ed05d7d52p-5
-        0x1.afeaccf5eeb9ep-1 0x1.1ce51f31f7018p-5
-        0x1.c0ce0c3f55453p-1 0x1.fea4d40fed237p-6
-        0x1.cfcf63e4a4e84p-1 0x1.c15b1e8f69982p-6
-        0x1.dcdeb7610754bp-1 0x1.822eefbc974b7p-6
-        0x1.e7ee011520dfap-1 0x1.416423e8cbb26p-6
-        0x1.f0f161978472fp-1 0x1.fe80c5c315b36p-7
-        0x1.f7df2d6c8eed7p-1 0x1.781605954a664p-7
-        0x1.fcaffc9af24a4p-1 0x1.e037f45d9bc6dp-8
-        0x1.ff5ee9d8af2e2p-1 0x1.9d50bc55d51a7p-9
-    """,
-}
+# The positive nodes, ascending, and their weights of the 32-point
+# Gauss–Legendre rule on [−1, 1], as the float.hex of
+# `np.polynomial.legendre.leggauss(32)`.  That rule is exactly symmetric
+# (x = −x[::-1], w = w[::-1]), so its half determines it.
+_GL_HALF = """
+    0x1.8bbc8488cc49ap-5 0x1.8b6d9eaec77a3p-4
+    0x1.27e0ea717f237p-3 0x1.87bc776f8c6ccp-4
+    0x1.ea0f7e19c094bp-3 0x1.8062fc0f6fef5p-4
+    0x1.53d55ce57bdf6p-2 0x1.7572bdb3f6e49p-4
+    0x1.af76b57c6f8f1p-2 0x1.6705e18e13ecfp-4
+    0x1.038862866b29dp-1 0x1.553ee25ebebc3p-4
+    0x1.2ce9146962ca4p-1 0x1.40483e126fd0ep-4
+    0x1.537a89c487f8ap-1 0x1.2854103b35e00p-4
+    0x1.76e0931d693bap-1 0x1.0d9b9a62cac04p-4
+    0x1.96c69481c4bc5p-1 0x1.e0bd76c924984p-5
+    0x1.b2e04fd686a13p-1 0x1.a1c6ae961fbeep-5
+    0x1.caea9b4574cb9p-1 0x1.5ee963a3354abp-5
+    0x1.deac0259f7f42p-1 0x1.18c5800a35609p-5
+    0x1.edf5518053baap-1 0x1.a0060a8531ff0p-6
+    0x1.f8a212714bcdcp-1 0x1.0aa3c248696dep-6
+    0x1.fe995e70409b6p-1 0x1.cbf8bc743ce34p-8
+"""
 
 
 def _mirrored(half: str):
@@ -103,23 +71,14 @@ def _mirrored(half: str):
     return x, w
 
 
-_GL_RULES = {n: _mirrored(half) for n, half in _GL_HALVES.items()}
+_GL_RULE = _mirrored(_GL_HALF)
 
 
-def _leggauss(n: int):
-    """Nodes and weights of the tabulated n-point Gauss–Legendre rule."""
-    try:
-        return _GL_RULES[n]
-    except KeyError:
-        raise InputError(
-            f"no {n}-point Gauss–Legendre rule; tabulated: {sorted(_GL_RULES)}"
-        ) from None
-
-
-def gauss_cells(breakpoints: np.ndarray, nodes: int = GL_NODES):
-    """Flattened Gauss–Legendre nodes/weights over consecutive cells."""
+def gauss_cells(breakpoints: np.ndarray):
+    """Flattened GL_NODES-point Gauss–Legendre nodes/weights over
+    consecutive cells."""
     bp = np.asarray(breakpoints, dtype=float)
-    x, w = _leggauss(nodes)
+    x, w = _GL_RULE
     a = bp[:-1][:, None]
     h = np.diff(bp)[:, None]
     ts = a + 0.5 * h * (x[None, :] + 1.0)
@@ -170,28 +129,10 @@ def refine_breakpoints(breakpoints, k: int, *, max_width=None):
     return out
 
 
-# exp(x) rounds to exactly 0.0 for x below this (the smallest subnormal
-# is e^-744.44); numpy's exp takes a slow path on such arguments.
-EXP_UNDERFLOW = -746.0
-
 # The smallest normal float and its log: exp(x) is a normal float for
 # every x above LOG_TINY, and at most TINY at or below it.
 TINY = float(np.finfo(float).tiny)
 LOG_TINY = math.log(TINY)
-
-
-def exp_inplace(buf: np.ndarray) -> np.ndarray:
-    """buf ← exp(buf), writing the exact 0.0 of underflowing entries directly.
-
-    An entry between EXP_UNDERFLOW and the normal range gets exp's
-    correctly rounded subnormal value, so its underflow flag is not an
-    error, whatever the caller's `np.errstate`.
-    """
-    zero = buf < EXP_UNDERFLOW
-    with np.errstate(under="ignore"):
-        np.exp(buf, out=buf, where=~zero)
-    buf[zero] = 0.0
-    return buf
 
 
 def exp_normal(x, out=None) -> np.ndarray:
@@ -214,10 +155,11 @@ def logsumexp_rows(buf: np.ndarray, lo: int = 0, hi: int | None = None) -> np.nd
     and those vanish in the addition to the partial that holds the 1: each
     result is bit for bit that of exp on every entry.
 
-    Only buf[:, lo:hi] is read: the caller guarantees that every entry
-    outside it lies more than −EXP_UNDERFLOW below its row's max inside,
-    so its term is exactly 0.0 and is written as such.  Each sum runs over
-    the whole row, as for that row alone.  A non-finite row max gives −∞.
+    Only buf[:, lo:hi] is read: the caller guarantees that every entry x
+    outside it has x − max ≤ LOG_TINY, with the max of its row inside, so
+    its term is one that `exp_normal` writes as 0.0, and it is written as
+    such.  Each sum runs over the whole row, as for that row alone.  A
+    non-finite row max gives −∞.
     """
     live = buf[:, lo:hi]
     mx = np.max(live, axis=1) if live.size else np.full(buf.shape[0], -np.inf)
@@ -230,13 +172,9 @@ def logsumexp_rows(buf: np.ndarray, lo: int = 0, hi: int | None = None) -> np.nd
     return np.add(mx, out, out=out, where=ok)
 
 
-def logsumexp_inplace(buf: np.ndarray, lo: int = 0, hi: int | None = None) -> float:
-    """log Σ exp(buf) of a 1-D buf: `logsumexp_rows` of its one row."""
-    return float(logsumexp_rows(buf[None, :], lo, hi)[0])
-
-
-def logsumexp(vals: np.ndarray) -> float:
-    return logsumexp_inplace(np.array(vals, dtype=float))
+def logsumexp(vals) -> float:
+    """log Σ exp(vals) of a 1-D array: `logsumexp_rows` of its one row."""
+    return float(logsumexp_rows(np.array(vals, dtype=float)[None, :])[0])
 
 
 def log_density(density_fn, ts: np.ndarray) -> np.ndarray:
@@ -247,8 +185,7 @@ def log_density(density_fn, ts: np.ndarray) -> np.ndarray:
 
 
 def log_integral_exp(log_f, breakpoints, k: int = 1, density_fn=None,
-                     atoms=(), extra=None, nodes: int = GL_NODES,
-                     tail_minus=None, tail_plus=None):
+                     atoms=(), extra=None, tail_minus=None, tail_plus=None):
     """log ∫ exp(log_f(t))·ρ(t) dt + Σ atoms, computed stably.
 
     tail_minus/tail_plus: optional (rate, log_value_at_edge) pairs adding
@@ -256,12 +193,12 @@ def log_integral_exp(log_f, breakpoints, k: int = 1, density_fn=None,
     caller guarantees rate sign makes them finite.
     """
     bp = refine_breakpoints(insert_interior(breakpoints, extra), k)
-    ts, ws = gauss_cells(bp, nodes)
+    ts, ws = gauss_cells(bp)
     vals = np.array(log_f(ts), dtype=float)
     if density_fn is not None:
         vals += log_density(density_fn, ts)
     vals += np.log(ws)
-    pieces = [logsumexp_inplace(vals)]
+    pieces = [logsumexp(vals)]
     for t, w in atoms:
         pieces.append(float(np.atleast_1d(log_f(np.asarray([t])))[0]) + np.log(w))
     if tail_minus is not None:

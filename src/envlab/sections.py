@@ -33,8 +33,8 @@ normalized mass has CDF I_x(j+1, m−j+1) at x = σ(t), whose sum over J is
 an expectation of a clipped Bin(m + 1, x) variable, so every cell mass is
 a difference of two such sums, and no norm, plan or kernel value is
 computed.  Elsewhere the kernel (`_kernel`), from the plan's norms, is
-evaluated only where β needs it: at a 48-node Gauss rule over cells
-refined at 4k and at ν's atoms.
+evaluated only where β needs it: at the norms' 32-node Gauss rule over
+cells refined at 4k and at ν's atoms.
 """
 
 from __future__ import annotations
@@ -71,10 +71,9 @@ from .profiles import (
     sup_difference,
 )
 from .quadrature import (
-    EXP_UNDERFLOW,
     GL_NODES,
+    LOG_TINY,
     TINY,
-    exp_inplace,
     exp_normal,
     gauss_cells,
     insert_interior,
@@ -400,10 +399,11 @@ class _NormPlan:
     of its index: j·t, less the index-free terms in order, plus log ρ and
     log w; then `logsumexp_rows`: the row max, exp and the sum over the
     whole row.
-    Cells wholly beyond exp's underflow below every row's peak are not
-    evaluated: their terms are exactly 0.0.  The atoms and the closed-form
-    tails beyond a whole-line measure's ends are arrays over the indices
-    too.  A measure of atoms only has no cells: its quadrature piece is −∞.
+    Cells wholly more than −LOG_TINY below every row's peak are not
+    evaluated: `exp_normal` writes their terms as 0.0.  The atoms and the
+    closed-form tails beyond a whole-line measure's ends are arrays over
+    the indices too.  A measure of atoms only has no cells: its quadrature
+    piece is −∞.
     """
 
     def __init__(self, k: int, m: int, u: ConvexProfile, K: WeightedSet,
@@ -442,8 +442,8 @@ class _NormPlan:
         """The cells' piece of log N² for the float indices jf ≥ 0.
 
         Some node of a cell reaches j·t0 + free and none exceeds j·t1 + free;
-        a block's cells whose bound lies more than −EXP_UNDERFLOW below each
-        row's best reach (less a unit margin for rounding) are left as 0.0.
+        a block's cells whose bound lies more than −LOG_TINY below each row's
+        best reach (less a unit margin for rounding) are left as 0.0.
         """
         n = self.body.t.size
         rows = max(1, KERNEL_BLOCK // n)
@@ -454,7 +454,7 @@ class _NormPlan:
             reach = np.max(j * self.cell_t0 + self.cell_free, axis=1)
             top = j * self.cell_t1 + self.cell_free
             live = np.flatnonzero(np.any(
-                ~(top < reach[:, None] + (EXP_UNDERFLOW - 1.0)), axis=0))
+                ~(top < reach[:, None] + (LOG_TINY - 1.0)), axis=0))
             span = slice(live[0] * GL_NODES, (live[-1] + 1) * GL_NODES)
             ex = block[:j.size]
             sub = self.body(j, out=ex[:, span], span=span)
@@ -826,10 +826,12 @@ def _kernel(t, k: int, m: int, js: np.ndarray, logs: np.ndarray,
             K: WeightedSet, rank: int) -> np.ndarray:
     """B(t) = rank·Σ_J e^{E_j(t)}/N_j² at the points t, log N_j² = logs.
 
-    (t × J) exponents in blocks of about KERNEL_BLOCK entries.  In a block,
-    an index whose bound j·max t + max base − log N_j² lies below
-    EXP_UNDERFLOW (less a unit margin for rounding) has exp exactly 0.0 on
-    every row, and is written as such; each row still sums all |J| entries.
+    (t × J) exponents in blocks of about KERNEL_BLOCK entries, through
+    `exp_normal`: a term with exponent at or below LOG_TINY is 0.0, so
+    each value is 0.0 or at least TINY.  In a block, an index whose bound
+    j·max t + max base − log N_j² lies below LOG_TINY (less a unit margin
+    for rounding) is 0.0 on every row, and is written as such; each row
+    still sums all |J| entries.
     """
     t = np.asarray(t, dtype=float)
     base = -float(m) * softplus(t) - float(k) * K.weight_at(t)
@@ -841,14 +843,14 @@ def _kernel(t, k: int, m: int, js: np.ndarray, logs: np.ndarray,
         ex = block[:t[sl].size]
         ex[...] = 0.0
         top = js * np.max(t[sl]) + np.max(base[sl]) - logs
-        live = np.flatnonzero(~(top < EXP_UNDERFLOW - 1.0))
+        live = np.flatnonzero(~(top < LOG_TINY - 1.0))
         if live.size:
             cols = slice(live[0], live[-1] + 1)
             sub = ex[:, cols]
             np.multiply(js[None, cols], t[sl, None], out=sub)
             sub += base[sl, None]
             sub -= logs[None, cols]
-            exp_inplace(sub)
+            exp_normal(sub, out=sub)
         out[sl] = np.sum(ex, axis=1)
     return float(rank) * out
 
@@ -862,7 +864,7 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
     closed-form differences of binomial expectations
     (`_fs_beta_cell_masses`): no norm, plan or kernel is computed, and the
     mass identity ∫β = h0/k checks their exact telescoping.  Elsewhere the
-    kernel, from the norms' quadrature plan, is integrated on a 48-node
+    kernel, from the norms' quadrature plan, is integrated on the 32-node
     Gauss rule over each cell, with the norms' closed-form tails beyond a
     whole-line measure's ends and its value at each atom, and the mass
     identity is a genuine quadrature check.  With no admissible index β is
@@ -895,17 +897,18 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
     per_cell = np.empty(0)
     if breaks is not None:
         fine = refine_breakpoints(breaks, 4 * k)
-        ts, ws = gauss_cells(fine, nodes=48)
+        ts, ws = gauss_cells(fine)
         kernel = _kernel(ts, k, m, js, logs, K, tw.rank)
-        # far out at large k a term may be a subnormal: the correctly rounded
-        # value, so its underflow flag is not an error
+        # far out at large k a kernel value times ρ·w/k, or a tail term over
+        # its rate, may be a subnormal: the correctly rounded value, so its
+        # underflow flag is not an error
         with np.errstate(under="ignore"):
             vals = kernel * np.asarray(nu.density_fn(ts)) * ws / k
             per_cell = vals.reshape(fine.size - 1, -1).sum(axis=1)
             if plan.edges is not None:
                 # closed-form tails beyond the cells' ends, the norms' own
                 for i, (lv, rate) in zip((0, -1), plan.tails(J)):
-                    per_cell[i] += tw.rank * np.sum(exp_inplace(lv - logs) / rate) / k
+                    per_cell[i] += tw.rank * np.sum(exp_normal(lv - logs) / rate) / k
     beta = RadialMeasure(fine, per_cell, tuple(atoms))
     return BergmanResult(k, beta, beta.total_mass(), n_sections)
 

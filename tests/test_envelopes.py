@@ -26,6 +26,7 @@ from envlab import (
     sup_difference,
     weighted_envelope,
 )
+from envlab.basefun import softplus
 from envlab.envelopes import _obstacle_samples, envelope_of_samples, window_envelope
 from envlab.errors import FeasibilityError, InfeasibleClassError, InputError
 from envlab.experiments import weighted_fixture
@@ -189,17 +190,48 @@ def exact_lower_hull(ts, fs):
                 for a in range(j) for b in range(j + 1, n))]
 
 
-class TestLowerHull:
-    # every product of two differences of these samples is at most 4e-310,
-    # below the smallest normal float: the float orientation test alone
-    # would read most of them as 0.0
-    tiny = st.floats(-1e-155, 1e-155)
+def loop_contact_leakage(env, K):
+    """Reference: the mass of env's MA measure off the contact set, by a
+    Python loop over its atoms and then its cells, one `contains` each."""
+    mu = ma_measure(env)
+    ts, vs = K.sample_points()
+    phi = float(env.class_mass) * softplus(ts) + vs
+    gap = np.abs(env(ts) - phi)
+    scale = max(1.0, float(np.max(np.abs(phi))))
+    contact = ts[gap <= envelopes.CONTACT_TOL * scale]
+    leak = 0.0
+    for t, w in mu.atoms:
+        if not (contact.size and np.min(np.abs(contact - t)) <= 1e-9):
+            leak += w
+    mids = 0.5 * (mu.breakpoints[:-1] + mu.breakpoints[1:])
+    for m_cell, tm in zip(mu.cell_masses, mids):
+        if not K.contains(tm):
+            leak += m_cell
+    return leak, mu.total_mass()
 
+
+@st.composite
+def tiny_samples(draw):
+    """(ts, fs): ascending distinct ts and fs in [−1e-150, 1e-150].  A
+    product of two differences is at most 4e-300: most lie below the
+    smallest normal float, where a float orientation test would read them
+    as 0.0, and a normal one can round to a tie."""
+    tiny = st.floats(-1e-150, 1e-150)
+    ts = sorted(draw(st.lists(tiny, min_size=1, max_size=12, unique=True)))
+    fs = draw(st.lists(tiny | st.just(0.0), min_size=len(ts), max_size=len(ts)))
+    return ts, fs
+
+
+class TestLowerHull:
     @settings(max_examples=200, deadline=None)
-    @given(ts=st.lists(tiny, min_size=1, max_size=12, unique=True), data=st.data())
-    def test_matches_the_exact_hull_on_tiny_samples(self, ts, data):
-        ts = sorted(ts)
-        fs = data.draw(st.lists(self.tiny | st.just(0.0), min_size=len(ts), max_size=len(ts)))
+    @given(samples=tiny_samples())
+    # rounding, not underflow: f₃ − f₀ rounds to −f₀ and t₄ − t₀ to −t₀, so
+    # both products of the test at the vertex t₃ = 0 are one normal float
+    @example(samples=([-9.444703917826121e-151, -7.061631368203236e-151,
+                       -5.0841867447701e-151, 0.0, 1e-300],
+                      [-8.22616798598752e-151, 0.0, 0.0, -1.038446368209802e-197, 0.0]))
+    def test_matches_the_exact_hull_on_tiny_samples(self, samples):
+        ts, fs = samples
         ht, hf = envelopes.lower_hull(np.asarray(ts), np.asarray(fs))
         want = exact_lower_hull(ts, fs)
         assert ht.tolist() == [ts[j] for j in want]
@@ -237,18 +269,19 @@ class TestEnvelopeOfSamples:
 
     def test_rounding_collinear_end_agrees_to_rounding(self):
         # the last four samples lie on the line of slope hi = 5/6 only to
-        # rounding, and hi·t − f is largest, by an ulp, at t = −1.25.  The
-        # whole hull joins t = −5.625 to the last sample with a chord of
-        # exactly 5/6; the slice ends at −1.25, and its chords differ from
-        # 5/6 by an ulp, one of them an extra slope inside the window.  The
-        # profiles differ in their grids and agree as functions to within
-        # two float spacings at 8.
+        # rounding, and hi·t − f is largest, by an ulp, at t = −1.25, where
+        # the slice ends.  That sample is a vertex of the exact hull: its
+        # chords differ from 5/6 by an ulp, below on its left and above on
+        # its right.  A float orientation test read it as on the chord from
+        # −5.625 to the last sample and dropped it from the whole hull.  Both
+        # hulls are exact, so the profiles have one grid and agree as
+        # functions to within two float spacings at 8.
         window = SlopeWindow(Fraction(2, 3), Fraction(5, 6), 1)
         ts = [-7.25, -5.625, -4.5, -1.25, -3.8001821797990174e-130]
         fs = [3.0, -5.6875, -4.75, -2.041666666666667, -1.0]
         got = envelope_of_samples(window, ts, fs, extra_nodes=ts)
         want = full_hull_envelope(window, ts, fs, extra_nodes=ts)
-        assert got.grid.tobytes() != want.grid.tobytes()
+        assert got.grid.tobytes() == want.grid.tobytes()
         probe = np.linspace(-30.0, 30.0, 6001)
         assert np.max(np.abs(got(probe) - want(probe))) <= 2 * np.spacing(8.0)
 
@@ -395,6 +428,30 @@ class TestWeightedEnvelope:
             lhs = float(np.max(h(ts) - phi))
             rhs = sup_difference(h, env)
             assert lhs == pytest.approx(rhs, abs=1e-8)
+
+    def test_leakage_is_the_loop_over_atoms_then_cells(self, rng, monkeypatch):
+        # envelopes whose MA measure is atoms only (PL profiles) or cells only
+        # (a window envelope), against sets they do not touch: nonzero leaks,
+        # summed in the loop's order to the last digit, with one `contains`
+        envs = [random_pl_profile(rng) for _ in range(4)]
+        envs.append(weighted_envelope(window_envelope(1, Fraction(1, 3), Fraction(1, 4)),
+                                      WeightedSet.whole()))
+        sets = [random_weighted_set(rng) for _ in range(4)]
+        sets += [WeightedSet.interval(-1.0, 1.0), WeightedSet.circles([-0.5, 0.5])]
+        calls = []
+        real = WeightedSet.contains
+        monkeypatch.setattr(WeightedSet, "contains",
+                            lambda self, t: calls.append(t) or real(self, t))
+        leaks = 0
+        for env in envs:
+            for K in sets:
+                calls.clear()
+                got = contact_leakage(env, K)
+                assert len(calls) == 1
+                want = loop_contact_leakage(env, K)
+                assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+                leaks += got[0] > 0
+        assert leaks >= 10
 
     def test_contact_set_support(self, rng):
         for _ in range(5):

@@ -146,6 +146,17 @@ class TestWeightedSet:
         assert K.contains(0.0)
         assert not K.contains(0.5)
 
+    def test_contains_is_elementwise(self):
+        t = np.asarray([-2.0, -1.0 - 1e-12, -1.0 - 1e-11, 0.0, 0.25, 0.5, 1.0 + 1e-12, 3.0])
+        for K, want in (
+                (WeightedSet.interval(-1.0, 1.0), [0, 1, 0, 1, 1, 1, 1, 0]),
+                (WeightedSet.circles([0.0, 0.5]), [0, 0, 0, 1, 0, 1, 0, 0]),
+                (WeightedSet.whole(np.linspace(-1.0, 1.0, 5)), [1] * 8)):
+            got = K.contains(t)
+            assert got.dtype == bool and got.tolist() == [bool(w) for w in want]
+            assert [bool(K.contains(x)) for x in t] == got.tolist()
+            assert K.contains(t.reshape(2, 4)).tolist() == got.reshape(2, 4).tolist()
+
     def test_weight_must_be_finite(self):
         g = np.asarray([0.0, 1.0])
         with pytest.raises(InputError):

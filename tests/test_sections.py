@@ -47,7 +47,7 @@ from envlab.basefun import logistic_density, logit, sigmoid, softplus
 from envlab.experiments import ExperimentConfig, run_volume, weighted_fixture
 from envlab.measures import RadialMeasure
 from envlab.profiles import WindowEnvelope, _pad_to_asymptotes
-from envlab.quadrature import gauss_cells, refine_breakpoints
+from envlab.quadrature import GL_NODES, TINY, exp_normal, gauss_cells, refine_breakpoints
 from envlab.sections import (
     _NormPlan,
     _SupPlan,
@@ -661,7 +661,7 @@ class TestClosedFormNorms:
 
 def quadrature_route(nu):
     """ν with its density wrapped, so that `bergman` declines the closed
-    form and integrates the kernel on its 48-node Gauss cells."""
+    form and integrates the kernel on its 32-node Gauss cells."""
     return RadialMeasure(nu.breakpoints, nu.cell_masses, nu.atoms,
                          density_fn=lambda t: logistic_density(t),
                          exact_total=nu.exact_total)
@@ -862,6 +862,39 @@ class TestBergman:
         assert np.all(np.isfinite(basis.log_norms2))
         assert np.all(np.isfinite(res.beta.cell_masses))
         assert abs(res.total_mass - res.h0 / k) <= 1e-8 * (res.h0 / k)
+
+    def test_kernel_on_the_gauss_nodes_is_zero_or_normal(self, monkeypatch):
+        # bump-fs at k = 200: far out every term of B lies at or below TINY,
+        # and exp_normal writes it as 0.0, so B is 0.0 there, never a
+        # subnormal (exp on every term made 999 of 61,440 values subnormal)
+        u, K, nu = weighted_fixture("bump-fs")
+        k = 200
+        seen = []
+        real = sections._kernel
+        monkeypatch.setattr(sections, "_kernel",
+                            lambda t, *rest: seen.append(real(t, *rest)) or seen[-1])
+        bergman(k, u, K, nu)
+        cells = refine_breakpoints(sections._norm_breaks(u, K, nu), 4 * k).size - 1
+        assert [b.size for b in seen] == [cells * GL_NODES]
+        assert np.count_nonzero(seen[0] == 0.0) > 0
+        assert np.all((seen[0] == 0.0) | (seen[0] >= TINY))
+
+    @pytest.mark.parametrize("block", [2 ** 10, sections.KERNEL_BLOCK])
+    def test_kernel_prunes_only_terms_written_as_zero(self, block, monkeypatch):
+        # bump-fs at k = 200, every 7th Gauss node of β: the pruned kernel
+        # is exp_normal of every (node, index) term, summed by rows
+        monkeypatch.setattr(sections, "KERNEL_BLOCK", block)
+        u, K, nu = weighted_fixture("bump-fs")
+        k = 200
+        basis = section_basis(k, u, K, nu)
+        js = np.asarray(basis.J, dtype=float)
+        t, _ = gauss_cells(refine_breakpoints(sections._norm_breaks(u, K, nu), 4 * k))
+        t = t[::7]
+        got = sections._kernel(t, k, basis.m, js, basis.log_norms2, K, 1)
+        base = -float(basis.m) * softplus(t) - float(k) * K.weight_at(t)
+        ex = js[None, :] * t[:, None] + base[:, None] - basis.log_norms2[None, :]
+        assert np.array_equal(got, np.sum(exp_normal(ex), axis=1))
+        assert np.count_nonzero(got == 0.0) > 0
 
     @settings(max_examples=25, deadline=None)
     @given(u=window_profiles(), k=st.integers(1, 80), d=st.integers(-1, 1))
