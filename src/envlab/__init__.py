@@ -52,7 +52,6 @@ from .sections import (
     approximant_lower_bound_constant,
 )
 from .energy import (
-    EnergyValue,
     ma_energy,
     equilibrium_energy,
     energy_derivative_check,
@@ -60,7 +59,6 @@ from .energy import (
 from .toric import (
     TorusProfile2,
     RationalPolygon,
-    singularity_body,
     h0_toric,
 )
 

@@ -10,8 +10,6 @@ boundary terms when tails match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .envelopes import i_model_envelope, weighted_envelope
 from .errors import SingularityTypeError
 from .measures import ma_measure, measure_integral
@@ -19,22 +17,10 @@ from .profiles import ConvexProfile, WeightedSet
 from .quadrature import union
 
 __all__ = [
-    "EnergyValue",
     "ma_energy",
     "equilibrium_energy",
     "energy_derivative_check",
 ]
-
-
-@dataclass(frozen=True)
-class EnergyValue:
-    """Energy number together with the anchor it is measured against."""
-
-    value: float
-    reference: ConvexProfile
-
-    def __float__(self):
-        return float(self.value)
 
 
 def _pair_energy(phi: ConvexProfile, psi: ConvexProfile) -> float:
@@ -54,7 +40,7 @@ def _pair_energy(phi: ConvexProfile, psi: ConvexProfile) -> float:
     )
 
 
-def ma_energy(u: ConvexProfile, phi: ConvexProfile) -> EnergyValue:
+def ma_energy(u: ConvexProfile, phi: ConvexProfile) -> float:
     """Relative Monge–Ampère energy of φ against the anchor P of u.
 
     (1/2)·[∫(F_φ − F_P) dμ_P + ∫(F_φ − F_P) dμ_φ]; raises unless φ has
@@ -66,10 +52,10 @@ def ma_energy(u: ConvexProfile, phi: ConvexProfile) -> EnergyValue:
             "argument does not share the anchor's singularity type "
             f"({phi.s_minus}, {phi.s_plus}) vs ({p.s_minus}, {p.s_plus})"
         )
-    return EnergyValue(float(_pair_energy(phi, p)), p)
+    return _pair_energy(phi, p)
 
 
-def equilibrium_energy(u: ConvexProfile, K: WeightedSet) -> EnergyValue:
+def equilibrium_energy(u: ConvexProfile, K: WeightedSet) -> float:
     """Energy of the weighted envelope of (K, v) in u's singularity class."""
     return ma_energy(u, weighted_envelope(u, K))
 
@@ -83,8 +69,8 @@ def energy_derivative_check(u: ConvexProfile, K: WeightedSet, f, t: float,
     """
     if delta <= 0:
         raise ValueError("finite-difference step must be positive")
-    e_plus = equilibrium_energy(u, K.add_weight(f, t + delta)).value
-    e_minus = equilibrium_energy(u, K.add_weight(f, t - delta)).value
+    e_plus = equilibrium_energy(u, K.add_weight(f, t + delta))
+    e_minus = equilibrium_energy(u, K.add_weight(f, t - delta))
     fd = (e_plus - e_minus) / (2.0 * delta)
     env = weighted_envelope(u, K.add_weight(f, t))
     exact = measure_integral(f, ma_measure(env))

@@ -49,7 +49,7 @@ from .sections import (
     section_basis,
     section_counts,
 )
-from .toric import RationalPolygon, TorusProfile2, _h0_toric_counts, singularity_body
+from .toric import RationalPolygon, TorusProfile2, _h0_toric_counts
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def run_volume(cfg: ExperimentConfig):
                 f"'shifts' must be [0] on toric fixture {cfg.fixture!r}, got "
                 f"{cfg.shifts}: no toric counting bound is derived for d ≠ 0")
         f = toric_fixture(cfg.fixture)
-        body = singularity_body(f)
+        body = f.body
         limit, dim = body.area, 2
 
         def count(ks, tw):
@@ -348,7 +348,7 @@ def run_bergman(cfg: ExperimentConfig):
 def run_energy(cfg: ExperimentConfig):
     u, K, nu = weighted_fixture(cfg.fixture)
     rows, failures = [], []
-    target = equilibrium_energy(u, K).value
+    target = equilibrium_energy(u, K)
     gaps = []
     for k in cfg.k:
         basis = section_basis(k, u, K, nu)

@@ -187,10 +187,9 @@ def kolmogorov_distance(m1: RadialMeasure, m2: RadialMeasure) -> float:
 def measure_integral(f, m: RadialMeasure, extra_breaks=None) -> float:
     """∫ f dμ for continuous f: exact atom sums plus cell quadrature.
 
-    Cells with a density callable use GL_NODES-point Gauss–Legendre;
-    cells without one integrate f against the PL mass profile via the
-    cell midpoint rule refined by the cell masses (only exact for affine
-    f, which is all the callers need when no density is available).
+    Cells use GL_NODES-point Gauss–Legendre against the density callable;
+    cells without one raise InputError, since their masses alone do not
+    give the density.
     """
     out = 0
     if m.atoms:
@@ -201,8 +200,7 @@ def measure_integral(f, m: RadialMeasure, extra_breaks=None) -> float:
     if m.cell_masses.size == 0:
         return out
     if m.density_fn is None:
-        mids = 0.5 * (m.breakpoints[:-1] + m.breakpoints[1:])
-        return out + float(np.sum(np.asarray(f(mids)) * m.cell_masses))
+        raise InputError("a measure with cells needs a density_fn to integrate against")
     ts, ws = gauss_cells(insert_interior(m.breakpoints, extra_breaks))
     out += float(np.sum(np.asarray(f(ts)) * np.asarray(m.density_fn(ts)) * ws))
     return out

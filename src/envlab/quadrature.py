@@ -177,11 +177,10 @@ def logsumexp(vals) -> float:
     return float(logsumexp_rows(np.array(vals, dtype=float)[None, :])[0])
 
 
-def log_density(density_fn, ts: np.ndarray) -> np.ndarray:
-    """log ρ at the nodes, −∞ where ρ vanishes."""
-    dens = np.asarray(density_fn(ts), dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.where(dens > 0, np.log(np.maximum(dens, 1e-320)), -np.inf)
+def log_positive(x) -> np.ndarray:
+    """log x, −∞ where x is not positive."""
+    x = np.asarray(x, dtype=float)
+    return np.log(x, out=np.full_like(x, -np.inf), where=x > 0)
 
 
 def log_integral_exp(log_f, breakpoints, k: int = 1, density_fn=None,
@@ -196,7 +195,7 @@ def log_integral_exp(log_f, breakpoints, k: int = 1, density_fn=None,
     ts, ws = gauss_cells(bp)
     vals = np.array(log_f(ts), dtype=float)
     if density_fn is not None:
-        vals += log_density(density_fn, ts)
+        vals += log_positive(density_fn(ts))
     vals += np.log(ws)
     pieces = [logsumexp(vals)]
     for t, w in atoms:

@@ -9,12 +9,14 @@ Norms follow the smooth-metric convention: the weight is m·f_FS + k·v and
 the singular potential enters only through the admissible index filter.
 `singular_weight=True` switches to the e^{-k·u}-weighted integrand (the
 convention of the Bergman approximants' norm constraint), under which the
-boundary-index integrals genuinely diverge.
+boundary-index integrals genuinely diverge.  J decides integrability:
+against a whole-line ν, |z^j|²e^{−k·u} is integrable exactly for j ∈ J,
+so only `log_norm2`, the one entry that takes any j, checks an index.
 
 L² norms come from one helper, `_log_norms2`, which every caller of a
 norm goes through (`log_norm2`, `section_basis` and so `reference_basis`
-and `bergman_approximant`, `bm_rate`; `bergman` holds the plan itself
-off the FS volume, where no closed form applies).  It takes a closed form
+and `bergman_approximant`; `bergman` holds the plan itself off the FS
+volume, where no closed form applies).  It takes a closed form
 where one exists: v ≡ 0 on K = X against the Fubini–Study volume, where
 N_j² is the Beta value B(j+1, m−j+1) under the smooth-metric convention
 and, under the singular weight of a `WindowEnvelope` profile, a Beta value
@@ -35,6 +37,10 @@ a difference of two such sums, and no norm, plan or kernel value is
 computed.  Elsewhere the kernel (`_kernel`), from the plan's norms, is
 evaluated only where β needs it: at the norms' 32-node Gauss rule over
 cells refined at 4k and at ν's atoms.
+
+Sup norms (`log_sup2`, `bm_rate`) are `_Exponent`'s conjugate: one hull
+walk (`_log_sups2`) takes G's Legendre conjugate at every slope j, G the
+index-free terms.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ from .basefun import (
     sigmoid,
     softplus,
 )
+from .envelopes import conjugate_at_slopes, lower_hull
 from .errors import (
     ConditioningError,
     DivergentIntegralError,
@@ -77,7 +84,7 @@ from .quadrature import (
     exp_normal,
     gauss_cells,
     insert_interior,
-    log_density,
+    log_positive,
     logsumexp_rows,
     refine_breakpoints,
 )
@@ -342,23 +349,31 @@ def _measure_is_whole_line(nu: RadialMeasure) -> bool:
     )
 
 
-def _norm_breaks(u: ConvexProfile, K: WeightedSet, nu: RadialMeasure):
-    """β's cells in `bergman`, before refinement: ν's breakpoints with u's
-    grid and K's sample nodes inserted."""
+def _weight_kinks(K: WeightedSet) -> np.ndarray:
+    """v's kinks: K's component ends, and its sample nodes where v is their
+    nonzero piecewise-linear interpolant (no `v_fn`)."""
+    ts, vs = K.sample_points()
+    kinks = [np.ravel([(a, b) for a, b, _, _ in K.components])]
+    if K.v_fn is None and np.any(vs):
+        kinks.append(ts)
+    return np.concatenate(kinks)
+
+
+def _norm_breaks(K: WeightedSet, nu: RadialMeasure):
+    """β's cells in `bergman`, before refinement: ν's breakpoints with v's
+    kinks inserted (the kernel never reads u)."""
     base = np.asarray(nu.breakpoints, dtype=float)
     if base.size == 0:
         return None
-    ts, _ = K.sample_points()
-    return insert_interior(base, np.concatenate([u.grid, ts]))
+    return insert_interior(base, _weight_kinks(K))
 
 
 def _plan_breaks(u: ConvexProfile, K: WeightedSet, nu: RadialMeasure):
     """The norm integrand's kinks on ν's support, ends included (None for
     atoms only): a density measure is its `density_fn` on [bp[0], bp[−1]],
-    as every constructor in `measures` builds it; v kinks at K's component
-    ends, and at its nodes where it is their nonzero piecewise-linear
-    interpolant (no `v_fn`); u at the contact points where a
-    `WindowEnvelope` switches to its tangent lines, else at its grid.
+    as every constructor in `measures` builds it; v at `_weight_kinks`; u
+    at the contact points where a `WindowEnvelope` switches to its tangent
+    lines, else at its grid.
     Cells without a `density_fn` raise InputError: quadrature integrates
     the density, and their masses alone do not give it."""
     bp = nu.breakpoints
@@ -366,10 +381,7 @@ def _plan_breaks(u: ConvexProfile, K: WeightedSet, nu: RadialMeasure):
         return None
     if nu.density_fn is None:
         raise InputError("a measure with cells needs a density_fn to integrate against")
-    ts, vs = K.sample_points()
-    kinks = [np.ravel([(a, b) for a, b, _, _ in K.components])]
-    if K.v_fn is None and np.any(vs):
-        kinks.append(ts)
+    kinks = [_weight_kinks(K)]
     w = u.exact
     if isinstance(w, WindowEnvelope):
         kinks.append([float(logit(float(s) / float(w.c))) for s in (w.lo, w.hi)
@@ -411,7 +423,7 @@ class _NormPlan:
         breaks = _plan_breaks(u, K, nu)
         if breaks is None and not nu.atoms:
             raise InputError("measure carries neither cells nor atoms")
-        self.k, self.m = k, m
+        self.m = m
         self.tail_shifts = _tail_shifts(k, u, singular)
         self.cells = self.body = self.edges = None
         if breaks is not None:
@@ -419,7 +431,7 @@ class _NormPlan:
             ts, ws = gauss_cells(self.cells)
             self.log_ws = np.log(ws)
             self.body = _Exponent(ts, k, m, u, K, singular)
-            self.log_dens = log_density(nu.density_fn, ts)
+            self.log_dens = log_positive(nu.density_fn(ts))
             # per cell: its first and last node, and the max of the index-free
             # part E_j − j·t + log ρ + log w over its nodes
             free = self.log_ws.copy()
@@ -466,14 +478,10 @@ class _NormPlan:
     def tails(self, js: np.ndarray):
         """At each end of a whole-line measure's cells: E_j + log ρ there,
         and the rate at which it decays beyond, j + 1 − k·ν₀ at −∞ and
-        m − j + 1 − k·ν_∞ at +∞ (ρ contributes e^{t} and e^{−t}); a rate
-        ≤ 0 diverges."""
+        m − j + 1 − k·ν_∞ at +∞ (ρ contributes e^{t} and e^{−t}), both
+        positive for j ∈ J."""
         s_lo, s_hi = self.tail_shifts
         rates = (_minus_fraction(js + 1, s_lo), _minus_fraction(self.m - js + 1, s_hi))
-        bad = js[(rates[0] <= 0) | (rates[1] <= 0)]
-        if bad.size:
-            raise DivergentIntegralError(
-                f"norm integral of index {bad[0]} diverges at k={self.k}")
         return [(E(js.astype(float)) + log_rho, rate)
                 for (E, log_rho), rate in zip(self.edges, rates)]
 
@@ -488,38 +496,33 @@ class _NormPlan:
         return logsumexp_rows(np.column_stack(pieces + tails))
 
 
-class _SupPlan:
-    """log sup over K of E_j for every j, on one refined scan grid.
+def _log_sups2(k: int, m: int, u: ConvexProfile, K: WeightedSet, js,
+               singular: bool) -> np.ndarray:
+    """log sup over K of E_j for every j of the ascending int array js.
 
-    Compact K: component grids refined against the weight scale.  Whole
-    space: the padded grid reaches the asymptotic range, so once the
-    exact tail slopes bound E_j the scan attains its sup.
+    With G the sum of `_Exponent`'s index-free terms, sup (j·t − G(t)) is
+    G's Legendre conjugate at slope j, which one walk over the scan's
+    lower hull takes for every j.  The scan is K's component grids refined
+    against the weight scale; on the whole space it reaches the asymptotic
+    range, where E_j's exact tail slopes bound it unless it grows.
     """
-
-    def __init__(self, k: int, m: int, u: ConvexProfile, K: WeightedSet,
-                 singular: bool):
-        self.m, self.tail_shifts = m, _tail_shifts(k, u, singular)
-        self.whole_space = K.whole_space
-        ts, _ = K.sample_points()
-        if K.whole_space:
-            scan = refine_breakpoints(insert_interior(
-                _pad_to_asymptotes(ts), np.concatenate([u.grid, ts])), k)
-        else:
-            scan = np.concatenate([
-                np.asarray([a]) if a == b else refine_breakpoints(insert_interior(grid, u.grid), k)
-                for a, b, grid, _ in K.components
-            ])
-        self.scan = _Exponent(scan, k, m, u, K, singular)
-        self.buf = np.empty_like(scan)
-
-    def log_sup2(self, j: int) -> float:
-        if self.whole_space:
-            s_lo, s_hi = self.tail_shifts
-            if j < s_lo:
-                raise DivergentIntegralError(f"sup of index {j} grows at t → -inf")
-            if j - self.m + s_hi > 0:
-                raise DivergentIntegralError(f"sup of index {j} grows at t → +inf")
-        return float(np.max(self.scan(j, out=self.buf)))
+    js = np.asarray(js, dtype=np.int64)
+    ts, _ = K.sample_points()
+    if K.whole_space:
+        s_lo, s_hi = _tail_shifts(k, u, singular)
+        for grows, end in ((js < s_lo, "-inf"), (js - m + s_hi > 0, "+inf")):
+            if np.any(grows):
+                raise DivergentIntegralError(
+                    f"sup of index {js[grows][0]} grows at t → {end}")
+        scan = refine_breakpoints(insert_interior(
+            _pad_to_asymptotes(ts), np.concatenate([u.grid, ts])), k)
+    else:
+        scan = np.concatenate([
+            np.asarray([a]) if a == b else refine_breakpoints(insert_interior(grid, u.grid), k)
+            for a, b, grid, _ in K.components
+        ])
+    G = np.sum(_Exponent(scan, k, m, u, K, singular).terms, axis=0)
+    return conjugate_at_slopes(*lower_hull(scan, G), js)
 
 
 # ---------------------------------------------------------------------------
@@ -536,11 +539,6 @@ class _SupPlan:
 # The tails' ₂F₁ series are summed to at most this many terms; a window end
 # so near 0 or c that more are needed leaves the norms to the plan.
 SERIES_MAX_TERMS = 256
-
-
-def _log_positive(x: np.ndarray) -> np.ndarray:
-    """log x, −∞ where x is 0."""
-    return np.log(x, out=np.full_like(x, -np.inf), where=x > 0)
 
 
 def _log1m_exp(d: np.ndarray) -> np.ndarray:
@@ -583,7 +581,7 @@ def _log_binomial_tails(n: int, x: Fraction, js: np.ndarray):
     lower = np.cumsum(w)
     upper = np.cumsum(w[::-1])[::-1]
     log_total = math.log(lower[-1])
-    return _log_positive(lower[js]) - log_total, _log_positive(upper[js + 1]) - log_total
+    return log_positive(lower[js]) - log_total, log_positive(upper[js + 1]) - log_total
 
 
 def _log_middle(m: int, x0: Fraction, x1: Fraction, js: np.ndarray) -> np.ndarray:
@@ -646,8 +644,7 @@ def _closed_form_log_norms2(k: int, m: int, js: np.ndarray, u: ConvexProfile,
     It applies on the FS volume (`_is_fs_volume`): always under the
     smooth-metric convention, and under the singular weight when u is a
     `WindowEnvelope` profile and B + 2 = 2 + d − {k·c} > 0 (the tail series
-    then has positive terms).  A boundary index raises
-    DivergentIntegralError, as the plan does.
+    then has positive terms).  Every j lies in J, as in `_log_norms2`.
     """
     if not _is_fs_volume(K, nu):
         return None
@@ -663,10 +660,6 @@ def _closed_form_log_norms2(k: int, m: int, js: np.ndarray, u: ConvexProfile,
     kl, kr = k * lo, k * (c - hi)
     a_left = (js - math.floor(kl)) + float(1 - (kl - math.floor(kl)))
     a_right = (m - js - math.floor(kr)) + float(1 - (kr - math.floor(kr)))
-    bad = js[(a_left <= 0) | (a_right <= 0)]
-    if bad.size:
-        raise DivergentIntegralError(
-            f"norm integral of index {bad[0]} diverges at k={k}")
     b2 = Fraction(m + 2) - k * c
     if b2 <= 0:
         return None
@@ -746,7 +739,8 @@ def _fs_beta_cell_masses(bp: np.ndarray, m: int, j_min: int, n_J: int,
 def _log_norms2(k: int, m: int, J, u: ConvexProfile, K: WeightedSet,
                 nu: RadialMeasure, singular: bool):
     """log N² of z^j for j in J: the closed form where one exists, else
-    the quadrature plan."""
+    the quadrature plan.  Under the singular weight on a whole-line ν
+    every j must lie in the admissible set, where the integrals converge."""
     js = np.asarray(J, dtype=np.int64)
     if js.size == 0:
         return np.empty(0)
@@ -754,10 +748,6 @@ def _log_norms2(k: int, m: int, J, u: ConvexProfile, K: WeightedSet,
     if logs is not None:
         return logs
     return _NormPlan(k, m, u, K, nu, singular).log_norms2(js)
-
-
-def _degree(k: int, u: ConvexProfile, tw: TwistData) -> int:
-    return math.floor(k * u.class_mass) + tw.degree_shift
 
 
 def _check_index(j: int, m: int) -> None:
@@ -769,10 +759,13 @@ def log_norm2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
               nu: RadialMeasure, tw: TwistData = TwistData(),
               singular_weight: bool = False) -> float:
     """log N² of z^j in the weighted L² norm against ν (closed-form where
-    one exists, see `_log_norms2`)."""
-    m = _degree(k, u, tw)
-    _check_index(j, m)
-    return float(_log_norms2(k, m, [j], u, K, nu, singular_weight)[0])
+    one exists, see `_log_norms2`).  Under the singular weight on a
+    whole-line ν an index outside J diverges."""
+    basis = admissible_set(k, u, tw)
+    _check_index(j, basis.m)
+    if singular_weight and j not in basis.J and _measure_is_whole_line(nu):
+        raise DivergentIntegralError(f"norm integral of index {j} diverges at k={k}")
+    return float(_log_norms2(k, basis.m, [j], u, K, nu, singular_weight)[0])
 
 
 def l2_norm(j: int, k: int, u: ConvexProfile, K: WeightedSet,
@@ -783,10 +776,11 @@ def l2_norm(j: int, k: int, u: ConvexProfile, K: WeightedSet,
 
 def log_sup2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
              tw: TwistData = TwistData(), singular_weight: bool = False) -> float:
-    """log sup over K of the squared pointwise weight of z^j."""
-    m = _degree(k, u, tw)
+    """log sup over K of the squared pointwise weight of z^j: the one-index
+    case of `_log_sups2`."""
+    m = admissible_set(k, u, tw).m
     _check_index(j, m)
-    return _SupPlan(k, m, u, K, singular_weight).log_sup2(j)
+    return float(_log_sups2(k, m, u, K, [j], singular_weight)[0])
 
 
 def sup_norm(j: int, k: int, u: ConvexProfile, K: WeightedSet,
@@ -859,7 +853,7 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
             tw: TwistData = TwistData()) -> BergmanResult:
     """The partial Bergman measure β = B·ν/k over (K, v, ν), with its mass.
 
-    β's cells are ν's breakpoints (with u's and K's kinks) refined at 4k.
+    β's cells are ν's breakpoints (with v's kinks) refined at 4k.
     On the FS volume (v ≡ 0 on K = X, `_is_fs_volume`) its cell masses are
     closed-form differences of binomial expectations
     (`_fs_beta_cell_masses`): no norm, plan or kernel is computed, and the
@@ -878,7 +872,7 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
         return BergmanResult(k, zero, 0.0, 0)
     m = basis.m
     n_sections = tw.rank * len(basis.J)
-    breaks = _norm_breaks(u, K, nu)
+    breaks = _norm_breaks(K, nu)
     if _is_fs_volume(K, nu):
         fine = refine_breakpoints(breaks, 4 * k)
         masses = _fs_beta_cell_masses(fine, m, basis.J[0], len(basis.J),
@@ -987,13 +981,10 @@ def bm_rate(k: int, K: WeightedSet, nu: RadialMeasure, c=Fraction(1),
     comparison on (K, v).
     """
     u = base_profile(as_fraction(c))
-    m = _degree(k, u, tw)
-    sup = _SupPlan(k, m, u, K, False)
-    l2 = _log_norms2(k, m, range(m + 1), u, K, nu, False)
-    worst = -np.inf
-    for j in range(m + 1):
-        worst = max(worst, sup.log_sup2(j) - l2[j])
-    return worst / float(k)
+    basis = admissible_set(k, u, tw)
+    m, js = basis.m, np.asarray(basis.J, dtype=np.int64)
+    gaps = _log_sups2(k, m, u, K, js, False) - _log_norms2(k, m, js, u, K, nu, False)
+    return float(np.max(gaps, initial=-np.inf)) / float(k)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .errors import InputError
 __all__ = [
     "TorusProfile2",
     "RationalPolygon",
-    "singularity_body",
     "h0_toric",
 ]
 
@@ -202,11 +201,6 @@ class TorusProfile2:
         return out
 
 
-def singularity_body(f: TorusProfile2) -> RationalPolygon:
-    """Convex hull of the piece gradients, exact; built once per profile."""
-    return f.body
-
-
 def floor_sum(n, m: int, a: int, b) -> np.ndarray:
     """Σ_{i=0}^{n−1} ⌊(a·i + b)/m⌋ at each entry of int64 arrays n ≥ 0 and b,
     for integers m > 0 and a of either sign.
@@ -312,7 +306,7 @@ def _h0_toric_counts(ks, f: TorusProfile2, tw=None) -> np.ndarray:
         raise InputError("k must be a positive integer")
     c, d = f.class_mass, tw.degree_shift
     m_hi = k_hi * c.numerator // c.denominator + d
-    table = singularity_body(f).edge_table
+    table = f.body.edge_table
     if m_hi < 0 or not table:
         return np.zeros(len(ks), dtype=np.int64)
     # α₁ and each floor sum's n lie in [0, n_hi), where |C − P·α₁| ≤ g_hi;
@@ -356,7 +350,7 @@ def h0_toric_bruteforce(k: int, f: TorusProfile2, tw=None) -> int:
     m = math.floor(k * f.class_mass) + tw.degree_shift
     if m < 0:
         return 0
-    body = singularity_body(f)
+    body = f.body
     count = 0
     for a1 in range(0, m + 1):
         for a2 in range(0, m - a1 + 1):

@@ -204,7 +204,7 @@ class TestRunVolume:
     def test_toric_bound_matches_fractions(self, name):
         # the gate |n/(r·k²) − area| ≤ 4·perimeter/k in Fractions, at counts
         # on each side of and exactly on both ends of the window
-        body = experiments.singularity_body(experiments.toric_fixture(name))
+        body = experiments.toric_fixture(name).body
         area, perim = body.area, body.perimeter_lower
         ks = range(1, 61)
         for r in (1, 3):
@@ -322,7 +322,7 @@ class TestRunEnergy:
                             lambda k, u, basis: float(k))
         cfg = committed("energy_bump")
         u, K, _ = experiments.weighted_fixture(cfg.fixture)
-        target = experiments.equilibrium_energy(u, K).value
+        target = experiments.equilibrium_energy(u, K)
         gaps = [abs(k - target) for k in cfg.k]
         _, failures = run_experiment(cfg, str(tmp_path))
         assert failures == [f"donaldson gap not decreasing: {a:.4g} -> {b:.4g}"

@@ -218,8 +218,10 @@ class TestMeasureIntegral:
     def test_matches_a_per_atom_loop(self, m):
         # up to 40 atoms: numpy's unrolled or pairwise sums would round
         # differently from the loop
+        m = RadialMeasure(m.breakpoints, m.cell_masses, m.atoms, density_fn=logistic_density)
         want = per_atom_sum(wiggle, m)
-        want += measure_integral(wiggle, RadialMeasure(m.breakpoints, m.cell_masses))
+        want += measure_integral(wiggle, RadialMeasure(m.breakpoints, m.cell_masses, (),
+                                                       density_fn=logistic_density))
         assert float(measure_integral(wiggle, m)).hex() == float(want).hex()
 
     def test_constant_f_weighs_every_atom(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -31,6 +32,7 @@ from envlab import (
     l2_norm,
     lelong,
     limit_mass,
+    measure_integral,
     reference_basis,
     section_basis,
     sup_norm,
@@ -50,12 +52,13 @@ from envlab.profiles import WindowEnvelope, _pad_to_asymptotes
 from envlab.quadrature import GL_NODES, TINY, exp_normal, gauss_cells, refine_breakpoints
 from envlab.sections import (
     _NormPlan,
-    _SupPlan,
     _fs_beta_cdfs,
+    _log_sups2,
     approximant_lower_bound_constant,
     counting_bound_holds,
     counting_window_holds,
     log_norm2,
+    log_sup2,
     section_counts,
 )
 
@@ -466,21 +469,47 @@ class TestSharedPlan:
         assert np.array_equal(section_basis(k, u, K, nu).log_norms2, logs)
 
     def test_sup_norms_match_per_index_scan(self):
+        # the hull walk against the exact max of j·t − G(t) over the same
+        # scan, G = −E_0 the index-free terms, taken in Fractions
         u = THIRD_QUARTER
-        for K in (WeightedSet.interval(-1.0, 1.0, v=lambda t: 0.1 * t * t),
-                  WeightedSet.whole(v=lambda t: 0.2 * np.exp(-t * t))):
-            k = 20
+        Ks = (WeightedSet.interval(-1.0, 1.0, v=lambda t: 0.1 * t * t),
+              WeightedSet.interval(-1.0, 1.0, v=0.1 * np.linspace(-1, 1, 129) ** 2),
+              WeightedSet.circles([-1.0, 0.5, 2.0], [0.1, 0.0, 0.3]),
+              WeightedSet.whole(v=lambda t: 0.2 * np.exp(-t * t)))
+        for K, k, singular in itertools.product(Ks, (20, 200), (False, True)):
             basis = admissible_set(k, u)
-            assert basis.J
-            plan = _SupPlan(k, basis.m, u, K, False)
+            js = basis.J
+            if K.whole_space and singular:
+                # E_j grows at −∞ for j < k·ν₀ and at +∞ for j > m − k·ν_∞
+                js = [j for j in js if k * u.s_minus <= j
+                      <= basis.m - k * (u.class_mass - u.s_plus)]
+            assert js
             if K.whole_space:
                 ts = K.sample_points()[0]
                 scan = loop_refine(_pad_to_asymptotes(ts), k, np.concatenate([u.grid, ts]))
             else:
-                scan = loop_refine(K.components[0][2], k, u.grid)
-            want = [float(np.max(index_exponent(j, k, basis.m, u, K, False)(scan)))
-                    for j in basis.J]
-            assert [plan.log_sup2(j) for j in basis.J] == want
+                scan = np.concatenate([[a] if a == b else loop_refine(grid, k, u.grid)
+                                       for a, b, grid, _ in K.components])
+            G = -index_exponent(0, k, basis.m, u, K, singular)(scan)
+            got = _log_sups2(k, basis.m, u, K, js, singular)
+            for j, val in zip(js, got):
+                # only points within far more than rounding of the float
+                # max can hold the exact one
+                approx = j * scan - G
+                near = np.flatnonzero(
+                    approx >= np.max(approx) - 1e-9 * (1 + np.max(np.abs(approx))))
+                want = float(max(j * Fraction(scan[i]) - Fraction(G[i]) for i in near))
+                assert abs(val - want) <= np.spacing(abs(want)), (K, k, singular, j)
+
+    def test_sup_raises_where_the_weight_grows(self):
+        # third-quarter at k = 12 under the singular weight: E_j has slope
+        # j − 4 at −∞ and j − 9 at +∞, so j = 3 and j = 10 grow
+        K = WeightedSet.whole()
+        assert all(np.isfinite(log_sup2(j, 12, THIRD_QUARTER, K, singular_weight=True))
+                   for j in (4, 9))
+        for j, end in ((3, "-inf"), (10, "[+]inf")):
+            with pytest.raises(DivergentIntegralError, match=end):
+                log_sup2(j, 12, THIRD_QUARTER, K, singular_weight=True)
 
     def test_single_index_is_the_basis_entry(self):
         u, K, nu = weighted_fixture("bump-fs")
@@ -524,6 +553,29 @@ class TestPlanCells:
         for K in (exact, WeightedSet.interval(-1.0, 1.0)):
             cells = _NormPlan(12, 12, u, K, nu, False).cells
             assert np.array_equal(cells, refine_breakpoints([-1.0, 1.0], 12))
+
+    @pytest.mark.parametrize("fixture", [
+        "vtheta-fs", "third-quarter-fs", "annulus-area", "annulus-atom", "bump-fs"])
+    def test_beta_cells_are_the_measure_breakpoints(self, fixture):
+        _, K, nu = weighted_fixture(fixture)
+        breaks = sections._norm_breaks(K, nu)
+        if nu.breakpoints.size:
+            assert np.array_equal(breaks, nu.breakpoints)
+        else:
+            assert breaks is None
+
+    def test_beta_cells_keep_a_sampled_weight_nodes(self):
+        # nodes off ν's 1/64 grid: the piecewise-linear weight kinks at each
+        # of them, the callable one only at K's ends
+        nu = annulus_area_measure()
+        grid = np.linspace(-0.71, 0.71, 8)
+        sampled = WeightedSet(((-0.71, 0.71, grid, 0.1 * grid ** 2),))
+        exact = WeightedSet(((-0.71, 0.71, grid, 0.1 * grid ** 2),), v_fn=lambda t: 0.1 * t * t)
+        assert not np.isin(grid, nu.breakpoints).any()
+        assert np.array_equal(sections._norm_breaks(sampled, nu),
+                              np.union1d(nu.breakpoints, grid))
+        assert np.array_equal(sections._norm_breaks(exact, nu),
+                              np.union1d(nu.breakpoints, [-0.71, 0.71]))
 
 
 def mp_log_norms2(k, u, tw=TwistData(), singular=False):
@@ -625,6 +677,26 @@ class TestClosedFormNorms:
         for j in (J[0] - 1, J[-1] + 1):
             with pytest.raises(DivergentIntegralError):
                 log_norm2(j, 12, u, K, nu, singular_weight=True)
+
+    def test_boundary_indices_diverge_on_the_plan_route(self):
+        # d = −2: B + 2 = 0, so the series does not apply and the plan
+        # takes the norms
+        u, K, nu = TQ_FS
+        tw = TwistData(1, -2)
+        m, J = admissible_indices(30, 1, Fraction(1, 3), Fraction(1, 4), tw)
+        assert sections._closed_form_log_norms2(
+            30, m, np.asarray(J), u, K, nu, True) is None
+        assert np.isfinite(log_norm2(J[0], 30, u, K, nu, tw, singular_weight=True))
+        for j in (J[0] - 1, J[-1] + 1):
+            with pytest.raises(DivergentIntegralError):
+                log_norm2(j, 30, u, K, nu, tw, singular_weight=True)
+
+    def test_index_outside_J_is_finite_on_compact_K(self):
+        # annulus-area's ν lives on [−1, 1], so every index integrates
+        _, K, nu = weighted_fixture("annulus-area")
+        _, J = admissible_indices(12, 1, Fraction(1, 3), Fraction(1, 4))
+        for j in (J[0] - 1, J[-1] + 1):
+            assert np.isfinite(log_norm2(j, 12, THIRD_QUARTER, K, nu, singular_weight=True))
 
     def test_large_k_is_finite_without_floating_point_exceptions(self):
         u, K, nu = TQ_FS
@@ -749,7 +821,7 @@ class TestBergman:
         k = 60
         basis = section_basis(k, u, K, nu)
         js = np.asarray(basis.J, dtype=float)
-        t = refine_breakpoints(sections._norm_breaks(u, K, nu), k)
+        t = refine_breakpoints(sections._norm_breaks(K, nu), k)
         got = sections._kernel(t, k, basis.m, js, basis.log_norms2, K, 1)
         base = -float(basis.m) * softplus(t) - float(k) * K.weight_at(t)
         ex = js[None, :] * t[:, None] + base[:, None] - basis.log_norms2[None, :]
@@ -874,7 +946,7 @@ class TestBergman:
         monkeypatch.setattr(sections, "_kernel",
                             lambda t, *rest: seen.append(real(t, *rest)) or seen[-1])
         bergman(k, u, K, nu)
-        cells = refine_breakpoints(sections._norm_breaks(u, K, nu), 4 * k).size - 1
+        cells = refine_breakpoints(sections._norm_breaks(K, nu), 4 * k).size - 1
         assert [b.size for b in seen] == [cells * GL_NODES]
         assert np.count_nonzero(seen[0] == 0.0) > 0
         assert np.all((seen[0] == 0.0) | (seen[0] >= TINY))
@@ -888,7 +960,7 @@ class TestBergman:
         k = 200
         basis = section_basis(k, u, K, nu)
         js = np.asarray(basis.J, dtype=float)
-        t, _ = gauss_cells(refine_breakpoints(sections._norm_breaks(u, K, nu), 4 * k))
+        t, _ = gauss_cells(refine_breakpoints(sections._norm_breaks(K, nu), 4 * k))
         t = t[::7]
         got = sections._kernel(t, k, basis.m, js, basis.log_norms2, K, 1)
         base = -float(basis.m) * softplus(t) - float(k) * K.weight_at(t)
@@ -1177,3 +1249,7 @@ class TestCellsWithoutDensity:
         with pytest.raises(InputError, match="density_fn"):
             gram(5, base_profile(1), WeightedSet.whole(),
                  lambda t, phi: 0.3 * np.cos(phi) + 0.0 * t, self.NU)
+
+    def test_measure_integral(self):
+        with pytest.raises(InputError, match="density_fn"):
+            measure_integral(lambda t: np.asarray(t), self.NU)

@@ -18,14 +18,13 @@ from envlab.toric import (
     floor_sum,
     h0_toric,
     h0_toric_bruteforce,
-    singularity_body,
 )
 
 
 def loop_h0_toric(k, f, tw=TwistData()):
     """Reference: Fraction edge inequalities per k, one Python loop per row."""
     m = math.floor(k * f.class_mass) + tw.degree_shift
-    verts = singularity_body(f).vertices
+    verts = f.body.vertices
     if m < 0 or len(verts) < 3:
         return 0
     ineqs = []
@@ -102,7 +101,7 @@ class TestAgainstRowLoop:
 
     def test_body_and_edge_table_are_built_once(self):
         f = toric_fixture("half-square")
-        assert singularity_body(f) is singularity_body(f)
+        assert f.body is f.body
         assert f.body.edge_table is f.body.edge_table
         # one inequality per edge, in integers
         assert len(f.body.edge_table) == 4
