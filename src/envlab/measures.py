@@ -89,29 +89,6 @@ class RadialMeasure:
     def support_points(self) -> np.ndarray:
         return union([t for t, _ in self.atoms], self.breakpoints)
 
-    # -- serialization (density as mass per unit t on the grid cells) -------
-
-    def to_dict(self) -> dict:
-        widths = np.diff(self.breakpoints) if self.breakpoints.size else np.empty(0)
-        dens = np.divide(self.cell_masses, widths, out=np.zeros_like(self.cell_masses),
-                         where=widths > 0)
-        return {
-            "grid": [float(t) for t in self.breakpoints],
-            "density": [float(d) for d in dens],
-            "atoms": [[float(t), float(w)] for t, w in self.atoms],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RadialMeasure":
-        try:
-            bp = np.asarray(d["grid"], dtype=float)
-            dens = np.asarray(d["density"], dtype=float)
-            atoms = tuple((float(t), float(w)) for t, w in d["atoms"])
-        except KeyError as exc:
-            raise InputError(f"measure dict missing field {exc}") from exc
-        cm = dens * np.diff(bp) if bp.size else np.empty(0)
-        return cls(bp, cm, atoms)
-
 
 def ma_measure(p: ConvexProfile) -> RadialMeasure:
     """Non-pluripolar Monge–Ampère measure of a profile; mass s₊ − s₋.
@@ -156,16 +133,30 @@ def fs_measure() -> RadialMeasure:
                          exact_total=Fraction(1))
 
 
+@dataclass(frozen=True)
+class AreaDensity:
+    """e^t/(e^b − e^a) on [a, b]: the normalized area density of the
+    annulus {a ≤ t ≤ b}.  Its own type, so that `sections.bergman` can
+    recognize the measure and take β's closed form."""
+
+    a: float
+    b: float
+
+    def __call__(self, t):
+        return np.exp(t) / (np.exp(self.b) - np.exp(self.a))
+
+
 def annulus_area_measure(a: float = -1.0, b: float = 1.0) -> RadialMeasure:
-    """Normalized area measure of the annulus {a ≤ t ≤ b} (density ∝ e^t)
-    on a 1/64 grid."""
+    """Normalized area measure of the annulus {a ≤ t ≤ b} (density ∝ e^t,
+    an `AreaDensity`) on a 1/64 grid.  Under x = σ(t) it is dx/(1 − x)²
+    up to its normalization, so the partial Bergman measure against it
+    has the closed form of `sections._area_beta_cell_masses`."""
     if not a < b:
         raise InputError("annulus needs a < b")
     grid = np.linspace(a, b, max(2, int(np.ceil((b - a) * 64)) + 1))
-    z = np.exp(b) - np.exp(a)
-    masses = np.diff(np.exp(grid)) / z
-    return RadialMeasure(grid, masses, (),
-                         density_fn=lambda t: np.exp(t) / z,
+    density = AreaDensity(float(a), float(b))
+    masses = np.diff(np.exp(grid)) / (np.exp(density.b) - np.exp(density.a))
+    return RadialMeasure(grid, masses, (), density_fn=density,
                          exact_total=Fraction(1))
 
 

@@ -15,8 +15,8 @@ so only `log_norm2`, the one entry that takes any j, checks an index.
 
 L² norms come from one helper, `_log_norms2`, which every caller of a
 norm goes through (`log_norm2`, `section_basis` and so `reference_basis`
-and `bergman_approximant`; `bergman` holds the plan itself off the FS
-volume, where no closed form applies).  It takes a closed form
+and `bergman_approximant`; `bergman` holds the plan itself where β has
+no closed form).  It takes a closed form
 where one exists: v ≡ 0 on K = X against the Fubini–Study volume, where
 N_j² is the Beta value B(j+1, m−j+1) under the smooth-metric convention
 and, under the singular weight of a `WindowEnvelope` profile, a Beta value
@@ -30,13 +30,16 @@ arithmetic a separate quadrature of it on those cells would do, so its
 norms are the same to the last bit.
 
 The partial Bergman measure β = B·ν/k (`bergman`) takes one of two
-routes.  On the same FS volume with v ≡ 0 it is closed-form: z^j's
-normalized mass has CDF I_x(j+1, m−j+1) at x = σ(t), whose sum over J is
-an expectation of a clipped Bin(m + 1, x) variable, so every cell mass is
-a difference of two such sums, and no norm, plan or kernel value is
-computed.  Elsewhere the kernel (`_kernel`), from the plan's norms, is
-evaluated only where β needs it: at the norms' 32-node Gauss rule over
-cells refined at 4k and at ν's atoms.
+routes.  With v ≡ 0 against the FS volume on K = X, or against the area
+density on [a, b] ⊂ K (`_closed_form_density`), it is closed-form: at
+x = σ(t) z^j's normalized mass has an incomplete-Beta CDF, a binomial
+tail, and the sum over J is one binomial row per point against
+cumulative per-index weights (`_binomial_row_means`), built only where
+its entries are not 0.0; every cell mass is a difference of such sums,
+and no norm, plan or kernel value is computed.  Elsewhere the kernel
+(`_kernel`), from the plan's norms, is evaluated only where β needs it:
+at the norms' 32-node Gauss rule over cells refined at 4k and at ν's
+atoms.
 
 Sup norms (`log_sup2`, `bm_rate`) are `_Exponent`'s conjugate: one hull
 walk (`_log_sups2`) takes G's Legendre conjugate at every slope j, G the
@@ -68,7 +71,7 @@ from .errors import (
     InputError,
     NoSectionsError,
 )
-from .measures import RadialMeasure, fs_measure
+from .measures import AreaDensity, RadialMeasure, fs_measure
 from .profiles import (
     ConvexProfile,
     WeightedSet,
@@ -93,6 +96,10 @@ from .quadrature import (
 # evaluated in blocks of about this many entries, so the working set stays
 # bounded at large k.
 KERNEL_BLOCK = 2 ** 16
+
+# β's closed-form binomial rows are built this many points at a time, each
+# chunk on the span of its rows' live windows.
+ROW_CHUNK = 128
 
 __all__ = [
     "TwistData",
@@ -526,7 +533,8 @@ def _log_sups2(k: int, m: int, u: ConvexProfile, K: WeightedSet, js,
 
 
 # ---------------------------------------------------------------------------
-# closed-form norms and β: v = 0, K = X, ν the Fubini–Study volume
+# closed-form norms and β: v = 0 against the Fubini–Study volume on K = X,
+# or against the area density on [a, b] ⊂ K
 # ---------------------------------------------------------------------------
 #
 # Under x = σ(t) the FS measure is dx, e^t = x/(1 − x) and e^{−f_FS} = 1 − x,
@@ -535,9 +543,18 @@ def _log_sups2(k: int, m: int, u: ConvexProfile, K: WeightedSet, js,
 # x ∈ [x₀, x₁] = [lo/c, hi/c] keeps that integrand, and each tangent-line
 # tail is e^{k·g*}·x^A (1 − x)^{B−A} with A = j − k·lo (mirrored at x₁) and
 # B = m − k·c.
+#
+# The area density ∝ e^t on [a, b] is dx/(1 − x)² under the same
+# substitution, so z^j's integrand there is x^j (1 − x)^{m−j−2} on
+# [σ(a), σ(b)]: an incomplete Beta(j+1, m−j−1) for j ≤ m − 2, whose CDF
+# is a binomial tail as on the FS volume, and for j = m − 1, m (second
+# parameter 0, −1) the ₂F₁ series of `_log_tail`.  Only β uses it; the
+# norms there stay the plan's, so the plan has this closed form as its
+# oracle.
 
-# The tails' ₂F₁ series are summed to at most this many terms; a window end
-# so near 0 or c that more are needed leaves the norms to the plan.
+# The ₂F₁ series are summed to at most this many terms; a window end so
+# near 0 or c, or an annulus end σ(b) so near 1, that more are needed
+# leaves the norms, or β, to the plan.
 SERIES_MAX_TERMS = 256
 
 
@@ -564,12 +581,22 @@ def _log_binomials(n: int) -> np.ndarray:
     return out
 
 
-def _log_binomial_tails(n: int, x: Fraction, js: np.ndarray):
-    """(log P(Bin(n, x) ≤ j), log P(Bin(n, x) > j)) for j in js ⊂ [0, n).
+def _log_row_tails(w: np.ndarray, js: np.ndarray):
+    """(log P(N ≤ j), log P(N > j)) for j in js, N distributed as the
+    nonnegative row w over 0..n normalized, js ⊂ [0, n).
 
     Both tails are summed from their own end, so a small one keeps its
-    relative accuracy.  P(Bin(n, x) > j) = I_x(j + 1, n − j).
+    relative accuracy.
     """
+    lower = np.cumsum(w)
+    upper = np.cumsum(w[::-1])[::-1]
+    log_total = math.log(lower[-1])
+    return log_positive(lower[js]) - log_total, log_positive(upper[js + 1]) - log_total
+
+
+def _log_binomial_tails(n: int, x: Fraction, js: np.ndarray):
+    """(log P(Bin(n, x) ≤ j), log P(Bin(n, x) > j)) for j in js ⊂ [0, n);
+    P(Bin(n, x) > j) = I_x(j + 1, n − j)."""
     if x == 0:
         return np.zeros(js.size), np.full(js.size, -np.inf)
     if x == 1:
@@ -577,42 +604,50 @@ def _log_binomial_tails(n: int, x: Fraction, js: np.ndarray):
     xf = float(x)
     i = np.arange(n + 1)
     log_pmf = _log_binomials(n) + i * math.log(xf) + (n - i) * math.log1p(-xf)
-    w = exp_normal(log_pmf - np.max(log_pmf))
-    lower = np.cumsum(w)
-    upper = np.cumsum(w[::-1])[::-1]
-    log_total = math.log(lower[-1])
-    return log_positive(lower[js]) - log_total, log_positive(upper[js + 1]) - log_total
+    return _log_row_tails(exp_normal(log_pmf - np.max(log_pmf)), js)
+
+
+def _log_gap(low0, up0, low1, up1):
+    """log(I_{x₁} − I_{x₀}) for I_x = P(N > j), from both tails at x₀ < x₁:
+    on the side where both incomplete-Beta values (upper) or both
+    complements (lower) are small, and whether that side is the upper one."""
+    upper = up1 <= low0
+    big = np.where(upper, up1, low0)
+    small = np.where(upper, up0, low1)
+    out = np.full(big.size, -np.inf)
+    live = np.isfinite(big)
+    out[live] = big[live] + _log1m_exp(small[live] - big[live])
+    return out, upper
 
 
 def _log_middle(m: int, x0: Fraction, x1: Fraction, js: np.ndarray) -> np.ndarray:
     """log(I_{x₁} − I_{x₀}) of (j + 1, m − j + 1), on the side where both
-    incomplete-Beta values (upper) or both complements (lower) are small."""
+    terms are small (`_log_gap`)."""
     if x0 == x1:
         return np.full(js.size, -np.inf)
-    low0, up0 = _log_binomial_tails(m + 1, x0, js)
-    low1, up1 = _log_binomial_tails(m + 1, x1, js)
-    upper = up1 <= low0
-    big = np.where(upper, up1, low0)
-    small = np.where(upper, up0, low1)
-    out = np.full(js.size, -np.inf)
-    live = np.isfinite(big)
-    out[live] = big[live] + _log1m_exp(small[live] - big[live])
-    return out
+    return _log_gap(*_log_binomial_tails(m + 1, x0, js),
+                    *_log_binomial_tails(m + 1, x1, js))[0]
 
 
-def _log_tail(a1: np.ndarray, b2: float, x: float) -> np.ndarray | None:
-    """log ∫₀^x s^{a1−1} (1 − s)^{b2−a1−1} ds for a1 > 0 and b2 > 0.
+def _log_tail(a1: np.ndarray, b2: float, x) -> np.ndarray | None:
+    """log ∫₀^x s^{a1−1} (1 − s)^{b2−a1−1} ds for a1 > 0 and b2 > 0, with
+    x a float or an array that broadcasts against a1.
 
     Equals x^{a1}(1 − x)^{b2−a1}/a1 · ₂F₁(b2, 1; a1 + 1; x), whose series
     Σₙ (b2)ₙ/(a1 + 1)ₙ·xⁿ has positive terms.  The term count starts at
-    log ε / log x and doubles until the bound t_{N+1}/(1 − q) on what the
-    terms t_0..t_N leave out lies below 2⁻⁵³ of their sum; None once it
-    would pass SERIES_MAX_TERMS.
+    log ε / log x for the largest x and doubles until the bound
+    t_{N+1}/(1 − q) on what the terms t_0..t_N leave out lies below 2⁻⁵³ of
+    their sum; None once it would pass SERIES_MAX_TERMS.  The logs of x and
+    1 − x are `math`'s, one value at a time: numpy's vectorized logs can
+    round differently in the last bit.
     """
-    log_x = math.log(x)
-    n_terms = math.ceil(-60.0 * math.log(2.0) / log_x)
+    x = np.asarray(x, dtype=float)
+    log_x = np.asarray([math.log(v) for v in x.flat]).reshape(x.shape)
+    log_1mx = np.asarray([math.log1p(-v) for v in x.flat]).reshape(x.shape)
+    n_terms = math.ceil(-60.0 * math.log(2.0) / float(np.max(log_x)))
+    term_axis = (-1,) + (1,) * len(np.broadcast_shapes(np.shape(a1), x.shape))
     while n_terms <= SERIES_MAX_TERMS:
-        n = np.arange(n_terms + 1, dtype=float)[:, None]
+        n = np.arange(n_terms + 1, dtype=float).reshape(term_axis)
         log_ratio = np.log((b2 + n) / (a1 + 1.0 + n)) + log_x
         log_terms = np.cumsum(log_ratio, axis=0)     # row i: log t_{i+1}
         total = 1.0 + np.sum(exp_normal(log_terms[:-1]), axis=0)   # t_0..t_N
@@ -622,18 +657,34 @@ def _log_tail(a1: np.ndarray, b2: float, x: float) -> np.ndarray | None:
         if np.all(q < 1.0):
             bound = log_terms[-1] - np.log1p(-q)
             if np.all(bound <= np.log(total) - 53.0 * math.log(2.0)):
-                return (a1 * log_x + (b2 - a1) * math.log1p(-x) - np.log(a1)
+                return (a1 * log_x + (b2 - a1) * log_1mx - np.log(a1)
                         + np.log(total))
         n_terms *= 2
     return None
 
 
-def _is_fs_volume(K: WeightedSet, nu: RadialMeasure) -> bool:
-    """Whether (K, ν) is v ≡ 0 on K = X against `fs_measure`'s law: the
-    logistic density over the whole line, no atoms.  The closed forms of
-    the norms and of β apply exactly there."""
-    return (K.unweighted_whole_space and nu.density_fn is logistic_density
-            and not nu.atoms and _measure_is_whole_line(nu))
+def _closed_form_density(K: WeightedSet, nu: RadialMeasure):
+    """ν's density where β has a closed form, else None; v ≡ 0 where ν
+    lives, and ν has no atoms, in both cases:
+
+    (a) `logistic_density` over the whole line with K = X: the FS volume,
+        where the norms have a closed form too;
+    (b) an `AreaDensity` on [a, b], ν's cells spanning exactly [a, b],
+        inside the sample span of one component of K whose weight samples
+        are all 0 (no `v_fn`), so that v's interpolant is 0 on [a, b].
+
+    The density is recognized by its object, never by a name."""
+    f, bp = nu.density_fn, nu.breakpoints
+    if nu.atoms or f is None:
+        return None
+    if f is logistic_density:
+        return f if K.unweighted_whole_space and _measure_is_whole_line(nu) else None
+    if not (isinstance(f, AreaDensity) and K.v_fn is None and bp.size
+            and (bp[0], bp[-1]) == (f.a, f.b)):
+        return None
+    inside = any(grid[0] <= f.a and f.b <= grid[-1] and not np.any(vals)
+                 for _, _, grid, vals in K.components)
+    return f if inside else None
 
 
 def _closed_form_log_norms2(k: int, m: int, js: np.ndarray, u: ConvexProfile,
@@ -641,12 +692,13 @@ def _closed_form_log_norms2(k: int, m: int, js: np.ndarray, u: ConvexProfile,
                             singular: bool) -> np.ndarray | None:
     """log N_j² for j in js in closed form; None where none applies.
 
-    It applies on the FS volume (`_is_fs_volume`): always under the
-    smooth-metric convention, and under the singular weight when u is a
-    `WindowEnvelope` profile and B + 2 = 2 + d − {k·c} > 0 (the tail series
-    then has positive terms).  Every j lies in J, as in `_log_norms2`.
+    It applies on the FS volume (case (a) of `_closed_form_density`):
+    always under the smooth-metric convention, and under the singular
+    weight when u is a `WindowEnvelope` profile and B + 2 = 2 + d − {k·c} > 0
+    (the tail series then has positive terms).  Every j lies in J, as in
+    `_log_norms2`.
     """
-    if not _is_fs_volume(K, nu):
+    if _closed_form_density(K, nu) is not logistic_density:
         return None
     w = u.exact
     if singular and not (isinstance(w, WindowEnvelope)
@@ -673,43 +725,71 @@ def _closed_form_log_norms2(k: int, m: int, js: np.ndarray, u: ConvexProfile,
     return logsumexp_rows(np.column_stack(pieces))
 
 
-def _fs_beta_cdfs(t: np.ndarray, m: int, j_min: int, n_J: int,
-                  unit: float) -> np.ndarray:
-    """Columns unit·G(x) and unit·(|J| − G(x)) at x = σ(t), where
-    G(x) = Σ_J I_x(j+1, m−j+1) over J = [j_min, j_max], n_J = |J| > 0.
-
-    Under x = σ(t), z^j's normalized FS density is Beta(j+1, m−j+1), whose
-    CDF is I_x(j+1, m−j+1) = P(N > j) with N ~ Bin(m + 1, x).  Summed over
-    J, G(x) = E[clip(N − j_min, 0, |J|)] and |J| − G(x) =
-    E[clip(j_max + 1 − N, 0, |J|)]: one pmf row per point against a fixed
-    clip vector, each side summed from its own nonnegative terms.
-
-    A row's log pmf is taken relative to its mode i₀, as the cumulative
-    sum of log P(i+1)/P(i) = log((m + 1 − i)/(i + 1)) + t outward from i₀,
-    and the row is normalized by its own sum, so no term of the size of
-    log C(m + 1, i) is rounded.  The rows are built in blocks of at most
-    KERNEL_BLOCK entries, and a value that would not be a normal float is
-    written as 0.0.
-    """
-    n = m + 1
-    lower = np.clip(np.arange(n + 1) - j_min, 0, n_J)
-    weights = np.stack([lower, n_J - lower], axis=1).astype(float)
+def _binomial_steps(t: np.ndarray, n: int):
+    """The rows of Bin(n, σ(t)): log P(i+1)/P(i) − t = log((n − i)/(i + 1))
+    for i < n, and each point's mode ⌊(n + 1)·σ(t)⌋."""
     i = np.arange(n)
-    log_ratio = np.log((n - i) / (i + 1.0))
-    mode = np.clip(np.floor((n + 1) * sigmoid(t)), 0, n)
-    out = np.empty((t.size, 2))
-    rows = max(1, KERNEL_BLOCK // (n + 1))
-    log_w = np.empty((min(rows, t.size), n + 1))
-    for lo in range(0, t.size, rows):
-        sl = slice(lo, lo + rows)
-        steps = log_ratio + t[sl, None]
-        above = i >= mode[sl, None]
-        lw = log_w[:steps.shape[0]]
-        lw[:, 0] = 0.0
-        np.cumsum(np.where(above, steps, 0.0), axis=1, out=lw[:, 1:])
-        lw[:, :-1] -= np.cumsum(np.where(above, 0.0, steps)[:, ::-1], axis=1)[:, ::-1]
-        w = exp_normal(lw)
-        num = w @ weights
+    return np.log((n - i) / (i + 1.0)), np.clip(np.floor((n + 1) * sigmoid(t)), 0, n)
+
+
+def _log_rows(t: np.ndarray, log_ratio: np.ndarray, mode: np.ndarray,
+              lo: int, hi: int) -> np.ndarray:
+    """log P(i)/P(i₀) for i in [lo, hi], one row per point of t, each
+    row's mode i₀ in [lo, hi].
+
+    The cumulative sums of log_ratio + t outward from i₀, so no term of
+    the size of log C(n, i) is rounded; on [lo, hi] they are those of the
+    whole row 0..n, bit for bit.
+    """
+    steps = log_ratio[lo:hi] + t[:, None]
+    above = np.arange(lo, hi) >= mode[:, None]
+    lw = np.empty((t.size, hi - lo + 1))
+    lw[:, 0] = 0.0
+    np.cumsum(np.where(above, steps, 0.0), axis=1, out=lw[:, 1:])
+    lw[:, :-1] -= np.cumsum(np.where(above, 0.0, steps)[:, ::-1], axis=1)[:, ::-1]
+    return lw
+
+
+def _row_windows(t: np.ndarray, n: int, log_ratio: np.ndarray, mode: np.ndarray):
+    """(first row, last row, lo, hi) of each chunk of ROW_CHUNK rows of
+    Bin(n, σ(t)), t ascending: every entry of those rows above LOG_TINY
+    relative to its mode lies in [lo, hi].
+
+    The modes are nondecreasing in t and the rows log-concave, so both ends
+    of a row's live window are nondecreasing in t: lo is the chunk's first
+    row's lowest live index and hi its last row's highest.  They come from
+    the prefix sums of log_ratio, less a unit margin for rounding (as in
+    `_kernel`'s prune).
+    """
+    first = np.arange(0, t.size, ROW_CHUNK)
+    last = np.minimum(first + ROW_CHUNK, t.size) - 1
+    ends = np.concatenate([first, last])
+    g = np.concatenate([[0.0], np.cumsum(log_ratio)]) + np.arange(n + 1) * t[ends, None]
+    g -= g[np.arange(ends.size), mode[ends].astype(np.intp)][:, None]
+    live = g > LOG_TINY - 1.0
+    lo = np.argmax(live[:first.size], axis=1)
+    hi = n - np.argmax(live[first.size:, ::-1], axis=1)
+    return zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist())
+
+
+def _binomial_row_means(t: np.ndarray, n: int, weights: np.ndarray,
+                        unit: float) -> np.ndarray:
+    """unit·E[weights[N]] for N ~ Bin(n, σ(t)) at each point of the
+    ascending array t: one column per column of weights, which has n + 1
+    rows.  Every closed-form β is this kernel against its own weights.
+
+    Each row (`_log_rows`) is normalized by its own sum.  Only the rows'
+    live windows are built, a chunk of rows at a time (`_row_windows`):
+    outside them `exp_normal` would write 0.0.  A value that would not be
+    a normal float is written as 0.0.
+    """
+    log_ratio, mode = _binomial_steps(t, n)
+    out = np.empty((t.size, weights.shape[1]))
+    for r0, r1, lo, hi in _row_windows(t, n, log_ratio, mode):
+        sl = slice(r0, r1 + 1)
+        lw = _log_rows(t[sl], log_ratio, mode[sl], lo, hi)
+        w = exp_normal(lw, out=lw)
+        num = w @ weights[lo:hi + 1]
         den = (np.sum(w, axis=1) / unit)[:, None]
         # 0.0 where num/den could leave the normal range; the bound is put on
         # num (≥ tiny where nonzero), so no subnormal is ever formed
@@ -718,13 +798,29 @@ def _fs_beta_cdfs(t: np.ndarray, m: int, j_min: int, n_J: int,
     return out
 
 
+def _fs_beta_cdfs(t: np.ndarray, m: int, j_min: int, n_J: int,
+                  unit: float) -> np.ndarray:
+    """Columns unit·G(x) and unit·(|J| − G(x)) at x = σ(t), t ascending,
+    where G(x) = Σ_J I_x(j+1, m−j+1) over J = [j_min, j_max], n_J = |J| > 0.
+
+    Under x = σ(t), z^j's normalized FS density is Beta(j+1, m−j+1), whose
+    CDF is I_x(j+1, m−j+1) = P(N > j) with N ~ Bin(m + 1, x).  Summed over
+    J, G(x) = E[clip(N − j_min, 0, |J|)] and |J| − G(x) =
+    E[clip(j_max + 1 − N, 0, |J|)]: `_binomial_row_means` against the two
+    clip vectors, each side summed from its own nonnegative terms.
+    """
+    lower = np.clip(np.arange(m + 2) - j_min, 0, n_J)
+    weights = np.stack([lower, n_J - lower], axis=1).astype(float)
+    return _binomial_row_means(t, m + 1, weights, unit)
+
+
 def _fs_beta_cell_masses(bp: np.ndarray, m: int, j_min: int, n_J: int,
                          unit: float) -> np.ndarray:
     """unit·Σ_J of each z^j's normalized FS mass on the cells of bp, with
     the two tails beyond bp's ends in its first and last cell.
 
     A cell's mass is the difference of G, or of |J| − G, on whichever side
-    both terms are small (as in `_log_middle`), so a small mass keeps its
+    both terms are small (as in `_log_gap`), so a small mass keeps its
     relative accuracy.  G(0) = 0 and |J| − G(1) = 0 stand at the outer
     ends, so the first cell's mass is G at bp[1] and the last one's is
     |J| − G at bp[−2], each with its tail.
@@ -734,6 +830,55 @@ def _fs_beta_cell_masses(bp: np.ndarray, m: int, j_min: int, n_J: int,
     g = np.concatenate([[0.0], cdfs[:, 0], [total]])
     h = np.concatenate([[total], cdfs[:, 1], [0.0]])
     return np.where(g[1:] <= h[:-1], g[1:] - g[:-1], h[:-1] - h[1:])
+
+
+def _area_beta_cell_masses(bp: np.ndarray, m: int, J, unit: float) -> np.ndarray | None:
+    """unit·Σ_J of each z^j's normalized mass on the cells of bp against the
+    area density on [a, b] = [bp[0], bp[−1]], v = 0; None where the closed
+    form does not apply.
+
+    Under x = σ(t) z^j's density is ∝ x^j (1 − x)^{m−j−2} on [x_a, x_b].
+    For j ≤ m − 2 that is Beta(j+1, m−j−1), with CDF I_x = P(N > j) for
+    N ~ Bin(m − 1, x), so its normalized CDF is (I_x − I_{x_a})/Z_j with
+    Z_j = I_{x_b} − I_{x_a}.  Each j is taken on the side where both of
+    its end terms are small (`_log_gap`): the upper side sums
+    P(N > j)/Z_j, which rises from x_a to x_b, the lower side
+    P(N ≤ j)/Z_j, which falls.  Summed over each side these are
+    `_binomial_row_means` against the cumulative weights Σ_{j<i} 1/Z_j and
+    Σ_{j≥i} 1/Z_j, and a cell's mass is the rise of the first plus the
+    fall of the second.  For j = m − 1 and m the second Beta parameter is
+    0 or −1, and `_log_tail` gives log ∫₀^x s^j (1 − s)^{m−j−2} ds at
+    every point.  Z_j's tails come from the rows at a and b, whose entries
+    below LOG_TINY are 0.0, so a Z_j below 2⁵³·m·TINY (z^0's, on [−1, 1]
+    from k ≈ 2200) returns None, as does a series that would pass
+    SERIES_MAX_TERMS.
+    """
+    js = np.asarray(J, dtype=np.int64)
+    x = sigmoid(bp)
+    if m < 1 or not 0.0 < x[0] < x[-1] < 1.0:
+        return None
+    n = m - 1
+    inv = np.zeros((n + 1, 2))       # 1/Z_j, upper side then lower, by j
+    rows = js[js <= m - 2]
+    if rows.size:
+        ends = bp[[0, -1]]
+        log_ratio, mode = _binomial_steps(ends, n)
+        w = exp_normal(_log_rows(ends, log_ratio, mode, 0, n))
+        log_z, upper = _log_gap(*_log_row_tails(w[0], rows), *_log_row_tails(w[1], rows))
+        if np.min(log_z) < LOG_TINY + math.log(m) + 53.0 * math.log(2.0):
+            return None
+        inv[rows, np.where(upper, 0, 1)] = np.exp(-log_z)
+    weights = np.stack([np.concatenate([[0.0], np.cumsum(inv[:-1, 0])]),
+                        np.cumsum(inv[::-1, 1])[::-1]], axis=1)
+    rise, fall = _binomial_row_means(bp, n, weights, unit).T
+    top = js[js > m - 2]
+    if top.size:
+        log_t = _log_tail((top + 1.0)[:, None], float(m), x)
+        if log_t is None:
+            return None
+        log_z = log_t[:, -1] + _log1m_exp(log_t[:, 0] - log_t[:, -1])
+        rise = rise + unit * np.sum(exp_normal(log_t - log_z[:, None]), axis=0)
+    return np.diff(rise) - np.diff(fall)
 
 
 def _log_norms2(k: int, m: int, J, u: ConvexProfile, K: WeightedSet,
@@ -853,16 +998,18 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
             tw: TwistData = TwistData()) -> BergmanResult:
     """The partial Bergman measure β = B·ν/k over (K, v, ν), with its mass.
 
-    β's cells are ν's breakpoints (with v's kinks) refined at 4k.
-    On the FS volume (v ≡ 0 on K = X, `_is_fs_volume`) its cell masses are
-    closed-form differences of binomial expectations
-    (`_fs_beta_cell_masses`): no norm, plan or kernel is computed, and the
-    mass identity ∫β = h0/k checks their exact telescoping.  Elsewhere the
-    kernel, from the norms' quadrature plan, is integrated on the 32-node
-    Gauss rule over each cell, with the norms' closed-form tails beyond a
-    whole-line measure's ends and its value at each atom, and the mass
-    identity is a genuine quadrature check.  With no admissible index β is
-    0 and nothing is built.
+    β's cells are ν's breakpoints (with v's kinks) refined at 4k.  Where
+    `_closed_form_density` finds a closed form, the cell masses are
+    differences of binomial expectations: on the FS volume
+    (`_fs_beta_cell_masses`) and against the area density on [a, b] with
+    v ≡ 0 there (`_area_beta_cell_masses`, which may decline).  Then no
+    norm plan, Gauss node or kernel value is computed, and the mass
+    identity ∫β = h0/k checks their telescoping, not a quadrature.
+    Elsewhere the kernel, from the norms' quadrature plan, is integrated on
+    the 32-node Gauss rule over each cell, with the norms' closed-form
+    tails beyond a whole-line measure's ends and its value at each atom,
+    and the mass identity is a genuine quadrature check.  With no
+    admissible index β is 0 and nothing is built.
     """
     if not abs(nu.total_mass() - 1.0) <= 1e-9:
         raise InputError("reference measure must be a probability measure")
@@ -873,24 +1020,26 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
     m = basis.m
     n_sections = tw.rank * len(basis.J)
     breaks = _norm_breaks(K, nu)
-    if _is_fs_volume(K, nu):
-        fine = refine_breakpoints(breaks, 4 * k)
-        masses = _fs_beta_cell_masses(fine, m, basis.J[0], len(basis.J),
-                                      tw.rank / k)
+    fine = np.empty(0) if breaks is None else refine_breakpoints(breaks, 4 * k)
+    law = _closed_form_density(K, nu)
+    masses = None
+    if law is logistic_density:
+        masses = _fs_beta_cell_masses(fine, m, basis.J[0], len(basis.J), tw.rank / k)
+    elif law is not None:
+        masses = _area_beta_cell_masses(fine, m, basis.J, tw.rank / k)
+    if masses is not None:
         beta = RadialMeasure(fine, masses, ())
         return BergmanResult(k, beta, beta.total_mass(), n_sections)
 
-    # off the FS volume no closed form applies: the norms are the plan's
+    # no closed form applies: the norms are the plan's
     plan = _NormPlan(k, m, u, K, nu, False)
     J = np.asarray(basis.J)
     logs = plan.log_norms2(J)
     js = J.astype(float)
     atoms = [(t, float(_kernel([t], k, m, js, logs, K, tw.rank)[0]) * w / k)
              for t, w in nu.atoms]
-    fine = np.empty(0)
     per_cell = np.empty(0)
     if breaks is not None:
-        fine = refine_breakpoints(breaks, 4 * k)
         ts, ws = gauss_cells(fine)
         kernel = _kernel(ts, k, m, js, logs, K, tw.rank)
         # far out at large k a kernel value times ρ·w/k, or a tail term over

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import envlab
-from envlab import experiments
+from envlab import experiments, sections
 from envlab.envelopes import window_envelope
 from envlab.errors import InputError
 from envlab.experiments import ExperimentConfig, run_experiment
@@ -306,6 +306,22 @@ class TestRunBergman:
         rows, failures = run_experiment(committed("bergman_vtheta"), str(tmp_path))
         assert failures == ["mass identity broken at k=50"]
         assert broken_rows(rows) == [("bergman[vtheta-fs:mass]", 50)]
+
+    def test_committed_fixtures_take_the_closed_form(self, tmp_path, monkeypatch):
+        # every committed Bergman fixture has a closed-form β (the FS volume
+        # or the area density on K, v = 0): a fall back to the quadrature
+        # plan on any of them fails here
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature built for a closed-form β")
+
+        for name in ("gauss_cells", "_NormPlan", "_kernel"):
+            monkeypatch.setattr(sections, name, refuse)
+        names = sorted(os.path.basename(p)[:-5] for p in CONFIGS
+                       if os.path.basename(p).startswith("bergman_"))
+        assert names == ["bergman_annulus", "bergman_third_quarter", "bergman_vtheta"]
+        for name in names:
+            rows, failures = run_experiment(committed(name), str(tmp_path))
+            assert failures == [] and broken_rows(rows) == [], name
 
 
 class TestRunEnergy:

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -146,15 +145,6 @@ class TestRadialMeasure:
             float(np.max(np.abs(m1.cdf(ts, side="left") - m2.cdf(ts, side="left")))),
         )
         assert kolmogorov_distance(m1, m2) >= dense - 1e-6
-
-    def test_serialization_roundtrip(self):
-        m = RadialMeasure(np.asarray([0.0, 0.5, 1.0]), np.asarray([0.25, 0.5]),
-                          ((0.25, 0.125),))
-        blob = json.dumps(m.to_dict())
-        m2 = RadialMeasure.from_dict(json.loads(blob))
-        assert np.allclose(m2.breakpoints, m.breakpoints)
-        assert np.allclose(m2.cell_masses, m.cell_masses)
-        assert m2.atoms == m.atoms
 
 
 class TestReferenceMeasures:

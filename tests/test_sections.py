@@ -45,11 +45,18 @@ from envlab.errors import (
     NoSectionsError,
 )
 from envlab import experiments, profiles, sections
-from envlab.basefun import logistic_density, logit, sigmoid, softplus
+from envlab.basefun import logit, sigmoid, softplus
 from envlab.experiments import ExperimentConfig, run_volume, weighted_fixture
 from envlab.measures import RadialMeasure
 from envlab.profiles import WindowEnvelope, _pad_to_asymptotes
-from envlab.quadrature import GL_NODES, TINY, exp_normal, gauss_cells, refine_breakpoints
+from envlab.quadrature import (
+    GL_NODES,
+    LOG_TINY,
+    TINY,
+    exp_normal,
+    gauss_cells,
+    refine_breakpoints,
+)
 from envlab.sections import (
     _NormPlan,
     _fs_beta_cdfs,
@@ -732,10 +739,12 @@ class TestClosedFormNorms:
 
 
 def quadrature_route(nu):
-    """ν with its density wrapped, so that `bergman` declines the closed
-    form and integrates the kernel on its 32-node Gauss cells."""
+    """ν with its own density wrapped, so that `bergman` no longer
+    recognizes it, declines the closed form and integrates the kernel on
+    its 32-node Gauss cells."""
+    density = nu.density_fn
     return RadialMeasure(nu.breakpoints, nu.cell_masses, nu.atoms,
-                         density_fn=lambda t: logistic_density(t),
+                         density_fn=lambda t: density(t),
                          exact_total=nu.exact_total)
 
 
@@ -897,7 +906,7 @@ class TestBergman:
     def test_builds_no_quadrature(self, monkeypatch):
         for name in ("gauss_cells", "_NormPlan", "_log_norms2", "_kernel"):
             monkeypatch.setattr(sections, name, refuse)
-        for fixture in ("vtheta-fs", "third-quarter-fs"):
+        for fixture in ("vtheta-fs", "third-quarter-fs", "annulus-area"):
             u, K, nu = weighted_fixture(fixture)
             res = bergman(25, u, K, nu)
             assert res.total_mass == pytest.approx(res.h0 / 25, rel=1e-14)
@@ -930,7 +939,7 @@ class TestBergman:
         u, K, nu = weighted_fixture(fixture)
         with np.errstate(all="raise"):
             basis = section_basis(k, u, K, nu)
-            res = bergman(k, u, K, nu)
+            res = bergman(k, u, K, quadrature_route(nu))
         assert np.all(np.isfinite(basis.log_norms2))
         assert np.all(np.isfinite(res.beta.cell_masses))
         assert abs(res.total_mass - res.h0 / k) <= 1e-8 * (res.h0 / k)
@@ -972,6 +981,201 @@ class TestBergman:
     @given(u=window_profiles(), k=st.integers(1, 80), d=st.integers(-1, 1))
     def test_random_windows_match_the_quadrature_route(self, u, k, d):
         K, nu = WeightedSet.whole(), fs_measure()
+        tw = TwistData(1, d)
+        exact = bergman(k, u, K, nu, tw)
+        quad = bergman(k, u, K, quadrature_route(nu), tw)
+        assert np.max(np.abs(exact.beta.cell_masses - quad.beta.cell_masses),
+                      initial=0.0) <= 1e-12
+        assert exact.total_mass == pytest.approx(exact.h0 / k, rel=1e-13, abs=0.0)
+
+
+def full_log_rows(t, n):
+    """log P(i)/P(i₀) of Bin(n, σ(t)) over every i = 0..n, one row per
+    point, as the whole-row kernel built them: cumulative sums of the log
+    ratios outward from each row's mode i₀."""
+    i = np.arange(n)
+    log_ratio = np.log((n - i) / (i + 1.0))
+    mode = np.clip(np.floor((n + 1) * sigmoid(t)), 0, n)
+    steps = log_ratio + t[:, None]
+    above = i >= mode[:, None]
+    lw = np.empty((t.size, n + 1))
+    lw[:, 0] = 0.0
+    np.cumsum(np.where(above, steps, 0.0), axis=1, out=lw[:, 1:])
+    lw[:, :-1] -= np.cumsum(np.where(above, 0.0, steps)[:, ::-1], axis=1)[:, ::-1]
+    return lw, log_ratio, mode
+
+
+def full_row_fs_beta_cdfs(t, m, j_min, n_J, unit):
+    """`_fs_beta_cdfs` on whole rows: every entry of every row built and
+    passed through `exp_normal`."""
+    lower = np.clip(np.arange(m + 2) - j_min, 0, n_J)
+    weights = np.stack([lower, n_J - lower], axis=1).astype(float)
+    w = exp_normal(full_log_rows(t, m + 1)[0])
+    num = w @ weights
+    den = (np.sum(w, axis=1) / unit)[:, None]
+    normal = num >= 2.0 * TINY * np.maximum(den, 1.0)
+    return np.divide(num, den, out=np.zeros_like(num), where=normal)
+
+
+def fs_beta_points(fixture, k):
+    """β's interior cell ends on an FS fixture, and its (m, J)."""
+    u, K, nu = weighted_fixture(fixture)
+    basis = admissible_set(k, u)
+    t = refine_breakpoints(sections._norm_breaks(K, nu), 4 * k)[1:-1]
+    return t, basis.m, basis.J
+
+
+class TestWindowedRows:
+    """β's binomial rows on the FS fixtures' points, against whole rows."""
+
+    @pytest.mark.parametrize("fixture", ["vtheta-fs", "third-quarter-fs"])
+    @pytest.mark.parametrize("k", [1, 2, 25, 200, 3200])
+    def test_values_match_the_whole_rows(self, fixture, k):
+        # Only the order of the sums changes.  From k ≈ 400 the whole rows'
+        # matrix product is itself up to 21 ulps off the exact sum of its
+        # terms; wherever the two differ by more than 4 ulps, the windowed
+        # value is within 4 ulps of the ratio of the exact sums.
+        t, m, J = fs_beta_points(fixture, k)
+        unit = 1.0 / k
+        got = _fs_beta_cdfs(t, m, J[0], len(J), unit)
+        want = full_row_fs_beta_cdfs(t, m, J[0], len(J), unit)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        far = np.argwhere(np.abs(got - want) > 4 * np.spacing(want))
+        if k <= 200:
+            assert far.size == 0
+        w = exp_normal(full_log_rows(t, m + 1)[0])
+        lower = np.clip(np.arange(m + 2) - J[0], 0, len(J))
+        for r, c in far:
+            weights = lower if c == 0 else len(J) - lower
+            exact = math.fsum(w[r] * weights) / (math.fsum(w[r]) / unit)
+            assert abs(got[r, c] - exact) <= 4 * np.spacing(exact)
+
+    @pytest.mark.parametrize("k", [1, 2, 25, 200, 3200])
+    def test_every_live_entry_lies_in_its_window(self, k):
+        t, m, _ = fs_beta_points("vtheta-fs", k)
+        lw, log_ratio, mode = full_log_rows(t, m + 1)
+        windows = list(sections._row_windows(t, m + 1, log_ratio, mode))
+        assert windows[0][0] == 0 and windows[-1][1] == t.size - 1
+        for (r0, r1, lo, hi), nxt in zip(windows, windows[1:] + [(t.size,)]):
+            assert nxt[0] == r1 + 1
+            live = np.flatnonzero(np.any(lw[r0:r1 + 1] > LOG_TINY, axis=0))
+            assert lo <= live[0] and live[-1] <= hi
+
+    def test_large_k_touches_a_quarter_of_the_table(self):
+        t, m, _ = fs_beta_points("vtheta-fs", 3200)
+        _, log_ratio, mode = full_log_rows(t, m + 1)
+        touched = sum((r1 + 1 - r0) * (hi + 1 - lo) for r0, r1, lo, hi
+                      in sections._row_windows(t, m + 1, log_ratio, mode))
+        assert touched <= t.size * (m + 2) / 4
+
+
+def area_fixture(a, b):
+    """annulus-area's profile with K = [a, b] and ν its area measure."""
+    return base_profile(1), WeightedSet.interval(a, b), annulus_area_measure(a, b)
+
+
+def closed_form_bergman(monkeypatch, k, u, K, nu, tw=TwistData()):
+    """`bergman` with every quadrature builder stubbed to raise."""
+    with monkeypatch.context() as patch:
+        for name in ("gauss_cells", "_NormPlan", "_log_norms2", "_kernel"):
+            patch.setattr(sections, name, refuse)
+        return bergman(k, u, K, nu, tw)
+
+
+class TestAreaBeta:
+    """β against the area density on [a, b] with v = 0, in closed form."""
+
+    @pytest.mark.parametrize("k", [10, 60, 200])
+    @pytest.mark.parametrize("rank,d", [(1, 0), (2, 0), (1, 1), (1, -1)])
+    def test_matches_the_quadrature_route(self, k, rank, d, monkeypatch):
+        u, K, nu = weighted_fixture("annulus-area")
+        tw = TwistData(rank, d)
+        exact = closed_form_bergman(monkeypatch, k, u, K, nu, tw)
+        quad = bergman(k, u, K, quadrature_route(nu), tw)
+        assert np.array_equal(exact.beta.breakpoints, quad.beta.breakpoints)
+        assert np.max(np.abs(exact.beta.cell_masses - quad.beta.cell_masses)) <= 1e-13
+        assert abs(exact.total_mass - exact.h0 / k) <= 1e-14 * exact.h0 / k
+
+    @pytest.mark.parametrize("k", [12, 60, 240])
+    def test_cdf_against_mpmath(self, k):
+        import mpmath as mp
+
+        u, K, nu = weighted_fixture("annulus-area")
+        basis = admissible_set(k, u)
+        m, J = basis.m, basis.J
+        assert J[-1] == m           # z^{m−1} and z^m are in J
+
+        def mp_cdf(t):
+            """Σ_J of z^j's normalized mass on [−1, t]: its density is
+            ∝ x^j (1 − x)^{m−j−2} on [σ(−1), σ(1)], x = σ(t)."""
+            xa, xb, x = (1 / (1 + mp.exp(-mp.mpf(s))) for s in (-1, 1, float(t)))
+            return mp.fsum(mp.betainc(j + 1, m - j - 1, xa, x)
+                           / mp.betainc(j + 1, m - j - 1, xa, xb) for j in J)
+
+        res = bergman(k, u, K, nu)
+        bp = res.beta.breakpoints
+        cdf = res.beta.cdf(bp)
+        picks = [int(np.searchsorted(cdf, q * res.h0 / k))
+                 for q in (1e-6, 0.1, 0.5, 0.9, 1 - 1e-6)]
+        # 60 digits, not 30: at m = 240 mpmath's betainc over [x_a, x] loses
+        # about 25 digits to cancellation for some j, and its sum over J
+        # moved in the 8th digit at 30
+        with mp.workdps(60):
+            for i in picks:
+                want = mp_cdf(bp[i]) / k
+                assert abs(cdf[i] - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("m", [12, 60, 240])
+    def test_top_two_terms_against_mpmath(self, m):
+        # j = m − 1 and m: the second Beta parameter is 0 or −1
+        import mpmath as mp
+
+        t = np.linspace(-1.0, 1.0, 9)
+        got = sections._log_tail(np.asarray([[m], [m + 1.0]]), float(m), sigmoid(t))
+        with mp.workdps(30):
+            for row, j in zip(got, (m - 1, m)):
+                for g, s in zip(row, t):
+                    x = 1 / (1 + mp.exp(-mp.mpf(float(s))))
+                    want = mp.log(mp.betainc(j + 1, m - j - 1, 0, x))
+                    assert abs(g - want) <= 1e-14 * abs(want)
+
+    def test_large_k_without_floating_point_exceptions(self, monkeypatch):
+        # On [−4, 1.5] every z^j keeps a mass on [a, b] far above TINY at
+        # k = 3200, and the closed form applies
+        k = 3200
+        u, K, nu = area_fixture(-4.0, 1.5)
+        with np.errstate(all="raise"):
+            res = closed_form_bergman(monkeypatch, k, u, K, nu)
+        assert np.all(np.isfinite(res.beta.cell_masses))
+        assert abs(res.total_mass - res.h0 / k) <= 1e-13 * (res.h0 / k)
+
+    def test_tiny_masses_leave_beta_to_the_plan(self):
+        # on [−1, 1] at k = 3200, z^0's mass on K is below e^{-1000}: the
+        # closed form declines, and the plan's β has no floating-point
+        # exception either
+        k = 3200
+        u, K, nu = weighted_fixture("annulus-area")
+        bp = refine_breakpoints(sections._norm_breaks(K, nu), 4 * k)
+        assert sections._area_beta_cell_masses(bp, k, range(k + 1), 1 / k) is None
+        with np.errstate(all="raise"):
+            res = bergman(k, u, K, nu)
+        assert abs(res.total_mass - res.h0 / k) <= 1e-8 * (res.h0 / k)
+
+    @pytest.mark.parametrize("K", [
+        WeightedSet.interval(-1.0, 1.0, v=lambda t: 0 * t),        # a callable weight
+        WeightedSet.interval(-1.0, 0.5),                            # ν leaves K
+        WeightedSet.interval(-1.0, 1.0).add_weight(np.cos, 0.0),    # v_fn set
+    ], ids=["v-callable", "nu-outside-K", "added-weight"])
+    def test_unknown_weight_is_not_the_closed_form(self, K):
+        assert sections._closed_form_density(K, annulus_area_measure()) is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(u=window_profiles(), ends=st.lists(st.integers(-256, 256), min_size=2,
+                                               max_size=2, unique=True),
+           k=st.integers(1, 80), d=st.integers(-1, 1))
+    def test_random_annuli_match_the_plan(self, u, ends, k, d):
+        a, b = (e / 64 for e in sorted(ends))
+        _, K, nu = area_fixture(a, b)
         tw = TwistData(1, d)
         exact = bergman(k, u, K, nu, tw)
         quad = bergman(k, u, K, quadrature_route(nu), tw)
