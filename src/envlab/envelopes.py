@@ -4,15 +4,16 @@ All envelopes here are "maximal convex function below an obstacle with
 slopes confined to a window".  The restricted conjugate of the obstacle
 is computed by the monotone-pointer linear-time walk over the obstacle's
 lower hull; the envelope is the upper envelope of the resulting tangent
-lines, assembled as a piecewise-linear profile whose tail slopes are the
-exact rational window endpoints.
+lines s·t − c(s), whose active lines are the vertices of the lower hull
+of the points (s, c(s)), assembled as a piecewise-linear profile whose
+tail slopes are the exact rational window endpoints.
 
 The hull is taken only on the contact slice of the samples: from the
 first maximizer of lo·t − f to the last maximizer of hi·t − f.  Every
 hull chord left of it is at most lo and every one right of it at least
 hi, so they clip to the window ends, which are slopes already; the slopes
-and the conjugate values are those of the whole line's hull.  Both hulls
-are exact: `lower_hull` decides an orientation test in `Fraction`s
+and the conjugate values are those of the whole line's hull.  Every hull
+is exact: `lower_hull` decides an orientation test in `Fraction`s
 wherever float rounding could decide it.  The slice's ends are not: they
 are maximizers among float values.  On samples that lie on a line of
 slope lo or hi only to rounding, a slice end can fall on another of
@@ -115,39 +116,15 @@ def conjugate_at_slopes(ts, fs, slopes) -> np.ndarray:
     return out
 
 
-def _upper_envelope_lines(slopes, cvals):
-    """Active lines of t ↦ max_s (s·t − c(s)) and their switch points.
-
-    Lines come sorted by slope; equal slopes keep the smaller c (higher
-    line).  Ties in the pointwise max resolve toward the smaller slope.
-    """
-    pts: list[tuple[float, float]] = []
-    for s, c in zip(slopes, cvals):
-        if pts and pts[-1][0] == s:
-            if c < pts[-1][1]:
-                pts[-1] = (s, c)
-        else:
-            pts.append((s, c))
-
-    def x_cross(i, j):
-        return (pts[j][1] - pts[i][1]) / (pts[j][0] - pts[i][0])
-
-    keep: list[int] = []
-    for i in range(len(pts)):
-        while len(keep) >= 2 and x_cross(keep[-2], i) <= x_cross(keep[-2], keep[-1]):
-            keep.pop()
-        keep.append(i)
-    switches = [x_cross(keep[j], keep[j + 1]) for j in range(len(keep) - 1)]
-    act = [pts[j] for j in keep]
-    return act, switches
-
-
 def _assemble(window: SlopeWindow, slopes, cvals, extra_nodes) -> ConvexProfile:
-    """PL profile of the upper line envelope; tails = exact window slopes."""
-    act, switches = _upper_envelope_lines(slopes, cvals)
-    act_s = np.asarray([a[0] for a in act])
-    act_c = np.asarray([a[1] for a in act])
-    if len(act) == 1:
+    """PL profile of t ↦ max_s (s·t − c(s)) over distinct ascending slopes;
+    tails = exact window slopes.
+
+    The active lines are the vertices of the lower hull of the points
+    (s, c(s)), and two neighbours switch at their chord's slope.
+    """
+    act_s, act_c = lower_hull(slopes, cvals)
+    if act_s.size == 1:
         if extra_nodes is not None and np.ptp(extra_nodes) > 0:
             grid = np.asarray([float(np.min(extra_nodes)), float(np.max(extra_nodes))])
         else:
@@ -156,6 +133,7 @@ def _assemble(window: SlopeWindow, slopes, cvals, extra_nodes) -> ConvexProfile:
         return ConvexProfile(
             window.c, grid, vals, window.lo, window.lo, -act_c[0], -act_c[0]
         )
+    switches = np.diff(act_c) / np.diff(act_s)
     grid = merge_grids(insert_interior(np.sort(switches), extra_nodes))
     if grid.size < 2:
         grid = union(grid, grid + 1.0)
@@ -210,7 +188,7 @@ def envelope_of_samples(
     if limit_hi is not None and slopes[-1] == hi_f:
         cvals[-1] = max(cvals[-1], limit_hi)
     nodes = obs_ts if extra_nodes is None else union(obs_ts, extra_nodes)
-    return _assemble(window, list(slopes), list(cvals), nodes)
+    return _assemble(window, slopes, cvals, nodes)
 
 
 # ---------------------------------------------------------------------------

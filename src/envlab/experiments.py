@@ -106,13 +106,6 @@ def toric_fixture(name: str) -> TorusProfile2:
     raise InputError(f"unknown toric fixture {name!r}")
 
 
-VOLUME_RADIAL_PARAMS = {
-    "third-quarter": (Fraction(1), Fraction(1, 3), Fraction(1, 4)),
-    "vtheta": (Fraction(1), Fraction(0), Fraction(0)),
-    "sqrt2": (Fraction(141421356, 10 ** 8), Fraction(0), Fraction(0)),
-}
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -230,8 +223,12 @@ def run_volume(cfg: ExperimentConfig):
     runs every twist, and the sweep over k = 1..sweep_max the fixture's
     sweep twists, each in one pass over all its k.
     """
-    if cfg.fixture in VOLUME_RADIAL_PARAMS:
-        c, nu0, nu_inf = VOLUME_RADIAL_PARAMS[cfg.fixture]
+    try:
+        u = radial_fixture(cfg.fixture)
+    except InputError:      # a toric fixture, or an unknown one
+        u = None
+    if u is not None:
+        c, nu0, nu_inf = u.class_mass, u.s_minus, u.class_mass - u.s_plus
         limit, dim = limit_mass(c, nu0, nu_inf), 1
 
         def count(ks, tw):

@@ -58,10 +58,6 @@ class SlopeWindow:
                 f"slope window [{lo}, {hi}] not inside [0, {c}]"
             )
 
-    @property
-    def mass(self) -> Fraction:
-        return self.hi - self.lo
-
     def contains(self, other: "SlopeWindow") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
@@ -112,9 +108,9 @@ class ConvexProfile:
     Invariant: `values` is `self(grid)` bit for bit.  np.interp returns a
     node's own value there, and every profile with `exact` takes its
     values from that evaluator at its grid (`window_envelope`,
-    `base_profile`, `bergman_approximant`, `resampled`; `shifted` adds the
-    same a to both).  `sup_difference` reads `values` in place of
-    evaluating the profile again on its own grid.
+    `base_profile`, `bergman_approximant`; `shifted` adds the same a to
+    both).  `sup_difference` reads `values` in place of evaluating the
+    profile again on its own grid.
     """
 
     class_mass: Fraction
@@ -203,17 +199,6 @@ class ConvexProfile:
 
     def chord_slopes(self) -> np.ndarray:
         return np.diff(self.values) / np.diff(self.grid)
-
-    def resampled(self, grid) -> "ConvexProfile":
-        """Same function on a different (covering) grid; keeps `exact`."""
-        grid = np.asarray(grid, dtype=float)
-        vals = self(grid)
-        return ConvexProfile(
-            self.class_mass, grid, vals, self.s_minus, self.s_plus,
-            float(vals[0]) - float(self.s_minus) * grid[0],
-            float(vals[-1]) - float(self.s_plus) * grid[-1],
-            exact=self.exact,
-        )
 
     def shifted(self, a: float) -> "ConvexProfile":
         """F + a; an exact evaluator is carried along, wrapped unless a = 0."""

@@ -186,6 +186,14 @@ class TestRunVolume:
         assert broken_rows(rows) == [(label, 24) for label in labels]
         assert len(rows) == 12
 
+    def test_half_line_is_a_volume_fixture(self, tmp_path):
+        # (c, ν₀, ν_∞) = (1, 1/2, 1/2) come from the fixture's profile: J is
+        # {k/2} at even k and {(k−1)/2, (k+1)/2} at odd k, against the limit 0
+        cfg = ExperimentConfig("volume", "half-line", k=[10, 11], sweep_max=40)
+        rows, failures = run_experiment(cfg, str(tmp_path))
+        assert failures == []
+        assert [(r.k, r.value, r.reference) for r in rows] == [(10, 0.1, 0.0), (11, 2 / 11, 0.0)]
+
     def test_toric_bound_fails_where_counts_are_off(self, tmp_path, monkeypatch):
         # no count at all: |0 − area| = 1/2 exceeds 4·perimeter/k = 12/k for k > 24
         monkeypatch.setattr(experiments, "_h0_toric_counts", off_at(

@@ -1,0 +1,144 @@
+"""ℙ¹ inversion as an oracle: z ↦ 1/z sends t to −t and z^j to z^{m−j},
+and swaps ν₀ with ν_∞.  Counts, index sets, norms and β of a window
+profile must agree with those of its mirror image."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from envlab import (
+    TwistData,
+    WeightedSet,
+    admissible_set,
+    annulus_area_measure,
+    bergman,
+    fs_measure,
+    section_basis,
+)
+from envlab.basefun import logistic_density
+from envlab.envelopes import window_envelope
+from envlab.errors import EnvlabError
+from envlab.experiments import weighted_fixture
+from envlab.measures import RadialMeasure
+from envlab.sections import _area_beta_cell_masses, _closed_form_density, section_counts
+from test_sections import window_profiles
+
+# Bounds on |original − mirror image|, each about 4× the largest seen:
+# singular-weight log N², relative to max(1, |log N²|): 1.4e-14 over 800
+# draws (the ₂F₁ tails), 2.2e-16 on third-quarter for k = 25..3000
+SINGULAR_REL = 1e-13
+THIRD_QUARTER_REL = 2.0 ** -51
+# β's cells on the annulus, closed form against the mirror's plan: 5.9e-14
+# of β's total mass over 450 draws; on annulus-area for k ≤ 1000, 5.3e-15
+# absolute and 6.6e-14 relative per cell
+ANNULUS_OF_TOTAL = 2e-13
+ANNULUS_ABS = 2e-14
+ANNULUS_REL = 2e-13
+
+
+def mirror(u, K, nu):
+    """(u, K, ν) under t ↦ −t, for a window envelope u.
+
+    u's image is the window envelope with ν₀ and ν_∞ swapped.  K is
+    reflected with weight v(−t).  ν's breakpoints are negated and
+    reversed, its masses reversed, its atoms negated, and its density
+    becomes ρ(−t); the FS density is even, so it stays the same object.
+    """
+    c = u.class_mass
+    v_fn = K.v_fn
+    K_m = WeightedSet(
+        tuple((-b, -a, -grid[::-1], vals[::-1]) for a, b, grid, vals in K.components),
+        K.whole_space, None if v_fn is None else (lambda t: v_fn(-np.asarray(t))))
+    f = nu.density_fn
+    rho = f if f is None or f is logistic_density else (lambda t: f(-np.asarray(t)))
+    nu_m = RadialMeasure(-nu.breakpoints[::-1], nu.cell_masses[::-1],
+                         tuple((-t, w) for t, w in reversed(nu.atoms)),
+                         density_fn=rho, exact_total=nu.exact_total)
+    return window_envelope(c, c - u.s_plus, u.s_minus), K_m, nu_m
+
+
+def twists():
+    return st.builds(TwistData, st.integers(1, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=window_profiles(), k=st.integers(1, 400), tw=twists())
+def test_index_sets_and_counts_reflect(u, k, tw):
+    v = mirror(u, WeightedSet.whole(), fs_measure())[0]
+    a, b = admissible_set(k, u, tw), admissible_set(k, v, tw)
+    assert b.m == a.m
+    assert b.J == tuple(a.m - j for j in reversed(a.J))
+    c = u.class_mass
+    ks = np.arange(1, k + 1)
+    assert np.array_equal(
+        section_counts(ks, c, c - u.s_plus, u.s_minus, tw),
+        section_counts(ks, c, u.s_minus, c - u.s_plus, tw))
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=window_profiles(), k=st.integers(1, 300), tw=twists())
+def test_fs_norms_reflect(u, k, tw):
+    K, nu = WeightedSet.whole(), fs_measure()
+    v, K_m, nu_m = mirror(u, K, nu)
+    a, b = section_basis(k, u, K, nu, tw), section_basis(k, v, K_m, nu_m, tw)
+    assert b.log_norms2.tobytes() == a.log_norms2[::-1].tobytes()
+    try:
+        a = section_basis(k, u, K, nu, tw, singular_weight=True).log_norms2
+    except EnvlabError as exc:
+        with pytest.raises(type(exc)):
+            section_basis(k, v, K_m, nu_m, tw, singular_weight=True)
+        return
+    b = section_basis(k, v, K_m, nu_m, tw, singular_weight=True).log_norms2[::-1]
+    assert np.all(np.abs(b - a) <= SINGULAR_REL * np.maximum(1.0, np.abs(a)))
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1])
+@pytest.mark.parametrize("k", [25, 200, 1000, 3000])
+def test_third_quarter_singular_norms_reflect(k, d):
+    u, K, nu = weighted_fixture("third-quarter-fs")
+    v, K_m, nu_m = mirror(u, K, nu)
+    tw = TwistData(1, d)
+    a = section_basis(k, u, K, nu, tw, singular_weight=True).log_norms2
+    b = section_basis(k, v, K_m, nu_m, tw, singular_weight=True).log_norms2[::-1]
+    assert np.all(np.abs(b - a) <= THIRD_QUARTER_REL * np.abs(a))
+
+
+def annulus_cells(k, u, tw):
+    """β's cells on annulus-area's (K, ν) with u, and those of the mirror
+    image reflected back, after checking the routes each takes."""
+    K, nu = WeightedSet.interval(-1.0, 1.0), annulus_area_measure()
+    v, K_m, nu_m = mirror(u, K, nu)
+    # e^{−t} is not an `AreaDensity`, so the mirror's β takes the plan
+    assert _closed_form_density(K, nu) is not None
+    assert _closed_form_density(K_m, nu_m) is None
+    res = bergman(k, v, K_m, nu_m, tw)
+    basis = admissible_set(k, u, tw)
+    assert res.h0 == tw.rank * len(basis.J)
+    if not basis.J:
+        return np.empty(0), np.empty(0)
+    beta = bergman(k, u, K, nu, tw).beta
+    assert np.max(np.abs(-res.beta.breakpoints[::-1] - beta.breakpoints)) <= 1e-15
+    # the original's β is `_area_beta_cell_masses`, which declines only at m = 0
+    closed = _area_beta_cell_masses(beta.breakpoints, basis.m, basis.J, tw.rank / k)
+    assert (closed is None) == (basis.m < 1)
+    return beta.cell_masses, res.beta.cell_masses[::-1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(u=window_profiles(), k=st.integers(1, 1000), tw=twists())
+def test_annulus_closed_form_matches_the_mirror_plan(u, k, tw):
+    # far cells hold e^{−O(k)} of the mass: only the absolute error is bounded
+    want, got = annulus_cells(k, u, tw)
+    assert np.all(np.abs(got - want) <= ANNULUS_OF_TOTAL * np.sum(want))
+
+
+@pytest.mark.parametrize("k", [1, 5, 25, 200, 1000])
+def test_annulus_area_matches_the_mirror_plan_per_cell(k):
+    u = weighted_fixture("annulus-area")[0]
+    want, got = annulus_cells(k, u, TwistData())
+    err = np.abs(got - want)
+    assert np.max(err) <= ANNULUS_ABS
+    assert np.max(err / want) <= ANNULUS_REL

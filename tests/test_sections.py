@@ -45,7 +45,7 @@ from envlab.errors import (
     NoSectionsError,
 )
 from envlab import experiments, profiles, sections
-from envlab.basefun import logit, sigmoid, softplus
+from envlab.basefun import fs_conjugate, logit, sigmoid, softplus
 from envlab.experiments import ExperimentConfig, run_volume, weighted_fixture
 from envlab.measures import RadialMeasure
 from envlab.profiles import WindowEnvelope, _pad_to_asymptotes
@@ -670,13 +670,23 @@ class TestClosedFormNorms:
     @pytest.mark.parametrize("u,k,d", [
         (THIRD_QUARTER, 30, -2),                                  # B + 2 ≤ 0
         (window_envelope(1, Fraction(99, 100), 0), 300, 0),      # x₀ = 0.99
-    ], ids=["d-2", "window-end-near-c"])
+        (window_envelope(1, 1, 0), 5, 1),                        # x₀ = 1
+        (window_envelope(Fraction(1, 2), 0, Fraction(1, 2)), 5, 1),   # x₁ = 0
+    ], ids=["d-2", "window-end-near-c", "window-at-c", "window-at-0"])
     def test_plan_where_the_series_does_not_apply(self, u, k, d):
         K, nu = WeightedSet.whole(), fs_measure()
         tw = TwistData(1, d)
         _, want = plan_log_norms2(k, u, K, nu, tw, singular=True)
         got = section_basis(k, u, K, nu, tw, singular_weight=True).log_norms2
         assert np.array_equal(got, want)
+
+    def test_window_at_c_is_a_beta_value(self):
+        # u = c·t on the window [c, c]: with c = 1/2, k = 5 and d = 1, J = {2, 3}
+        # and N_j² = B(j − 3/2, 4 − j), i.e. B(1/2, 2) = 4/3 and B(3/2, 1) = 2/3
+        u = window_envelope(Fraction(1, 2), Fraction(1, 2), 0)
+        got = section_basis(5, u, WeightedSet.whole(), fs_measure(), TwistData(1, 1),
+                            singular_weight=True).log_norms2
+        assert np.max(np.abs(got - np.log([4 / 3, 2 / 3]))) <= 1e-13
 
     def test_boundary_indices_diverge(self):
         u, K, nu = TQ_FS
@@ -1283,6 +1293,27 @@ class TestBMRate:
         assert min(rates) > 0.3
 
 
+class TestFSSups:
+    """v = 0 on K = X against the FS volume: log sup² of z^j is m·g*(j/m)
+    with g* = `fs_conjugate(·, 1)`, and N_j² = B(j+1, m−j+1)."""
+
+    @pytest.mark.parametrize("k", [10, 200, 1000, 3000])
+    def test_scan_max_is_a_lower_bound(self, k):
+        u, K = base_profile(1), WeightedSet.whole()
+        js = np.arange(k + 1)
+        sup = np.asarray([k * fs_conjugate(j / k, 1) for j in js.tolist()])
+        assert np.all(_log_sups2(k, k, u, K, js, False) <= sup + 1e-12)
+        for j in (0, 1, k // 3, k // 2, k - 1, k):
+            assert log_sup2(j, k, u, K) <= sup[j] + 1e-12
+
+    @pytest.mark.parametrize("k", [10, 200, 1000, 3000])
+    def test_bm_rate_is_log_k_plus_one_over_k(self, k):
+        # the max is at j = 0 or m, where the scan reaches the sup 0 and
+        # N² = 1/(m + 1)
+        rate = bm_rate(k, WeightedSet.whole(), fs_measure())
+        assert rate == pytest.approx(math.log(k + 1) / k, rel=1e-15, abs=0)
+
+
 class TestApproximant:
     def test_minimal_singularity_closed_form(self):
         b = base_profile(1)
@@ -1331,11 +1362,10 @@ class TestApproximant:
             assert not np.any(np.isin(ts, ap.grid))
             assert np.max(np.abs(ap(ts) - want)) < 1e-9
 
-    def test_exact_evaluation_survives_shift_and_resample(self):
+    def test_exact_evaluation_survives_shift(self):
         ap = bergman_approximant(8, base_profile(1))
         ts = np.asarray([-3.0, 0.0, 0.7, 5.0])
         assert np.array_equal(ap.shifted(0.25)(ts), ap(ts) + 0.25)
-        assert np.array_equal(ap.resampled(np.linspace(-40, 40, 33))(ts), ap(ts))
 
     def test_tail_indices_at_k12(self):
         ap = bergman_approximant(12, THIRD_QUARTER)
@@ -1424,7 +1454,9 @@ class TestApproximantEvaluation:
         # evaluated there
         u = experiments.radial_fixture("third-quarter")
         ap = bergman_approximant(50, u)
-        on_ap_grid = u.resampled(ap.grid)
+        on_ap_grid = window_envelope(1, Fraction(1, 3), Fraction(1, 4), ap.grid)
+        assert on_ap_grid.grid.tobytes() == ap.grid.tobytes()
+        assert on_ap_grid.values.tobytes() == u(ap.grid).tobytes()
         want = float(np.max(u(ap.grid) - ap(ap.grid)))
         monkeypatch.setattr(type(ap), "__call__", refuse)
         assert profiles.sup_difference(ap, ap) == 0.0
