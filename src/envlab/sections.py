@@ -34,12 +34,14 @@ routes.  With v ≡ 0 against the FS volume on K = X, or against the area
 density on [a, b] ⊂ K (`_closed_form_density`), it is closed-form: at
 x = σ(t) z^j's normalized mass has an incomplete-Beta CDF, a binomial
 tail, and the sum over J is one binomial row per point against
-cumulative per-index weights (`_binomial_row_means`), built only where
-its entries are not 0.0; every cell mass is a difference of such sums,
-and no norm, plan or kernel value is computed.  Elsewhere the kernel
-(`_kernel`), from the plan's norms, is evaluated only where β needs it:
-at the norms' 32-node Gauss rule over cells refined at 4k and at ν's
-atoms.
+cumulative per-index weights (`_binomial_row_means`).  The rows are summed
+only where their entries are not 0.0, and built only where an entry is
+at least 2^−120/(n + 1) times the largest term of a sum it enters, so no
+sum moves by 2^−120 of its value.  Every cell mass is a difference of such
+sums, and no norm, plan or kernel value is computed.  Elsewhere the
+kernel (`_kernel`), from the plan's norms, is evaluated only where β
+needs it: at the norms' 32-node Gauss rule over cells refined at 4k and
+at ν's atoms.
 
 Sup norms (`log_sup2`, `bm_rate`) are `_Exponent`'s conjugate: one hull
 walk (`_log_sups2`) takes G's Legendre conjugate at every slope j, G the
@@ -100,6 +102,10 @@ KERNEL_BLOCK = 2 ** 16
 # β's closed-form binomial rows are built this many points at a time, each
 # chunk on the span of its rows' live windows.
 ROW_CHUNK = 128
+
+# Within that span, β's binomial rows are built only where an entry is at
+# least 2^-ROW_KEEP_BITS/(n + 1) times the largest term of a sum it enters.
+ROW_KEEP_BITS = 120
 
 __all__ = [
     "TwistData",
@@ -715,14 +721,18 @@ def _log_rows(t: np.ndarray, log_ratio: np.ndarray, mode: np.ndarray,
 
     The cumulative sums of log_ratio + t outward from i₀, so no term of
     the size of log C(n, i) is rounded; on [lo, hi] they are those of the
-    whole row 0..n, bit for bit.
+    whole row 0..n, bit for bit.  Each fold runs only over its own side's
+    span: the upward one from the smallest mode, the downward one to the
+    largest.  Before a fold's first term it would add only exact zeros.
     """
-    steps = log_ratio[lo:hi] + t[:, None]
-    above = np.arange(lo, hi) >= mode[:, None]
-    lw = np.empty((t.size, hi - lo + 1))
-    lw[:, 0] = 0.0
-    np.cumsum(np.where(above, steps, 0.0), axis=1, out=lw[:, 1:])
-    lw[:, :-1] -= np.cumsum(np.where(above, 0.0, steps)[:, ::-1], axis=1)[:, ::-1]
+    up0, down1 = int(mode.min()), int(mode.max())
+    lw = np.zeros((t.size, hi - lo + 1))
+    up = log_ratio[up0:hi] + t[:, None]
+    up[np.arange(up0, hi) < mode[:, None]] = 0.0
+    np.cumsum(up, axis=1, out=lw[:, up0 + 1 - lo:])
+    down = log_ratio[lo:down1] + t[:, None]
+    down[np.arange(lo, down1) >= mode[:, None]] = 0.0
+    lw[:, :down1 - lo] -= np.cumsum(down[:, ::-1], axis=1)[:, ::-1]
     return lw
 
 
@@ -745,15 +755,32 @@ def _log_binomial_gap(ends: np.ndarray, n: int, js: np.ndarray):
     return _log_gap(*tails)
 
 
-def _row_windows(t: np.ndarray, n: int, log_ratio: np.ndarray, mode: np.ndarray):
-    """(first row, last row, lo, hi) of each chunk of ROW_CHUNK rows of
-    Bin(n, σ(t)), t ascending: every entry of those rows above LOG_TINY
-    relative to its mode lies in [lo, hi].
+def _row_windows(t: np.ndarray, n: int, log_ratio: np.ndarray, mode: np.ndarray,
+                 weights: np.ndarray):
+    """(first row, last row, lo, hi, a, b) of each chunk of ROW_CHUNK rows
+    of Bin(n, σ(t)), t ascending, to be summed against the nonnegative
+    columns of weights (n + 1 rows).
 
-    The modes are nondecreasing in t and the rows log-concave, so both ends
-    of a row's live window are nondecreasing in t: lo is the chunk's first
-    row's lowest live index and hi its last row's highest.  They come from
-    the prefix sums of log_ratio, less a unit margin for rounding (as in
+    [lo, hi], the summation window, holds every entry of the chunk's rows
+    above LOG_TINY relative to its mode.  The modes are nondecreasing in t
+    and the rows log-concave, so both ends of a row's live window are
+    nondecreasing in t: lo is the chunk's first row's lowest live index and
+    hi its last row's highest.
+
+    [a, b] ⊂ [lo, hi], the work window, holds every index i of [lo, hi]
+    whose log term f_i = log P(i)/P(i₀) + log weights[i] (or the row
+    sum's, weight 1) is at least M − cut, cut = log(2^ROW_KEEP_BITS·(n + 1))
+    and M that sum's largest f over S.  S is the span above LOG_TINY + 1 in
+    both end rows, so in every row's sums: an entry left out lies below
+    e^−cut of a term that each sum it enters holds.  S and [lo, hi] are the
+    same for all rows, and f_i − f_p = C + (i − p)·t, so an index i kept at
+    t′ has one at or below it kept at any t < t′: S's argmax p at t if
+    p ≤ i, else i itself, as f_i(t) − M(t) ≥ f_i(t′) − f_p(t′) ≥ −cut.  So
+    the lowest and highest kept indices are nondecreasing in t: a is the
+    first row's lowest and b the last row's highest.
+
+    Both windows come from the prefix sums of log_ratio at each chunk's
+    first and last rows, less a unit margin for rounding (as in
     `_kernel`'s prune).
     """
     first = np.arange(0, t.size, ROW_CHUNK)
@@ -764,26 +791,51 @@ def _row_windows(t: np.ndarray, n: int, log_ratio: np.ndarray, mode: np.ndarray)
     live = g > LOG_TINY - 1.0
     lo = np.argmax(live[:first.size], axis=1)
     hi = n - np.argmax(live[first.size:, ::-1], axis=1)
-    return zip(first.tolist(), last.tolist(), lo.tolist(), hi.tolist())
+    sure = g > LOG_TINY + 1.0
+    s_lo = np.argmax(sure[first.size:], axis=1)
+    s_hi = n - np.argmax(sure[:first.size, ::-1], axis=1)
+    chunk = np.tile(np.arange(first.size), 2)[:, None]     # of each end row
+    i = np.arange(n + 1)
+    in_sure = (i >= s_lo[chunk]) & (i <= s_hi[chunk])
+    cut = ROW_KEEP_BITS * math.log(2.0) + math.log(n + 1)
+    keep = np.zeros_like(live)
+    with np.errstate(divide="ignore"):
+        log_w = np.log(weights)
+    for f in [g] + [g + col for col in log_w.T]:
+        top = np.max(f, axis=1, where=in_sure, initial=-np.inf)
+        keep |= f > (top - cut - 1.0)[:, None]
+    keep &= (i >= lo[chunk]) & (i <= hi[chunk])
+    a = np.argmax(keep[:first.size], axis=1)
+    b = n - np.argmax(keep[first.size:, ::-1], axis=1)
+    return zip(*(v.tolist() for v in (first, last, lo, hi, a, b)))
 
 
 def _binomial_row_means(t: np.ndarray, n: int, weights: np.ndarray,
                         unit: float) -> np.ndarray:
     """unit·E[weights[N]] for N ~ Bin(n, σ(t)) at each point of the
     ascending array t: one column per column of weights, which has n + 1
-    rows.  Every closed-form β is this kernel against its own weights.
+    nonnegative rows.  Every closed-form β is this kernel against its own
+    weights.
 
-    Each row (`_log_rows`) is normalized by its own sum.  Only the rows'
-    live windows are built, a chunk of rows at a time (`_row_windows`):
-    outside them `exp_normal` would write 0.0.  A value that would not be
-    a normal float is written as 0.0.
+    Each row (`_log_rows`) is normalized by its own sum.  The rows are
+    summed a chunk at a time over its summation window [lo, hi]
+    (`_row_windows`), outside which `exp_normal` would write 0.0.  They are
+    folded and exponentiated only on the chunk's work window [a, b], and
+    written as 0.0 on the rest of [lo, hi].  An entry left out is below
+    2^−ROW_KEEP_BITS/(n + 1) times the largest term of every sum it
+    enters, so no sum moves by 2^−ROW_KEEP_BITS of its value, and the
+    products and sums run over the same shapes in the same order as over
+    the whole window: a rounded result moves only if its exact value lies
+    that close to a rounding boundary, about n·2^(53−ROW_KEEP_BITS) of the
+    time.  A value that would not be a normal float is written as 0.0.
     """
     log_ratio, mode = _binomial_steps(t, n)
     out = np.empty((t.size, weights.shape[1]))
-    for r0, r1, lo, hi in _row_windows(t, n, log_ratio, mode):
+    for r0, r1, lo, hi, a, b in _row_windows(t, n, log_ratio, mode, weights):
         sl = slice(r0, r1 + 1)
-        lw = _log_rows(t[sl], log_ratio, mode[sl], lo, hi)
-        w = exp_normal(lw, out=lw)
+        w = np.zeros((r1 + 1 - r0, hi + 1 - lo))
+        exp_normal(_log_rows(t[sl], log_ratio, mode[sl], a, b),
+                   out=w[:, a - lo:b + 1 - lo])
         num = w @ weights[lo:hi + 1]
         den = (np.sum(w, axis=1) / unit)[:, None]
         # 0.0 where num/den could leave the normal range; the bound is put on

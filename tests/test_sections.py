@@ -1027,6 +1027,12 @@ def full_row_fs_beta_cdfs(t, m, j_min, n_J, unit):
     return np.divide(num, den, out=np.zeros_like(num), where=normal)
 
 
+def fs_weights(m, J):
+    """The two clip columns `_fs_beta_cdfs` sums Bin(m + 1, x) against."""
+    lower = np.clip(np.arange(m + 2) - J[0], 0, len(J))
+    return np.stack([lower, len(J) - lower], axis=1).astype(float)
+
+
 def fs_beta_points(fixture, k):
     """β's interior cell ends on an FS fixture, and its (m, J)."""
     u, K, nu = weighted_fixture(fixture)
@@ -1062,21 +1068,152 @@ class TestWindowedRows:
 
     @pytest.mark.parametrize("k", [1, 2, 25, 200, 3200])
     def test_every_live_entry_lies_in_its_window(self, k):
-        t, m, _ = fs_beta_points("vtheta-fs", k)
+        t, m, J = fs_beta_points("vtheta-fs", k)
         lw, log_ratio, mode = full_log_rows(t, m + 1)
-        windows = list(sections._row_windows(t, m + 1, log_ratio, mode))
+        windows = list(sections._row_windows(t, m + 1, log_ratio, mode, fs_weights(m, J)))
         assert windows[0][0] == 0 and windows[-1][1] == t.size - 1
-        for (r0, r1, lo, hi), nxt in zip(windows, windows[1:] + [(t.size,)]):
+        for (r0, r1, lo, hi, _, _), nxt in zip(windows, windows[1:] + [(t.size,)]):
             assert nxt[0] == r1 + 1
             live = np.flatnonzero(np.any(lw[r0:r1 + 1] > LOG_TINY, axis=0))
             assert lo <= live[0] and live[-1] <= hi
 
     def test_large_k_touches_a_quarter_of_the_table(self):
-        t, m, _ = fs_beta_points("vtheta-fs", 3200)
+        t, m, J = fs_beta_points("vtheta-fs", 3200)
         _, log_ratio, mode = full_log_rows(t, m + 1)
-        touched = sum((r1 + 1 - r0) * (hi + 1 - lo) for r0, r1, lo, hi
-                      in sections._row_windows(t, m + 1, log_ratio, mode))
+        touched = sum((r1 + 1 - r0) * (hi + 1 - lo) for r0, r1, lo, hi, _, _
+                      in sections._row_windows(t, m + 1, log_ratio, mode, fs_weights(m, J)))
         assert touched <= t.size * (m + 2) / 4
+
+
+def tiny_window_row_means(t, n, weights, unit):
+    """`_binomial_row_means` as it was before the work windows: each chunk
+    of rows folded (both folds over the whole span) and exponentiated on
+    every entry of its LOG_TINY window [lo, hi]."""
+    log_ratio, mode = sections._binomial_steps(t, n)
+    prefix = np.concatenate([[0.0], np.cumsum(log_ratio)])
+    out = np.empty((t.size, weights.shape[1]))
+    for r0 in range(0, t.size, sections.ROW_CHUNK):
+        r1 = min(r0 + sections.ROW_CHUNK, t.size) - 1
+        g = prefix + np.arange(n + 1) * t[[r0, r1], None]
+        g -= g[[0, 1], mode[[r0, r1]].astype(np.intp)][:, None]
+        live = g > LOG_TINY - 1.0
+        lo, hi = int(np.argmax(live[0])), n - int(np.argmax(live[1, ::-1]))
+        sl = slice(r0, r1 + 1)
+        steps = log_ratio[lo:hi] + t[sl, None]
+        above = np.arange(lo, hi) >= mode[sl, None]
+        lw = np.empty((r1 + 1 - r0, hi - lo + 1))
+        lw[:, 0] = 0.0
+        np.cumsum(np.where(above, steps, 0.0), axis=1, out=lw[:, 1:])
+        lw[:, :-1] -= np.cumsum(np.where(above, 0.0, steps)[:, ::-1], axis=1)[:, ::-1]
+        w = exp_normal(lw, out=lw)
+        num = w @ weights[lo:hi + 1]
+        den = (np.sum(w, axis=1) / unit)[:, None]
+        normal = num >= 2.0 * TINY * np.maximum(den, 1.0)
+        out[sl] = np.divide(num, den, out=np.zeros_like(num), where=normal)
+    return out
+
+
+def on_tiny_windows(fn, *args):
+    """fn(*args) with β's rows from `tiny_window_row_means`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sections, "_binomial_row_means", tiny_window_row_means)
+        return fn(*args)
+
+
+def same_bits(got, want):
+    return (got is None) == (want is None) and (
+        got is None or (got.shape == want.shape and got.tobytes() == want.tobytes()))
+
+
+def area_beta_args(k, u, K, nu, tw=TwistData()):
+    """`_area_beta_cell_masses`'s arguments as `bergman` passes them."""
+    basis = admissible_set(k, u, tw)
+    bp = refine_breakpoints(sections._norm_breaks(K, nu), 4 * k)
+    return bp, basis.m, basis.J, tw.rank / k
+
+
+class TestWorkWindows:
+    """β's rows folded and exponentiated only on the work windows, bit for
+    bit against the kernel that builds every entry of the LOG_TINY windows."""
+
+    @pytest.mark.parametrize("fixture", ["vtheta-fs", "third-quarter-fs"])
+    @pytest.mark.parametrize("k", [1, 2, 25, 200, 3200])
+    def test_fs_cdfs_are_the_tiny_window_kernels(self, fixture, k):
+        t, m, J = fs_beta_points(fixture, k)
+        args = (t, m, J[0], len(J), 1.0 / k)
+        assert same_bits(_fs_beta_cdfs(*args), on_tiny_windows(_fs_beta_cdfs, *args))
+
+    @pytest.mark.parametrize("k", [10, 60, 200, 1000])
+    def test_area_masses_are_the_tiny_window_kernels(self, k):
+        args = area_beta_args(k, *weighted_fixture("annulus-area"))
+        got = sections._area_beta_cell_masses(*args)
+        assert got is not None
+        assert same_bits(got, on_tiny_windows(sections._area_beta_cell_masses, *args))
+
+    @settings(max_examples=40, deadline=None)
+    @given(u=window_profiles(), k=st.integers(1, 600), d=st.integers(-1, 1))
+    def test_random_windows_on_the_fs_volume(self, u, k, d):
+        basis = admissible_set(k, u, TwistData(1, d))
+        if not basis.J:
+            return
+        t = refine_breakpoints(sections._norm_breaks(WeightedSet.whole(), fs_measure()),
+                               4 * k)[1:-1]
+        args = (t, basis.m, basis.J[0], len(basis.J), 1.0 / k)
+        assert same_bits(_fs_beta_cdfs(*args), on_tiny_windows(_fs_beta_cdfs, *args))
+
+    @settings(max_examples=40, deadline=None)
+    @given(u=window_profiles(), ends=st.lists(st.integers(-256, 256), min_size=2,
+                                               max_size=2, unique=True),
+           k=st.integers(1, 600), d=st.integers(-1, 1))
+    def test_random_annuli(self, u, ends, k, d):
+        a, b = (e / 64 for e in sorted(ends))
+        tw = TwistData(1, d)
+        if not admissible_set(k, u, tw).J:
+            return
+        args = area_beta_args(k, u, *area_fixture(a, b)[1:], tw)
+        assert same_bits(sections._area_beta_cell_masses(*args),
+                         on_tiny_windows(sections._area_beta_cell_masses, *args))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_nonnegative_weights(self, n, seed):
+        # weights over 600 orders of magnitude, a third of them 0: a sum's
+        # largest term may lie far from the row's mode
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(-30.0, 30.0, rng.integers(1, 400)))
+        weights = np.exp(rng.uniform(-700.0, 700.0, (n + 1, 3)))
+        weights[rng.random((n + 1, 3)) < 1 / 3] = 0.0
+        args = (t, n, weights, 1.0)
+        assert same_bits(sections._binomial_row_means(*args),
+                         tiny_window_row_means(*args))
+
+    def test_a_term_some_rows_leave_out_sets_no_cut(self):
+        # One chunk.  Index p lies just past the first row's live window but
+        # in the last row's, and its weight e^700 would dwarf every term the
+        # first row sums: that row's weighted sum peaks at its window's left
+        # end, far from the row's mode.
+        n, t = 2000, np.linspace(-0.5, 0.5, sections.ROW_CHUNK)
+        first, last = full_log_rows(t[[0, -1]], n)[0]
+        p = int(np.flatnonzero(first > LOG_TINY)[-1]) + 1
+        assert last[p] > LOG_TINY + 1.0
+        log_w = np.maximum(700.0 - 3.0 * np.arange(n + 1), -700.0)
+        log_w[p] = 700.0
+        args = (t, n, np.exp(log_w)[:, None], 1.0)
+        assert same_bits(sections._binomial_row_means(*args), tiny_window_row_means(*args))
+
+    def test_fs_work_at_k_200(self):
+        # the work windows hold at most 70 % of the LOG_TINY windows'
+        # entries on the two FS fixtures together (measured 64 %)
+        work = full = 0
+        for fixture in ("vtheta-fs", "third-quarter-fs"):
+            t, m, J = fs_beta_points(fixture, 200)
+            log_ratio, mode = sections._binomial_steps(t, m + 1)
+            for r0, r1, lo, hi, a, b in sections._row_windows(t, m + 1, log_ratio,
+                                                              mode, fs_weights(m, J)):
+                assert lo <= a <= b <= hi
+                work += (r1 + 1 - r0) * (b + 1 - a)
+                full += (r1 + 1 - r0) * (hi + 1 - lo)
+        assert work <= 0.7 * full
 
 
 def area_fixture(a, b):
