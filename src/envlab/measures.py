@@ -7,11 +7,15 @@ others produce atoms at the kinks of their samples.  Reference measures
 (Fubini–Study volume, area measure on an annulus, circle atoms) carry an
 analytic density callable so quadrature downstream does not see sampling
 error.
+
+A measure holds its atoms sorted by position, with their running weight
+sums in a table, so its CDF at any point is the cell CDF plus one table
+entry found by binary search: no query costs points × atoms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +41,10 @@ class RadialMeasure:
 
     The CDF is taken linear inside cells; `density_fn`, when present, is
     the exact density used by quadrature.  `exact_total` records the
-    rational total mass when the construction knows it.
+    rational total mass when the construction knows it.  Atoms are held
+    sorted by position (a stable sort: equal positions keep their given
+    order), and `_atom_cum` is their weights' left-to-right running sum
+    after a leading 0, so the atoms' CDF at t is one entry of it.
     """
 
     breakpoints: np.ndarray
@@ -45,32 +52,49 @@ class RadialMeasure:
     atoms: tuple = ()
     density_fn: object = None
     exact_total: Fraction | None = None
+    _atom_ts: np.ndarray = field(init=False, repr=False, compare=False)
+    _atom_cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
         cm = np.asarray(self.cell_masses, dtype=float)
-        bp.setflags(write=False)
-        cm.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "cell_masses", cm)
-        object.__setattr__(self, "atoms", tuple((float(t), float(w)) for t, w in self.atoms))
         if bp.size and cm.size != bp.size - 1:
             raise InputError("cell_masses must have len(breakpoints) - 1 entries")
         if bp.size == 0 and cm.size:
             raise InputError("cells without breakpoints")
         if not np.all(np.isfinite(cm) & (cm >= -1e-15)):
             raise InputError("cell masses must be finite and nonnegative")
-        for t, w in self.atoms:
-            if not np.isfinite(t):
+        atoms, at, cum = (), np.empty(0), np.zeros(1)
+        if len(self.atoms):  # most measures have none: skip the array work
+            at, w = np.asarray(self.atoms, dtype=float).reshape(-1, 2).T
+            if not np.isfinite(at).all():
                 raise InputError("atom at infinity is not allowed")
-            if not 0 < w < np.inf:
+            if not ((w > 0).all() and (w < np.inf).all()):
                 raise InputError("atom weights must be finite and positive")
+            order = at.argsort(kind="stable")
+            at, w = at[order], w[order]
+            atoms = tuple(zip(at.tolist(), w.tolist()))
+            cum = np.zeros(w.size + 1)
+            w.cumsum(out=cum[1:])
+        for a in (bp, cm, at, cum):
+            a.setflags(write=False)
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "cell_masses", cm)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "_atom_ts", at)
+        object.__setattr__(self, "_atom_cum", cum)
 
     def total_mass(self) -> float:
-        return float(np.sum(self.cell_masses)) + sum(w for _, w in self.atoms)
+        return float(np.sum(self.cell_masses)) + float(self._atom_cum[-1])
 
     def cdf(self, ts, side: str = "right") -> np.ndarray:
-        """CDF at ts; side='left' excludes atoms exactly at t."""
+        """CDF at ts; side='left' excludes atoms exactly at t.
+
+        The cell CDF plus the atoms' running sum up to t: `searchsorted`
+        with side 'right' counts the atoms at or below t, 'left' those
+        strictly below it."""
+        if side not in ("right", "left"):
+            raise InputError(f"side must be 'right' or 'left', not {side!r}")
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         out = np.zeros_like(ts)
         if self.breakpoints.size:
@@ -78,16 +102,11 @@ class RadialMeasure:
             out += np.interp(ts, self.breakpoints, cum,
                              left=0.0, right=cum[-1])
         if self.atoms:
-            at, w = np.array(self.atoms).T
-            hit = ts[..., None] >= at if side == "right" else ts[..., None] > at
-            # the cell CDF, then each atom's term in atom order, one add at
-            # a time: the float sums of a loop over the atoms
-            terms = np.concatenate([out[..., None], np.where(hit, w, 0.0)], axis=-1)
-            out = np.add.accumulate(terms, axis=-1)[..., -1]
+            out += self._atom_cum[np.searchsorted(self._atom_ts, ts, side=side)]
         return out
 
     def support_points(self) -> np.ndarray:
-        return union([t for t, _ in self.atoms], self.breakpoints)
+        return union(self._atom_ts, self.breakpoints)
 
 
 def ma_measure(p: ConvexProfile) -> RadialMeasure:
@@ -189,7 +208,7 @@ def measure_integral(f, m: RadialMeasure, extra_breaks=None) -> float:
     out = 0
     if m.atoms:
         # f once on every atom; the weighted values summed in atom order
-        at = np.array([t for t, _ in m.atoms])
+        at = m._atom_ts
         fa = np.broadcast_to(np.asarray(f(at), dtype=float), at.shape).tolist()
         out = sum(w * fv for (_, w), fv in zip(m.atoms, fa))
     if m.cell_masses.size == 0:

@@ -219,3 +219,57 @@ class TestInt64Guard:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+
+def permuted(f, perm):
+    """f with each piece's gradient g sent to perm(c, g): the action of a
+    coordinate permutation of ℙ² on the moment simplex Δ_c."""
+    c = f.class_mass
+    return TorusProfile2(c, tuple((perm(c, g), a) for g, a in f.pieces))
+
+
+def swap(c, g):
+    return g[1], g[0]
+
+
+def rotate(c, g):
+    return c - g[0] - g[1], g[1]
+
+
+class TestPermutations:
+    """ℙ²'s coordinate permutations as an exact oracle.
+
+    With c = 1, β = α + 1 runs over the lattice points strictly inside
+    k·body, and β ↦ (β₂, β₁) and β ↦ (k − β₁ − β₂, β₂) are unimodular
+    affine maps of ℤ² that carry k·body onto k·image; on α they are
+    α ↦ (α₂, α₁) and α ↦ (m − |α|, α₂) at d = 0.  A body inside Δ₁ keeps
+    β₁ + β₂ ≤ k − 1, i.e. |α| ≤ k − 3, so the simplex α₁ + α₂ ≤ m = k + d
+    cuts nothing for d ≥ −3 and the counts agree exactly there."""
+
+    KS = np.arange(1, 10 ** 4 + 1)
+
+    @pytest.mark.parametrize("perm", [swap, rotate])
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixtures(self, name, perm):
+        f = toric_fixture(name)
+        for d in range(-3, 3):
+            tw = TwistData(2, d)
+            assert np.array_equal(_h0_toric_counts(self.KS, permuted(f, perm), tw),
+                                  _h0_toric_counts(self.KS, f, tw)), d
+
+    def test_the_simplex_binds_below_d_minus_3(self):
+        # the identity's range is sharp: at d = −4, α₁ + α₂ ≤ m cuts
+        # half-square's points and its rotated image's differently
+        f = toric_fixture("half-square")
+        ks = np.arange(1, 41)
+        tw = TwistData(1, -4)
+        assert not np.array_equal(_h0_toric_counts(ks, permuted(f, rotate), tw),
+                                  _h0_toric_counts(ks, f, tw))
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=polygon_profile, d=st.integers(-3, 2), perm=st.sampled_from([swap, rotate]))
+    def test_rational_polygons(self, f, d, perm):
+        ks = np.arange(1, 601)
+        tw = TwistData(1, d)
+        assert np.array_equal(_h0_toric_counts(ks, permuted(f, perm), tw),
+                              _h0_toric_counts(ks, f, tw))
