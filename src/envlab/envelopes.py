@@ -116,17 +116,17 @@ def conjugate_at_slopes(ts, fs, slopes) -> np.ndarray:
     return out
 
 
-def _assemble(window: SlopeWindow, slopes, cvals, extra_nodes) -> ConvexProfile:
+def _assemble(window: SlopeWindow, slopes, cvals, nodes) -> ConvexProfile:
     """PL profile of t ↦ max_s (s·t − c(s)) over distinct ascending slopes;
-    tails = exact window slopes.
+    tails = exact window slopes, nodes = the sorted distinct samples.
 
     The active lines are the vertices of the lower hull of the points
     (s, c(s)), and two neighbours switch at their chord's slope.
     """
     act_s, act_c = lower_hull(slopes, cvals)
     if act_s.size == 1:
-        if extra_nodes is not None and np.ptp(extra_nodes) > 0:
-            grid = np.asarray([float(np.min(extra_nodes)), float(np.max(extra_nodes))])
+        if np.ptp(nodes) > 0:
+            grid = np.asarray([float(nodes[0]), float(nodes[-1])])
         else:
             grid = np.asarray([-1.0, 1.0])
         vals = act_s[0] * grid - act_c[0]
@@ -134,7 +134,7 @@ def _assemble(window: SlopeWindow, slopes, cvals, extra_nodes) -> ConvexProfile:
             window.c, grid, vals, window.lo, window.lo, -act_c[0], -act_c[0]
         )
     switches = np.diff(act_c) / np.diff(act_s)
-    grid = merge_grids(insert_interior(np.sort(switches), extra_nodes))
+    grid = merge_grids(insert_interior(np.sort(switches), nodes))
     if grid.size < 2:
         grid = union(grid, grid + 1.0)
     vals = np.max(grid[:, None] * act_s[None, :] - act_c[None, :], axis=1)
@@ -148,13 +148,13 @@ def envelope_of_samples(
     window: SlopeWindow,
     obs_ts,
     obs_fs,
-    extra_nodes=None,
     limit_lo: float | None = None,
     limit_hi: float | None = None,
 ) -> ConvexProfile:
     """Maximal convex minorant of PL sample data with slopes in `window`.
 
-    Samples that repeat a t count once, with their smallest f.
+    Samples that repeat a t count once, with their smallest f; the
+    distinct sample points are the nodes of the profile's grid.
 
     limit_lo / limit_hi inject sup values attained at t = ∓∞ into the
     conjugate at the window endpoints (only meaningful when lo = 0 resp.
@@ -183,12 +183,11 @@ def envelope_of_samples(
     chords = np.diff(hf) / np.diff(ht) if ht.size > 1 else np.empty(0)
     slopes = union([lo_f, hi_f], np.clip(chords, lo_f, hi_f))
     cvals = conjugate_at_slopes(ht, hf, slopes)
-    if limit_lo is not None and slopes[0] == lo_f:
+    if limit_lo is not None:
         cvals[0] = max(cvals[0], limit_lo)
-    if limit_hi is not None and slopes[-1] == hi_f:
+    if limit_hi is not None:
         cvals[-1] = max(cvals[-1], limit_hi)
-    nodes = obs_ts if extra_nodes is None else union(obs_ts, extra_nodes)
-    return _assemble(window, slopes, cvals, nodes)
+    return _assemble(window, slopes, cvals, obs_ts)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +259,7 @@ def weighted_envelope(p: ConvexProfile, K: WeightedSet) -> ConvexProfile:
         return i_model_envelope(p)
     obs_ts, obs_phi = _obstacle_samples(c, K)
     return envelope_of_samples(
-        window, obs_ts, obs_phi, extra_nodes=obs_ts,
+        window, obs_ts, obs_phi,
         limit_lo=-vs[0] if (K.whole_space and window.lo == 0) else None,
         limit_hi=-vs[-1] if (K.whole_space and window.hi == c) else None,
     )
@@ -285,9 +284,7 @@ def rooftop(p: ConvexProfile, q: ConvexProfile) -> ConvexProfile:
         return window_envelope(p.class_mass, lo, p.class_mass - hi, grid)
     grid, fp, fq = sample_with_crossings(p, q, grid)
     obs = np.minimum(fp, fq)
-    return envelope_of_samples(
-        SlopeWindow(lo, hi, p.class_mass), grid, obs, extra_nodes=grid
-    )
+    return envelope_of_samples(SlopeWindow(lo, hi, p.class_mass), grid, obs)
 
 
 def p_shift(b, u: ConvexProfile, v: ConvexProfile) -> ConvexProfile:
@@ -316,9 +313,7 @@ def p_shift(b, u: ConvexProfile, v: ConvexProfile) -> ConvexProfile:
     grid = refine_breakpoints(merged, 0, max_width=1.0 / 32.0)
     bf = float(b)
     psi = bf * u(grid) - (bf - 1.0) * v(grid)
-    h = envelope_of_samples(
-        SlopeWindow(sig_lo, sig_hi, u.class_mass), grid, psi, extra_nodes=merged
-    )
+    h = envelope_of_samples(SlopeWindow(sig_lo, sig_hi, u.class_mass), grid, psi)
     # operands with an exact evaluator curve below their chords between
     # samples; verify the defining inequality on a finer aligned grid and
     # absorb any excess (plus the analytic curvature slack) into a
@@ -388,9 +383,7 @@ def kahler_current_minorant(u: ConvexProfile) -> tuple[ConvexProfile, float]:
 
 def restricted_biconjugate(p: ConvexProfile) -> ConvexProfile:
     """Biconjugate with window [s₋, s₊]; the identity on valid profiles."""
-    return envelope_of_samples(
-        p.window, p.grid, np.asarray(p.values, dtype=float), extra_nodes=p.grid
-    )
+    return envelope_of_samples(p.window, p.grid, np.asarray(p.values, dtype=float))
 
 
 # relative distance below which the envelope counts as touching the obstacle
@@ -400,12 +393,12 @@ CONTACT_TOL = 1e-9
 def contact_leakage(env: ConvexProfile, K: WeightedSet):
     """(mass outside the contact set, total mass) for env's MA measure.
 
-    Contact set: points of K where the envelope touches the obstacle
-    c·f_FS + v within CONTACT_TOL·scale.
+    Contact set: samples of the obstacle `weighted_envelope` hulls
+    (`_obstacle_samples`) where the envelope touches it within
+    CONTACT_TOL·scale.
     """
     mu = ma_measure(env)
-    ts, vs = K.sample_points()
-    phi = float(env.class_mass) * softplus(ts) + vs
+    ts, phi = _obstacle_samples(env.class_mass, K)
     gap = np.abs(env(ts) - phi)
     scale = max(1.0, float(np.max(np.abs(phi))))
     contact = ts[gap <= CONTACT_TOL * scale]

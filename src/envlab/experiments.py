@@ -161,6 +161,12 @@ class ExperimentConfig:
         if any(r < 1 for r in self.ranks):
             raise InputError(f"'ranks' entries must be positive, got {self.ranks!r}")
         _check_int_list("shifts", self.shifts)
+        for name, default, readers in (("ranks", [1], {"volume"}), ("shifts", [0], {"volume"}),
+                                       ("sweep_max", 0, {"volume", "approx"})):
+            value = getattr(self, name)
+            if self.experiment not in readers and value != default:
+                raise InputError(f"the {self.experiment} experiment never reads {name!r}; "
+                                 f"it must stay {default!r}, got {value!r}")
         names = TOLERANCE_NAMES.get(self.experiment, set())
         missing = sorted(names - set(self.tolerances))
         unread = sorted(set(self.tolerances) - names)

@@ -92,15 +92,24 @@ class RadialMeasure:
 
         The cell CDF plus the atoms' running sum up to t: `searchsorted`
         with side 'right' counts the atoms at or below t, 'left' those
-        strictly below it."""
+        strictly below it.  A NaN query point raises InputError."""
         if side not in ("right", "left"):
             raise InputError(f"side must be 'right' or 'left', not {side!r}")
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        if np.isnan(ts).any():
+            raise InputError("CDF query points must not be NaN")
         out = np.zeros_like(ts)
         if self.breakpoints.size:
-            cum = np.concatenate([[0.0], np.cumsum(self.cell_masses)])
-            out += np.interp(ts, self.breakpoints, cum,
-                             left=0.0, right=cum[-1])
+            bp, cm = self.breakpoints, self.cell_masses
+            cum = np.concatenate([[0.0], np.cumsum(cm)])
+            out += np.interp(ts, bp, cum, left=0.0, right=cum[-1])
+            bad = ~np.isfinite(out)
+            if bad.any():
+                # interp's slope Δcum/Δt overflows inside a cell narrower
+                # than its mass / DBL_MAX: take the cell's fraction first
+                t = ts[bad]
+                i = np.clip(np.searchsorted(bp, t, side="right") - 1, 0, bp.size - 2)
+                out[bad] = cum[i] + cm[i] * ((t - bp[i]) / (bp[i + 1] - bp[i]))
         if self.atoms:
             out += self._atom_cum[np.searchsorted(self._atom_ts, ts, side=side)]
         return out

@@ -91,8 +91,6 @@ class WindowEnvelope:
             t_hi = float(logit(hif / cf)) if hif > 0.0 else -np.inf
             mask = t >= t_hi
             out[mask] = hif * t[mask] - fs_conjugate(hi, c)
-        if lo == hi:
-            out = lof * t - fs_conjugate(lo, c)
         return out
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .basefun import as_fraction
 from .errors import InputError
+from .sections import _INT64_MAX, TwistData
 
 __all__ = [
     "TorusProfile2",
@@ -152,7 +153,9 @@ class RationalPolygon:
 
 @dataclass(frozen=True)
 class TorusProfile2:
-    """max of affine pieces ⟨g, t⟩ + a with rational gradients in Δ_c."""
+    """max of affine pieces ⟨g, t⟩ + a with rational gradients in Δ_c, so
+    ⟨g, t⟩ + a ≤ c·max(0, t₁, t₂) + cap ≤ c·log(1 + e^{t₁} + e^{t₂}) + cap
+    with cap = max(0, every intercept a)."""
 
     class_mass: Fraction
     pieces: tuple
@@ -173,32 +176,11 @@ class TorusProfile2:
         if not norm:
             raise InputError("profile needs at least one affine piece")
         object.__setattr__(self, "pieces", tuple(norm))
-        self._probe_bound()
-
-    def _probe_bound(self):
-        # F ≤ c·log(1 + e^{t1} + e^{t2}) + max(intercepts, 0): automatic for
-        # intercepts ≤ 0; the probe documents the bound in general
-        cap = float(max(max(a for _, a in self.pieces), 0))
-        cf = float(self.class_mass)
-        probe = np.linspace(-30.0, 30.0, 13)
-        t1, t2 = np.meshgrid(probe, probe)
-        base = cf * np.log1p(np.exp(np.minimum(t1, 700)) + np.exp(np.minimum(t2, 700)))
-        vals = self.evaluate(t1, t2)
-        if np.any(vals > base + cap + 1e-6):
-            raise InputError("profile escapes the class bound on the probe grid")
 
     @cached_property
     def body(self) -> RationalPolygon:
         """Singularity body: convex hull of the piece gradients, exact."""
         return RationalPolygon(tuple(g for g, _ in self.pieces))
-
-    def evaluate(self, t1, t2):
-        t1 = np.asarray(t1, dtype=float)
-        t2 = np.asarray(t2, dtype=float)
-        out = np.full(np.broadcast(t1, t2).shape, -np.inf)
-        for (gx, gy), a in self.pieces:
-            out = np.maximum(out, float(gx) * t1 + float(gy) * t2 + float(a))
-        return out
 
 
 def floor_sum(n, m: int, a: int, b) -> np.ndarray:
@@ -297,8 +279,6 @@ def _h0_toric_counts(ks, f: TorusProfile2, tw=None) -> np.ndarray:
     that no line value, cut, floor sum or count leaves int64; past it the
     call raises InputError.
     """
-    from .sections import _INT64_MAX, TwistData
-
     tw = tw or TwistData()
     # Python ints: numpy ints would wrap in the bounds below
     k_lo, k_hi = int(ks[0]), int(ks[-1])
@@ -344,8 +324,6 @@ def h0_toric(k: int, f: TorusProfile2, tw=None) -> int:
 
 def h0_toric_bruteforce(k: int, f: TorusProfile2, tw=None) -> int:
     """Independent oracle: direct strict point-in-polygon over all α."""
-    from .sections import TwistData
-
     tw = tw or TwistData()
     m = math.floor(k * f.class_mass) + tw.degree_shift
     if m < 0:

@@ -26,7 +26,6 @@ from envlab import (
     sup_difference,
     weighted_envelope,
 )
-from envlab.basefun import softplus
 from envlab.envelopes import _obstacle_samples, envelope_of_samples, window_envelope
 from envlab.errors import FeasibilityError, InfeasibleClassError, InputError
 from envlab.experiments import weighted_fixture
@@ -34,6 +33,7 @@ from envlab.profiles import SlopeWindow, WindowEnvelope
 from envlab.quadrature import union
 
 from conftest import random_pl_profile, random_weighted_set
+from test_profiles import crossing_pair
 
 
 def brute_force_biconjugate(p, ts, slopes):
@@ -50,11 +50,11 @@ def _flat_order_envelope(p, K):
     obs_ts, obs_phi = _obstacle_samples(c, K)
     _, vs = K.sample_points()
     q = envelope_of_samples(
-        SlopeWindow(Fraction(0), c, c), obs_ts, obs_phi, extra_nodes=obs_ts,
+        SlopeWindow(Fraction(0), c, c), obs_ts, obs_phi,
         limit_lo=-vs[0] if K.whole_space else None,
         limit_hi=-vs[-1] if K.whole_space else None,
     )
-    return envelope_of_samples(p.window, q.grid, q.values, extra_nodes=q.grid)
+    return envelope_of_samples(p.window, q.grid, q.values)
 
 
 class TestIModelEnvelope:
@@ -120,8 +120,7 @@ class TestBiconjugacy:
         assert np.max(np.abs(got - want)) < 1e-9
 
 
-def full_hull_envelope(window, obs_ts, obs_fs, extra_nodes=None,
-                       limit_lo=None, limit_hi=None):
+def full_hull_envelope(window, obs_ts, obs_fs, limit_lo=None, limit_hi=None):
     """Reference: `envelope_of_samples` with the hull and the conjugate
     taken over every sample, not only the contact slice."""
     obs_ts = np.asarray(obs_ts, dtype=float)
@@ -137,8 +136,7 @@ def full_hull_envelope(window, obs_ts, obs_fs, extra_nodes=None,
         cvals[0] = max(cvals[0], limit_lo)
     if limit_hi is not None and slopes[-1] == hi_f:
         cvals[-1] = max(cvals[-1], limit_hi)
-    nodes = obs_ts if extra_nodes is None else union(obs_ts, extra_nodes)
-    return envelopes._assemble(window, slopes, cvals, nodes)
+    return envelopes._assemble(window, slopes, cvals, obs_ts)
 
 
 def same_profile(got, want):
@@ -194,8 +192,7 @@ def loop_contact_leakage(env, K):
     """Reference: the mass of env's MA measure off the contact set, by a
     Python loop over its atoms and then its cells, one `contains` each."""
     mu = ma_measure(env)
-    ts, vs = K.sample_points()
-    phi = float(env.class_mass) * softplus(ts) + vs
+    ts, phi = _obstacle_samples(env.class_mass, K)
     gap = np.abs(env(ts) - phi)
     scale = max(1.0, float(np.max(np.abs(phi))))
     contact = ts[gap <= envelopes.CONTACT_TOL * scale]
@@ -257,7 +254,7 @@ class TestEnvelopeOfSamples:
                    [0.0, 0.0, 7.377083652029965e-113], None, None))
     def test_contact_slice_matches_full_hull(self, case):
         window, ts, fs, limit_lo, limit_hi = case
-        kw = dict(extra_nodes=ts, limit_lo=limit_lo, limit_hi=limit_hi)
+        kw = dict(limit_lo=limit_lo, limit_hi=limit_hi)
         try:
             want = full_hull_envelope(window, ts, fs, **kw)
         except InputError as exc:
@@ -279,8 +276,8 @@ class TestEnvelopeOfSamples:
         window = SlopeWindow(Fraction(2, 3), Fraction(5, 6), 1)
         ts = [-7.25, -5.625, -4.5, -1.25, -3.8001821797990174e-130]
         fs = [3.0, -5.6875, -4.75, -2.041666666666667, -1.0]
-        got = envelope_of_samples(window, ts, fs, extra_nodes=ts)
-        want = full_hull_envelope(window, ts, fs, extra_nodes=ts)
+        got = envelope_of_samples(window, ts, fs)
+        want = full_hull_envelope(window, ts, fs)
         assert got.grid.tobytes() == want.grid.tobytes()
         probe = np.linspace(-30.0, 30.0, 6001)
         assert np.max(np.abs(got(probe) - want(probe))) <= 2 * np.spacing(8.0)
@@ -301,7 +298,7 @@ class TestEnvelopeOfSamples:
         # (s, c(s)), gives the envelope's active lines
         assert seen[0] == last - first + 1 and 0 < last - first + 1 < ts.size
         assert len(seen) == 2
-        same_profile(got, full_hull_envelope(u.window, ts, fs, extra_nodes=ts))
+        same_profile(got, full_hull_envelope(u.window, ts, fs))
 
     @settings(max_examples=300, deadline=None)
     @given(case=windowed_obstacles(), data=st.data())
@@ -316,7 +313,7 @@ class TestEnvelopeOfSamples:
         for t, f in zip(ts, fs):
             least[t] = min(f, least.get(t, f))
         uts = sorted(least)
-        kw = dict(extra_nodes=ts, limit_lo=limit_lo, limit_hi=limit_hi)
+        kw = dict(limit_lo=limit_lo, limit_hi=limit_hi)
         want = full_hull_envelope(window, uts, [least[t] for t in uts], **kw)
         same_profile(envelope_of_samples(window, ts, fs, **kw), want)
 
@@ -387,7 +384,7 @@ class TestWeightedEnvelope:
             K = random_weighted_set(rng)
             direct = weighted_envelope(p, K)
             q = weighted_envelope(base_profile(p.class_mass), K)
-            composed = envelope_of_samples(p.window, q.grid, q.values, extra_nodes=q.grid)
+            composed = envelope_of_samples(p.window, q.grid, q.values)
             grid = np.union1d(direct.grid, composed.grid)
             assert np.max(np.abs(direct(grid) - composed(grid))) < 1e-8
 
@@ -464,6 +461,15 @@ class TestWeightedEnvelope:
             leak, total = contact_leakage(env, K)
             assert leak <= 1e-8 * max(total, 1e-12)
 
+    def test_no_leak_where_a_short_whole_line_grid_is_padded(self):
+        # the envelope's 60 atoms, 58 of them beyond K's grid of [−1, 1],
+        # all lie on the padded samples that `weighted_envelope` hulls;
+        # checked against K's own samples alone, 0.3727 of the mass leaks
+        K = WeightedSet.whole(grid=np.linspace(-1, 1, 33), v=lambda t: 0.3 * np.exp(-t ** 2))
+        leak, total = contact_leakage(weighted_envelope(base_profile(1), K), K)
+        assert leak == 0.0
+        assert total == pytest.approx(1.0, abs=1e-12)
+
     def test_monotone_continuity(self, rng):
         # scripted decreasing sequence u_j -> u: envelopes decrease with
         # vanishing sup gap
@@ -532,6 +538,16 @@ class TestRooftop:
         ts = np.linspace(-8, 8, 81)
         assert np.all(r(ts) <= np.minimum(p(ts), q(ts)) + 1e-10)
         assert r.s_minus == lo and r.s_plus == hi
+
+    def test_crossing_operands(self):
+        # min(p, q) kinks at the crossings ±1/2; in the window [1/2, 1/2]
+        # the rooftop is the line t/2, which touches min(p, q) at 0
+        p, q = crossing_pair()
+        r = rooftop(p, q)
+        assert r.s_minus == r.s_plus == Fraction(1, 2)
+        ts = np.linspace(-4.0, 4.0, 801)
+        assert np.max(np.abs(r(ts) - ts / 2)) <= 4 * np.finfo(float).eps
+        assert np.all(r(ts) <= np.minimum(p(ts), q(ts)))
 
     def test_class_mismatch(self):
         with pytest.raises(InputError):

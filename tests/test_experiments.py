@@ -135,6 +135,34 @@ class TestFromJson:
         with pytest.raises(InputError, match="'ranks' entries must be positive"):
             load(tmp_path, payload)
 
+    @pytest.mark.parametrize("experiment, fixture", [
+        ("bergman", "vtheta-fs"), ("energy", "bump-fs"),
+        ("approx", "third-quarter"), ("envelope", "third-quarter")])
+    def test_ranks_outside_volume_are_rejected(self, experiment, fixture):
+        cfg = ExperimentConfig(experiment, fixture, k=[25], tolerances={
+            name: 1.0 for name in experiments.TOLERANCE_NAMES.get(experiment, ())})
+        # the default, written out, is accepted; anything else is never read
+        dataclasses.replace(cfg, ranks=[1])
+        with pytest.raises(InputError, match=f"the {experiment} experiment never reads 'ranks'"):
+            dataclasses.replace(cfg, ranks=[2])
+
+    def test_shifts_outside_volume_are_rejected(self, tmp_path):
+        payload = bergman_config(trend_slack=1.1, final_threshold=0.006, leak_tol=1e-6)
+        load(tmp_path, dict(payload, shifts=[0]))
+        with pytest.raises(InputError, match="never reads 'shifts'"):
+            load(tmp_path, dict(payload, shifts=[-1, 0]))
+
+    @pytest.mark.parametrize("experiment, fixture", [
+        ("bergman", "vtheta-fs"), ("energy", "bump-fs"), ("envelope", "third-quarter")])
+    def test_sweep_max_outside_volume_and_approx_is_rejected(self, tmp_path,
+                                                             experiment, fixture):
+        payload = {"experiment": experiment, "fixture": fixture, "k": [25], "sweep_max": 0,
+                   "tolerances": {name: 1.0 for name in
+                                  experiments.TOLERANCE_NAMES.get(experiment, ())}}
+        load(tmp_path, payload)
+        with pytest.raises(InputError, match="never reads 'sweep_max'"):
+            load(tmp_path, dict(payload, sweep_max=10))
+
     def test_negative_shifts_are_accepted(self, tmp_path):
         payload = {"experiment": "volume", "fixture": "third-quarter", "k": [10],
                    "ranks": [1, 2], "shifts": [-1, 0, 1]}

@@ -68,6 +68,18 @@ class TestMAMeasure:
         assert mu.breakpoints[-1] == pytest.approx(np.log(3), abs=1e-12)
 
 
+def cell_cdf(m, ts):
+    """Reference cell CDF: `np.interp` of the running cell masses and, where
+    its slope overflows, the cell's fraction of its mass, point by point."""
+    bp, cm = m.breakpoints, m.cell_masses
+    cum = np.concatenate([[0.0], np.cumsum(cm)])
+    out = np.interp(ts, bp, cum, left=0.0, right=cum[-1])
+    for j in np.flatnonzero(~np.isfinite(out)):
+        i = int(np.searchsorted(bp, ts[j], side="right")) - 1
+        out[j] = cum[i] + cm[i] * ((ts[j] - bp[i]) / (bp[i + 1] - bp[i]))
+    return out
+
+
 def loop_cdf(m, ts, side):
     """Reference: the cell CDF, then one `np.where` per atom, in atom order.
 
@@ -76,8 +88,7 @@ def loop_cdf(m, ts, side):
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     out = np.zeros_like(ts)
     if m.breakpoints.size:
-        cum = np.concatenate([[0.0], np.cumsum(m.cell_masses)])
-        out += np.interp(ts, m.breakpoints, cum, left=0.0, right=cum[-1])
+        out += cell_cdf(m, ts)
         if m.atoms:
             by_position = sorted(m.atoms, key=lambda a: a[0])
             sums = np.zeros_like(ts)
@@ -97,8 +108,7 @@ def fold_cdf(m, ts, side):
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     out = np.zeros_like(ts)
     if m.breakpoints.size:
-        cum = np.concatenate([[0.0], np.cumsum(m.cell_masses)])
-        out += np.interp(ts, m.breakpoints, cum, left=0.0, right=cum[-1])
+        out += cell_cdf(m, ts)
     if m.atoms:
         at, w = np.array(m.atoms).T
         hit = ts[..., None] >= at if side == "right" else ts[..., None] > at
@@ -166,6 +176,9 @@ class TestRadialMeasure:
     @given(m=measures(), ts=st.lists(points, min_size=1, max_size=20),
            side=st.sampled_from(["right", "left"]))
     @example(m=RadialMeasure(np.empty(0), np.empty(0)), ts=[0.0], side="right")
+    # a cell of subnormal width, where np.interp's slope overflows
+    @example(m=RadialMeasure(np.asarray([-5e-324, 5e-324]), np.asarray([1.0])),
+             ts=[0.0], side="left")
     def test_cdf_matches_atom_loop(self, m, ts, side):
         # query points include every atom, so some sit exactly on one
         ts = np.asarray(ts + [t for t, _ in m.atoms])
@@ -211,15 +224,26 @@ class TestRadialMeasure:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="np.interp's slope overflows in a cell narrower than "
-                              "its mass / DBL_MAX, and the cell CDF reads inf there")
     def test_cdf_inside_a_subnormal_cell_is_finite(self):
+        # np.interp's slope 3/(2⁻¹⁰²³ + 2⁻¹⁰³⁵) overflows; at 0 the cell's
+        # fraction is 2⁻¹⁰³⁵/(2⁻¹⁰²³ + 2⁻¹⁰³⁵), exact in subnormals
         m = RadialMeasure(np.asarray([-2.0 ** -1035, 2.0 ** -1023]), np.asarray([3.0]))
-        assert np.all(np.isfinite(m.cdf([0.0, 2.0 ** -1030])))
+        got = m.cdf([0.0, 2.0 ** -1030])
+        assert np.all(np.isfinite(got))
+        want = 3 * 2.0 ** -12 / (1 + 2.0 ** -12)
+        assert abs(got[0] - want) <= 4 * np.spacing(want)
 
-    # normal floats only: inside a cell of subnormal width the CDF reads inf
-    # (the xfail above), which a grid point in that cell would show
+    @pytest.mark.parametrize("m", [
+        RadialMeasure(np.empty(0), np.empty(0), ((0.0, 1.0),)),
+        RadialMeasure(np.asarray([-1.0, 1.0]), np.asarray([1.0])),
+        RadialMeasure(np.asarray([-1.0, 1.0]), np.asarray([1.0]), ((0.0, 1.0),)),
+    ], ids=["atoms", "cells", "mixed"])
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_nan_query_raises(self, m, side):
+        with pytest.raises(InputError, match="NaN"):
+            m.cdf([0.0, np.nan], side=side)
+
+    # normal floats only, on which the bound below was measured
     @settings(max_examples=200, deadline=None)
     @given(m1=measures(points=normal_points), m2=measures(points=normal_points))
     def test_kolmogorov_is_the_max_on_a_dense_grid(self, m1, m2):

@@ -19,6 +19,15 @@ from envlab.errors import InfeasibleClassError, InputError
 from conftest import random_pl_profile
 
 
+def crossing_pair():
+    """p = max(0, t) on the nodes (−1, 0, 1) with tails (0, 1), and q the
+    line of slope 1/2 through (0, 1/4) on the same nodes."""
+    grid = np.asarray([-1.0, 0.0, 1.0])
+    p = ConvexProfile(1, grid, [0.0, 0.0, 1.0], 0, 1, 0.0, 0.0)
+    q = ConvexProfile(1, grid, grid / 2 + 0.25, Fraction(1, 2), Fraction(1, 2), 0.25, 0.25)
+    return p, q
+
+
 class TestBaseProfile:
     def test_value_at_origin(self):
         b = base_profile(1, np.linspace(-2, 2, 9))
@@ -119,6 +128,15 @@ class TestMaxAndSup:
         assert mx.s_plus == max(p.s_plus, q.s_plus)
         ts = np.linspace(-10, 10, 101)
         assert np.all(mx(ts) >= np.maximum(p(ts), q(ts)) - 1e-12)
+
+    def test_max_profile_inserts_the_crossings(self):
+        # p = max(0, t) and q = t/2 + 1/4 cross at ±1/2, inside p's two
+        # cells: without those nodes the max would read 1/8 at −1/2
+        p, q = crossing_pair()
+        mx = max_profile(p, q)
+        assert {-0.5, 0.5} <= set(mx.grid.tolist())
+        ts = np.linspace(-4.0, 4.0, 801)
+        assert np.max(np.abs(mx(ts) - np.maximum(p(ts), q(ts)))) <= 4 * np.finfo(float).eps
 
     def test_sup_difference_finite_and_infinite(self):
         b = base_profile(1)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envlab import (
+    ConvexProfile,
     TwistData,
     WeightedSet,
     admissible_indices,
@@ -45,7 +46,7 @@ from envlab.errors import (
     NoSectionsError,
 )
 from envlab import experiments, profiles, sections
-from envlab.basefun import fs_conjugate, logit, sigmoid, softplus
+from envlab.basefun import fs_conjugate, logistic_density, logit, sigmoid, softplus
 from envlab.experiments import ExperimentConfig, run_volume, weighted_fixture
 from envlab.measures import RadialMeasure
 from envlab.profiles import WindowEnvelope, _pad_to_asymptotes
@@ -466,6 +467,32 @@ class TestSharedPlan:
         basis, logs = plan_log_norms2(k, u, K, nu, singular=True)
         log_n2 = per_index_log_norm2(k, basis.m, u, K, nu, singular=True)
         assert np.array_equal(logs, [log_n2(j) for j in basis.J])
+
+    @pytest.mark.parametrize("k", [10, 30])
+    def test_singular_weight_of_a_pl_profile_against_quad(self, k):
+        # third-quarter sampled at (1/3 + ℤ) as a PL profile, without its
+        # evaluator: no closed form applies, and the plan breaks at u's
+        # grid, which refinement alone would not reach.  Each index against
+        # scipy's quad over [−120, 120] with the same breakpoints: 2.6e-15
+        # relative at most, 4.0e-15 with the grid at 0.1 + ℤ or 0.7 + ℤ
+        # (past ±60 the integrand would hold 9e-14 of the norm)
+        from scipy.integrate import quad
+
+        _, K, nu = weighted_fixture("third-quarter-fs")
+        w = window_envelope(1, Fraction(1, 3), Fraction(1, 4), np.arange(-40, 40) + 1 / 3)
+        u = ConvexProfile(w.class_mass, w.grid, w.values, w.s_minus, w.s_plus,
+                          w.a_minus, w.a_plus)
+        basis = section_basis(k, u, K, nu, singular_weight=True)
+        m = basis.m
+        for j, log_n2 in zip(basis.J, basis.log_norms2):
+            def integrand(t, j=j, log_n2=log_n2):
+                e = (j * t - m * float(softplus(t))
+                     - k * (float(u(t)) - float(softplus(t))) - log_n2)
+                return math.exp(e) * float(logistic_density(t))
+
+            ratio = quad(integrand, -120, 120, points=u.grid, limit=500,
+                         epsabs=0, epsrel=2e-14)[0]
+            assert abs(ratio - 1.0) <= 1.6e-14
 
     @pytest.mark.parametrize("fixture,k", [
         ("annulus-area", 12), ("annulus-atom", 12), ("bump-fs", 25),
@@ -1343,6 +1370,15 @@ class TestGram:
         for idx, j in enumerate(basis.J):
             want = l2_norm(j, k, u, K, nu) ** 2
             assert G[idx, idx].real == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 3, 6, 12])
+    def test_log_det_is_the_diagonal_basis(self, k):
+        # v2d ≡ 0: the Gram form's log det (`slogdet`) is Σ log N² of the
+        # closed-form basis, so ℒ(A) − ℒ(B) = 0: 2.2e-16 at most over these k
+        u, K, nu = weighted_fixture("vtheta-fs")
+        A = gram(k, u, K, lambda t, phi: np.zeros(np.broadcast(t, phi).shape), nu)
+        assert A.log_norms2 is None
+        assert abs(donaldson(k, u, A, section_basis(k, u, K, nu))) <= 1e-15
 
     def test_cosine_weight_bessel_structure(self):
         from scipy.special import iv
