@@ -8,18 +8,13 @@ from .profiles import (
     base_profile,
     lelong,
     mix_profiles,
-    max_profile,
     sup_difference,
 )
 from .envelopes import (
     i_model_envelope,
     window_envelope,
     weighted_envelope,
-    rooftop,
-    p_shift,
     divergence,
-    kahler_current_minorant,
-    restricted_biconjugate,
     contact_leakage,
 )
 from .measures import (
@@ -44,7 +39,6 @@ from .sections import (
     section_basis,
     reference_basis,
     bergman,
-    gram,
     donaldson,
     donaldson_functional,
     bm_rate,

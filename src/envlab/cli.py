@@ -15,8 +15,20 @@ import argparse
 import dataclasses
 import sys
 
+from .errors import InputError
 from .experiments import RUNNERS, ExperimentConfig, run_experiment
 from .report import CSV_HEADER
+
+
+def _k_schedule(text: str) -> list[int]:
+    """The sorted integers of a comma-separated --k value."""
+    ks = []
+    for entry in text.split(","):
+        try:
+            ks.append(int(entry))
+        except ValueError:
+            raise InputError(f"--k entry {entry!r} is not an integer") from None
+    return sorted(ks)
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -26,8 +38,8 @@ def _build_config(args) -> ExperimentConfig:
             f"config is for experiment {cfg.experiment!r}, not {args.command!r}"
         )
     overrides = {}
-    if args.k:
-        overrides["k"] = sorted(int(x) for x in args.k.split(","))
+    if args.k is not None:
+        overrides["k"] = _k_schedule(args.k)
     if args.out:
         overrides["out"] = args.out
     # replace() runs __post_init__ again, so the overrides are checked too

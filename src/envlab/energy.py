@@ -11,7 +11,7 @@ boundary terms when tails match.
 from __future__ import annotations
 
 from .envelopes import i_model_envelope, weighted_envelope
-from .errors import SingularityTypeError
+from .errors import InputError, SingularityTypeError
 from .measures import ma_measure, measure_integral
 from .profiles import ConvexProfile, WeightedSet
 from .quadrature import union
@@ -68,7 +68,7 @@ def energy_derivative_check(u: ConvexProfile, K: WeightedSet, f, t: float,
     finite difference uses step delta around t.
     """
     if delta <= 0:
-        raise ValueError("finite-difference step must be positive")
+        raise InputError("finite-difference step must be positive")
     e_plus = equilibrium_energy(u, K.add_weight(f, t + delta))
     e_minus = equilibrium_energy(u, K.add_weight(f, t - delta))
     fd = (e_plus - e_minus) / (2.0 * delta)

@@ -21,11 +21,10 @@ those samples than in exact arithmetic, and the whole line's hull then
 gives an extra slope an ulp inside the window; the two envelopes agree
 as functions to rounding.
 
-Two closed-form fast paths exist: the slope-window envelope of the base
-potential (the I-model projection, evaluated by `WindowEnvelope`) and
-rooftops of two such envelopes (window intersection).  Everything else
-lives in the piecewise-linear world, where the algebraic identities
-asserted by the test-suite hold exactly.
+One closed-form fast path exists: the slope-window envelope of the base
+potential (the I-model projection, evaluated by `WindowEnvelope`).
+Everything else lives in the piecewise-linear world, where the algebraic
+identities asserted by the test-suite hold exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basefun import as_fraction, fs_conjugate, softplus
-from .errors import FeasibilityError, InfeasibleClassError, InputError
+from .errors import InfeasibleClassError, InputError
 from .measures import ma_measure
 from .profiles import (
     ConvexProfile,
@@ -43,22 +42,15 @@ from .profiles import (
     WeightedSet,
     WindowEnvelope,
     _pad_to_asymptotes,
-    base_profile,
     merge_grids,
-    mix_profiles,
-    sample_with_crossings,
 )
-from .quadrature import TINY, insert_interior, refine_breakpoints, union
+from .quadrature import TINY, insert_interior, union
 
 __all__ = [
     "i_model_envelope",
     "window_envelope",
     "weighted_envelope",
-    "rooftop",
-    "p_shift",
     "divergence",
-    "kahler_current_minorant",
-    "restricted_biconjugate",
     "contact_leakage",
     "envelope_of_samples",
 ]
@@ -265,74 +257,6 @@ def weighted_envelope(p: ConvexProfile, K: WeightedSet) -> ConvexProfile:
     )
 
 
-def rooftop(p: ConvexProfile, q: ConvexProfile) -> ConvexProfile:
-    """Maximal convex minorant of min(F_p, F_q) with slopes in [0, c].
-
-    Feasible iff the slope windows intersect; for two base-window
-    envelopes the result is the envelope of the intersected window.
-    """
-    if p.class_mass != q.class_mass:
-        raise InputError("class mass mismatch")
-    lo = max(p.s_minus, q.s_minus)
-    hi = min(p.s_plus, q.s_plus)
-    if lo > hi:
-        raise InfeasibleClassError(
-            "slope windows are disjoint: the minimum has no convex minorant"
-        )
-    grid = union(p.grid, q.grid)
-    if isinstance(p.exact, WindowEnvelope) and isinstance(q.exact, WindowEnvelope):
-        return window_envelope(p.class_mass, lo, p.class_mass - hi, grid)
-    grid, fp, fq = sample_with_crossings(p, q, grid)
-    obs = np.minimum(fp, fq)
-    return envelope_of_samples(SlopeWindow(lo, hi, p.class_mass), grid, obs)
-
-
-def p_shift(b, u: ConvexProfile, v: ConvexProfile) -> ConvexProfile:
-    """Maximal convex H with slopes in [0, c] and H + (b−1)·F_v ≤ b·F_u.
-
-    Requires nested windows ([u] refines [v]) and the strict mass bound
-    b < mass(v)/(mass(v) − mass(u)); violating it raises.
-    """
-    if isinstance(b, float):
-        b = Fraction(b)
-    b = as_fraction(b)
-    if b <= 1:
-        raise FeasibilityError("shift factor must exceed 1")
-    if u.class_mass != v.class_mass:
-        raise InputError("class mass mismatch")
-    if not v.window.contains(u.window):
-        raise FeasibilityError("windows not nested: [u] must refine [v]")
-    mu, mv = u.mass, v.mass
-    if mv > mu and b * (mv - mu) >= mv:
-        raise FeasibilityError(
-            f"shift factor {b} outside (1, {mv / (mv - mu)}) allowed by the masses"
-        )
-    sig_lo = b * u.s_minus - (b - 1) * v.s_minus
-    sig_hi = b * u.s_plus - (b - 1) * v.s_plus
-    merged = union(u.grid, v.grid)
-    grid = refine_breakpoints(merged, 0, max_width=1.0 / 32.0)
-    bf = float(b)
-    psi = bf * u(grid) - (bf - 1.0) * v(grid)
-    h = envelope_of_samples(SlopeWindow(sig_lo, sig_hi, u.class_mass), grid, psi)
-    # operands with an exact evaluator curve below their chords between
-    # samples; verify the defining inequality on a finer aligned grid and
-    # absorb any excess (plus the analytic curvature slack) into a
-    # downward shift
-    h_val = 1.0 / 128.0
-    vgrid = refine_breakpoints(union(h.grid, merged), 0, max_width=h_val)
-    viol = float(np.max(h(vgrid) + (bf - 1.0) * v(vgrid) - bf * u(vgrid)))
-    slack = 0.0
-    curvature = float(u.class_mass) / 4.0
-    if u.exact is not None:
-        slack += bf * curvature * h_val ** 2 / 8.0
-    if v.exact is not None:
-        slack += (bf - 1.0) * curvature * h_val ** 2 / 8.0
-    margin = viol + slack
-    if margin > 0:
-        h = h.shifted(-margin)
-    return h
-
-
 def divergence(u: ConvexProfile, v: ConvexProfile) -> Fraction:
     """Mixed-mass gap 2·mass(max(u,v)) − mass(u) − mass(v), exact.
 
@@ -344,46 +268,6 @@ def divergence(u: ConvexProfile, v: ConvexProfile) -> Fraction:
     max_hi = max(u.s_plus, v.s_plus)
     min_lo = min(u.s_minus, v.s_minus)
     return 2 * (max_hi - min_lo) - u.mass - v.mass
-
-
-def _curvature_ratio(p: ConvexProfile) -> float:
-    """min over grid cells of (discrete F'') / (discrete f_FS'').
-
-    Cells where the base curvature sits below float noise are skipped;
-    they carry no usable comparison.
-    """
-    d2 = np.diff(p.chord_slopes())
-    base_chords = np.diff(softplus(p.grid)) / np.diff(p.grid)
-    d2b = np.diff(base_chords)
-    ok = d2b > 1e-10
-    if not np.any(ok):
-        return 0.0
-    return float(np.min(d2[ok] / d2b[ok]))
-
-
-def kahler_current_minorant(u: ConvexProfile) -> tuple[ConvexProfile, float]:
-    """v ≤ u with discrete curvature ≥ δ·(f_FS)'' and reported δ > 0.
-
-    When u itself is uniformly curved relative to the base it is its own
-    minorant; otherwise envelope-shift against the base potential and mix
-    the base back in, reporting the measured curvature ratio.
-    """
-    if u.mass <= 0:
-        raise FeasibilityError("minorant construction needs positive mass")
-    own = _curvature_ratio(u)
-    if own >= 1e-9:
-        return u, own
-    c = u.class_mass
-    base = base_profile(c, u.grid)
-    b = Fraction(1) if u.mass == c else u.mass / (2 * (c - u.mass))
-    h = p_shift(1 + b, u, base)
-    v = mix_profiles(b / (1 + b), base, h)
-    return v, _curvature_ratio(v)
-
-
-def restricted_biconjugate(p: ConvexProfile) -> ConvexProfile:
-    """Biconjugate with window [s₋, s₊]; the identity on valid profiles."""
-    return envelope_of_samples(p.window, p.grid, np.asarray(p.values, dtype=float))
 
 
 # relative distance below which the envelope counts as touching the obstacle

@@ -13,10 +13,6 @@ class InfeasibleClassError(EnvlabError):
     """Requested envelope/window is empty in the given class."""
 
 
-class FeasibilityError(EnvlabError):
-    """Hypothesis of a construction fails (e.g. shift factor too large)."""
-
-
 class SingularityTypeError(EnvlabError):
     """Operands do not share the required singularity type (tail slopes)."""
 
@@ -27,7 +23,3 @@ class DivergentIntegralError(EnvlabError):
 
 class NoSectionsError(EnvlabError):
     """The admissible index set is empty where sections are required."""
-
-
-class ConditioningError(EnvlabError):
-    """A Gram matrix is numerically singular."""

@@ -32,6 +32,7 @@ __all__ = [
     "annulus_area_measure",
     "circle_atom",
     "kolmogorov_distance",
+    "measure_integral",
 ]
 
 

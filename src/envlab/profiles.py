@@ -58,9 +58,6 @@ class SlopeWindow:
                 f"slope window [{lo}, {hi}] not inside [0, {c}]"
             )
 
-    def contains(self, other: "SlopeWindow") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
 
 @dataclass(frozen=True)
 class WindowEnvelope:
@@ -69,7 +66,8 @@ class WindowEnvelope:
     The envelope of c·softplus over a slope window: c·softplus where
     c·σ(t) lies in [lo, hi], tangent lines beyond.  The window [0, c] is
     c·softplus itself.  Profiles carry it as their `exact` evaluator, and
-    the closed-form paths of `rooftop` and `ma_measure` recognize it.
+    the closed-form paths of `ma_measure` and the section norms recognize
+    it.
     """
 
     c: Fraction
@@ -220,21 +218,6 @@ class ConvexProfile:
             "tail_plus": {"slope": fraction_str(self.s_plus), "intercept": float(self.a_plus)},
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConvexProfile":
-        try:
-            return cls(
-                as_fraction(d["class_mass"]),
-                np.asarray(d["grid"], dtype=float),
-                np.asarray(d["values"], dtype=float),
-                as_fraction(d["tail_minus"]["slope"]),
-                as_fraction(d["tail_plus"]["slope"]),
-                float(d["tail_minus"]["intercept"]),
-                float(d["tail_plus"]["intercept"]),
-            )
-        except KeyError as exc:
-            raise InputError(f"profile dict missing field {exc}") from exc
-
 
 def default_grid() -> np.ndarray:
     """The 1/16 grid over [−ASYMPTOTE_T, ASYMPTOTE_T]."""
@@ -306,34 +289,6 @@ def mix_profiles(lam, p: ConvexProfile, q: ConvexProfile) -> ConvexProfile:
     vals = lf * p(grid) + (1.0 - lf) * q(grid)
     s_minus = lam * p.s_minus + (1 - lam) * q.s_minus
     s_plus = lam * p.s_plus + (1 - lam) * q.s_plus
-    return ConvexProfile(
-        p.class_mass, grid, vals, s_minus, s_plus,
-        float(vals[0]) - float(s_minus) * grid[0],
-        float(vals[-1]) - float(s_plus) * grid[-1],
-    )
-
-
-def sample_with_crossings(p: ConvexProfile, q: ConvexProfile, grid):
-    """(grid, F_p, F_q) with the points where F_p − F_q changes sign
-    between nodes inserted, so max and min are sampled at their kinks."""
-    fp, fq = p(grid), q(grid)
-    d = fp - fq
-    sw = np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0]
-    if sw.size:
-        tc = grid[sw] + (grid[sw + 1] - grid[sw]) * d[sw] / (d[sw] - d[sw + 1])
-        grid = union(grid, tc)
-        fp, fq = p(grid), q(grid)
-    return grid, fp, fq
-
-
-def max_profile(p: ConvexProfile, q: ConvexProfile) -> ConvexProfile:
-    """Pointwise maximum (convex at n = 1); tails (min s₋, max s₊)."""
-    if p.class_mass != q.class_mass:
-        raise InputError("class mass mismatch")
-    grid, fp, fq = sample_with_crossings(p, q, merge_grids(p.grid, q.grid))
-    vals = np.maximum(fp, fq)
-    s_minus = min(p.s_minus, q.s_minus)
-    s_plus = max(p.s_plus, q.s_plus)
     return ConvexProfile(
         p.class_mass, grid, vals, s_minus, s_plus,
         float(vals[0]) - float(s_minus) * grid[0],

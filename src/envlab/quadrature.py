@@ -173,7 +173,9 @@ def logsumexp_rows(buf: np.ndarray, lo: int = 0, hi: int | None = None) -> np.nd
 
 
 def logsumexp(vals) -> float:
-    """log Σ exp(vals) of a 1-D array: `logsumexp_rows` of its one row."""
+    """log Σ exp(vals) of a 1-D array: `logsumexp_rows` of its one row.
+    One-row API for `log_integral_exp`, tests and the tracer; no runner
+    calls it."""
     return float(logsumexp_rows(np.array(vals, dtype=float)[None, :])[0])
 
 
@@ -189,7 +191,8 @@ def log_integral_exp(log_f, breakpoints, k: int = 1, density_fn=None,
 
     tail_minus/tail_plus: optional (rate, log_value_at_edge) pairs adding
     closed-form ∫ exp(rate·(t − edge)) contributions beyond the ends; the
-    caller guarantees rate sign makes them finite.
+    caller guarantees rate sign makes them finite.  One-integrand API for
+    tests and the tracer; no runner calls it.
     """
     bp = refine_breakpoints(insert_interior(breakpoints, extra), k)
     ts, ws = gauss_cells(bp)

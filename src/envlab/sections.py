@@ -68,7 +68,6 @@ from .basefun import (
 )
 from .envelopes import conjugate_at_slopes, lower_hull
 from .errors import (
-    ConditioningError,
     DivergentIntegralError,
     InputError,
     NoSectionsError,
@@ -125,7 +124,6 @@ __all__ = [
     "section_basis",
     "reference_basis",
     "bergman",
-    "gram",
     "donaldson",
     "donaldson_functional",
     "bm_rate",
@@ -148,17 +146,13 @@ class TwistData:
 
 @dataclass(frozen=True)
 class SectionBasisData:
-    """Admissible monomial indices plus L² norm data over them.
-
-    Diagonal case: log_norms2[i] = log N²(z^{J[i]}).  General case: a
-    Hermitian positive-definite Gram matrix over J.
-    """
+    """Admissible monomial indices plus diagonal L² norm data over them:
+    log_norms2[i] = log N²(z^{J[i]}), or None for the indices alone."""
 
     k: int
     m: int
     J: tuple
     log_norms2: np.ndarray | None = None
-    gram_matrix: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "J", tuple(int(j) for j in self.J))
@@ -171,12 +165,7 @@ class SectionBasisData:
 
     @property
     def log_det_gram(self) -> float:
-        """log det of the Hermitian Gram form (diagonal: Σ log N²)."""
-        if self.gram_matrix is not None:
-            sign, val = np.linalg.slogdet(self.gram_matrix)
-            if sign <= 0:
-                raise ConditioningError("Gram determinant not positive")
-            return float(val)
+        """log det of the diagonal Gram form of the monomials: Σ log N²."""
         if self.log_norms2 is None:
             raise InputError("basis carries no norm data")
         return float(np.sum(self.log_norms2))
@@ -258,7 +247,8 @@ def h0(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> int:
 
     The one-k case of `section_counts`: O(1) integer operations, with J
     never built.  See `counting_bound_holds` for the exact two-sided
-    window behind the bound.
+    window behind the bound.  One-k API for tests and the tracer; no
+    runner calls it.
     """
     return int(section_counts((k,), u.class_mass, u.s_minus,
                               u.class_mass - u.s_plus, tw)[0])
@@ -299,7 +289,7 @@ def counting_bound_holds(k: int, count: int, c, nu0, nu_inf,
 
     for L ≤ −1 it holds none.  Either way |count/(r·k) − mass₊| < (|d| + 3)/k.
     The one-k case of `counting_window_holds`; a count past int64 raises
-    InputError.
+    InputError.  One-k API for tests; no runner calls it.
     """
     if abs(count) > _INT64_MAX:
         raise InputError(f"count {count} is past int64")
@@ -949,7 +939,8 @@ def log_norm2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
               singular_weight: bool = False) -> float:
     """log N² of z^j in the weighted L² norm against ν (closed-form where
     one exists, see `_log_norms2`).  Under the singular weight on a
-    whole-line ν an index outside J diverges."""
+    whole-line ν an index outside J diverges.  One-index API for tests
+    and the tracer; no runner calls it."""
     basis = admissible_set(k, u, tw)
     _check_index(j, basis.m)
     if singular_weight and j not in basis.J and _measure_is_whole_line(nu):
@@ -960,6 +951,8 @@ def log_norm2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
 def l2_norm(j: int, k: int, u: ConvexProfile, K: WeightedSet,
             nu: RadialMeasure, tw: TwistData = TwistData(),
             singular_weight: bool = False) -> float:
+    """N of z^j, from `log_norm2`: one-index API for tests; no runner
+    calls it."""
     return float(np.exp(0.5 * log_norm2(j, k, u, K, nu, tw, singular_weight)))
 
 
@@ -967,7 +960,7 @@ def log_sup2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
              tw: TwistData = TwistData(), singular_weight: bool = False) -> float:
     """log of the max over a scan of K of the squared pointwise weight of
     z^j, a lower bound on its sup over K: the one-index case of
-    `_log_sups2`."""
+    `_log_sups2`, as API for tests and the tracer; no runner calls it."""
     m = admissible_set(k, u, tw).m
     _check_index(j, m)
     return float(_log_sups2(k, m, u, K, [j], singular_weight)[0])
@@ -976,7 +969,8 @@ def log_sup2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
 def sup_norm(j: int, k: int, u: ConvexProfile, K: WeightedSet,
              tw: TwistData = TwistData(), singular_weight: bool = False) -> float:
     """The max over `log_sup2`'s scan of the pointwise weight of z^j, a
-    lower bound on its sup norm over K."""
+    lower bound on its sup norm over K.  One-index API for tests; no
+    runner calls it."""
     return float(np.exp(0.5 * log_sup2(j, k, u, K, tw, singular_weight)))
 
 
@@ -1104,50 +1098,6 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
 
 
 # ---------------------------------------------------------------------------
-# Gram matrices for angle-dependent weights
-# ---------------------------------------------------------------------------
-
-def gram(k: int, u: ConvexProfile, K: WeightedSet, v2d, nu: RadialMeasure,
-         tw: TwistData = TwistData()) -> SectionBasisData:
-    """Hermitian Gram matrix ⟨z^i, z^j⟩ for a weight v(t, angle).
-
-    Tensor-product quadrature: the norm plan's cells in t (the kinks of
-    `_plan_breaks` refined at k) times a uniform angular grid of
-    max(64, 2m + 2) points (reduced through the FFT of e^{-k·v(t,·)}).
-    Meant for moderate degrees; raises on a condition number above 1e12.
-    """
-    basis = admissible_set(k, u, tw)
-    if not basis.J:
-        raise NoSectionsError("no admissible indices")
-    m = basis.m
-    breaks = _plan_breaks(u, K, nu)
-    if breaks is None:
-        raise InputError("gram needs a reference measure with a density")
-    M = max(64, 2 * m + 2)
-    ts, ws = gauss_cells(refine_breakpoints(breaks, k))
-    dens = np.asarray(nu.density_fn(ts))
-    phis = 2.0 * np.pi * np.arange(M) / M
-    W = np.exp(-float(k) * np.asarray(v2d(ts[:, None], phis[None, :])))
-    fourier = np.fft.ifft(W, axis=1)  # fourier[:, Δ] = mean_φ W·e^{iΔφ}
-    js = basis.J
-    n = len(js)
-    log_rad = -float(m) * softplus(ts)
-    G = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(a, n):
-            delta = js[a] - js[b]
-            rad = np.exp(0.5 * (js[a] + js[b]) * ts + log_rad)
-            val = np.sum(rad * fourier[:, delta % M] * dens * ws)
-            G[a, b] = val
-            G[b, a] = np.conj(val)
-    G = 0.5 * (G + G.conj().T)
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise ConditioningError(f"Gram condition number {cond:.3e} exceeds 1e12")
-    return SectionBasisData(k, m, js, gram_matrix=G)
-
-
-# ---------------------------------------------------------------------------
 # Donaldson functional and Bernstein–Markov diagnostics
 # ---------------------------------------------------------------------------
 
@@ -1155,8 +1105,9 @@ def donaldson(k: int, u: ConvexProfile, A: SectionBasisData,
               B: SectionBasisData) -> float:
     """ℒ(A) − ℒ(B) = (log det G_B − log det G_A)/k² at n = 1.
 
-    Diagonal bases contribute Σ log N² directly: the factor 2 between
-    log N and log N² is absorbed here exactly once.
+    The monomials are orthogonal for radial weights, so log det G is
+    Σ log N² (`log_det_gram`): the factor 2 between log N and log N² is
+    absorbed here exactly once.
     """
     if A.J != B.J:
         raise InputError("bases live on different index sets")

@@ -317,7 +317,8 @@ def h0_toric(k: int, f: TorusProfile2, tw=None) -> int:
     over α₁, and the count sums ⌈min U⌉ − ⌊max L⌋ − 1 over α₁ with one
     Euclidean floor sum per line, in O(edges²) operations whatever k is.
     The int64 range is checked against integer bounds before any array
-    is allocated; past it the call raises InputError.
+    is allocated; past it the call raises InputError.  One-k API for
+    tests and the tracer; no runner calls it.
     """
     return int(_h0_toric_counts((k,), f, tw)[0])
 

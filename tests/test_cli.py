@@ -24,6 +24,8 @@ def test_k_override_is_run(tmp_path, capsys):
 @pytest.mark.parametrize("ks, message", [
     ("25,10,10", "strictly increasing"),
     ("10,10,0", "must be positive"),
+    ("10,1.5", "'1.5' is not an integer"),
+    ("", "'' is not an integer"),
 ])
 def test_k_override_is_checked(tmp_path, ks, message):
     with pytest.raises(InputError, match=message):

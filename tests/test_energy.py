@@ -14,7 +14,7 @@ from envlab import (
 )
 from envlab.energy import _pair_energy
 from envlab.envelopes import window_envelope
-from envlab.errors import SingularityTypeError
+from envlab.errors import InputError, SingularityTypeError
 
 
 def bump(t):
@@ -73,3 +73,10 @@ def test_constant_direction_derivative_is_the_mass(anchor, K):
     fd, exact = energy_derivative_check(u, K, one, t=0.0, delta=1e-3)
     assert fd == pytest.approx(float(u.mass), abs=1e-6)
     assert exact == pytest.approx(float(u.mass), abs=1e-9)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-3])
+def test_derivative_step_must_be_positive(delta):
+    with pytest.raises(InputError, match="step must be positive"):
+        energy_derivative_check(base_profile(1), WeightedSet.circles([0.0]), one,
+                                t=0.0, delta=delta)

@@ -9,31 +9,24 @@ from hypothesis import strategies as st
 
 from envlab import envelopes
 from envlab import (
-    ConvexProfile,
     WeightedSet,
     base_profile,
     contact_leakage,
     divergence,
     i_model_envelope,
-    kahler_current_minorant,
     lelong,
     ma_measure,
-    max_profile,
     mix_profiles,
-    p_shift,
-    restricted_biconjugate,
-    rooftop,
     sup_difference,
     weighted_envelope,
 )
 from envlab.envelopes import _obstacle_samples, envelope_of_samples, window_envelope
-from envlab.errors import FeasibilityError, InfeasibleClassError, InputError
+from envlab.errors import InfeasibleClassError, InputError
 from envlab.experiments import weighted_fixture
 from envlab.profiles import SlopeWindow, WindowEnvelope
 from envlab.quadrature import union
 
 from conftest import random_pl_profile, random_weighted_set
-from test_profiles import crossing_pair
 
 
 def brute_force_biconjugate(p, ts, slopes):
@@ -101,7 +94,7 @@ class TestBiconjugacy:
     def test_roundtrip_on_random_pl(self, rng):
         for _ in range(20):
             p = random_pl_profile(rng)
-            q = restricted_biconjugate(p)
+            q = envelope_of_samples(p.window, p.grid, p.values)
             scale = max(1.0, float(np.max(np.abs(p.values))))
             assert np.max(np.abs(q(p.grid) - p.values)) <= 1e-10 * scale
             assert q.s_minus == p.s_minus and q.s_plus == p.s_plus
@@ -116,7 +109,7 @@ class TestBiconjugacy:
             np.concatenate([[float(p.s_minus), float(p.s_plus)], p.chord_slopes()]),
         )
         want = brute_force_biconjugate(p, ts, slopes)
-        got = restricted_biconjugate(p)(ts)
+        got = envelope_of_samples(p.window, p.grid, p.values)(ts)
         assert np.max(np.abs(got - want)) < 1e-9
 
 
@@ -491,103 +484,6 @@ class TestWeightedEnvelope:
         assert gaps[-1] < 0.02
 
 
-class TestRooftop:
-    def test_idempotent_on_equal_input(self, rng):
-        p = i_model_envelope(random_pl_profile(rng))
-        r = rooftop(p, p)
-        grid = p.grid
-        assert np.max(np.abs(r(grid) - p(grid))) < 1e-12
-
-    def test_ordered_inputs(self):
-        # the lower operand is the PL interpolant of the shifted base samples
-        b = base_profile(1)
-        shifted = ConvexProfile(1, b.grid, b.values - 1.0, b.s_minus, b.s_plus,
-                                b.a_minus - 1.0, b.a_plus - 1.0)
-        r = rooftop(b, shifted)
-        ts = np.linspace(-6, 6, 61)
-        assert np.allclose(r(ts), shifted(ts), atol=1e-10)
-
-    def test_model_inputs_stay_model(self):
-        # the rooftop of two I-model envelopes is again a fixed point
-        p = window_envelope(1, Fraction(1, 6), Fraction(1, 3))
-        q = window_envelope(1, Fraction(1, 4), Fraction(1, 8))
-        r = rooftop(p, q)
-        again = i_model_envelope(r)
-        assert r.s_minus == Fraction(1, 4) and r.s_plus == Fraction(2, 3)
-        assert np.max(np.abs(again(r.grid) - r(r.grid))) < 1e-8
-
-    def test_disjoint_windows_infeasible(self):
-        grid = np.asarray([-1.0, 0.0, 1.0])
-        l1 = ConvexProfile(1, grid, grid / 3, Fraction(1, 3), Fraction(1, 3), 0.0, 0.0)
-        l2 = ConvexProfile(1, grid, 2 * grid / 3, Fraction(2, 3), Fraction(2, 3), 0.0, 0.0)
-        with pytest.raises(InfeasibleClassError):
-            rooftop(l1, l2)
-        # the mass-1/3 structure lives in the pointwise max instead
-        assert max_profile(l1, l2).mass == Fraction(1, 3)
-
-    def test_general_rooftop_against_oracle(self, rng):
-        p = random_pl_profile(rng)
-        q = random_pl_profile(rng)
-        lo = max(p.s_minus, q.s_minus)
-        hi = min(p.s_plus, q.s_plus)
-        if lo > hi:
-            with pytest.raises(InfeasibleClassError):
-                rooftop(p, q)
-            return
-        r = rooftop(p, q)
-        ts = np.linspace(-8, 8, 81)
-        assert np.all(r(ts) <= np.minimum(p(ts), q(ts)) + 1e-10)
-        assert r.s_minus == lo and r.s_plus == hi
-
-    def test_crossing_operands(self):
-        # min(p, q) kinks at the crossings ±1/2; in the window [1/2, 1/2]
-        # the rooftop is the line t/2, which touches min(p, q) at 0
-        p, q = crossing_pair()
-        r = rooftop(p, q)
-        assert r.s_minus == r.s_plus == Fraction(1, 2)
-        ts = np.linspace(-4.0, 4.0, 801)
-        assert np.max(np.abs(r(ts) - ts / 2)) <= 4 * np.finfo(float).eps
-        assert np.all(r(ts) <= np.minimum(p(ts), q(ts)))
-
-    def test_class_mismatch(self):
-        with pytest.raises(InputError):
-            rooftop(base_profile(1), base_profile(2))
-
-
-class TestPShift:
-    def test_identity_when_equal(self, rng):
-        u = random_pl_profile(rng)
-        h = p_shift(2, u, u)
-        grid = np.union1d(h.grid, u.grid)
-        assert np.max(np.abs(h(grid) - u(grid))) < 1e-10
-        assert lelong(h) == lelong(u)
-
-    def test_feasible_shift_inequality(self):
-        u = window_envelope(1, Fraction(1, 4), Fraction(1, 4))  # mass 1/2
-        v = base_profile(1)                                     # mass 1
-        h = p_shift(Fraction(19, 10), u, v)
-        ts = np.linspace(-20, 20, 2001)
-        assert np.all(h(ts) + 0.9 * v(ts) <= 1.9 * u(ts) + 1e-10)
-
-    def test_mass_bound_enforced(self):
-        u = window_envelope(1, Fraction(1, 4), Fraction(1, 4))
-        v = base_profile(1)
-        with pytest.raises(FeasibilityError):
-            p_shift(Fraction(21, 10), u, v)
-        with pytest.raises(FeasibilityError):
-            p_shift(Fraction(2), u, v)
-
-    def test_unbounded_when_masses_equal(self, rng):
-        u = random_pl_profile(rng)
-        p_shift(Fraction(50), u, u)  # no feasibility error
-
-    def test_nested_window_precondition(self):
-        u = window_envelope(1, Fraction(0), Fraction(0))
-        v = window_envelope(1, Fraction(1, 3), Fraction(1, 4))
-        with pytest.raises(FeasibilityError):
-            p_shift(Fraction(3, 2), u, v)
-
-
 class TestDivergence:
     def test_zero_on_self(self, rng):
         u = random_pl_profile(rng)
@@ -610,26 +506,3 @@ class TestDivergence:
             assert duv == divergence(v, u)
             assert duv >= 0
             assert duw <= duv + dvw  # triangle constant 1
-
-
-class TestKahlerCurrentMinorant:
-    def test_base_case(self):
-        b = base_profile(1)
-        v, delta = kahler_current_minorant(b)
-        assert delta == pytest.approx(1.0, abs=1e-9)
-        assert np.max(np.abs(v(b.grid) - b.values)) < 1e-12
-
-    def test_window_fixture(self):
-        u = window_envelope(1, Fraction(1, 3), Fraction(1, 4))
-        v, delta = kahler_current_minorant(u)
-        assert delta > 0
-        grid = np.union1d(u.grid, v.grid)
-        assert np.all(v(grid) <= u(grid) + 1e-10)
-        nu0_v, nu_inf_v = lelong(v)
-        nu0_u, nu_inf_u = lelong(u)
-        assert nu0_v >= nu0_u and nu_inf_v >= nu_inf_u
-
-    def test_zero_mass_rejected(self):
-        line = window_envelope(1, Fraction(1, 2), Fraction(1, 2))
-        with pytest.raises(FeasibilityError):
-            kahler_current_minorant(line)

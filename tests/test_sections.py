@@ -27,7 +27,6 @@ from envlab import (
     donaldson,
     donaldson_functional,
     fs_measure,
-    gram,
     h0,
     i_model_envelope,
     l2_norm,
@@ -40,7 +39,6 @@ from envlab import (
 )
 from envlab.envelopes import window_envelope
 from envlab.errors import (
-    ConditioningError,
     DivergentIntegralError,
     InputError,
     NoSectionsError,
@@ -1358,64 +1356,6 @@ class TestAreaBeta:
         assert exact.total_mass == pytest.approx(exact.h0 / k, rel=1e-13, abs=0.0)
 
 
-class TestGram:
-    def test_angle_independent_weight_is_diagonal(self):
-        u = base_profile(1)
-        K, nu = WeightedSet.whole(), fs_measure()
-        k = 6
-        basis = gram(k, u, K, lambda t, phi: np.zeros(np.broadcast(t, phi).shape), nu)
-        G = basis.gram_matrix
-        off = G - np.diag(np.diag(G))
-        assert np.max(np.abs(off)) < 1e-12 * np.max(np.abs(np.diag(G)))
-        for idx, j in enumerate(basis.J):
-            want = l2_norm(j, k, u, K, nu) ** 2
-            assert G[idx, idx].real == pytest.approx(want, rel=1e-9)
-
-    @pytest.mark.parametrize("k", [1, 3, 6, 12])
-    def test_log_det_is_the_diagonal_basis(self, k):
-        # v2d ≡ 0: the Gram form's log det (`slogdet`) is Σ log N² of the
-        # closed-form basis, so ℒ(A) − ℒ(B) = 0: 2.2e-16 at most over these k
-        u, K, nu = weighted_fixture("vtheta-fs")
-        A = gram(k, u, K, lambda t, phi: np.zeros(np.broadcast(t, phi).shape), nu)
-        assert A.log_norms2 is None
-        assert abs(donaldson(k, u, A, section_basis(k, u, K, nu))) <= 1e-15
-
-    def test_cosine_weight_bessel_structure(self):
-        from scipy.special import iv
-
-        u = base_profile(1)
-        K, nu = WeightedSet.whole(), fs_measure()
-        k, eps = 6, 0.5
-        basis = gram(k, u, K, lambda t, phi: eps * np.cos(phi) + 0.0 * t, nu)
-        G = basis.gram_matrix
-        # angular factor of G_{j,j+1} is I_1(-k eps); ratios match Bessel
-        diag_rad = np.diag(G).real
-        band = np.abs(np.diag(G, 1))
-        assert np.all(band > 0)
-        # |I_1(k eps)| / I_0(k eps) ratio reproduced against radial means
-        ratio = iv(1, k * eps) / iv(0, k * eps)
-        mid = len(basis.J) // 2
-        got = band[mid] / np.sqrt(diag_rad[mid] * diag_rad[mid + 1])
-        assert got == pytest.approx(ratio, rel=0.2)
-        # decay in |i - j|
-        r0 = np.abs(G[mid, mid])
-        assert np.abs(G[mid, mid + 1]) < r0
-        assert np.abs(G[mid, mid + 2]) < np.abs(G[mid, mid + 1])
-
-    def test_positive_definite(self):
-        u = base_profile(1)
-        basis = gram(5, u, WeightedSet.whole(),
-                     lambda t, phi: 0.3 * np.cos(phi) + 0.0 * t, fs_measure())
-        eig = np.linalg.eigvalsh(basis.gram_matrix)
-        assert np.min(eig) > 0
-        # nonzero coefficient vectors get strictly positive norms
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            cvec = rng.normal(size=len(basis.J)) + 1j * rng.normal(size=len(basis.J))
-            q = float(np.real(cvec.conj() @ basis.gram_matrix @ cvec))
-            assert q > 0
-
-
 class TestDonaldson:
     def test_zero_on_equal(self):
         u = THIRD_QUARTER
@@ -1653,11 +1593,6 @@ class TestCellsWithoutDensity:
         assert self.NU.total_mass() == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(InputError, match="density_fn"):
             bergman(10, base_profile(1), WeightedSet.whole(), self.NU)
-
-    def test_gram(self):
-        with pytest.raises(InputError, match="density_fn"):
-            gram(5, base_profile(1), WeightedSet.whole(),
-                 lambda t, phi: 0.3 * np.cos(phi) + 0.0 * t, self.NU)
 
     def test_measure_integral(self):
         with pytest.raises(InputError, match="density_fn"):
