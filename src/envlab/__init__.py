@@ -34,8 +34,6 @@ from .sections import (
     admissible_set,
     h0,
     limit_mass,
-    l2_norm,
-    sup_norm,
     section_basis,
     reference_basis,
     bergman,

@@ -40,7 +40,7 @@ def _build_config(args) -> ExperimentConfig:
     overrides = {}
     if args.k is not None:
         overrides["k"] = _k_schedule(args.k)
-    if args.out:
+    if args.out is not None:
         overrides["out"] = args.out
     # replace() runs __post_init__ again, so the overrides are checked too
     return dataclasses.replace(cfg, **overrides)

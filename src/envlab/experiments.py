@@ -142,7 +142,6 @@ class ExperimentConfig:
     out: str = "out"
     tolerances: dict = field(default_factory=dict)
     sweep_max: int = 0
-    ranks: list[int] = field(default_factory=lambda: [1])
     shifts: list[int] = field(default_factory=lambda: [0])
     provenance: str = ""
 
@@ -154,14 +153,13 @@ class ExperimentConfig:
             raise InputError("k-schedule entries must be positive")
         if any(b <= a for a, b in zip(self.k, self.k[1:])):
             raise InputError("k-schedule must be strictly increasing")
+        if not (isinstance(self.out, str) and self.out):
+            raise InputError(f"'out' must be a non-empty path, got {self.out!r}")
         if not (_is_int(self.sweep_max) and self.sweep_max >= 0):
             raise InputError(
                 f"'sweep_max' must be a non-negative integer, got {self.sweep_max!r}")
-        _check_int_list("ranks", self.ranks)
-        if any(r < 1 for r in self.ranks):
-            raise InputError(f"'ranks' entries must be positive, got {self.ranks!r}")
         _check_int_list("shifts", self.shifts)
-        for name, default, readers in (("ranks", [1], {"volume"}), ("shifts", [0], {"volume"}),
+        for name, default, readers in (("shifts", [0], {"volume"}),
                                        ("sweep_max", 0, {"volume", "approx"})):
             value = getattr(self, name)
             if self.experiment not in readers and value != default:
@@ -197,37 +195,35 @@ class ExperimentConfig:
 # runners
 # ---------------------------------------------------------------------------
 
-def _toric_bound_holds(ks, counts: np.ndarray, rank: int,
-                       body: RationalPolygon) -> np.ndarray:
-    """|n/(r·k²) − area| ≤ 4·perimeter/k at every k of an ascending
-    sequence, in int64 integers.
+def _toric_bound_holds(ks, counts: np.ndarray, body: RationalPolygon) -> np.ndarray:
+    """|n/k² − area| ≤ 4·perimeter/k at every k of an ascending sequence,
+    in int64 integers.
 
     With area = A_n/A_d and perimeter = P_n/P_d, multiplying through by
-    r·k²·A_d·P_d > 0 gives |n·A_d − A_n·r·k²|·P_d ≤ 4·P_n·r·k·A_d; a zero
-    perimeter asks n·A_d = A_n·r·k².  Integer bounds at the largest k and
+    k²·A_d·P_d > 0 gives |n·A_d − A_n·k²|·P_d ≤ 4·P_n·k·A_d; a zero
+    perimeter asks n·A_d = A_n·k².  Integer bounds at the largest k and
     count check first that no operand leaves int64.
     """
     area, perim = body.area, body.perimeter_lower
     a_n, a_d, p_n, p_d = area.numerator, area.denominator, perim.numerator, perim.denominator
     k_hi = ks[-1]
     n_hi = max(int(counts.max()), -int(counts.min()))
-    if max((n_hi * a_d + a_n * rank * k_hi * k_hi) * p_d,
-           4 * p_n * rank * k_hi * a_d) > _INT64_MAX:
+    if max((n_hi * a_d + a_n * k_hi * k_hi) * p_d, 4 * p_n * k_hi * a_d) > _INT64_MAX:
         raise InputError(f"k = {k_hi} takes the toric volume bound past int64")
     k = np.asarray(ks, dtype=np.int64)
-    excess = counts * a_d - a_n * rank * k * k
+    excess = counts * a_d - a_n * k * k
     if p_n == 0:
         return excess == 0
-    return np.abs(excess) * p_d <= 4 * p_n * rank * k * a_d
+    return np.abs(excess) * p_d <= 4 * p_n * k * a_d
 
 
 def run_volume(cfg: ExperimentConfig):
-    """h0/(r·k^n) against its limit, gated by the fixture's counting bound.
+    """h0/k^n against its limit, gated by the fixture's counting bound.
 
     Each fixture supplies a count and a bound check that take a whole
-    ascending k-sequence in int64 arrays, and a row label; the schedule
-    runs every twist, and the sweep over k = 1..sweep_max the fixture's
-    sweep twists, each in one pass over all its k.
+    ascending k-sequence in int64 arrays, and its twists with their row
+    labels and series names; the schedule and the sweep over
+    k = 1..sweep_max run every twist, each in one pass over all its k.
     """
     try:
         u = radial_fixture(cfg.fixture)
@@ -243,11 +239,8 @@ def run_volume(cfg: ExperimentConfig):
         def holds(ks, n, tw):
             return counting_window_holds(ks, n, c, nu0, nu_inf, tw)
 
-        def tag(tw):
-            return f"r={tw.rank},d={tw.degree_shift}"
-
-        twists = [TwistData(r, d) for r in cfg.ranks for d in cfg.shifts]
-        sweep_twists, name, series_prefix = twists, cfg.fixture, ""
+        twists = [(TwistData(d), f"volume[{cfg.fixture},d={d}]", f"d={d}")
+                  for d in cfg.shifts]
     else:
         if cfg.shifts != [0]:
             raise InputError(
@@ -261,32 +254,26 @@ def run_volume(cfg: ExperimentConfig):
             return _h0_toric_counts(ks, f, tw)
 
         def holds(ks, n, tw):
-            return _toric_bound_holds(ks, n, tw.rank, body)
+            return _toric_bound_holds(ks, n, body)
 
-        def tag(tw):
-            return f"r={tw.rank}"
-
-        twists = [TwistData(r, 0) for r in cfg.ranks]
-        sweep_twists, name, series_prefix = [TwistData()], f"toric:{cfg.fixture}", "toric "
+        twists = [(TwistData(), f"volume[toric:{cfg.fixture}]", "toric")]
     rows, failures, series = [], [], []
-    for tw in twists:
-        label = f"volume[{name},{tag(tw)}]"
+    for tw, label, series_name in twists:
         counts = count(cfg.k, tw)
         errs = []
         for k, n, ok in zip(cfg.k, counts.tolist(), holds(cfg.k, counts, tw).tolist()):
-            val = Fraction(n, tw.rank * k ** dim)
+            val = Fraction(n, k ** dim)
             err = abs(val - limit)
             rows.append(ReportRow(label, k, float(val), float(limit), float(err), ok))
             errs.append(max(float(err), 1e-18))
             if not ok:
                 failures.append(f"bound broken at k={k}: {label}")
-        series.append((series_prefix + tag(tw), cfg.k, errs))
+        series.append((series_name, cfg.k, errs))
     if cfg.sweep_max:
         ks = range(1, cfg.sweep_max + 1)
-        for tw in sweep_twists:
+        for tw, label, _ in twists:
             broken = np.flatnonzero(~holds(ks, count(ks, tw), tw)) + 1
-            failures += [f"sweep: bound broken at k={k}: volume[{name},{tag(tw)}]"
-                         for k in broken.tolist()]
+            failures += [f"sweep: bound broken at k={k}: {label}" for k in broken.tolist()]
     artifacts = {"volume_convergence.svg": lambda path: svg_plot(
         path, series, title=f"volume convergence: {cfg.fixture}",
         xlabel="k", ylabel="abs err", logy=True)}

@@ -1,6 +1,6 @@
 """Filtered section spaces, weighted norms, and partial Bergman data.
 
-Degree bookkeeping: twisting by (rank r, degree shift d) makes the level-k
+Degree bookkeeping: twisting by the degree shift d makes the level-k
 section space the degree m = ⌊k·c⌋ + d monomials, filtered by the exact
 integrability inequalities j + 1 > k·ν₀ and m − j + 1 > k·ν_∞ (boundary
 indices diverge for exact linear tails and are excluded).
@@ -114,11 +114,8 @@ __all__ = [
     "admissible_set",
     "h0",
     "section_counts",
-    "counting_bound_holds",
     "counting_window_holds",
     "limit_mass",
-    "l2_norm",
-    "sup_norm",
     "log_norm2",
     "log_sup2",
     "section_basis",
@@ -134,14 +131,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TwistData:
-    """Twist bundle reduced to (rank, degree shift)."""
+    """Twist line bundle O(d), reduced to its degree shift d."""
 
-    rank: int = 1
     degree_shift: int = 0
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise InputError("twist rank must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -174,7 +166,7 @@ class SectionBasisData:
 @dataclass(frozen=True)
 class BergmanResult:
     """The partial Bergman measure β = B·ν/k at level k, its total mass,
-    and the section count h0 = r·|J| (the mass identity is ∫β = h0/k)."""
+    and the section count h0 = |J| (the mass identity is ∫β = h0/k)."""
 
     k: int
     beta: RadialMeasure
@@ -210,7 +202,7 @@ def _index_windows(ks, c, nu0, nu_inf, tw: TwistData):
     drop = k_hi * (abs(nu0.numerator) + abs(nu_inf.numerator))
     shift = k_hi * (abs(nu0.numerator) * nu_inf.denominator
                     + abs(nu_inf.numerator) * nu0.denominator)
-    if max(tw.rank * (m + drop + 1), q * (m + 2) + shift) > _INT64_MAX:
+    if max(m + drop + 1, q * (m + 2) + shift) > _INT64_MAX:
         raise InputError(f"k = {k_hi} takes the section count past int64")
     k = np.asarray(ks, dtype=np.int64)
     m = k * c.numerator // c.denominator + d
@@ -233,20 +225,20 @@ def admissible_set(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> Sec
 
 
 def section_counts(ks, c, nu0, nu_inf, tw: TwistData = TwistData()) -> np.ndarray:
-    """r·|J| at every k of an ascending sequence, as one int64 array.
+    """|J| at every k of an ascending sequence, as one int64 array.
 
     Each count is taken from the ends of its index window, in a few array
     operations for all k together; J itself is never built.
     """
     _, _, j_min, j_max = _index_windows(ks, c, nu0, nu_inf, tw)
-    return tw.rank * np.maximum(j_max - j_min + 1, 0)
+    return np.maximum(j_max - j_min + 1, 0)
 
 
 def h0(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> int:
-    """Section count r·|J|; satisfies |h0/(r·k) − mass₊| < (|d| + 3)/k.
+    """Section count |J|; satisfies |h0/k − mass₊| < (|d| + 3)/k.
 
     The one-k case of `section_counts`: O(1) integer operations, with J
-    never built.  See `counting_bound_holds` for the exact two-sided
+    never built.  See `counting_window_holds` for the exact two-sided
     window behind the bound.  One-k API for tests and the tracer; no
     runner calls it.
     """
@@ -256,9 +248,17 @@ def h0(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> int:
 
 def counting_window_holds(ks, counts, c, nu0, nu_inf,
                           tw: TwistData = TwistData()) -> np.ndarray:
-    """Whether each int64 count r·|J| lies in its exact counting window, at
-    every k of an ascending sequence; `counting_bound_holds` derives the
-    window.
+    """Whether each int64 count |J| lies in its exact counting window, at
+    every k of an ascending sequence.
+
+    J is the set of integers in the open interval (k·ν₀ − 1, m + 1 − k·ν_∞),
+    of length L = m + 2 − k·(ν₀ + ν_∞) = k·mass + d + 2 − {k·c} with
+    mass = c − ν₀ − ν_∞.  An open interval of length L > −1 holds at least
+    L − 1 and fewer than L + 1 integers, so
+
+        d + 1 − {k·c} ≤ count − k·mass < d + 3 − {k·c};
+
+    for L ≤ −1 it holds none.  Either way |count/k − mass₊| < (|d| + 3)/k.
 
     With q = q₀·q_∞ the window length L is the integer q·L over q, and
     L − 1 ≤ n < L + 1 holds for an integer n exactly when
@@ -270,34 +270,12 @@ def counting_window_holds(ks, counts, c, nu0, nu_inf,
     qL = q * (m + 2) - k * (nu0.numerator * nu_inf.denominator
                             + nu_inf.numerator * nu0.denominator)
     ceil_L = -(-qL // q)
-    counts = np.asarray(counts, dtype=np.int64)
-    n, rem = np.divmod(counts, tw.rank)
-    return np.where(ceil_L <= -1, counts == 0,
-                    (rem == 0) & (ceil_L - 1 <= n) & (n <= ceil_L))
-
-
-def counting_bound_holds(k: int, count: int, c, nu0, nu_inf,
-                         tw: TwistData = TwistData()) -> bool:
-    """Whether a section count r·|J| lies in its exact counting window.
-
-    J is the set of integers in the open interval (k·ν₀ − 1, m + 1 − k·ν_∞),
-    of length L = m + 2 − k·(ν₀ + ν_∞) = k·mass + d + 2 − {k·c} with
-    mass = c − ν₀ − ν_∞.  An open interval of length L > −1 holds at least
-    L − 1 and fewer than L + 1 integers, so
-
-        d + 1 − {k·c} ≤ count/r − k·mass < d + 3 − {k·c};
-
-    for L ≤ −1 it holds none.  Either way |count/(r·k) − mass₊| < (|d| + 3)/k.
-    The one-k case of `counting_window_holds`; a count past int64 raises
-    InputError.  One-k API for tests; no runner calls it.
-    """
-    if abs(count) > _INT64_MAX:
-        raise InputError(f"count {count} is past int64")
-    return bool(counting_window_holds((k,), (count,), c, nu0, nu_inf, tw)[0])
+    n = np.asarray(counts, dtype=np.int64)
+    return np.where(ceil_L <= -1, n == 0, (ceil_L - 1 <= n) & (n <= ceil_L))
 
 
 def limit_mass(c, nu0, nu_inf) -> Fraction:
-    """(c − ν₀ − ν_∞)₊, the k → ∞ limit of h0/(r·k)."""
+    """(c − ν₀ − ν_∞)₊, the k → ∞ limit of h0/k."""
     val = as_fraction(c) - as_fraction(nu0) - as_fraction(nu_inf)
     return val if val > 0 else Fraction(0)
 
@@ -948,14 +926,6 @@ def log_norm2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
     return float(_log_norms2(k, basis.m, [j], u, K, nu, singular_weight)[0])
 
 
-def l2_norm(j: int, k: int, u: ConvexProfile, K: WeightedSet,
-            nu: RadialMeasure, tw: TwistData = TwistData(),
-            singular_weight: bool = False) -> float:
-    """N of z^j, from `log_norm2`: one-index API for tests; no runner
-    calls it."""
-    return float(np.exp(0.5 * log_norm2(j, k, u, K, nu, tw, singular_weight)))
-
-
 def log_sup2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
              tw: TwistData = TwistData(), singular_weight: bool = False) -> float:
     """log of the max over a scan of K of the squared pointwise weight of
@@ -964,14 +934,6 @@ def log_sup2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
     m = admissible_set(k, u, tw).m
     _check_index(j, m)
     return float(_log_sups2(k, m, u, K, [j], singular_weight)[0])
-
-
-def sup_norm(j: int, k: int, u: ConvexProfile, K: WeightedSet,
-             tw: TwistData = TwistData(), singular_weight: bool = False) -> float:
-    """The max over `log_sup2`'s scan of the pointwise weight of z^j, a
-    lower bound on its sup norm over K.  One-index API for tests; no
-    runner calls it."""
-    return float(np.exp(0.5 * log_sup2(j, k, u, K, tw, singular_weight)))
 
 
 def section_basis(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
@@ -1003,8 +965,8 @@ def reference_basis(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> Se
 # ---------------------------------------------------------------------------
 
 def _kernel(t, k: int, m: int, js: np.ndarray, logs: np.ndarray,
-            K: WeightedSet, rank: int) -> np.ndarray:
-    """B(t) = rank·Σ_J e^{E_j(t)}/N_j² at the points t, log N_j² = logs.
+            K: WeightedSet) -> np.ndarray:
+    """B(t) = Σ_J e^{E_j(t)}/N_j² at the points t, log N_j² = logs.
 
     (t × J) exponents in blocks of about KERNEL_BLOCK entries, through
     `exp_normal`: a term with exponent at or below LOG_TINY is 0.0, so
@@ -1032,7 +994,7 @@ def _kernel(t, k: int, m: int, js: np.ndarray, logs: np.ndarray,
             sub -= logs[None, cols]
             exp_normal(sub, out=sub)
         out[sl] = np.sum(ex, axis=1)
-    return float(rank) * out
+    return out
 
 
 def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
@@ -1059,30 +1021,29 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
         zero = RadialMeasure(np.empty(0), np.empty(0), ())
         return BergmanResult(k, zero, 0.0, 0)
     m = basis.m
-    n_sections = tw.rank * len(basis.J)
     breaks = _norm_breaks(K, nu)
     fine = np.empty(0) if breaks is None else refine_breakpoints(breaks, 4 * k)
     law = _closed_form_density(K, nu)
     masses = None
     if law is logistic_density:
-        masses = _fs_beta_cell_masses(fine, m, basis.J[0], len(basis.J), tw.rank / k)
+        masses = _fs_beta_cell_masses(fine, m, basis.J[0], len(basis.J), 1 / k)
     elif law is not None:
-        masses = _area_beta_cell_masses(fine, m, basis.J, tw.rank / k)
+        masses = _area_beta_cell_masses(fine, m, basis.J, 1 / k)
     if masses is not None:
         beta = RadialMeasure(fine, masses, ())
-        return BergmanResult(k, beta, beta.total_mass(), n_sections)
+        return BergmanResult(k, beta, beta.total_mass(), len(basis.J))
 
     # no closed form applies: the norms are the plan's
     plan = _NormPlan(k, m, u, K, nu, False)
     J = np.asarray(basis.J)
     logs = plan.log_norms2(J)
     js = J.astype(float)
-    atoms = [(t, float(_kernel([t], k, m, js, logs, K, tw.rank)[0]) * w / k)
+    atoms = [(t, float(_kernel([t], k, m, js, logs, K)[0]) * w / k)
              for t, w in nu.atoms]
     per_cell = np.empty(0)
     if breaks is not None:
         ts, ws = gauss_cells(fine)
-        kernel = _kernel(ts, k, m, js, logs, K, tw.rank)
+        kernel = _kernel(ts, k, m, js, logs, K)
         # far out at large k a kernel value times ρ·w/k, or a tail term over
         # its rate, may be a subnormal: the correctly rounded value, so its
         # underflow flag is not an error
@@ -1092,9 +1053,9 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
             if plan.edges is not None:
                 # closed-form tails beyond the cells' ends, the norms' own
                 for i, (lv, rate) in zip((0, -1), plan.tails(J)):
-                    per_cell[i] += tw.rank * np.sum(exp_normal(lv - logs) / rate) / k
+                    per_cell[i] += np.sum(exp_normal(lv - logs) / rate) / k
     beta = RadialMeasure(fine, per_cell, tuple(atoms))
-    return BergmanResult(k, beta, beta.total_mass(), n_sections)
+    return BergmanResult(k, beta, beta.total_mass(), len(basis.J))
 
 
 # ---------------------------------------------------------------------------

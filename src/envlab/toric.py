@@ -298,19 +298,19 @@ def _h0_toric_counts(ks, f: TorusProfile2, tw=None) -> np.ndarray:
     p_hi = max([1] + [abs(P) for P, _, _, _ in table])
     q_hi = max([1] + [abs(Q) for _, Q, _, _ in table])
     g_hi = c_hi + p_hi * n_hi
-    if max(k_hi * c.numerator, n_hi * (2 * g_hi + n_hi), 2 * q_hi * (g_hi + n_hi),
-           tw.rank * n_hi * n_hi) > _INT64_MAX:
+    if max(k_hi * c.numerator, n_hi * (2 * g_hi + n_hi),
+           2 * q_hi * (g_hi + n_hi)) > _INT64_MAX:
         raise InputError(f"k = {k_hi} takes the toric lattice count past int64")
     counts = np.empty(len(ks), dtype=np.int64)
     for b0 in range(0, len(ks), K_BLOCK):
         k = np.asarray(ks[b0:b0 + K_BLOCK], dtype=np.int64)
         counts[b0:b0 + k.size] = _lattice_counts(
             k, k * c.numerator // c.denominator + d, table)
-    return tw.rank * counts
+    return counts
 
 
 def h0_toric(k: int, f: TorusProfile2, tw=None) -> int:
-    """r·#{α ≥ 0 : α₁+α₂ ≤ m, (α+(1,1))/k ∈ int body}, exact integers.
+    """#{α ≥ 0 : α₁+α₂ ≤ m, (α+(1,1))/k ∈ int body}, exact integers.
 
     The one-k case of `_h0_toric_counts`: the body's integer edge table
     and the simplex α ≥ 0, α₁ + α₂ ≤ m give lower and upper lines for α₂
@@ -336,4 +336,4 @@ def h0_toric_bruteforce(k: int, f: TorusProfile2, tw=None) -> int:
             p = (Fraction(a1 + 1, k), Fraction(a2 + 1, k))
             if body.contains(p, strict=True):
                 count += 1
-    return tw.rank * count
+    return count

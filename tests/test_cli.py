@@ -18,7 +18,7 @@ def volume(tmp_path, *args):
 def test_k_override_is_run(tmp_path, capsys):
     assert volume(tmp_path, "--k", "25,10") == 0
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
-    assert [row[1] for row in rows] == ["10", "25"] * 2
+    assert [row[1] for row in rows] == ["10", "25"]
 
 
 @pytest.mark.parametrize("ks, message", [
@@ -41,6 +41,14 @@ def test_one_subcommand_per_runner(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["selftest"])
     assert exc.value.code == 2
+
+
+def test_empty_out_is_refused(tmp_path, monkeypatch):
+    # an unset shell variable in --out "$DIR" must not write into ./out
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(InputError, match="'out' must be a non-empty path"):
+        main(["volume", "--config", SIMPLEX, "--out", ""])
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("args", [[], ["--k", "10"]])

@@ -28,6 +28,10 @@ def load(tmp_path, payload):
     return ExperimentConfig.from_json(str(path))
 
 
+# an old config's twist ranks are refused by name, not dropped
+UNKNOWN_RANKS = r"unknown config keys \['ranks'\]"
+
+
 def bergman_config(**tolerances):
     return {"experiment": "bergman", "fixture": "vtheta-fs", "k": [25, 50],
             "tolerances": tolerances}
@@ -123,28 +127,31 @@ class TestFromJson:
         ("shifts", [0.5]), ("shifts", [False]), ("shifts", []), ("shifts", 0),
     ])
     def test_ranks_and_shifts_must_be_nonempty_int_lists(self, tmp_path, name, value):
+        # twists carry no rank: a 'ranks' key of any value is unknown
         payload = {"experiment": "volume", "fixture": "third-quarter", "k": [10],
                    name: value}
-        with pytest.raises(InputError, match=f"'{name}' must be a non-empty list of integers"):
+        message = (UNKNOWN_RANKS if name == "ranks"
+                   else f"'{name}' must be a non-empty list of integers")
+        with pytest.raises(InputError, match=message):
             load(tmp_path, payload)
 
     @pytest.mark.parametrize("ranks", [[0], [1, -2]])
     def test_ranks_must_be_positive(self, tmp_path, ranks):
         payload = {"experiment": "volume", "fixture": "third-quarter", "k": [10],
                    "ranks": ranks}
-        with pytest.raises(InputError, match="'ranks' entries must be positive"):
+        with pytest.raises(InputError, match=UNKNOWN_RANKS):
             load(tmp_path, payload)
 
     @pytest.mark.parametrize("experiment, fixture", [
         ("bergman", "vtheta-fs"), ("energy", "bump-fs"),
         ("approx", "third-quarter"), ("envelope", "third-quarter")])
-    def test_ranks_outside_volume_are_rejected(self, experiment, fixture):
-        cfg = ExperimentConfig(experiment, fixture, k=[25], tolerances={
-            name: 1.0 for name in experiments.TOLERANCE_NAMES.get(experiment, ())})
-        # the default, written out, is accepted; anything else is never read
-        dataclasses.replace(cfg, ranks=[1])
-        with pytest.raises(InputError, match=f"the {experiment} experiment never reads 'ranks'"):
-            dataclasses.replace(cfg, ranks=[2])
+    def test_ranks_outside_volume_are_rejected(self, tmp_path, experiment, fixture):
+        payload = {"experiment": experiment, "fixture": fixture, "k": [25], "tolerances": {
+            name: 1.0 for name in experiments.TOLERANCE_NAMES.get(experiment, ())}}
+        load(tmp_path, payload)
+        # not even the old default is read
+        with pytest.raises(InputError, match=UNKNOWN_RANKS):
+            load(tmp_path, dict(payload, ranks=[1]))
 
     def test_shifts_outside_volume_are_rejected(self, tmp_path):
         payload = bergman_config(trend_slack=1.1, final_threshold=0.006, leak_tol=1e-6)
@@ -165,7 +172,7 @@ class TestFromJson:
 
     def test_negative_shifts_are_accepted(self, tmp_path):
         payload = {"experiment": "volume", "fixture": "third-quarter", "k": [10],
-                   "ranks": [1, 2], "shifts": [-1, 0, 1]}
+                   "shifts": [-1, 0, 1]}
         assert load(tmp_path, payload).shifts == [-1, 0, 1]
 
     def test_unknown_experiment_is_rejected(self, tmp_path):
@@ -200,19 +207,19 @@ class TestRunVolume:
         assert not any(tmp_path.iterdir())
 
     def test_radial_window_fails_where_counts_are_off(self, tmp_path, monkeypatch):
-        # the window is two ranks wide, so a count 2·r off leaves it
+        # the window is two wide, so a count 2 off leaves it
         monkeypatch.setattr(experiments, "section_counts", off_at(
-            experiments.section_counts, (24, 37), lambda n, k, tw: n + 2 * tw.rank))
+            experiments.section_counts, (24, 37), lambda n, k, tw: n + 2))
         cfg = ExperimentConfig("volume", "third-quarter", k=[12, 24, 48],
-                               sweep_max=60, ranks=[1, 2], shifts=[0, 1])
+                               sweep_max=60, shifts=[0, 1])
         rows, failures = run_experiment(cfg, str(tmp_path))
-        labels = [f"volume[third-quarter,r={r},d={d}]" for r in (1, 2) for d in (0, 1)]
+        labels = [f"volume[third-quarter,d={d}]" for d in (0, 1)]
         assert failures == (
             [f"bound broken at k=24: {label}" for label in labels]
             + [f"sweep: bound broken at k={k}: {label}"
                for label in labels for k in (24, 37)])
         assert broken_rows(rows) == [(label, 24) for label in labels]
-        assert len(rows) == 12
+        assert len(rows) == 6
 
     def test_half_line_is_a_volume_fixture(self, tmp_path):
         # (c, ν₀, ν_∞) = (1, 1/2, 1/2) come from the fixture's profile: J is
@@ -226,36 +233,31 @@ class TestRunVolume:
         # no count at all: |0 − area| = 1/2 exceeds 4·perimeter/k = 12/k for k > 24
         monkeypatch.setattr(experiments, "_h0_toric_counts", off_at(
             experiments._h0_toric_counts, (50, 110), lambda n, k, tw: 0))
-        cfg = ExperimentConfig("volume", "simplex", k=[10, 50, 100],
-                               sweep_max=120, ranks=[1, 2])
+        cfg = ExperimentConfig("volume", "simplex", k=[10, 50, 100], sweep_max=120)
         rows, failures = run_experiment(cfg, str(tmp_path))
-        labels = [f"volume[toric:simplex,r={r}]" for r in (1, 2)]
-        assert failures == (
-            [f"bound broken at k=50: {label}" for label in labels]
-            + [f"sweep: bound broken at k={k}: volume[toric:simplex,r=1]"
-               for k in (50, 110)])
-        assert broken_rows(rows) == [(label, 50) for label in labels]
+        label = "volume[toric:simplex]"
+        assert failures == [f"bound broken at k=50: {label}"] + [
+            f"sweep: bound broken at k={k}: {label}" for k in (50, 110)]
+        assert broken_rows(rows) == [(label, 50)]
 
     @pytest.mark.parametrize("name", ["simplex", "half-square", "point"])
     def test_toric_bound_matches_fractions(self, name):
-        # the gate |n/(r·k²) − area| ≤ 4·perimeter/k in Fractions, at counts
+        # the gate |n/k² − area| ≤ 4·perimeter/k in Fractions, at counts
         # on each side of and exactly on both ends of the window
         body = experiments.toric_fixture(name).body
         area, perim = body.area, body.perimeter_lower
         ks = range(1, 61)
-        for r in (1, 3):
-            ends = [[area * r * k * k + s * 4 * perim * r * k for s in (-1, 1)]
-                    for k in ks]
-            for move in (-1, 0, 1):
-                for side in (0, 1):
-                    counts = [math.floor(e[side]) + move for e in ends]
-                    want = [abs(Fraction(n, r * k * k) - area) <= 4 * perim / k
-                            if perim > 0 else Fraction(n, r * k * k) == area
-                            for k, n in zip(ks, counts)]
-                    got = experiments._toric_bound_holds(
-                        ks, np.asarray(counts, dtype=np.int64), r, body)
-                    assert got.tolist() == want, (r, move, side)
-            assert any(e[0].denominator == 1 for e in ends)
+        ends = [[area * k * k + s * 4 * perim * k for s in (-1, 1)] for k in ks]
+        for move in (-1, 0, 1):
+            for side in (0, 1):
+                counts = [math.floor(e[side]) + move for e in ends]
+                want = [abs(Fraction(n, k * k) - area) <= 4 * perim / k
+                        if perim > 0 else Fraction(n, k * k) == area
+                        for k, n in zip(ks, counts)]
+                got = experiments._toric_bound_holds(
+                    ks, np.asarray(counts, dtype=np.int64), body)
+                assert got.tolist() == want, (move, side)
+        assert any(e[0].denominator == 1 for e in ends)
 
     def test_zero_area_bound_fails_on_one_count(self, tmp_path, monkeypatch):
         # a body with no perimeter asks for no section at all: one breaks it
@@ -264,10 +266,10 @@ class TestRunVolume:
         cfg = ExperimentConfig("volume", "point", k=[3, 5], sweep_max=9)
         rows, failures = run_experiment(cfg, str(tmp_path))
         assert failures == [
-            "bound broken at k=3: volume[toric:point,r=1]",
-            "sweep: bound broken at k=3: volume[toric:point,r=1]",
-            "sweep: bound broken at k=7: volume[toric:point,r=1]"]
-        assert broken_rows(rows) == [("volume[toric:point,r=1]", 3)]
+            "bound broken at k=3: volume[toric:point]",
+            "sweep: bound broken at k=3: volume[toric:point]",
+            "sweep: bound broken at k=7: volume[toric:point]"]
+        assert broken_rows(rows) == [("volume[toric:point]", 3)]
 
 
 def committed(name):

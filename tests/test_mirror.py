@@ -88,7 +88,7 @@ def mirror(u, K, nu):
 
 
 def twists():
-    return st.builds(TwistData, st.integers(1, 3), st.integers(-3, 3))
+    return st.builds(TwistData, st.integers(-3, 3))
 
 
 @settings(max_examples=100, deadline=None)
@@ -127,7 +127,7 @@ def test_fs_norms_reflect(u, k, tw):
 def test_third_quarter_singular_norms_reflect(k, d):
     u, K, nu = weighted_fixture("third-quarter-fs")
     v, K_m, nu_m = mirror(u, K, nu)
-    tw = TwistData(1, d)
+    tw = TwistData(d)
     a = section_basis(k, u, K, nu, tw, singular_weight=True).log_norms2
     b = section_basis(k, v, K_m, nu_m, tw, singular_weight=True).log_norms2[::-1]
     assert np.all(np.abs(b - a) <= THIRD_QUARTER_REL * np.abs(a))
@@ -143,13 +143,13 @@ def annulus_cells(k, u, tw):
     assert _closed_form_density(K_m, nu_m) is None
     res = bergman(k, v, K_m, nu_m, tw)
     basis = admissible_set(k, u, tw)
-    assert res.h0 == tw.rank * len(basis.J)
+    assert res.h0 == len(basis.J)
     if not basis.J:
         return np.empty(0), np.empty(0)
     beta = bergman(k, u, K, nu, tw).beta
     assert np.max(np.abs(-res.beta.breakpoints[::-1] - beta.breakpoints)) <= 1e-15
     # the original's β is `_area_beta_cell_masses`, which declines only at m = 0
-    closed = _area_beta_cell_masses(beta.breakpoints, basis.m, basis.J, tw.rank / k)
+    closed = _area_beta_cell_masses(beta.breakpoints, basis.m, basis.J, 1 / k)
     assert (closed is None) == (basis.m < 1)
     return beta.cell_masses, res.beta.cell_masses[::-1]
 

@@ -29,13 +29,11 @@ from envlab import (
     fs_measure,
     h0,
     i_model_envelope,
-    l2_norm,
     lelong,
     limit_mass,
     measure_integral,
     reference_basis,
     section_basis,
-    sup_norm,
 )
 from envlab.envelopes import window_envelope
 from envlab.errors import (
@@ -61,7 +59,6 @@ from envlab.sections import (
     _fs_beta_cdfs,
     _log_sups2,
     approximant_lower_bound_constant,
-    counting_bound_holds,
     counting_window_holds,
     log_norm2,
     log_sup2,
@@ -70,6 +67,10 @@ from envlab.sections import (
 
 
 THIRD_QUARTER = window_envelope(1, Fraction(1, 3), Fraction(1, 4))
+
+# Degree shifts for the route comparisons.  Their ids "1-d" are the names
+# these cases had while a twist also carried a rank, always 1 here.
+SHIFTS = [pytest.param(d, id=f"1-{d}") for d in (0, 1, -1)]
 
 
 def oracle_count(k, c, nu0, nu_inf, d=0):
@@ -105,7 +106,7 @@ class TestAdmissibleSet:
         ]
         for c, nu0, nu_inf, d in params:
             for k in range(1, 120):
-                _, J = admissible_indices(k, c, nu0, nu_inf, TwistData(1, d))
+                _, J = admissible_indices(k, c, nu0, nu_inf, TwistData(d))
                 assert len(J) == oracle_count(k, c, nu0, nu_inf, d), (c, k, d)
 
     def test_boundary_exponent_excluded(self):
@@ -117,8 +118,7 @@ class TestAdmissibleSet:
 class TestH0:
     def test_spec_counts(self):
         assert h0(24, THIRD_QUARTER) == 11
-        assert h0(24, THIRD_QUARTER, TwistData(2, 0)) == 22
-        assert h0(12, THIRD_QUARTER, TwistData(1, 1)) == 7
+        assert h0(12, THIRD_QUARTER, TwistData(1)) == 7
 
     def test_count_is_rank_times_index_set(self):
         # h0 takes the count from the ends of the window; J and the oracle
@@ -132,61 +132,57 @@ class TestH0:
             c, nu0, nu_inf = u.class_mass, u.s_minus, u.class_mass - u.s_plus
             for d in shifts:
                 for k in ks:
-                    _, J = admissible_indices(k, c, nu0, nu_inf, TwistData(1, d))
+                    _, J = admissible_indices(k, c, nu0, nu_inf, TwistData(d))
                     assert len(J) == oracle_count(k, c, nu0, nu_inf, d), (c, d, k)
-                    for r in (1, 2):
-                        assert h0(k, u, TwistData(r, d)) == r * len(J), (c, r, d, k)
+                    assert h0(k, u, TwistData(d)) == len(J), (c, d, k)
 
     def test_count_at_huge_k_is_closed_form(self):
         # J = [⌊k/3⌋, m − ⌊k/4⌋] with m = k + d; J is never built
         k = 10 ** 12
         assert h0(k, THIRD_QUARTER) == 416_666_666_668
-        for r, d in ((1, 0), (2, 1), (1, -1)):
-            count = h0(k, THIRD_QUARTER, TwistData(r, d))
-            assert count == r * (k + d - k // 4 - k // 3 + 1)
-            assert counting_bound_holds(k, count, 1, Fraction(1, 3), Fraction(1, 4),
-                                        TwistData(r, d))
+        for d in (0, 1, -1):
+            count = h0(k, THIRD_QUARTER, TwistData(d))
+            assert count == k + d - k // 4 - k // 3 + 1
+            assert counting_window_holds((k,), (count,), 1, Fraction(1, 3), Fraction(1, 4),
+                                         TwistData(d))[0]
 
     def test_counting_bound(self):
         # J = integers in the open interval (k/3 − 1, m + 1 − k/4), m = k + d,
         # of length L = k·mass + d + 2 (c = 1, so {k·c} = 0).  An open
         # interval of length L > −1 holds at least L − 1 and fewer than L + 1
-        # integers: d + 1 ≤ h0/r − k·mass < d + 3.
+        # integers: d + 1 ≤ h0 − k·mass < d + 3.
         lim = limit_mass(1, Fraction(1, 3), Fraction(1, 4))
         assert lim == Fraction(5, 12)
-        for r in (1, 2):
-            for d in (-1, 0, 1):
-                tw = TwistData(r, d)
-                for k in range(1, 201):
-                    count = h0(k, THIRD_QUARTER, tw)
-                    assert count % r == 0
-                    excess = Fraction(count, r) - k * lim
-                    assert d + 1 <= excess < d + 3, (r, d, k)
-                    err = abs(Fraction(count, r * k) - lim)
-                    assert err < Fraction(abs(d) + 3, k)
+        for d in (-1, 0, 1):
+            tw = TwistData(d)
+            for k in range(1, 201):
+                count = h0(k, THIRD_QUARTER, tw)
+                excess = count - k * lim
+                assert d + 1 <= excess < d + 3, (d, k)
+                err = abs(Fraction(count, k) - lim)
+                assert err < Fraction(abs(d) + 3, k)
 
     def test_counting_gate_matches_oracle(self):
         c, nu0, nu_inf = Fraction(1), Fraction(1, 3), Fraction(1, 4)
-        for r in (1, 2):
-            for d in (-1, 0, 1):
-                tw = TwistData(r, d)
-                for k in range(1, 201):
-                    count = r * oracle_count(k, c, nu0, nu_inf, d)
-                    assert counting_bound_holds(k, count, c, nu0, nu_inf, tw)
-                    # the window is two wide: a count two off is rejected
-                    for off in (-2, 2):
-                        assert not counting_bound_holds(
-                            k, count + off * r, c, nu0, nu_inf, tw), (r, d, k, off)
+        ks = range(1, 201)
+        for d in (-1, 0, 1):
+            tw = TwistData(d)
+            counts = np.array([oracle_count(k, c, nu0, nu_inf, d) for k in ks])
+            assert counting_window_holds(ks, counts, c, nu0, nu_inf, tw).all(), d
+            # the window is two wide: a count two off is rejected
+            for off in (-2, 2):
+                assert not counting_window_holds(
+                    ks, counts + off, c, nu0, nu_inf, tw).any(), (d, off)
 
     def test_counting_gate_fractional_class(self):
         # {k·c} ≠ 0 moves the window, and d = −4 empties J at small k
         for c, nu0, nu_inf in ((Fraction(3, 2), Fraction(2, 7), Fraction(1, 5)),
                                (Fraction(141421356, 10 ** 8), Fraction(0), Fraction(0))):
+            ks = range(1, 120)
             for d in (-4, -1, 0, 1):
-                for k in range(1, 120):
-                    count = oracle_count(k, c, nu0, nu_inf, d)
-                    assert counting_bound_holds(k, count, c, nu0, nu_inf,
-                                                TwistData(1, d)), (c, d, k)
+                counts = [oracle_count(k, c, nu0, nu_inf, d) for k in ks]
+                assert counting_window_holds(ks, counts, c, nu0, nu_inf,
+                                             TwistData(d)).all(), (c, d)
 
 
 def py_window(k, c, nu0, nu_inf, d):
@@ -206,8 +202,7 @@ def py_window_holds(k, count, c, nu0, nu_inf, tw):
                             + nu_inf.numerator * nu0.denominator)
     if qL <= -q:
         return count == 0
-    n, rem = divmod(count, tw.rank)
-    return rem == 0 and q * (n - 1) < qL <= q * (n + 1)
+    return q * (count - 1) < qL <= q * (count + 1)
 
 
 def fractions(max_num, max_den=12):
@@ -217,21 +212,21 @@ def fractions(max_num, max_den=12):
 class TestArrayCounts:
     @settings(max_examples=60, deadline=None)
     @given(c=fractions(36).filter(lambda c: c > 0), nu0=fractions(12),
-           nu_inf=fractions(12), d=st.integers(-3, 2), r=st.sampled_from([1, 2, 3]),
+           nu_inf=fractions(12), d=st.integers(-3, 2),
            ks=st.one_of(
                st.integers(1, 600).map(lambda hi: range(1, hi + 1)),
                st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=20,
                         unique=True).map(sorted)))
-    def test_counts_and_verdicts_match_python_ints(self, c, nu0, nu_inf, d, r, ks):
-        tw = TwistData(r, d)
+    def test_counts_and_verdicts_match_python_ints(self, c, nu0, nu_inf, d, ks):
+        tw = TwistData(d)
         want = []
         for k in ks:
             _, j_min, j_max = py_window(k, c, nu0, nu_inf, d)
-            want.append(r * max(0, j_max - j_min + 1))
+            want.append(max(0, j_max - j_min + 1))
         got = section_counts(ks, c, nu0, nu_inf, tw)
         assert got.dtype == np.int64 and got.tolist() == want
-        # the true counts, and counts moved by a unit or by one or two ranks
-        for off in (0, -1, 1, -r, r, -2 * r, 2 * r):
+        # the true counts, and counts moved by one or two
+        for off in (0, -1, 1, -2, 2):
             verdicts = counting_window_holds(ks, got + off, c, nu0, nu_inf, tw)
             assert verdicts.tolist() == [
                 py_window_holds(k, n + off, c, nu0, nu_inf, tw)
@@ -245,7 +240,7 @@ class TestArrayCounts:
             with pytest.raises(InputError, match="int64"):
                 run_volume(cfg)
             with pytest.raises(InputError, match="int64"):
-                counting_bound_holds(10, 2 ** 63, 1, Fraction(1, 3), Fraction(1, 4))
+                counting_window_holds((k,), (0,), 1, Fraction(1, 3), Fraction(1, 4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -263,24 +258,23 @@ class TestNorms:
         K, nu = WeightedSet.whole(), fs_measure()
         k = 20
         for j in (0, 3, 10, 20):
-            got = l2_norm(j, k, b, K, nu) ** 2
             want = math.factorial(j) * math.factorial(k - j) / math.factorial(k + 1)
-            assert got == pytest.approx(want, rel=1e-10)
+            assert log_norm2(j, k, b, K, nu) == pytest.approx(math.log(want), abs=1e-10)
 
     def test_symmetry(self):
         b = base_profile(1)
         K, nu = WeightedSet.whole(), fs_measure()
         for j in (2, 5):
-            assert l2_norm(j, 11, b, K, nu) == pytest.approx(
-                l2_norm(11 - j, 11, b, K, nu), rel=1e-10)
+            assert log_norm2(j, 11, b, K, nu) == pytest.approx(
+                log_norm2(11 - j, 11, b, K, nu), abs=2e-10)
 
     def test_constant_weight_shift(self):
         b = base_profile(1)
         nu = fs_measure()
         k = 9
-        n0 = l2_norm(4, k, b, WeightedSet.whole(), nu) ** 2
-        n1 = l2_norm(4, k, b, WeightedSet.whole(v=lambda t: np.full_like(t, 0.3)), nu) ** 2
-        assert n1 == pytest.approx(n0 * np.exp(-k * 0.3), rel=1e-10)
+        n0 = log_norm2(4, k, b, WeightedSet.whole(), nu)
+        n1 = log_norm2(4, k, b, WeightedSet.whole(v=lambda t: np.full_like(t, 0.3)), nu)
+        assert n1 == pytest.approx(n0 - k * 0.3, abs=1e-10)
 
     def test_scipy_quad_oracle_with_weight(self):
         from scipy.integrate import quad
@@ -289,7 +283,7 @@ class TestNorms:
         K = WeightedSet.whole(v=lambda t: 0.2 * np.exp(-t * t))
         nu = fs_measure()
         k, j = 15, 7
-        got = l2_norm(j, k, u, K, nu) ** 2
+        got = math.exp(log_norm2(j, k, u, K, nu))
 
         def integrand(t):
             ta = np.asarray([t])
@@ -305,15 +299,15 @@ class TestNorms:
         u = window_envelope(1, Fraction(1, 3), 0)
         K, nu = WeightedSet.whole(), fs_measure()
         with pytest.raises(DivergentIntegralError):
-            l2_norm(0, 3, u, K, nu, singular_weight=True)
+            log_norm2(0, 3, u, K, nu, singular_weight=True)
         # the admissible indices stay finite
-        assert l2_norm(1, 3, u, K, nu, singular_weight=True) > 0
+        assert math.isfinite(log_norm2(1, 3, u, K, nu, singular_weight=True))
 
     def test_sup_norm_single_circle(self):
         b = base_profile(1)
         K = WeightedSet.circles([0.0])
         for k, j in ((8, 0), (8, 5), (12, 12)):
-            assert sup_norm(j, k, b, K) == pytest.approx(2.0 ** (-k / 2), rel=1e-12)
+            assert log_sup2(j, k, b, K) == pytest.approx(-k * math.log(2), abs=2e-12)
 
     def test_sup_dominates_l2(self):
         b = base_profile(1)
@@ -321,14 +315,14 @@ class TestNorms:
         nu = annulus_area_measure()
         k = 10
         for j in range(0, 11):
-            assert sup_norm(j, k, b, K) >= l2_norm(j, k, b, K, nu) * (1 - 1e-12)
+            assert log_sup2(j, k, b, K) >= log_norm2(j, k, b, K, nu) - 2e-12
 
     def test_weight_monotonicity(self):
         b = base_profile(1)
         K1 = WeightedSet.interval(-1.0, 1.0)
         K2 = K1.add_weight(lambda t: np.ones_like(t), 0.2)
         for j in (0, 4, 9):
-            assert sup_norm(j, 9, b, K1) >= sup_norm(j, 9, b, K2)
+            assert log_sup2(j, 9, b, K1) >= log_sup2(j, 9, b, K2)
 
 
 def loop_refine(bp, k, extra=None):
@@ -668,7 +662,7 @@ class TestClosedFormNorms:
     def test_against_mpmath(self, u, k, d, singular):
         import mpmath as mp
 
-        tw = TwistData(1, d)
+        tw = TwistData(d)
         with mp.workdps(30):
             basis, want = mp_log_norms2(k, u, tw, singular)
         if u is SQRT2_WINDOW:
@@ -687,7 +681,7 @@ class TestClosedFormNorms:
     ])
     def test_agrees_with_the_plan(self, u, k, d, singular):
         K, nu = WeightedSet.whole(), fs_measure()
-        tw = TwistData(1, d)
+        tw = TwistData(d)
         _, want = plan_log_norms2(k, u, K, nu, tw, singular)
         got = section_basis(k, u, K, nu, tw, singular_weight=singular).log_norms2
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -700,7 +694,7 @@ class TestClosedFormNorms:
     ], ids=["d-2", "window-end-near-c", "window-at-c", "window-at-0"])
     def test_plan_where_the_series_does_not_apply(self, u, k, d):
         K, nu = WeightedSet.whole(), fs_measure()
-        tw = TwistData(1, d)
+        tw = TwistData(d)
         _, want = plan_log_norms2(k, u, K, nu, tw, singular=True)
         got = section_basis(k, u, K, nu, tw, singular_weight=True).log_norms2
         assert np.array_equal(got, want)
@@ -709,7 +703,7 @@ class TestClosedFormNorms:
         # u = c·t on the window [c, c]: with c = 1/2, k = 5 and d = 1, J = {2, 3}
         # and N_j² = B(j − 3/2, 4 − j), i.e. B(1/2, 2) = 4/3 and B(3/2, 1) = 2/3
         u = window_envelope(Fraction(1, 2), Fraction(1, 2), 0)
-        got = section_basis(5, u, WeightedSet.whole(), fs_measure(), TwistData(1, 1),
+        got = section_basis(5, u, WeightedSet.whole(), fs_measure(), TwistData(1),
                             singular_weight=True).log_norms2
         assert np.max(np.abs(got - np.log([4 / 3, 2 / 3]))) <= 1e-13
 
@@ -724,7 +718,7 @@ class TestClosedFormNorms:
         # d = −2: B + 2 = 0, so the series does not apply and the plan
         # takes the norms
         u, K, nu = TQ_FS
-        tw = TwistData(1, -2)
+        tw = TwistData(-2)
         m, J = admissible_indices(30, 1, Fraction(1, 3), Fraction(1, 4), tw)
         assert sections._closed_form_log_norms2(
             30, m, np.asarray(J), u, K, nu, True) is None
@@ -745,7 +739,7 @@ class TestClosedFormNorms:
         k = 4000
         with np.errstate(all="raise"):
             bases = [section_basis(k, u, K, nu, singular_weight=True),
-                     section_basis(k, u, K, nu, TwistData(1, 1), singular_weight=True),
+                     section_basis(k, u, K, nu, TwistData(1), singular_weight=True),
                      reference_basis(k, u)]
         for basis in bases:
             assert len(basis.J) > 1600
@@ -834,16 +828,9 @@ class TestBergman:
             assert np.array_equal(rs.breakpoints, rb.breakpoints)
             assert np.all(rs.cell_masses <= rb.cell_masses * (1 + 1e-12))
 
-    def test_rank_scales_mass(self):
-        u = THIRD_QUARTER
-        r1 = bergman(12, u, WeightedSet.whole(), fs_measure())
-        r2 = bergman(12, u, WeightedSet.whole(), fs_measure(), TwistData(2, 0))
-        assert r2.h0 == 2 * r1.h0
-        assert r2.total_mass == pytest.approx(2 * r1.total_mass, rel=1e-12)
-
     def test_empty_index_set_is_zero_kernel(self):
         u = base_profile(1)
-        res = bergman(1, u, WeightedSet.whole(), fs_measure(), TwistData(1, -2))
+        res = bergman(1, u, WeightedSet.whole(), fs_measure(), TwistData(-2))
         assert res.h0 == 0
         assert res.total_mass == 0.0
 
@@ -866,7 +853,7 @@ class TestBergman:
         basis = section_basis(k, u, K, nu)
         js = np.asarray(basis.J, dtype=float)
         t = refine_breakpoints(sections._norm_breaks(K, nu), k)
-        got = sections._kernel(t, k, basis.m, js, basis.log_norms2, K, 1)
+        got = sections._kernel(t, k, basis.m, js, basis.log_norms2, K)
         base = -float(basis.m) * softplus(t) - float(k) * K.weight_at(t)
         ex = js[None, :] * t[:, None] + base[:, None] - basis.log_norms2[None, :]
         assert t.size > sections.KERNEL_BLOCK // js.size     # at least two blocks
@@ -896,10 +883,10 @@ class TestBergman:
 
     @pytest.mark.parametrize("fixture", ["vtheta-fs", "third-quarter-fs"])
     @pytest.mark.parametrize("k", [10, 60])
-    @pytest.mark.parametrize("rank,d", [(1, 0), (2, 0), (1, 1), (1, -1)])
-    def test_matches_the_quadrature_route(self, fixture, k, rank, d):
+    @pytest.mark.parametrize("d", SHIFTS)
+    def test_matches_the_quadrature_route(self, fixture, k, d):
         u, K, nu = weighted_fixture(fixture)
-        tw = TwistData(rank, d)
+        tw = TwistData(d)
         exact = bergman(k, u, K, nu, tw)
         quad = bergman(k, u, K, quadrature_route(nu), tw)
         assert np.array_equal(exact.beta.breakpoints, quad.beta.breakpoints)
@@ -955,7 +942,7 @@ class TestBergman:
                      "_log_norms2", "_kernel"):
             monkeypatch.setattr(sections, name, refuse)
         u, K, nu = weighted_fixture(fixture)
-        res = bergman(1, u, K, nu, TwistData(1, -2))
+        res = bergman(1, u, K, nu, TwistData(-2))
         assert res.h0 == 0 and res.total_mass == 0.0
         assert res.beta.cell_masses.size == 0 and not res.beta.atoms
 
@@ -1006,7 +993,7 @@ class TestBergman:
         js = np.asarray(basis.J, dtype=float)
         t, _ = gauss_cells(refine_breakpoints(sections._norm_breaks(K, nu), 4 * k))
         t = t[::7]
-        got = sections._kernel(t, k, basis.m, js, basis.log_norms2, K, 1)
+        got = sections._kernel(t, k, basis.m, js, basis.log_norms2, K)
         base = -float(basis.m) * softplus(t) - float(k) * K.weight_at(t)
         ex = js[None, :] * t[:, None] + base[:, None] - basis.log_norms2[None, :]
         assert np.array_equal(got, np.sum(exp_normal(ex), axis=1))
@@ -1016,7 +1003,7 @@ class TestBergman:
     @given(u=window_profiles(), k=st.integers(1, 80), d=st.integers(-1, 1))
     def test_random_windows_match_the_quadrature_route(self, u, k, d):
         K, nu = WeightedSet.whole(), fs_measure()
-        tw = TwistData(1, d)
+        tw = TwistData(d)
         exact = bergman(k, u, K, nu, tw)
         quad = bergman(k, u, K, quadrature_route(nu), tw)
         assert np.max(np.abs(exact.beta.cell_masses - quad.beta.cell_masses),
@@ -1154,7 +1141,7 @@ def area_beta_args(k, u, K, nu, tw=TwistData()):
     """`_area_beta_cell_masses`'s arguments as `bergman` passes them."""
     basis = admissible_set(k, u, tw)
     bp = refine_breakpoints(sections._norm_breaks(K, nu), 4 * k)
-    return bp, basis.m, basis.J, tw.rank / k
+    return bp, basis.m, basis.J, 1 / k
 
 
 class TestWorkWindows:
@@ -1178,7 +1165,7 @@ class TestWorkWindows:
     @settings(max_examples=40, deadline=None)
     @given(u=window_profiles(), k=st.integers(1, 600), d=st.integers(-1, 1))
     def test_random_windows_on_the_fs_volume(self, u, k, d):
-        basis = admissible_set(k, u, TwistData(1, d))
+        basis = admissible_set(k, u, TwistData(d))
         if not basis.J:
             return
         t = refine_breakpoints(sections._norm_breaks(WeightedSet.whole(), fs_measure()),
@@ -1192,7 +1179,7 @@ class TestWorkWindows:
            k=st.integers(1, 600), d=st.integers(-1, 1))
     def test_random_annuli(self, u, ends, k, d):
         a, b = (e / 64 for e in sorted(ends))
-        tw = TwistData(1, d)
+        tw = TwistData(d)
         if not admissible_set(k, u, tw).J:
             return
         args = area_beta_args(k, u, *area_fixture(a, b)[1:], tw)
@@ -1258,10 +1245,10 @@ class TestAreaBeta:
     """β against the area density on [a, b] with v = 0, in closed form."""
 
     @pytest.mark.parametrize("k", [10, 60, 200])
-    @pytest.mark.parametrize("rank,d", [(1, 0), (2, 0), (1, 1), (1, -1)])
-    def test_matches_the_quadrature_route(self, k, rank, d, monkeypatch):
+    @pytest.mark.parametrize("d", SHIFTS)
+    def test_matches_the_quadrature_route(self, k, d, monkeypatch):
         u, K, nu = weighted_fixture("annulus-area")
-        tw = TwistData(rank, d)
+        tw = TwistData(d)
         exact = closed_form_bergman(monkeypatch, k, u, K, nu, tw)
         quad = bergman(k, u, K, quadrature_route(nu), tw)
         assert np.array_equal(exact.beta.breakpoints, quad.beta.breakpoints)
@@ -1348,7 +1335,7 @@ class TestAreaBeta:
     def test_random_annuli_match_the_plan(self, u, ends, k, d):
         a, b = (e / 64 for e in sorted(ends))
         _, K, nu = area_fixture(a, b)
-        tw = TwistData(1, d)
+        tw = TwistData(d)
         exact = bergman(k, u, K, nu, tw)
         quad = bergman(k, u, K, quadrature_route(nu), tw)
         assert np.max(np.abs(exact.beta.cell_masses - quad.beta.cell_masses),

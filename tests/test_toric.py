@@ -50,7 +50,7 @@ def loop_h0_toric(k, f, tw=TwistData()):
                 break
         if feasible and hi >= lo:
             count += hi - lo + 1
-    return tw.rank * count
+    return count
 
 
 FIXTURES = ("simplex", "half-square", "point")
@@ -67,9 +67,8 @@ polygon_profile = st.lists(gradient, min_size=1, max_size=6).map(
 def assert_matches_bruteforce(f, ks):
     for d in range(-2, 3):
         for k in ks:
-            want = h0_toric_bruteforce(k, f, TwistData(1, d))
-            for r in (1, 2):
-                assert h0_toric(k, f, TwistData(r, d)) == r * want, (k, d, r)
+            tw = TwistData(d)
+            assert h0_toric(k, f, tw) == h0_toric_bruteforce(k, f, tw), (k, d)
 
 
 class TestAgainstBruteforce:
@@ -91,13 +90,13 @@ class TestAgainstRowLoop:
         f = toric_fixture(name)
         for d in (-2, 0, 2):
             for k in self.KS:
-                assert h0_toric(k, f, TwistData(1, d)) == loop_h0_toric(
-                    k, f, TwistData(1, d)), (k, d)
+                assert h0_toric(k, f, TwistData(d)) == loop_h0_toric(
+                    k, f, TwistData(d)), (k, d)
 
     @settings(max_examples=20, deadline=None)
     @given(f=polygon_profile, k=st.integers(1, 2000), d=st.integers(-2, 2))
     def test_rational_polygons_to_large_k(self, f, k, d):
-        assert h0_toric(k, f, TwistData(1, d)) == loop_h0_toric(k, f, TwistData(1, d))
+        assert h0_toric(k, f, TwistData(d)) == loop_h0_toric(k, f, TwistData(d))
 
     def test_body_and_edge_table_are_built_once(self):
         f = toric_fixture("half-square")
@@ -112,11 +111,11 @@ class TestAgainstRowLoop:
 def loop_counts(name, d):
     """{k: loop_h0_toric} for k = 1..400, shared by the block sizes."""
     f = toric_fixture(name)
-    return {k: loop_h0_toric(k, f, TwistData(1, d)) for k in range(1, 401)}
+    return {k: loop_h0_toric(k, f, TwistData(d)) for k in range(1, 401)}
 
 
 def closed_form_count(name, k):
-    """h0_toric at d = 0, r = 1: β = α + 1 strictly inside k·body."""
+    """h0_toric at d = 0: β = α + 1 strictly inside k·body."""
     if name == "simplex":
         return (k - 1) * (k - 2) // 2
     if name == "half-square":
@@ -138,26 +137,25 @@ class TestBatchedCounts:
             want = loop_counts(name, d)
             for ks in self.KS:
                 assert len(ks) == 1 or len(ks) > block
-                for r in (1, 3):
-                    got = _h0_toric_counts(ks, f, TwistData(r, d))
-                    assert got.dtype == np.int64
-                    assert got.tolist() == [r * want[k] for k in ks], (ks, d, r)
+                got = _h0_toric_counts(ks, f, TwistData(d))
+                assert got.dtype == np.int64
+                assert got.tolist() == [want[k] for k in ks], (ks, d)
 
     @pytest.mark.parametrize("name", FIXTURES)
     def test_default_blocks_match_closed_forms(self, name):
         # k = 1..2·K_BLOCK + 5 runs through three default blocks
         ks = range(1, 2 * toric.K_BLOCK + 6)
-        got = _h0_toric_counts(ks, toric_fixture(name), TwistData(2, 0)).tolist()
-        assert got == [2 * closed_form_count(name, k) for k in ks]
+        got = _h0_toric_counts(ks, toric_fixture(name)).tolist()
+        assert got == [closed_form_count(name, k) for k in ks]
 
     @settings(max_examples=60, deadline=None)
     @given(f=polygon_profile,
            ks=st.lists(st.integers(1, 300), min_size=1, max_size=9, unique=True).map(sorted),
-           d=st.integers(-6, 4), r=st.integers(1, 3), block=st.sampled_from([1, 3, 2 ** 13]))
-    def test_rational_polygons_match_row_loop(self, f, ks, d, r, block):
+           d=st.integers(-6, 4), block=st.sampled_from([1, 3, 2 ** 13]))
+    def test_rational_polygons_match_row_loop(self, f, ks, d, block):
         with mock.patch.object(toric, "K_BLOCK", block):
-            got = _h0_toric_counts(ks, f, TwistData(r, d)).tolist()
-        assert got == [loop_h0_toric(k, f, TwistData(r, d)) for k in ks]
+            got = _h0_toric_counts(ks, f, TwistData(d)).tolist()
+        assert got == [loop_h0_toric(k, f, TwistData(d)) for k in ks]
 
 
 class TestLargeK:
@@ -166,7 +164,6 @@ class TestLargeK:
     def test_closed_forms(self, name, k):
         f = toric_fixture(name)
         assert h0_toric(k, f) == closed_form_count(name, k)
-        assert h0_toric(k, f, TwistData(3, 0)) == 3 * closed_form_count(name, k)
 
     @pytest.mark.parametrize("name", FIXTURES[:2])
     def test_numpy_k_sequence_raises_past_int64(self, name):
@@ -253,7 +250,7 @@ class TestPermutations:
     def test_fixtures(self, name, perm):
         f = toric_fixture(name)
         for d in range(-3, 3):
-            tw = TwistData(2, d)
+            tw = TwistData(d)
             assert np.array_equal(_h0_toric_counts(self.KS, permuted(f, perm), tw),
                                   _h0_toric_counts(self.KS, f, tw)), d
 
@@ -262,7 +259,7 @@ class TestPermutations:
         # half-square's points and its rotated image's differently
         f = toric_fixture("half-square")
         ks = np.arange(1, 41)
-        tw = TwistData(1, -4)
+        tw = TwistData(-4)
         assert not np.array_equal(_h0_toric_counts(ks, permuted(f, rotate), tw),
                                   _h0_toric_counts(ks, f, tw))
 
@@ -270,6 +267,6 @@ class TestPermutations:
     @given(f=polygon_profile, d=st.integers(-3, 2), perm=st.sampled_from([swap, rotate]))
     def test_rational_polygons(self, f, d, perm):
         ks = np.arange(1, 601)
-        tw = TwistData(1, d)
+        tw = TwistData(d)
         assert np.array_equal(_h0_toric_counts(ks, permuted(f, perm), tw),
                               _h0_toric_counts(ks, f, tw))
