@@ -1,25 +1,13 @@
-"""Constrained convex envelopes via restricted Legendre transforms.
+"""Constrained convex envelopes of sampled obstacles.
 
 All envelopes here are "maximal convex function below an obstacle with
-slopes confined to a window".  The restricted conjugate of the obstacle
-is computed by the monotone-pointer linear-time walk over the obstacle's
-lower hull; the envelope is the upper envelope of the resulting tangent
-lines s·t − c(s), whose active lines are the vertices of the lower hull
-of the points (s, c(s)), assembled as a piecewise-linear profile whose
-tail slopes are the exact rational window endpoints.
-
-The hull is taken only on the contact slice of the samples: from the
-first maximizer of lo·t − f to the last maximizer of hi·t − f.  Every
-hull chord left of it is at most lo and every one right of it at least
-hi, so they clip to the window ends, which are slopes already; the slopes
-and the conjugate values are those of the whole line's hull.  Every hull
-is exact: `lower_hull` decides an orientation test in `Fraction`s
-wherever float rounding could decide it.  The slice's ends are not: they
-are maximizers among float values.  On samples that lie on a line of
-slope lo or hi only to rounding, a slice end can fall on another of
-those samples than in exact arithmetic, and the whole line's hull then
-gives an extra slope an ulp inside the window; the two envelopes agree
-as functions to rounding.
+slopes confined to a window".  For samples it is the lower hull of their
+contact slice, from the first maximizer of lo·t − f to the last of
+hi·t − f: every chord on it lies in [lo, hi], so its vertices, joined
+linearly and continued by the window's tail lines, are the envelope.
+The slice's ends and the hull's orientation tests are exact (a float
+decides only where rounding cannot change the answer, `Fraction`s the
+rest), so every Monge–Ampère atom sits on a sample.
 
 One closed-form fast path exists: the slope-window envelope of the base
 potential (the I-model projection, evaluated by `WindowEnvelope`).
@@ -42,9 +30,8 @@ from .profiles import (
     WeightedSet,
     WindowEnvelope,
     _pad_to_asymptotes,
-    merge_grids,
 )
-from .quadrature import TINY, insert_interior, union
+from .quadrature import TINY, insert_interior
 
 __all__ = [
     "i_model_envelope",
@@ -108,50 +95,28 @@ def conjugate_at_slopes(ts, fs, slopes) -> np.ndarray:
     return out
 
 
-def _assemble(window: SlopeWindow, slopes, cvals, nodes) -> ConvexProfile:
-    """PL profile of t ↦ max_s (s·t − c(s)) over distinct ascending slopes;
-    tails = exact window slopes, nodes = the sorted distinct samples.
-
-    The active lines are the vertices of the lower hull of the points
-    (s, c(s)), and two neighbours switch at their chord's slope.
-    """
-    act_s, act_c = lower_hull(slopes, cvals)
-    if act_s.size == 1:
-        if np.ptp(nodes) > 0:
-            grid = np.asarray([float(nodes[0]), float(nodes[-1])])
-        else:
-            grid = np.asarray([-1.0, 1.0])
-        vals = act_s[0] * grid - act_c[0]
-        return ConvexProfile(
-            window.c, grid, vals, window.lo, window.lo, -act_c[0], -act_c[0]
-        )
-    switches = np.diff(act_c) / np.diff(act_s)
-    grid = merge_grids(insert_interior(np.sort(switches), nodes))
-    if grid.size < 2:
-        grid = union(grid, grid + 1.0)
-    vals = np.max(grid[:, None] * act_s[None, :] - act_c[None, :], axis=1)
-    return ConvexProfile(
-        window.c, grid, vals, window.lo, window.hi,
-        -float(act_c[0]), -float(act_c[-1]),
-    )
+def _maximizers(s: Fraction, ts: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """Ascending indices of every maximizer of s·t − f, decided exactly: a
+    float s·t − f is within 2⁻⁵⁰·(|s·t| + |f|) + 2⁻¹⁰⁷⁴ of the exact value,
+    and `Fraction`s compare the samples that this bound cannot separate."""
+    g, err = float(s) * ts - fs, 2.0 ** -50 * (np.abs(float(s) * ts) + np.abs(fs))
+    near = np.flatnonzero(g + err >= np.max(g - err - 2.0 ** -1073))
+    if near.size == 1:
+        return near
+    exact = [s * Fraction(t) - Fraction(f) for t, f in zip(ts[near].tolist(), fs[near].tolist())]
+    top = max(exact)
+    return near[[e == top for e in exact]]
 
 
 def envelope_of_samples(
     window: SlopeWindow,
     obs_ts,
     obs_fs,
-    limit_lo: float | None = None,
-    limit_hi: float | None = None,
 ) -> ConvexProfile:
-    """Maximal convex minorant of PL sample data with slopes in `window`.
-
-    Samples that repeat a t count once, with their smallest f; the
-    distinct sample points are the nodes of the profile's grid.
-
-    limit_lo / limit_hi inject sup values attained at t = ∓∞ into the
-    conjugate at the window endpoints (only meaningful when lo = 0 resp.
-    hi = c, where the obstacle levels off in the unbounded direction).
-    The hull and the conjugate see only the contact slice (module doc).
+    """Maximal convex minorant of PL sample data with slopes in `window`:
+    the lower hull of the contact slice (module doc), continued by the
+    window's lines through its end vertices.  Samples that repeat a t count
+    once, with their smallest f.
     """
     obs_ts = np.asarray(obs_ts, dtype=float)
     obs_fs = np.asarray(obs_fs, dtype=float)
@@ -165,21 +130,28 @@ def envelope_of_samples(
     first_at_t = np.concatenate(([True], obs_ts[1:] != obs_ts[:-1]))
     obs_ts, obs_fs = obs_ts[first_at_t], obs_fs[first_at_t]
 
-    lo_f, hi_f = float(window.lo), float(window.hi)
-    # the contact slice: from the first maximizer of lo·t − f to the last
-    # of hi·t − f; hull chords outside it clip to lo resp. hi
-    first = int(np.argmax(lo_f * obs_ts - obs_fs))
-    last = obs_ts.size - 1 - int(np.argmax((hi_f * obs_ts - obs_fs)[::-1]))
-    contact = slice(first, max(first, last) + 1)
-    ht, hf = lower_hull(obs_ts[contact], obs_fs[contact])
-    chords = np.diff(hf) / np.diff(ht) if ht.size > 1 else np.empty(0)
-    slopes = union([lo_f, hi_f], np.clip(chords, lo_f, hi_f))
-    cvals = conjugate_at_slopes(ht, hf, slopes)
-    if limit_lo is not None:
-        cvals[0] = max(cvals[0], limit_lo)
-    if limit_hi is not None:
-        cvals[-1] = max(cvals[-1], limit_hi)
-    return _assemble(window, slopes, cvals, obs_ts)
+    first = _maximizers(window.lo, obs_ts, obs_fs)[0]
+    last = _maximizers(window.hi, obs_ts, obs_fs)[-1]
+    ts = obs_ts[first:last + 1]
+    return _hull_profile(window, *lower_hull(ts, obs_fs[first:last + 1]), ts)
+
+
+def _hull_profile(window: SlopeWindow, ht, hf, ts) -> ConvexProfile:
+    """The envelope from the lower hull (ht, hf) of the contact slice ts:
+    the hull, with tails through its end vertices."""
+    lo, hi = window.lo, window.hi
+    a_lo, a_hi = hf[0] - float(lo) * ht[0], hf[-1] - float(hi) * ht[-1]
+    if lo == hi:
+        # the slice lies on one line; its end vertices agree to rounding
+        a_lo = a_hi = min(a_lo, a_hi)
+        ht, hf = ht[:1], np.asarray([float(lo) * ht[0] + a_lo])
+    if ht.size == 1:
+        ht, hf = np.append(ht, ht[0] + 1.0), np.append(hf, float(hi) * (ht[0] + 1.0) + a_hi)
+    # a sample off the hull joins the grid only apart from its neighbours:
+    # over a closer cell the chord of interpolated values is round-off noise
+    apart = np.diff(ts) > 1e-6 * max(1.0, float(np.max(np.abs(ts))))
+    grid = insert_interior(ht, ts[np.append(True, apart) & np.append(apart, True)])
+    return ConvexProfile(window.c, grid, np.interp(grid, ht, hf), lo, hi, a_lo, a_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +210,7 @@ def _obstacle_samples(class_mass, K: WeightedSet):
 def weighted_envelope(p: ConvexProfile, K: WeightedSet) -> ConvexProfile:
     """Maximal convex minorant of (c·f_FS + v on K) with p's slope window.
 
-    Takes the restricted conjugate of the sampled obstacle directly.  The
+    Hulls the sampled obstacle directly (`envelope_of_samples`).  The
     route through the base-window envelope of (K, v), projected below
     afterwards, gives the same profile for exact linear-tail profiles;
     the suite builds that route and asserts the equality.
@@ -250,11 +222,7 @@ def weighted_envelope(p: ConvexProfile, K: WeightedSet) -> ConvexProfile:
         # (K, v) = (X, 0): the weighted envelope is the I-model projection
         return i_model_envelope(p)
     obs_ts, obs_phi = _obstacle_samples(c, K)
-    return envelope_of_samples(
-        window, obs_ts, obs_phi,
-        limit_lo=-vs[0] if (K.whole_space and window.lo == 0) else None,
-        limit_hi=-vs[-1] if (K.whole_space and window.hi == c) else None,
-    )
+    return envelope_of_samples(window, obs_ts, obs_phi)
 
 
 def divergence(u: ConvexProfile, v: ConvexProfile) -> Fraction:

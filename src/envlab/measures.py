@@ -129,9 +129,9 @@ def ma_measure(p: ConvexProfile) -> RadialMeasure:
     """
     c = float(p.class_mass)
     total = p.s_plus - p.s_minus
+    if total == 0:  # affine, whatever its samples' rounding
+        return RadialMeasure(np.empty(0), np.empty(0), (), None, Fraction(0))
     if isinstance(p.exact, WindowEnvelope):
-        if total == 0:
-            return RadialMeasure(np.empty(0), np.empty(0), (), None, Fraction(0))
         lo, hi = float(p.s_minus), float(p.s_plus)
         t_lo = float(logit(lo / c)) if lo > 0 else float(p.grid[0])
         t_hi = float(logit(hi / c)) if hi < c else float(p.grid[-1])

@@ -24,9 +24,9 @@ from envlab.envelopes import _obstacle_samples, envelope_of_samples, window_enve
 from envlab.errors import InfeasibleClassError, InputError
 from envlab.experiments import weighted_fixture
 from envlab.profiles import SlopeWindow, WindowEnvelope
-from envlab.quadrature import union
 
 from conftest import random_pl_profile, random_weighted_set
+from test_mirror import mirror_windows, weighted_sets
 
 
 def brute_force_biconjugate(p, ts, slopes):
@@ -41,12 +41,7 @@ def _flat_order_envelope(p, K):
     """Base-window envelope of the sampled (K, v) obstacle, then p's window."""
     c = p.class_mass
     obs_ts, obs_phi = _obstacle_samples(c, K)
-    _, vs = K.sample_points()
-    q = envelope_of_samples(
-        SlopeWindow(Fraction(0), c, c), obs_ts, obs_phi,
-        limit_lo=-vs[0] if K.whole_space else None,
-        limit_hi=-vs[-1] if K.whole_space else None,
-    )
+    q = envelope_of_samples(SlopeWindow(Fraction(0), c, c), obs_ts, obs_phi)
     return envelope_of_samples(p.window, q.grid, q.values)
 
 
@@ -113,23 +108,21 @@ class TestBiconjugacy:
         assert np.max(np.abs(got - want)) < 1e-9
 
 
-def full_hull_envelope(window, obs_ts, obs_fs, limit_lo=None, limit_hi=None):
-    """Reference: `envelope_of_samples` with the hull and the conjugate
-    taken over every sample, not only the contact slice."""
+def full_hull_envelope(window, obs_ts, obs_fs):
+    """Reference: the lower hull of every sample, trimmed to the contact
+    slice's end vertices, which its exact chord slopes decide.  The slice
+    starts after the chords below lo and ends before those above hi."""
     obs_ts = np.asarray(obs_ts, dtype=float)
     obs_fs = np.asarray(obs_fs, dtype=float)
     order = np.argsort(obs_ts)
     obs_ts, obs_fs = obs_ts[order], obs_fs[order]
-    lo_f, hi_f = float(window.lo), float(window.hi)
     ht, hf = envelopes.lower_hull(obs_ts, obs_fs)
-    chords = np.diff(hf) / np.diff(ht) if ht.size > 1 else np.empty(0)
-    slopes = union([lo_f, hi_f], np.clip(chords, lo_f, hi_f))
-    cvals = envelopes.conjugate_at_slopes(ht, hf, slopes)
-    if limit_lo is not None and slopes[0] == lo_f:
-        cvals[0] = max(cvals[0], limit_lo)
-    if limit_hi is not None and slopes[-1] == hi_f:
-        cvals[-1] = max(cvals[-1], limit_hi)
-    return envelopes._assemble(window, slopes, cvals, obs_ts)
+    x, y = [Fraction(v) for v in ht.tolist()], [Fraction(v) for v in hf.tolist()]
+    chords = [(y[i + 1] - y[i]) / (x[i + 1] - x[i]) for i in range(len(x) - 1)]
+    first = sum(s < window.lo for s in chords)
+    last = sum(s <= window.hi for s in chords)
+    ts = obs_ts[(obs_ts >= ht[first]) & (obs_ts <= ht[last])]
+    return envelopes._hull_profile(window, ht[first:last + 1], hf[first:last + 1], ts)
 
 
 def same_profile(got, want):
@@ -142,7 +135,7 @@ def same_profile(got, want):
 
 @st.composite
 def windowed_obstacles(draw):
-    """(window, ts, fs, limit_lo, limit_hi) with distinct sample points.
+    """(window, ts, fs) with distinct sample points.
 
     Integer levels repeat, which gives flat runs and argmax ties at slope
     0.  When every point is a multiple of 1/8, a run may also lie on a
@@ -164,10 +157,7 @@ def windowed_obstacles(draw):
             a = draw(st.integers(0, n - 1))
             b = draw(st.integers(a, n - 1))
             fs[a:b + 1] = [float(s) * t - 1.0 for t in ts[a:b + 1]]
-    limit = st.none() | st.floats(-20.0, 20.0)
-    limit_lo = draw(limit) if lo == 0 else None
-    limit_hi = draw(limit) if hi == c else None
-    return window, ts, fs, limit_lo, limit_hi
+    return window, ts, fs
 
 
 def exact_lower_hull(ts, fs):
@@ -212,6 +202,14 @@ def tiny_samples(draw):
     return ts, fs
 
 
+def atoms_off_samples(env, ts):
+    """The atoms of env's MA measure that lie on no sample t, exactly."""
+    if env.mass == 0:
+        return []
+    on = set(np.asarray(ts, dtype=float).tolist())
+    return [(t, w) for t, w in ma_measure(env).atoms if t not in on]
+
+
 class TestLowerHull:
     @settings(max_examples=200, deadline=None)
     @given(samples=tiny_samples())
@@ -231,31 +229,40 @@ class TestLowerHull:
 class TestEnvelopeOfSamples:
     @settings(max_examples=400, deadline=None)
     @given(case=windowed_obstacles())
-    @example(case=(SlopeWindow(0, 1, 1), [-1.0, 1.0], [0.5, 0.25], 0.75, -3.0))
     @example(case=(SlopeWindow(Fraction(1, 2), Fraction(1, 2), 1),
-                   [-1.0, 0.0, 1.0, 2.0], [1.0, -0.5, 0.0, 0.5], None, None))
+                   [-1.0, 0.0, 1.0, 2.0], [1.0, -0.5, 0.0, 0.5]))
+    # one slope, and both samples maximize s·t − f: the slice is both
+    @example(case=(SlopeWindow(Fraction(1, 2), Fraction(1, 2), 1), [0.0, 1.0], [0.0, 0.5]))
     @example(case=(SlopeWindow(0, Fraction(1, 3), 1),
-                   [0.0, 1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 1.0, 1.0, 3.0], 0.0, None))
+                   [0.0, 1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 1.0, 1.0, 3.0]))
     # both orientation products underflow to 0.0 at the middle sample, which
     # lies strictly below the chord and is the conjugate's maximizer at lo
     # resp. hi: the whole-line hull once dropped it
     @example(case=(SlopeWindow(0, Fraction(1, 12), 1),
                    [0.0, 8.567514649370104e-278, 2.4035891656995154e-259],
-                   [0.0, 0.0, 7.377083652029965e-113], None, None))
+                   [0.0, 0.0, 7.377083652029965e-113]))
     @example(case=(SlopeWindow(Fraction(1, 12), Fraction(1, 6), 1),
                    [0.0, 8.567514649370104e-278, 2.4035891656995154e-259],
-                   [0.0, 0.0, 7.377083652029965e-113], None, None))
+                   [0.0, 0.0, 7.377083652029965e-113]))
+    # the last samples lie on the line of slope hi = 5/6 only to rounding:
+    # decided among floats, the slice began at 3.75 and the whole line's
+    # envelope at 4.0, and a_minus differed by an ulp
+    @example(case=(SlopeWindow(Fraction(2, 3), Fraction(5, 6), 1),
+                   [-7.37650428889, -7.17453620984, -0.23994121022, 2.89546731811,
+                    4.007255903241038, 4.67789603005, 9.872586258767356],
+                   [-5.10640627949377, -4.971760893460438, -0.34869756038043764,
+                    1.7415747918395623, 7.075749349249607, 2.9298605997995626,
+                    7.151444536546503]))
     def test_contact_slice_matches_full_hull(self, case):
-        window, ts, fs, limit_lo, limit_hi = case
-        kw = dict(limit_lo=limit_lo, limit_hi=limit_hi)
+        window, ts, fs = case
         try:
-            want = full_hull_envelope(window, ts, fs, **kw)
+            want = full_hull_envelope(window, ts, fs)
         except InputError as exc:
             # e.g. samples 1e-264 apart: the profile fails validation
             with pytest.raises(InputError, match=re.escape(str(exc))):
-                envelope_of_samples(window, ts, fs, **kw)
+                envelope_of_samples(window, ts, fs)
             return
-        same_profile(envelope_of_samples(window, ts, fs, **kw), want)
+        same_profile(envelope_of_samples(window, ts, fs), want)
 
     def test_rounding_collinear_end_agrees_to_rounding(self):
         # the last four samples lie on the line of slope hi = 5/6 only to
@@ -287,17 +294,15 @@ class TestEnvelopeOfSamples:
         monkeypatch.setattr(envelopes, "lower_hull",
                             lambda t, f: seen.append(t.size) or real(t, f))
         got = weighted_envelope(u, K)
-        # the first hull is of the samples; the second, of the points
-        # (s, c(s)), gives the envelope's active lines
-        assert seen[0] == last - first + 1 and 0 < last - first + 1 < ts.size
-        assert len(seen) == 2
+        # one hull, of the contact slice's samples only
+        assert seen == [last - first + 1] and 0 < last - first + 1 < ts.size
         same_profile(got, full_hull_envelope(u.window, ts, fs))
 
     @settings(max_examples=300, deadline=None)
     @given(case=windowed_obstacles(), data=st.data())
     def test_repeated_points_keep_the_smallest_value(self, case, data):
         # integer t repeat; the reference sees each t once, at its least f
-        window, _, _, limit_lo, limit_hi = case
+        window, _, _ = case
         n = data.draw(st.integers(1, 24))
         ts = data.draw(st.lists(st.integers(-6, 6).map(float), min_size=n, max_size=n))
         fs = data.draw(st.lists(st.integers(-3, 3).map(float) | st.floats(-20.0, 20.0),
@@ -306,9 +311,39 @@ class TestEnvelopeOfSamples:
         for t, f in zip(ts, fs):
             least[t] = min(f, least.get(t, f))
         uts = sorted(least)
-        kw = dict(limit_lo=limit_lo, limit_hi=limit_hi)
-        want = full_hull_envelope(window, uts, [least[t] for t in uts], **kw)
-        same_profile(envelope_of_samples(window, ts, fs, **kw), want)
+        want = full_hull_envelope(window, uts, [least[t] for t in uts])
+        same_profile(envelope_of_samples(window, ts, fs), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=windowed_obstacles())
+    def test_equals_the_max_of_its_lines(self, case):
+        # the envelope is the max of the lines of slope lo, hi and each
+        # clipped chord of the whole hull, at its conjugate value
+        window, ts, fs = case
+        got = envelope_of_samples(window, ts, fs)
+        lo, hi = float(window.lo), float(window.hi)
+        ht, hf = envelopes.lower_hull(np.asarray(ts), np.asarray(fs))
+        with np.errstate(over="ignore"):
+            chords = np.diff(hf) / np.diff(ht)
+        slopes = np.union1d([lo, hi], np.clip(chords, lo, hi))
+        conj = np.max(slopes[:, None] * ht[None, :] - hf[None, :], axis=1)
+        probe = np.union1d(np.linspace(-60.0, 60.0, 241), ht)
+        want = np.max(slopes[None, :] * probe[:, None] - conj[None, :], axis=1)
+        # rounding only: the largest gap seen over 10,000 draws was one
+        # float spacing of the largest magnitude in play
+        scale = max(1.0, float(np.max(np.abs(fs))), float(np.max(np.abs(want))))
+        assert np.max(np.abs(got(probe) - want)) <= 4 * 2.0 ** -52 * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=windowed_obstacles())
+    # two samples off the hull, 6e-8 apart: the chord between their
+    # interpolated values once broke the profile's convexity check
+    @example(case=(SlopeWindow(0, Fraction(1, 12), 1),
+                   [-0.5, -0.375, 1.0, 1.0000000596046448, 17.0],
+                   [0.0, -1.0, 0.0, 0.0, 0.0]))
+    def test_atoms_sit_on_samples(self, case):
+        window, ts, fs = case
+        assert atoms_off_samples(envelope_of_samples(window, ts, fs), ts) == []
 
     def test_non_finite_samples_raise(self):
         with pytest.raises(InputError, match="finite"):
@@ -482,6 +517,29 @@ class TestWeightedEnvelope:
             gaps.append(float(np.max(np.abs(env_j(grid) - target(grid)))))
         assert gaps[-1] < gaps[0]
         assert gaps[-1] < 0.02
+
+
+class TestFullWindowBumps:
+    # c = 3/2 on the whole line with window [0, c] and a bump of amplitude a
+    # at 9/8: the conjugate's round trip once placed two switches out of
+    # order (a = −0.225, −0.15) or a chord past the tail slope (a = −0.2)
+    @pytest.mark.parametrize("a", [-0.225, -0.2, -0.15])
+    def test_envelope_has_no_leak(self, a):
+        u = window_envelope(Fraction(3, 2), 0, 0)
+        K = WeightedSet.whole(grid=np.linspace(-8, 8, 129),
+                              v=lambda t: a * np.exp(-(np.asarray(t) - 1.125) ** 2))
+        env = weighted_envelope(u, K)
+        assert (env.s_minus, env.s_plus) == (0, Fraction(3, 2))
+        assert contact_leakage(env, K)[0] == 0.0
+        ts, _ = _obstacle_samples(u.class_mass, K)
+        assert atoms_off_samples(env, ts) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=mirror_windows(), K=weighted_sets())
+def test_weighted_envelope_atoms_sit_on_samples(u, K):
+    ts, _ = _obstacle_samples(u.class_mass, K)
+    assert atoms_off_samples(weighted_envelope(u, K), ts) == []
 
 
 class TestDivergence:

@@ -50,6 +50,15 @@ class TestMAMeasure:
         mu = ma_measure(line)
         assert mu.total_mass() == 0.0
 
+    def test_zero_mass_envelope_has_no_atoms(self):
+        # samples that round off the line put a 3.5e-17 kink on it; a
+        # profile of equal tail slopes is affine, so its measure is zero
+        u = window_envelope(1, Fraction(1, 24), Fraction(23, 24))
+        env = weighted_envelope(u, WeightedSet.circles([0.5]))
+        assert env.s_minus == env.s_plus
+        mu = ma_measure(env)
+        assert mu.atoms == () and mu.exact_total == 0 and mu.total_mass() == 0.0
+
     def test_mass_equals_slope_range(self, rng):
         from conftest import random_pl_profile
 
