@@ -247,7 +247,8 @@ def contact_leakage(env: ConvexProfile, K: WeightedSet):
 
     Contact set: samples of the obstacle `weighted_envelope` hulls
     (`_obstacle_samples`) where the envelope touches it within
-    CONTACT_TOL·scale.
+    CONTACT_TOL·scale.  An atom counts as on it only when it is one of
+    those samples exactly, as every atom of a weighted envelope is.
     """
     mu = ma_measure(env)
     ts, phi = _obstacle_samples(env.class_mass, K)
@@ -255,7 +256,8 @@ def contact_leakage(env: ConvexProfile, K: WeightedSet):
     scale = max(1.0, float(np.max(np.abs(phi))))
     contact = ts[gap <= CONTACT_TOL * scale]
     at, aw = np.asarray(mu.atoms, dtype=float).reshape(-1, 2).T
-    touched = np.any(np.abs(contact[None, :] - at[:, None]) <= 1e-9, axis=1)
+    # equality, not np.isin: that goes through np.unique, which imports numpy.ma
+    touched = np.any(contact[None, :] == at[:, None], axis=1)
     bp = mu.breakpoints
     inside = K.contains(0.5 * (bp[:-1] + bp[1:]))
     # added one by one, atoms then cells, as a loop over them would

@@ -22,7 +22,7 @@ One exp policy: numpy's exp is one to two orders of magnitude slower on
 arguments whose result is not a normal float, slowest where it is a
 subnormal.  `exp_normal` calls exp only where the result is a normal
 float and writes 0.0 at or below LOG_TINY, the log of the smallest one.
-The reductions here and the Bergman kernel in `sections` go through it,
+The reductions here and the norm plan's β pass in `sections` go through it,
 and a prune skips only terms that it writes as 0.0.  A max-shifted row
 holds the term e⁰ = 1, and a term below 2⁻¹⁰²² cannot move such a row's
 sum by a bit, so `logsumexp_rows` gives the results of exp on every
@@ -146,6 +146,15 @@ def exp_normal(x, out=None) -> np.ndarray:
     return out
 
 
+def exp_rows(live: np.ndarray) -> np.ndarray:
+    """Each row of the 2-D live less its max, through `exp_normal`, in
+    place (a row with a non-finite max unshifted); returns the maxes."""
+    mx = np.max(live, axis=1) if live.size else np.full(live.shape[0], -np.inf)
+    live -= np.where(np.isfinite(mx), mx, 0.0)[:, None]
+    exp_normal(live, out=live)
+    return mx
+
+
 def logsumexp_rows(buf: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """log Σ exp of each row of a 2-D buf, max-shifted; overwrites buf.
 
@@ -162,10 +171,8 @@ def logsumexp_rows(buf: np.ndarray, lo: int = 0, hi: int | None = None) -> np.nd
     non-finite row max gives −∞.
     """
     live = buf[:, lo:hi]
-    mx = np.max(live, axis=1) if live.size else np.full(buf.shape[0], -np.inf)
+    mx = exp_rows(live)
     ok = np.isfinite(mx)
-    live -= np.where(ok, mx, 0.0)[:, None]
-    exp_normal(live, out=live)
     buf[:, :lo] = 0.0
     buf[:, lo + live.shape[1]:] = 0.0
     out = np.log(np.sum(buf, axis=1), out=np.full(buf.shape[0], -np.inf), where=ok)

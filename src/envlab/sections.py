@@ -38,10 +38,10 @@ cumulative per-index weights (`_binomial_row_means`).  The rows are summed
 only where their entries are not 0.0, and built only where an entry is
 at least 2^−120/(n + 1) times the largest term of a sum it enters, so no
 sum moves by 2^−120 of its value.  Every cell mass is a difference of such
-sums, and no norm, plan or kernel value is computed.  Elsewhere the
-kernel (`_kernel`), from the plan's norms, is evaluated only where β
-needs it: at the norms' 32-node Gauss rule over cells refined at 4k and
-at ν's atoms.
+sums, and no norm, plan or kernel value is computed.  Elsewhere one
+norm plan on β's own cells (refined at 4k) evaluates each exponent once:
+the pass that gives N_j² sums each index's terms by cell too, so β's
+cells, tails and atoms are those pieces of N_j² over N_j², summed over J.
 
 Sup norms (`log_sup2`, `bm_rate`) are `_Exponent`'s conjugate: one hull
 walk (`_log_sups2`) takes G's Legendre conjugate at every slope j, G the
@@ -86,6 +86,7 @@ from .quadrature import (
     LOG_TINY,
     TINY,
     exp_normal,
+    exp_rows,
     gauss_cells,
     insert_interior,
     log_positive,
@@ -93,9 +94,8 @@ from .quadrature import (
     refine_breakpoints,
 )
 
-# Kernel exponents (t × J) and the norm plan's exponents (J × node) are
-# evaluated in blocks of about this many entries, so the working set stays
-# bounded at large k.
+# The norm plan's exponents (J × node) are evaluated in blocks of about
+# this many entries, so the working set stays bounded at large k.
 KERNEL_BLOCK = 2 ** 16
 
 # β's closed-form binomial rows are built this many points at a time, each
@@ -342,26 +342,22 @@ def _weight_kinks(K: WeightedSet) -> np.ndarray:
 
 def _norm_breaks(K: WeightedSet, nu: RadialMeasure):
     """β's cells in `bergman`, before refinement: ν's breakpoints with v's
-    kinks inserted (the kernel never reads u)."""
+    kinks inserted, all of β's integrand's kinks (it never reads u)."""
     base = np.asarray(nu.breakpoints, dtype=float)
     if base.size == 0:
         return None
     return insert_interior(base, _weight_kinks(K))
 
 
-def _plan_breaks(u: ConvexProfile, K: WeightedSet, nu: RadialMeasure):
-    """The norm integrand's kinks on ν's support, ends included (None for
-    atoms only): a density measure is its `density_fn` on [bp[0], bp[−1]],
-    as every constructor in `measures` builds it; v at `_weight_kinks`; u
-    at the contact points where a `WindowEnvelope` switches to its tangent
-    lines, else at its grid.
-    Cells without a `density_fn` raise InputError: quadrature integrates
-    the density, and their masses alone do not give it."""
+def _plan_cells(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure):
+    """The norms' cells: the integrand's kinks on ν's support, ends
+    included, refined at k (None for atoms only).  A density measure is its
+    `density_fn` on [bp[0], bp[−1]], as every constructor in `measures`
+    builds it; v kinks at `_weight_kinks`; u at the contact points where a
+    `WindowEnvelope` switches to its tangent lines, else at its grid."""
     bp = nu.breakpoints
     if bp.size == 0:
         return None
-    if nu.density_fn is None:
-        raise InputError("a measure with cells needs a density_fn to integrate against")
     kinks = [_weight_kinks(K)]
     w = u.exact
     if isinstance(w, WindowEnvelope):
@@ -369,7 +365,7 @@ def _plan_breaks(u: ConvexProfile, K: WeightedSet, nu: RadialMeasure):
                       if 0 < s < w.c])
     else:
         kinks.append(u.grid)
-    return insert_interior(bp[[0, -1]], np.concatenate(kinks))
+    return refine_breakpoints(insert_interior(bp[[0, -1]], np.concatenate(kinks)), k)
 
 
 def _minus_fraction(n: np.ndarray, x: Fraction) -> np.ndarray:
@@ -382,34 +378,35 @@ def _minus_fraction(n: np.ndarray, x: Fraction) -> np.ndarray:
 
 
 class _NormPlan:
-    """log N² of every z^j against ν, from one quadrature plan.
+    """log N² of every z^j against ν from one quadrature plan, and β from
+    the same pass.
 
-    The cells are the integrand's kinks (`_plan_breaks`) refined at k, so
-    no Gauss cell straddles a jump of u″ or v″.  The nodes, the index-free
-    exponent terms, log ρ and log w are evaluated once.  `log_norms2`
-    takes the indices as the rows of (index × node) blocks of at most
-    KERNEL_BLOCK entries, each row the arithmetic of a separate quadrature
-    of its index: j·t, less the index-free terms in order, plus log ρ and
-    log w; then `logsumexp_rows`: the row max, exp and the sum over the
-    whole row.
+    The caller gives the cells: `_log_norms2` the integrand's kinks refined
+    at k (`_plan_cells`), so no Gauss cell straddles a jump of u″ or v″;
+    `bergman` β's own cells.  The nodes, the index-free exponent terms,
+    log ρ and log w are evaluated once.  `_blocks` takes the indices as the
+    rows of (index × node) blocks of at most KERNEL_BLOCK entries, each row
+    the arithmetic of a separate quadrature of its index: j·t, less the
+    index-free terms in order, plus log ρ and log w.  `log_norms2` reduces
+    each row with `logsumexp_rows`: the row max, exp and the sum over the
+    whole row; `beta` also sums the row's terms by cell.
     Cells wholly more than −LOG_TINY below every row's peak are not
-    evaluated: `exp_normal` writes their terms as 0.0.  The atoms and the
-    closed-form tails beyond a whole-line measure's ends are arrays over
-    the indices too.  A measure of atoms only has no cells: its quadrature
-    piece is −∞.
+    evaluated: `exp_normal` writes their terms as 0.0.  A measure of atoms
+    only has no cells (None) and no blocks: its quadrature piece is −∞.
     """
 
     def __init__(self, k: int, m: int, u: ConvexProfile, K: WeightedSet,
-                 nu: RadialMeasure, singular: bool):
-        breaks = _plan_breaks(u, K, nu)
-        if breaks is None and not nu.atoms:
+                 nu: RadialMeasure, singular: bool, cells: np.ndarray | None):
+        if cells is None and not nu.atoms:
             raise InputError("measure carries neither cells nor atoms")
+        # quadrature integrates the density; cell masses alone do not give it
+        if cells is not None and nu.density_fn is None:
+            raise InputError("a measure with cells needs a density_fn to integrate against")
         self.m = m
         self.tail_shifts = _tail_shifts(k, u, singular)
-        self.cells = self.body = self.edges = None
-        if breaks is not None:
-            self.cells = refine_breakpoints(breaks, k)
-            ts, ws = gauss_cells(self.cells)
+        self.body = self.edges = None
+        if cells is not None:
+            ts, ws = gauss_cells(cells)
             self.log_ws = np.log(ws)
             self.body = _Exponent(ts, k, m, u, K, singular)
             self.log_dens = log_positive(nu.density_fn(ts))
@@ -419,29 +416,33 @@ class _NormPlan:
             for x in self.body.terms:
                 free -= x
             free += self.log_dens
-            cells = (self.cells.size - 1, GL_NODES)
-            self.cell_free = free.reshape(cells).max(axis=1)
-            self.cell_t0, self.cell_t1 = ts.reshape(cells)[:, [0, -1]].T
+            shape = (cells.size - 1, GL_NODES)
+            self.cell_free = free.reshape(shape).max(axis=1)
+            self.cell_t0, self.cell_t1 = ts.reshape(shape)[:, [0, -1]].T
             if _measure_is_whole_line(nu):
                 self.edges = tuple(
                     (_Exponent(edge, k, m, u, K, singular),
                      float(np.log(nu.density_fn(edge))))
-                    for edge in (breaks[0], breaks[-1])
+                    for edge in (cells[0], cells[-1])
                 )
         self.atoms = tuple((_Exponent(np.asarray([t]), k, m, u, K, singular), np.log(w))
                            for t, w in nu.atoms)
 
-    def _log_quadrature(self, jf: np.ndarray) -> np.ndarray:
-        """The cells' piece of log N² for the float indices jf ≥ 0.
+    def _blocks(self, jf: np.ndarray):
+        """The cells' exponents for the float indices jf ≥ 0, one block of
+        rows at a time: (rows, block, span), where block[:, span] holds the
+        terms E_j + log ρ + log w and every term outside span is one that
+        `exp_normal` writes as 0.0.  The block is reused.
 
         Some node of a cell reaches j·t0 + free and none exceeds j·t1 + free;
         a block's cells whose bound lies more than −LOG_TINY below each row's
-        best reach (less a unit margin for rounding) are left as 0.0.
+        best reach (less a unit margin for rounding) are left out of span.
         """
+        if self.body is None:
+            return
         n = self.body.t.size
         rows = max(1, KERNEL_BLOCK // n)
         block = np.empty((min(rows, jf.size), n))
-        out = np.empty(jf.size)
         for lo in range(0, jf.size, rows):
             j = jf[lo:lo + rows, None]
             reach = np.max(j * self.cell_t0 + self.cell_free, axis=1)
@@ -453,28 +454,65 @@ class _NormPlan:
             sub = self.body(j, out=ex[:, span], span=span)
             sub += self.log_dens[span]
             sub += self.log_ws[span]
-            out[lo:lo + j.size] = logsumexp_rows(ex, span.start, span.stop)
-        return out
+            yield slice(lo, lo + j.size), ex, span
 
-    def tails(self, js: np.ndarray):
-        """At each end of a whole-line measure's cells: E_j + log ρ there,
-        and the rate at which it decays beyond, j + 1 − k·ν₀ at −∞ and
-        m − j + 1 − k·ν_∞ at +∞ (ρ contributes e^{t} and e^{−t}), both
-        positive for j ∈ J."""
-        s_lo, s_hi = self.tail_shifts
-        rates = (_minus_fraction(js + 1, s_lo), _minus_fraction(self.m - js + 1, s_hi))
-        return [(E(js.astype(float)) + log_rho, rate)
-                for (E, log_rho), rate in zip(self.edges, rates)]
+    def _pieces(self, js: np.ndarray) -> list:
+        """log N²'s pieces besides the cells', as arrays over the int64 js:
+        E_j + log w at each atom; then at each end of a whole-line measure's
+        cells E_j + log ρ there, less the log of the rate at which it decays
+        beyond: j + 1 − k·ν₀ at −∞ and m − j + 1 − k·ν_∞ at +∞ (ρ contributes
+        e^{t} and e^{−t}), both positive for j ∈ J."""
+        jf = js.astype(float)
+        pieces = [E(jf) + log_w for E, log_w in self.atoms]
+        if self.edges is not None:
+            s_lo, s_hi = self.tail_shifts
+            rates = (_minus_fraction(js + 1, s_lo), _minus_fraction(self.m - js + 1, s_hi))
+            pieces += [E(jf) + log_rho - np.log(rate)
+                       for (E, log_rho), rate in zip(self.edges, rates)]
+        return pieces
 
     def log_norms2(self, js: np.ndarray) -> np.ndarray:
         """log N² of z^j for every j of the int64 array js."""
-        tails = ([] if self.edges is None
-                 else [lv - np.log(rate) for lv, rate in self.tails(js)])
-        jf = js.astype(float)
-        pieces = [np.full(js.size, -np.inf) if self.body is None
-                  else self._log_quadrature(jf)]
-        pieces.extend(E(jf) + log_w for E, log_w in self.atoms)
-        return logsumexp_rows(np.column_stack(pieces + tails))
+        quad = np.full(js.size, -np.inf)
+        for rows, ex, span in self._blocks(js.astype(float)):
+            quad[rows] = logsumexp_rows(ex, span.start, span.stop)
+        return logsumexp_rows(np.column_stack([quad] + self._pieces(js)))
+
+    def beta(self, js: np.ndarray, k: int):
+        """β = B·ν/k over J = js from one pass of the exponents: its mass
+        per cell (the tails beyond a whole-line measure's ends in the end
+        cells) and per atom.
+
+        Each row's terms, less the row max (`exp_rows`), are summed by cell;
+        log N² is the max plus the log of their total, with the atom and
+        tail pieces.  Row after row, the cell sums times e^{shift − log N²}/k
+        are added to β's cells; no sum depends on KERNEL_BLOCK.  A product
+        below 2·TINY is written as 0.0, the atoms and tails go through
+        `exp_normal`: every value is 0.0 or a normal float.  An index's
+        pieces over their total add up to 1, so ∫β = h0/k up to rounding.
+        """
+        pieces = self._pieces(js)
+        log_k = math.log(k)
+        n_cells = 0 if self.body is None else self.cell_free.size
+        cells = np.zeros(n_cells)
+        logs = self.log_norms2(js) if self.body is None else np.empty(js.size)
+        for rows, ex, span in self._blocks(js.astype(float)):
+            shift = exp_rows(ex[:, span])
+            sums = np.zeros((shift.size, n_cells))
+            sums[:, span.start // GL_NODES:span.stop // GL_NODES] = (
+                ex[:, span].reshape(shift.size, -1, GL_NODES).sum(axis=2))
+            quad = shift + log_positive(np.sum(sums, axis=1))
+            logs[rows] = logsumexp_rows(np.column_stack([quad] + [p[rows] for p in pieces]))
+            scale = exp_normal(shift - logs[rows] - log_k)
+            sums[sums < (2.0 * TINY / np.maximum(scale, TINY))[:, None]] = 0.0
+            sums *= scale[:, None]
+            for row in sums:
+                cells += row
+        masses = [float(np.sum(exp_normal(p - logs - log_k))) for p in pieces]
+        if self.edges is not None:
+            cells[0] += masses[-2]
+            cells[-1] += masses[-1]
+        return cells, masses[:len(self.atoms)]
 
 
 def _log_sups2(k: int, m: int, u: ConvexProfile, K: WeightedSet, js,
@@ -684,16 +722,17 @@ def _binomial_steps(t: np.ndarray, n: int):
 
 def _log_rows(t: np.ndarray, log_ratio: np.ndarray, mode: np.ndarray,
               lo: int, hi: int) -> np.ndarray:
-    """log P(i)/P(i₀) for i in [lo, hi], one row per point of t, each
-    row's mode i₀ in [lo, hi].
+    """log P(i)/P(i₀) for i in [lo, hi], one row per point of the
+    ascending t, each row's mode i₀ in [lo, hi].
 
     The cumulative sums of log_ratio + t outward from i₀, so no term of
     the size of log C(n, i) is rounded; on [lo, hi] they are those of the
     whole row 0..n, bit for bit.  Each fold runs only over its own side's
     span: the upward one from the smallest mode, the downward one to the
-    largest.  Before a fold's first term it would add only exact zeros.
+    largest, the first row's and the last's (modes are nondecreasing in
+    t).  Before a fold's first term it would add only exact zeros.
     """
-    up0, down1 = int(mode.min()), int(mode.max())
+    up0, down1 = int(mode[0]), int(mode[-1])
     lw = np.zeros((t.size, hi - lo + 1))
     up = log_ratio[up0:hi] + t[:, None]
     up[np.arange(up0, hi) < mode[:, None]] = 0.0
@@ -749,7 +788,7 @@ def _row_windows(t: np.ndarray, n: int, log_ratio: np.ndarray, mode: np.ndarray,
 
     Both windows come from the prefix sums of log_ratio at each chunk's
     first and last rows, less a unit margin for rounding (as in
-    `_kernel`'s prune).
+    `_NormPlan._blocks`' prune).
     """
     first = np.arange(0, t.size, ROW_CHUNK)
     last = np.minimum(first + ROW_CHUNK, t.size) - 1
@@ -798,19 +837,19 @@ def _binomial_row_means(t: np.ndarray, n: int, weights: np.ndarray,
     time.  A value that would not be a normal float is written as 0.0.
     """
     log_ratio, mode = _binomial_steps(t, n)
-    out = np.empty((t.size, weights.shape[1]))
+    num = np.empty((t.size, weights.shape[1]))
+    den = np.empty((t.size, 1))
     for r0, r1, lo, hi, a, b in _row_windows(t, n, log_ratio, mode, weights):
         sl = slice(r0, r1 + 1)
         w = np.zeros((r1 + 1 - r0, hi + 1 - lo))
-        exp_normal(_log_rows(t[sl], log_ratio, mode[sl], a, b),
-                   out=w[:, a - lo:b + 1 - lo])
-        num = w @ weights[lo:hi + 1]
-        den = (np.sum(w, axis=1) / unit)[:, None]
-        # 0.0 where num/den could leave the normal range; the bound is put on
-        # num (≥ tiny where nonzero), so no subnormal is ever formed
-        normal = num >= 2.0 * TINY * np.maximum(den, 1.0)
-        out[sl] = np.divide(num, den, out=np.zeros_like(num), where=normal)
-    return out
+        lw = _log_rows(t[sl], log_ratio, mode[sl], a, b)
+        np.exp(lw, out=w[:, a - lo:b + 1 - lo], where=lw > LOG_TINY)
+        num[sl] = w @ weights[lo:hi + 1]
+        den[sl, 0] = np.sum(w, axis=1) / unit
+    # 0.0 where num/den could leave the normal range; the bound is put on
+    # num (≥ tiny where nonzero), so no subnormal is ever formed
+    normal = num >= 2.0 * TINY * np.maximum(den, 1.0)
+    return np.divide(num, den, out=np.zeros_like(num), where=normal)
 
 
 def _fs_beta_cdfs(t: np.ndarray, m: int, j_min: int, n_J: int,
@@ -904,7 +943,7 @@ def _log_norms2(k: int, m: int, J, u: ConvexProfile, K: WeightedSet,
     logs = _closed_form_log_norms2(k, m, js, u, K, nu, singular)
     if logs is not None:
         return logs
-    return _NormPlan(k, m, u, K, nu, singular).log_norms2(js)
+    return _NormPlan(k, m, u, K, nu, singular, _plan_cells(k, u, K, nu)).log_norms2(js)
 
 
 def _check_index(j: int, m: int) -> None:
@@ -964,39 +1003,6 @@ def reference_basis(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> Se
 # partial Bergman kernels and measures
 # ---------------------------------------------------------------------------
 
-def _kernel(t, k: int, m: int, js: np.ndarray, logs: np.ndarray,
-            K: WeightedSet) -> np.ndarray:
-    """B(t) = Σ_J e^{E_j(t)}/N_j² at the points t, log N_j² = logs.
-
-    (t × J) exponents in blocks of about KERNEL_BLOCK entries, through
-    `exp_normal`: a term with exponent at or below LOG_TINY is 0.0, so
-    each value is 0.0 or at least TINY.  In a block, an index whose bound
-    j·max t + max base − log N_j² lies below LOG_TINY (less a unit margin
-    for rounding) is 0.0 on every row, and is written as such; each row
-    still sums all |J| entries.
-    """
-    t = np.asarray(t, dtype=float)
-    base = -float(m) * softplus(t) - float(k) * K.weight_at(t)
-    rows = max(1, KERNEL_BLOCK // js.size)
-    out = np.empty(t.size)
-    block = np.empty((min(rows, t.size), js.size))
-    for lo in range(0, t.size, rows):
-        sl = slice(lo, lo + rows)
-        ex = block[:t[sl].size]
-        ex[...] = 0.0
-        top = js * np.max(t[sl]) + np.max(base[sl]) - logs
-        live = np.flatnonzero(~(top < LOG_TINY - 1.0))
-        if live.size:
-            cols = slice(live[0], live[-1] + 1)
-            sub = ex[:, cols]
-            np.multiply(js[None, cols], t[sl, None], out=sub)
-            sub += base[sl, None]
-            sub -= logs[None, cols]
-            exp_normal(sub, out=sub)
-        out[sl] = np.sum(ex, axis=1)
-    return out
-
-
 def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
             tw: TwistData = TwistData()) -> BergmanResult:
     """The partial Bergman measure β = B·ν/k over (K, v, ν), with its mass.
@@ -1006,13 +1012,17 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
     differences of binomial expectations: on the FS volume
     (`_fs_beta_cell_masses`) and against the area density on [a, b] with
     v ≡ 0 there (`_area_beta_cell_masses`, which may decline).  Then no
-    norm plan, Gauss node or kernel value is computed, and the mass
-    identity ∫β = h0/k checks their telescoping, not a quadrature.
-    Elsewhere the kernel, from the norms' quadrature plan, is integrated on
-    the 32-node Gauss rule over each cell, with the norms' closed-form
-    tails beyond a whole-line measure's ends and its value at each atom,
-    and the mass identity is a genuine quadrature check.  With no
-    admissible index β is 0 and nothing is built.
+    norm plan or Gauss node is built, and the mass identity ∫β = h0/k
+    checks their telescoping.  Elsewhere one pass of a norm plan on β's
+    cells gives the norms and β (`_NormPlan.beta`): each index's Gauss
+    cells, tails and atoms over their own total N_j².  There the identity
+    holds by construction, and the quadrature's oracles are the closed
+    forms, in tests/test_sections.py's cross-route tests
+    `TestBergman::test_matches_the_quadrature_route`,
+    `::test_random_windows_match_the_quadrature_route` and
+    `TestAreaBeta::test_matches_the_quadrature_route`, and in the annulus
+    mirror of tests/test_mirror.py (`test_annulus_*_mirror_plan*`).  With
+    no admissible index β is 0 and nothing is built.
     """
     if not abs(nu.total_mass() - 1.0) <= 1e-9:
         raise InputError("reference measure must be a probability measure")
@@ -1024,37 +1034,17 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
     breaks = _norm_breaks(K, nu)
     fine = np.empty(0) if breaks is None else refine_breakpoints(breaks, 4 * k)
     law = _closed_form_density(K, nu)
-    masses = None
+    masses, atoms = None, ()
     if law is logistic_density:
         masses = _fs_beta_cell_masses(fine, m, basis.J[0], len(basis.J), 1 / k)
     elif law is not None:
         masses = _area_beta_cell_masses(fine, m, basis.J, 1 / k)
-    if masses is not None:
-        beta = RadialMeasure(fine, masses, ())
-        return BergmanResult(k, beta, beta.total_mass(), len(basis.J))
-
-    # no closed form applies: the norms are the plan's
-    plan = _NormPlan(k, m, u, K, nu, False)
-    J = np.asarray(basis.J)
-    logs = plan.log_norms2(J)
-    js = J.astype(float)
-    atoms = [(t, float(_kernel([t], k, m, js, logs, K)[0]) * w / k)
-             for t, w in nu.atoms]
-    per_cell = np.empty(0)
-    if breaks is not None:
-        ts, ws = gauss_cells(fine)
-        kernel = _kernel(ts, k, m, js, logs, K)
-        # far out at large k a kernel value times ρ·w/k, or a tail term over
-        # its rate, may be a subnormal: the correctly rounded value, so its
-        # underflow flag is not an error
-        with np.errstate(under="ignore"):
-            vals = kernel * np.asarray(nu.density_fn(ts)) * ws / k
-            per_cell = vals.reshape(fine.size - 1, -1).sum(axis=1)
-            if plan.edges is not None:
-                # closed-form tails beyond the cells' ends, the norms' own
-                for i, (lv, rate) in zip((0, -1), plan.tails(J)):
-                    per_cell[i] += np.sum(exp_normal(lv - logs) / rate) / k
-    beta = RadialMeasure(fine, per_cell, tuple(atoms))
+    if masses is None:
+        # no closed form applies: a plan on β's own cells gives the norms and β
+        plan = _NormPlan(k, m, u, K, nu, False, None if breaks is None else fine)
+        masses, atom_masses = plan.beta(np.asarray(basis.J), k)
+        atoms = tuple((t, w) for (t, _), w in zip(nu.atoms, atom_masses))
+    beta = RadialMeasure(fine, masses, atoms)
     return BergmanResult(k, beta, beta.total_mass(), len(basis.J))
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from envlab import envelopes
 from envlab import (
+    ConvexProfile,
     WeightedSet,
     base_profile,
     contact_leakage,
@@ -173,7 +174,8 @@ def exact_lower_hull(ts, fs):
 
 def loop_contact_leakage(env, K):
     """Reference: the mass of env's MA measure off the contact set, by a
-    Python loop over its atoms and then its cells, one `contains` each."""
+    Python loop over its atoms and then its cells, one `contains` each; an
+    atom is on the contact set when it equals one of its samples."""
     mu = ma_measure(env)
     ts, phi = _obstacle_samples(env.class_mass, K)
     gap = np.abs(env(ts) - phi)
@@ -181,7 +183,7 @@ def loop_contact_leakage(env, K):
     contact = ts[gap <= envelopes.CONTACT_TOL * scale]
     leak = 0.0
     for t, w in mu.atoms:
-        if not (contact.size and np.min(np.abs(contact - t)) <= 1e-9):
+        if t not in contact.tolist():
             leak += w
     mids = 0.5 * (mu.breakpoints[:-1] + mu.breakpoints[1:])
     for m_cell, tm in zip(mu.cell_masses, mids):
@@ -497,6 +499,21 @@ class TestWeightedEnvelope:
         leak, total = contact_leakage(weighted_envelope(base_profile(1), K), K)
         assert leak == 0.0
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("offset,leak", [(0.0, 0.0), (1e-12, 1.0)])
+    def test_an_atom_off_every_sample_leaks(self, offset, leak):
+        # one kink of mass 1 beside the sample t0 = 0 of [−1, 1], where the
+        # profile touches the obstacle: on the sample it is in contact, and
+        # 1e-12 off it (within the old 1e-9 match) it is not
+        K = WeightedSet.interval(-1.0, 1.0)
+        ts, phi = _obstacle_samples(1, K)
+        t0, f0 = ts[64], phi[64]
+        assert t0 == 0.0
+        p = ConvexProfile(1, [t0 - 1, t0 + offset, t0 + 1], [f0, f0, f0 + 1 - offset],
+                          0, 1, f0, f0 - t0 - offset)
+        assert ma_measure(p).atoms == ((t0 + offset, 1.0),)
+        assert contact_leakage(p, K) == (leak, 1.0)
+        assert loop_contact_leakage(p, K) == (leak, 1.0)
 
     def test_monotone_continuity(self, rng):
         # scripted decreasing sequence u_j -> u: envelopes decrease with

@@ -412,10 +412,11 @@ def per_index_log_norm2(k, m, u, K, nu, singular=False):
 
 
 def plan_log_norms2(k, u, K, nu, tw=TwistData(), singular=False):
-    """(J, log N² of each z^j from one `_NormPlan`), bypassing the closed form."""
+    """(J, log N² of each z^j from one `_NormPlan` on the norms' cells),
+    bypassing the closed form."""
     basis = admissible_set(k, u, tw)
     assert basis.J
-    plan = _NormPlan(k, basis.m, u, K, nu, singular)
+    plan = _NormPlan(k, basis.m, u, K, nu, singular, sections._plan_cells(k, u, K, nu))
     return basis, plan.log_norms2(np.asarray(basis.J, dtype=np.int64))
 
 
@@ -544,40 +545,54 @@ class TestSharedPlan:
             assert log_norm2(j, 20, u, K, nu) == basis.log_norms2[i]
 
 
+def norm_plan_cells(monkeypatch, k, u, K, nu, singular=False):
+    """The cells `_log_norms2` gives its plan, with ν's density wrapped so
+    that no closed form applies."""
+    seen = []
+    real = sections._NormPlan
+    with monkeypatch.context() as patch:
+        patch.setattr(sections, "_NormPlan",
+                      lambda *args: seen.append(args[-1]) or real(*args))
+        basis = admissible_set(k, u)
+        sections._log_norms2(k, basis.m, basis.J, u, K, quadrature_route(nu), singular)
+    assert len(seen) == 1
+    return seen[0]
+
+
 class TestPlanCells:
-    """The plan's cells are the integrand's kinks refined at k, not ν's
-    storage grid."""
+    """The norm plan's cells are the integrand's kinks refined at k, not
+    ν's storage grid."""
 
     @pytest.mark.parametrize("k", [100, 400])
-    def test_storage_nodes_are_no_cell_ends_on_the_fs_volume(self, k):
+    def test_storage_nodes_are_no_cell_ends_on_the_fs_volume(self, k, monkeypatch):
         # on vtheta-fs the integrand has no kink inside (−40, 40); the
         # refinement's own ends i·80/n − 40 with n = 201 and 401 cells miss
         # every 1/16 node
         u, K, nu = weighted_fixture("vtheta-fs")
-        cells = _NormPlan(k, k, u, K, nu, False).cells
+        cells = norm_plan_cells(monkeypatch, k, u, K, nu)
         storage = nu.breakpoints[1:-1]
         assert storage.size == 1279
         assert not np.isin(storage, cells).any()
         assert np.array_equal(cells, refine_breakpoints(nu.breakpoints[[0, -1]], k))
 
     @pytest.mark.parametrize("singular", [False, True])
-    def test_window_contact_points_are_cell_ends(self, singular):
+    def test_window_contact_points_are_cell_ends(self, singular, monkeypatch):
         u, K, nu = weighted_fixture("third-quarter-fs")
         contacts = [float(logit(1 / 3)), float(logit(3 / 4))]
-        cells = _NormPlan(60, 60, u, K, nu, singular).cells
+        cells = norm_plan_cells(monkeypatch, 60, u, K, nu, singular)
         assert np.isin(contacts, cells).all()
         assert np.array_equal(cells, refine_breakpoints(
             [-40.0, contacts[0], contacts[1], 40.0], 60))
 
-    def test_sampled_nonzero_weight_keeps_its_nodes(self):
+    def test_sampled_nonzero_weight_keeps_its_nodes(self, monkeypatch):
         u, nu = base_profile(1), annulus_area_measure()
         sampled = WeightedSet.interval(-1.0, 1.0, v=0.1 * np.linspace(-1, 1, 129) ** 2)
         exact = WeightedSet.interval(-1.0, 1.0, v=lambda t: 0.1 * t * t)
         nodes = sampled.components[0][2]
-        assert np.isin(nodes, _NormPlan(12, 12, u, sampled, nu, False).cells).all()
+        assert np.isin(nodes, norm_plan_cells(monkeypatch, 12, u, sampled, nu)).all()
         # as a callable, or as zero samples, the weight has no kink inside
         for K in (exact, WeightedSet.interval(-1.0, 1.0)):
-            cells = _NormPlan(12, 12, u, K, nu, False).cells
+            cells = norm_plan_cells(monkeypatch, 12, u, K, nu)
             assert np.array_equal(cells, refine_breakpoints([-1.0, 1.0], 12))
 
     @pytest.mark.parametrize("fixture", [
@@ -769,8 +784,8 @@ class TestClosedFormNorms:
 
 def quadrature_route(nu):
     """ν with its own density wrapped, so that `bergman` no longer
-    recognizes it, declines the closed form and integrates the kernel on
-    its 32-node Gauss cells."""
+    recognizes it, declines the closed form and takes the plan route: the
+    norms and β from one pass of a norm plan on β's 32-node Gauss cells."""
     density = nu.density_fn
     return RadialMeasure(nu.breakpoints, nu.cell_masses, nu.atoms,
                          density_fn=lambda t: density(t),
@@ -779,6 +794,95 @@ def quadrature_route(nu):
 
 def refuse(*args, **kwargs):
     raise AssertionError("built where nothing needs it")
+
+
+def plan_route_parts(k, u, K, nu):
+    """(m, J, β's cells, their Gauss nodes and weights, log ρ there) of
+    the plan route, ν on cells only."""
+    basis = admissible_set(k, u)
+    fine = refine_breakpoints(sections._norm_breaks(K, nu), 4 * k)
+    ts, ws = gauss_cells(fine)
+    return basis.m, np.asarray(basis.J), fine, ts, ws, np.log(nu.density_fn(ts))
+
+
+def edge_pieces(k, m, j, K, nu, fine):
+    """E_j + log ρ at β's outer cell ends, and the tail rates j + 1 and
+    m − j + 1 of a whole-line ν beyond them."""
+    E = index_exponent(j, k, m, None, K, False)
+    return [(float(E(t)) + float(np.log(nu.density_fn(t))), float(rate))
+            for t, rate in ((fine[0], j + 1), (fine[-1], m - j + 1))]
+
+
+def dense_plan_beta(k, u, K, nu):
+    """β's cell masses on a whole-line ν without prune or blocks: per index,
+    exp_normal of every node's term shifted by the row max, summed per cell;
+    log N² from the total of the cell sums and the two tails; the cell sums
+    times e^{shift − log N²}/k, a product below 2·TINY as 0.0, added one
+    index after another; then each tail's Σ_J."""
+    m, J, fine, ts, ws, log_dens = plan_route_parts(k, u, K, nu)
+    log_k = math.log(k)
+    cells = np.zeros(fine.size - 1)
+    logs, tails = [], []
+    for j in J:
+        ex = index_exponent(j, k, m, u, K, False)(ts)
+        ex += log_dens
+        ex += np.log(ws)
+        shift = np.max(ex)
+        sums = exp_normal(ex - shift).reshape(-1, GL_NODES).sum(axis=1)
+        pieces = [lv - np.log(rate) for lv, rate in edge_pieces(k, m, j, K, nu, fine)]
+        log_n2 = lse([shift + np.log(np.sum(sums))] + pieces)
+        scale = exp_normal(shift - log_n2 - log_k)
+        sums[sums < (2.0 * TINY / scale if scale > 0 else np.inf)] = 0.0
+        cells += sums * scale
+        logs.append(log_n2)
+        tails.append(pieces)
+    logs, tails = np.asarray(logs), np.asarray(tails)
+    cells[0] += np.sum(exp_normal(tails[:, 0] - logs - log_k))
+    cells[-1] += np.sum(exp_normal(tails[:, 1] - logs - log_k))
+    return cells
+
+
+def kernel_second_pass(t, k, m, js, logs, K):
+    """B(t) = Σ_J e^{E_j(t)}/N_j² in (t × J) blocks with the index prune,
+    as the plan route evaluated it in a second pass after the norms."""
+    t = np.asarray(t, dtype=float)
+    base = -float(m) * softplus(t) - float(k) * K.weight_at(t)
+    rows = max(1, sections.KERNEL_BLOCK // js.size)
+    out = np.empty(t.size)
+    block = np.empty((min(rows, t.size), js.size))
+    for lo in range(0, t.size, rows):
+        sl = slice(lo, lo + rows)
+        ex = block[:t[sl].size]
+        ex[...] = 0.0
+        top = js * np.max(t[sl]) + np.max(base[sl]) - logs
+        live = np.flatnonzero(~(top < LOG_TINY - 1.0))
+        if live.size:
+            cols = slice(live[0], live[-1] + 1)
+            sub = ex[:, cols]
+            np.multiply(js[None, cols], t[sl, None], out=sub)
+            sub += base[sl, None]
+            sub -= logs[None, cols]
+            exp_normal(sub, out=sub)
+        out[sl] = np.sum(ex, axis=1)
+    return out
+
+
+def two_pass_beta(k, u, K, nu):
+    """β's cell masses on a whole-line ν as the plan route made them in two
+    passes, bit for bit: the norms from the plan on their own cells, refined
+    at k; then the kernel at β's Gauss nodes times ν/k, with the norms'
+    tails in the end cells."""
+    m, J, fine, ts, ws, _ = plan_route_parts(k, u, K, nu)
+    logs = section_basis(k, u, K, nu).log_norms2
+    js = J.astype(float)
+    with np.errstate(under="ignore"):
+        vals = kernel_second_pass(ts, k, m, js, logs, K) * nu.density_fn(ts) * ws / k
+        cells = vals.reshape(fine.size - 1, -1).sum(axis=1)
+        edges = [edge_pieces(k, m, j, K, nu, fine) for j in J]
+        for i in (0, 1):
+            lv, rate = np.asarray([e[i] for e in edges]).T
+            cells[-i] += np.sum(exp_normal(lv - logs) / rate) / k
+    return cells
 
 
 @st.composite
@@ -846,18 +950,21 @@ class TestBergman:
         with pytest.raises(InputError, match="probability"):
             bergman(5, base_profile(1), WeightedSet.whole(), fs_measure())
 
-    def test_blocked_kernel_equals_one_piece_sum(self):
-        # k = 60: 61 indices, so the norms' grid spans two blocks of rows
-        u, K, nu = weighted_fixture("vtheta-fs")
+    def test_blocked_kernel_equals_one_piece_sum(self, monkeypatch):
+        # bump-fs at k = 60: β and its plan's norms from blocks of one index,
+        # of six (the last one ragged) and of all 26 at once, bit for bit
+        u, K, nu = weighted_fixture("bump-fs")
         k = 60
-        basis = section_basis(k, u, K, nu)
-        js = np.asarray(basis.J, dtype=float)
-        t = refine_breakpoints(sections._norm_breaks(K, nu), k)
-        got = sections._kernel(t, k, basis.m, js, basis.log_norms2, K)
-        base = -float(basis.m) * softplus(t) - float(k) * K.weight_at(t)
-        ex = js[None, :] * t[:, None] + base[:, None] - basis.log_norms2[None, :]
-        assert t.size > sections.KERNEL_BLOCK // js.size     # at least two blocks
-        assert np.array_equal(got, np.sum(np.exp(ex), axis=1))
+        m, J, fine, ts, _, _ = plan_route_parts(k, u, K, nu)
+        assert J.size == 26 and ts.size == 40960
+        got = []
+        for block in (1, 6 * ts.size, J.size * ts.size):
+            monkeypatch.setattr(sections, "KERNEL_BLOCK", block)
+            plan = _NormPlan(k, m, u, K, nu, False, fine)
+            got.append((plan.log_norms2(J), bergman(k, u, K, nu).beta.cell_masses))
+        for logs, cells in got[1:]:
+            assert np.array_equal(logs, got[0][0])
+            assert np.array_equal(cells, got[0][1])
 
     def test_large_k_kernel_is_finite_and_keeps_mass(self):
         # β's cells are the kernel integrated against ν/k, so a finite β is
@@ -926,7 +1033,8 @@ class TestBergman:
                     assert abs(g - want) <= 1e-12 * want
 
     def test_builds_no_quadrature(self, monkeypatch):
-        for name in ("gauss_cells", "_NormPlan", "_log_norms2", "_kernel"):
+        monkeypatch.setattr(sections._NormPlan, "beta", refuse)
+        for name in ("gauss_cells", "_NormPlan", "_log_norms2"):
             monkeypatch.setattr(sections, name, refuse)
         for fixture in ("vtheta-fs", "third-quarter-fs", "annulus-area"):
             u, K, nu = weighted_fixture(fixture)
@@ -938,8 +1046,8 @@ class TestBergman:
     def test_empty_index_set_builds_only_the_grid(self, fixture, monkeypatch):
         # an empty J now builds not even the refined grid: every builder is
         # stubbed to raise, refine_breakpoints included
-        for name in ("refine_breakpoints", "gauss_cells", "_NormPlan",
-                     "_log_norms2", "_kernel"):
+        monkeypatch.setattr(sections._NormPlan, "beta", refuse)
+        for name in ("refine_breakpoints", "gauss_cells", "_NormPlan", "_log_norms2"):
             monkeypatch.setattr(sections, name, refuse)
         u, K, nu = weighted_fixture(fixture)
         res = bergman(1, u, K, nu, TwistData(-2))
@@ -966,38 +1074,36 @@ class TestBergman:
         assert np.all(np.isfinite(res.beta.cell_masses))
         assert abs(res.total_mass - res.h0 / k) <= 1e-8 * (res.h0 / k)
 
-    def test_kernel_on_the_gauss_nodes_is_zero_or_normal(self, monkeypatch):
-        # bump-fs at k = 200: far out every term of B lies at or below TINY,
-        # and exp_normal writes it as 0.0, so B is 0.0 there, never a
-        # subnormal (exp on every term made 999 of 61,440 values subnormal)
-        u, K, nu = weighted_fixture("bump-fs")
-        k = 200
-        seen = []
-        real = sections._kernel
-        monkeypatch.setattr(sections, "_kernel",
-                            lambda t, *rest: seen.append(real(t, *rest)) or seen[-1])
-        bergman(k, u, K, nu)
-        cells = refine_breakpoints(sections._norm_breaks(K, nu), 4 * k).size - 1
-        assert [b.size for b in seen] == [cells * GL_NODES]
-        assert np.count_nonzero(seen[0] == 0.0) > 0
-        assert np.all((seen[0] == 0.0) | (seen[0] >= TINY))
+    def test_kernel_on_the_gauss_nodes_is_zero_or_normal(self):
+        # k = 200: far out every term of β lies at or below TINY and is
+        # written as 0.0, never as a subnormal, on the cells and at the atoms
+        for fixture, zeros in (("bump-fs", True), ("annulus-atom", False)):
+            u, K, nu = weighted_fixture(fixture)
+            beta = bergman(200, u, K, nu).beta
+            vals = np.concatenate([beta.cell_masses, [w for _, w in beta.atoms]])
+            assert vals.size and np.all((vals == 0.0) | (vals >= TINY))
+            assert (np.count_nonzero(vals == 0.0) > 0) == zeros
 
     @pytest.mark.parametrize("block", [2 ** 10, sections.KERNEL_BLOCK])
     def test_kernel_prunes_only_terms_written_as_zero(self, block, monkeypatch):
-        # bump-fs at k = 200, every 7th Gauss node of β: the pruned kernel
-        # is exp_normal of every (node, index) term, summed by rows
+        # bump-fs at k = 200: the pruned, blocked pass is the dense one, in
+        # which exp_normal takes every (index, node) term
         monkeypatch.setattr(sections, "KERNEL_BLOCK", block)
         u, K, nu = weighted_fixture("bump-fs")
-        k = 200
-        basis = section_basis(k, u, K, nu)
-        js = np.asarray(basis.J, dtype=float)
-        t, _ = gauss_cells(refine_breakpoints(sections._norm_breaks(K, nu), 4 * k))
-        t = t[::7]
-        got = sections._kernel(t, k, basis.m, js, basis.log_norms2, K)
-        base = -float(basis.m) * softplus(t) - float(k) * K.weight_at(t)
-        ex = js[None, :] * t[:, None] + base[:, None] - basis.log_norms2[None, :]
-        assert np.array_equal(got, np.sum(exp_normal(ex), axis=1))
+        got = bergman(200, u, K, nu).beta.cell_masses
+        assert np.array_equal(got, dense_plan_beta(200, u, K, nu))
         assert np.count_nonzero(got == 0.0) > 0
+
+    @pytest.mark.parametrize("k", [25, 200])
+    def test_one_pass_matches_the_two_pass_plan_route(self, k):
+        # the norms on β's cells, not their own, and β from the same pass:
+        # within rounding of the two passes, relative to the mass h0/k
+        # (bump-fs has no atoms)
+        u, K, nu = weighted_fixture("bump-fs")
+        res = bergman(k, u, K, nu)
+        assert not res.beta.atoms
+        err = np.max(np.abs(res.beta.cell_masses - two_pass_beta(k, u, K, nu)))
+        assert err <= 1e-14 * res.h0 / k
 
     @settings(max_examples=25, deadline=None)
     @given(u=window_profiles(), k=st.integers(1, 80), d=st.integers(-1, 1))
@@ -1236,7 +1342,8 @@ def area_fixture(a, b):
 def closed_form_bergman(monkeypatch, k, u, K, nu, tw=TwistData()):
     """`bergman` with every quadrature builder stubbed to raise."""
     with monkeypatch.context() as patch:
-        for name in ("gauss_cells", "_NormPlan", "_log_norms2", "_kernel"):
+        patch.setattr(sections._NormPlan, "beta", refuse)
+        for name in ("gauss_cells", "_NormPlan", "_log_norms2"):
             patch.setattr(sections, name, refuse)
         return bergman(k, u, K, nu, tw)
 
