@@ -14,20 +14,19 @@ another's ends; every grid merge in the package goes through them.
 pass with `np.linspace`'s own arithmetic, so its nodes are bit for bit
 those of a per-cell `linspace` loop.  Callers that integrate many
 integrands on one grid (the section norms in `sections`) build the grid
-once and reduce the integrands as the rows of a 2-D block with
-`logsumexp_rows`; `log_integral_exp` is the one-integrand form of the
-same steps, and `logsumexp` the one-row form of the reduction.
+once and sum each integrand's terms by cell, then over all the cells;
+`log_integral_exp` integrates one integrand with one flat log-sum-exp
+over the same nodes (`logsumexp`, the one-row form of `logsumexp_rows`).
 
 One exp policy: numpy's exp is one to two orders of magnitude slower on
 arguments whose result is not a normal float, slowest where it is a
 subnormal.  `exp_normal` calls exp only where the result is a normal
 float and writes 0.0 at or below LOG_TINY, the log of the smallest one.
-The reductions here and the norm plan's β pass in `sections` go through it,
+The reductions here and the norm plan in `sections` go through it,
 and a prune skips only terms that it writes as 0.0.  A max-shifted row
 holds the term e⁰ = 1, and a term below 2⁻¹⁰²² cannot move such a row's
 sum by a bit, so `logsumexp_rows` gives the results of exp on every
-entry.  It can also be told which columns of a block hold every term
-that is not 0.0; sums still run over whole rows.
+entry.
 """
 
 from __future__ import annotations
@@ -155,26 +154,18 @@ def exp_rows(live: np.ndarray) -> np.ndarray:
     return mx
 
 
-def logsumexp_rows(buf: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+def logsumexp_rows(buf: np.ndarray) -> np.ndarray:
     """log Σ exp of each row of a 2-D buf, max-shifted; overwrites buf.
 
     A shifted term at or below LOG_TINY is written as 0.0 (`exp_normal`)
     rather than exp's subnormal or 0.0.  The row's max term is exactly 1,
     so such a term, below 2⁻¹⁰²², changes only partial sums far below 1,
     and those vanish in the addition to the partial that holds the 1: each
-    result is bit for bit that of exp on every entry.
-
-    Only buf[:, lo:hi] is read: the caller guarantees that every entry x
-    outside it has x − max ≤ LOG_TINY, with the max of its row inside, so
-    its term is one that `exp_normal` writes as 0.0, and it is written as
-    such.  Each sum runs over the whole row, as for that row alone.  A
-    non-finite row max gives −∞.
+    result is bit for bit that of exp on every entry.  A non-finite row
+    max gives −∞.
     """
-    live = buf[:, lo:hi]
-    mx = exp_rows(live)
+    mx = exp_rows(buf)
     ok = np.isfinite(mx)
-    buf[:, :lo] = 0.0
-    buf[:, lo + live.shape[1]:] = 0.0
     out = np.log(np.sum(buf, axis=1), out=np.full(buf.shape[0], -np.inf), where=ok)
     return np.add(mx, out, out=out, where=ok)
 

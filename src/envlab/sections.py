@@ -25,9 +25,9 @@ positive ₂F₁ tail series, all summed in numpy.  Everywhere else (sampled
 or nonzero weights, compact K, other measures, d ≤ −2 under the singular
 weight, a window end very near 0 or c) the norms come from one quadrature
 plan per (k, u, K, ν), on cells at the integrand's kinks refined at k.
-It reduces all indices together, in blocks; each index's row is the
-arithmetic a separate quadrature of it on those cells would do, so its
-norms are the same to the last bit.
+It evaluates all indices together, in blocks, each index's terms the
+arithmetic a separate quadrature of it on those cells would do, and has
+one reduction: the terms summed by cell, then over all the cells.
 
 The partial Bergman measure β = B·ν/k (`bergman`) takes one of two
 routes.  With v ≡ 0 against the FS volume on K = X, or against the area
@@ -40,8 +40,8 @@ at least 2^−120/(n + 1) times the largest term of a sum it enters, so no
 sum moves by 2^−120 of its value.  Every cell mass is a difference of such
 sums, and no norm, plan or kernel value is computed.  Elsewhere one
 norm plan on β's own cells (refined at 4k) evaluates each exponent once:
-the pass that gives N_j² sums each index's terms by cell too, so β's
-cells, tails and atoms are those pieces of N_j² over N_j², summed over J.
+N_j² is the total of the per-cell sums it reduces to, so β's cells, tails
+and atoms are those pieces of N_j² over N_j², summed over J.
 
 Sup norms (`log_sup2`, `bm_rate`) are `_Exponent`'s conjugate: one hull
 walk (`_log_sups2`) takes G's Legendre conjugate at every slope j, G the
@@ -387,12 +387,13 @@ class _NormPlan:
     log ρ and log w are evaluated once.  `_blocks` takes the indices as the
     rows of (index × node) blocks of at most KERNEL_BLOCK entries, each row
     the arithmetic of a separate quadrature of its index: j·t, less the
-    index-free terms in order, plus log ρ and log w.  `log_norms2` reduces
-    each row with `logsumexp_rows`: the row max, exp and the sum over the
-    whole row; `beta` also sums the row's terms by cell.
-    Cells wholly more than −LOG_TINY below every row's peak are not
-    evaluated: `exp_normal` writes their terms as 0.0.  A measure of atoms
-    only has no cells (None) and no blocks: its quadrature piece is −∞.
+    index-free terms in order, plus log ρ and log w.  It is the one
+    reduction: each row less its max goes through exp, is summed by cell
+    and then over all the cells, and `log_norms2` and `beta` both take N²
+    from those sums.  Cells wholly more than −LOG_TINY below every row's
+    peak are not evaluated: `exp_normal` writes their terms as 0.0.  A
+    measure of atoms only has no cells (None) and no blocks: its
+    quadrature piece is −∞.
     """
 
     def __init__(self, k: int, m: int, u: ConvexProfile, K: WeightedSet,
@@ -429,14 +430,17 @@ class _NormPlan:
                            for t, w in nu.atoms)
 
     def _blocks(self, jf: np.ndarray):
-        """The cells' exponents for the float indices jf ≥ 0, one block of
-        rows at a time: (rows, block, span), where block[:, span] holds the
-        terms E_j + log ρ + log w and every term outside span is one that
-        `exp_normal` writes as 0.0.  The block is reused.
+        """The cells' sums for the float indices jf ≥ 0, one block of rows
+        at a time: (rows, shift, sums, quad).  Each row's terms
+        E_j + log ρ + log w, less their max shift (`exp_rows`), are summed
+        by cell into a row of sums as wide as all the cells, 0.0 at those
+        not evaluated; quad, log N²'s quadrature piece, is shift + log of
+        that row's sum.  Every sum runs over all the cells, so none depends
+        on KERNEL_BLOCK or on which cells are evaluated.
 
         Some node of a cell reaches j·t0 + free and none exceeds j·t1 + free;
         a block's cells whose bound lies more than −LOG_TINY below each row's
-        best reach (less a unit margin for rounding) are left out of span.
+        best reach (less a unit margin for rounding) are not evaluated.
         """
         if self.body is None:
             return
@@ -450,11 +454,13 @@ class _NormPlan:
             live = np.flatnonzero(np.any(
                 ~(top < reach[:, None] + (LOG_TINY - 1.0)), axis=0))
             span = slice(live[0] * GL_NODES, (live[-1] + 1) * GL_NODES)
-            ex = block[:j.size]
-            sub = self.body(j, out=ex[:, span], span=span)
-            sub += self.log_dens[span]
-            sub += self.log_ws[span]
-            yield slice(lo, lo + j.size), ex, span
+            ex = self.body(j, out=block[:j.size, span], span=span)
+            ex += self.log_dens[span]
+            ex += self.log_ws[span]
+            shift = exp_rows(ex)
+            sums = np.zeros((j.size, self.cell_free.size))
+            sums[:, live[0]:live[-1] + 1] = ex.reshape(j.size, -1, GL_NODES).sum(axis=2)
+            yield slice(lo, lo + j.size), shift, sums, shift + log_positive(np.sum(sums, axis=1))
 
     def _pieces(self, js: np.ndarray) -> list:
         """log N²'s pieces besides the cells', as arrays over the int64 js:
@@ -474,8 +480,8 @@ class _NormPlan:
     def log_norms2(self, js: np.ndarray) -> np.ndarray:
         """log N² of z^j for every j of the int64 array js."""
         quad = np.full(js.size, -np.inf)
-        for rows, ex, span in self._blocks(js.astype(float)):
-            quad[rows] = logsumexp_rows(ex, span.start, span.stop)
+        for rows, _, _, piece in self._blocks(js.astype(float)):
+            quad[rows] = piece
         return logsumexp_rows(np.column_stack([quad] + self._pieces(js)))
 
     def beta(self, js: np.ndarray, k: int):
@@ -483,25 +489,18 @@ class _NormPlan:
         per cell (the tails beyond a whole-line measure's ends in the end
         cells) and per atom.
 
-        Each row's terms, less the row max (`exp_rows`), are summed by cell;
-        log N² is the max plus the log of their total, with the atom and
-        tail pieces.  Row after row, the cell sums times e^{shift − log N²}/k
-        are added to β's cells; no sum depends on KERNEL_BLOCK.  A product
-        below 2·TINY is written as 0.0, the atoms and tails go through
+        log N² is each block's quadrature piece with the atom and tail
+        pieces, as in `log_norms2`.  Block after block, the cell sums times
+        e^{shift − log N²}/k are added to β's cells.  A product below
+        2·TINY is written as 0.0, the atoms and tails go through
         `exp_normal`: every value is 0.0 or a normal float.  An index's
         pieces over their total add up to 1, so ∫β = h0/k up to rounding.
         """
         pieces = self._pieces(js)
         log_k = math.log(k)
-        n_cells = 0 if self.body is None else self.cell_free.size
-        cells = np.zeros(n_cells)
-        logs = self.log_norms2(js) if self.body is None else np.empty(js.size)
-        for rows, ex, span in self._blocks(js.astype(float)):
-            shift = exp_rows(ex[:, span])
-            sums = np.zeros((shift.size, n_cells))
-            sums[:, span.start // GL_NODES:span.stop // GL_NODES] = (
-                ex[:, span].reshape(shift.size, -1, GL_NODES).sum(axis=2))
-            quad = shift + log_positive(np.sum(sums, axis=1))
+        cells = np.zeros(0 if self.body is None else self.cell_free.size)
+        logs = logsumexp_rows(np.column_stack(pieces)) if self.body is None else np.empty(js.size)
+        for rows, shift, sums, quad in self._blocks(js.astype(float)):
             logs[rows] = logsumexp_rows(np.column_stack([quad] + [p[rows] for p in pieces]))
             scale = exp_normal(shift - logs[rows] - log_k)
             sums[sums < (2.0 * TINY / np.maximum(scale, TINY))[:, None]] = 0.0
@@ -1133,6 +1132,8 @@ def bergman_approximant(k: int, u: ConvexProfile) -> ConvexProfile:
 
 def approximant_lower_bound_constant(k: int, u: ConvexProfile,
                                      approx: ConvexProfile) -> float:
-    """Smallest C with F̃ + C·log(k)/k ≥ F_u over the line."""
+    """max(0, sup(F_u − F̃))·k/log(max(k, 2)): for k ≥ 2 the smallest
+    C ≥ 0 with F̃ + C·log(k)/k ≥ F_u over the line; at k = 1, where
+    log k = 0 and no such C exists unless F̃ ≥ F_u, the gap over log 2."""
     gap = sup_difference(u, approx)
     return max(0.0, float(gap) * k / np.log(max(2, k)))

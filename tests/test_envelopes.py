@@ -303,7 +303,8 @@ class TestEnvelopeOfSamples:
     @settings(max_examples=300, deadline=None)
     @given(case=windowed_obstacles(), data=st.data())
     def test_repeated_points_keep_the_smallest_value(self, case, data):
-        # integer t repeat; the reference sees each t once, at its least f
+        # integer t repeat; the reference sees each t once, at its least f,
+        # the first of equal ones (0.0 and −0.0) in input order
         window, _, _ = case
         n = data.draw(st.integers(1, 24))
         ts = data.draw(st.lists(st.integers(-6, 6).map(float), min_size=n, max_size=n))
@@ -311,7 +312,8 @@ class TestEnvelopeOfSamples:
                                 min_size=n, max_size=n))
         least = {}
         for t, f in zip(ts, fs):
-            least[t] = min(f, least.get(t, f))
+            if t not in least or f < least[t]:
+                least[t] = f
         uts = sorted(least)
         want = full_hull_envelope(window, uts, [least[t] for t in uts])
         same_profile(envelope_of_samples(window, ts, fs), want)

@@ -377,6 +377,17 @@ def kink_breaks(u, K, nu):
     return np.union1d([lo, hi], inner[(inner > lo) & (inner < hi)])
 
 
+def lse_by_cell(vals):
+    """log Σ exp of the Gauss terms vals, max-shifted, with np.exp on every
+    entry: summed by cell of GL_NODES nodes, then over all the cells."""
+    mx = np.max(vals)
+    if not np.isfinite(mx):
+        return -np.inf
+    with np.errstate(under="ignore"):
+        cells = np.exp(vals - mx).reshape(-1, GL_NODES).sum(axis=1)
+    return float(mx + np.log(np.sum(cells)))
+
+
 def per_index_log_norm2(k, m, u, K, nu, singular=False):
     """j ↦ log N² of z^j, each index with its own exponent and reduction.
 
@@ -396,7 +407,7 @@ def per_index_log_norm2(k, m, u, K, nu, singular=False):
         E = index_exponent(j, k, m, u, K, singular)
         pieces = [-np.inf]
         if ts is not None:
-            pieces[0] = lse(E(ts) + log_dens + np.log(ws))
+            pieces[0] = lse_by_cell(E(ts) + log_dens + np.log(ws))
         for t, w in nu.atoms:
             pieces.append(float(E(np.asarray([t]))[0]) + np.log(w))
         if whole_line:
@@ -445,14 +456,17 @@ class TestSharedPlan:
 
     @pytest.mark.parametrize("block", [1, 2 ** 24])
     def test_any_block_size_matches_per_index_quadrature(self, block, monkeypatch):
-        # one index per block, and all 1,001 in one block: on [−1, 1] at
+        # one index per block, and all of them in one block: on [−1, 1] at
         # k = 1000, z^0's and z^1000's peaks lie at opposite ends, so the
-        # nodes one row skips are live in another row of the same block
+        # nodes one row skips are live in another row of the same block;
+        # bump-fs, the plan energy_bump's norms take, spans several blocks at
+        # k = 400 by default
         monkeypatch.setattr(sections, "KERNEL_BLOCK", block)
-        u, K, nu = weighted_fixture("annulus-area")
-        basis, logs = plan_log_norms2(1000, u, K, nu)
-        log_n2 = per_index_log_norm2(1000, basis.m, u, K, nu)
-        assert np.array_equal(logs, [log_n2(j) for j in basis.J])
+        for fixture, k in (("annulus-area", 1000), ("bump-fs", 400)):
+            u, K, nu = weighted_fixture(fixture)
+            basis, logs = plan_log_norms2(k, u, K, nu)
+            log_n2 = per_index_log_norm2(k, basis.m, u, K, nu)
+            assert np.array_equal(logs, [log_n2(j) for j in basis.J]), fixture
 
     @pytest.mark.parametrize("k", [12, 400])
     def test_singular_weight_matches_per_index_quadrature(self, k):
