@@ -3,7 +3,6 @@ measures, and equilibrium energies on radial and toric model geometries."""
 
 from .profiles import (
     ConvexProfile,
-    SlopeWindow,
     WeightedSet,
     base_profile,
     lelong,
@@ -27,7 +26,6 @@ from .measures import (
     measure_integral,
 )
 from .sections import (
-    TwistData,
     SectionBasisData,
     BergmanResult,
     admissible_indices,

@@ -22,11 +22,10 @@ from fractions import Fraction
 import numpy as np
 
 from .basefun import as_fraction, fs_conjugate, softplus
-from .errors import InfeasibleClassError, InputError
+from .errors import InputError
 from .measures import ma_measure
 from .profiles import (
     ConvexProfile,
-    SlopeWindow,
     WeightedSet,
     WindowEnvelope,
     _pad_to_asymptotes,
@@ -109,7 +108,7 @@ def _maximizers(s: Fraction, ts: np.ndarray, fs: np.ndarray) -> np.ndarray:
 
 
 def envelope_of_samples(
-    window: SlopeWindow,
+    window: WindowEnvelope,
     obs_ts,
     obs_fs,
 ) -> ConvexProfile:
@@ -136,7 +135,7 @@ def envelope_of_samples(
     return _hull_profile(window, *lower_hull(ts, obs_fs[first:last + 1]), ts)
 
 
-def _hull_profile(window: SlopeWindow, ht, hf, ts) -> ConvexProfile:
+def _hull_profile(window: WindowEnvelope, ht, hf, ts) -> ConvexProfile:
     """The envelope from the lower hull (ht, hf) of the contact slice ts:
     the hull, with tails through its end vertices."""
     lo, hi = window.lo, window.hi
@@ -163,22 +162,16 @@ def window_envelope(c, nu0, nu_inf, grid=None) -> ConvexProfile:
 
     Maximal convex minorant of c·f_FS with slopes in [ν₀, c − ν_∞]:
     equals c·f_FS where c·σ(t) sits inside the window and continues as
-    exact tangent lines outside.  An empty window raises unless it
-    degenerates to the single admissible slope.
+    exact tangent lines outside.  `WindowEnvelope` checks the window: an
+    empty one (ν₀ + ν_∞ > c) raises, and ν₀ + ν_∞ = c is one slope.
     """
     c = as_fraction(c)
-    nu0 = as_fraction(nu0)
-    nu_inf = as_fraction(nu_inf)
-    lo, hi = nu0, c - nu_inf
-    if lo > hi:
-        raise InfeasibleClassError(
-            f"Lelong pair ({nu0}, {nu_inf}) exceeds class mass {c}"
-        )
+    exact = WindowEnvelope(c, nu0, c - as_fraction(nu_inf))
     if grid is None:
         grid = _pad_to_asymptotes(np.asarray([-1.0, 0.0, 1.0]))
     else:
         grid = _pad_to_asymptotes(np.asarray(grid, dtype=float))
-    exact = WindowEnvelope(c, lo, hi)
+    lo, hi = exact.lo, exact.hi
     # g*(0) = g*(c) = 0, so the same formula covers the base tails
     return ConvexProfile(
         c, grid, exact(grid), lo, hi,

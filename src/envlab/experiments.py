@@ -37,7 +37,6 @@ from .measures import (
 from .profiles import ConvexProfile, WeightedSet, base_profile
 from .report import ReportRow, svg_plot, write_csv
 from .sections import (
-    TwistData,
     _INT64_MAX,
     _index_windows,
     approximant_lower_bound_constant,
@@ -233,13 +232,13 @@ def run_volume(cfg: ExperimentConfig):
         c, nu0, nu_inf = u.class_mass, u.s_minus, u.class_mass - u.s_plus
         limit, dim = limit_mass(c, nu0, nu_inf), 1
 
-        def count(ks, tw):
-            return section_counts(ks, c, nu0, nu_inf, tw)
+        def count(ks, d):
+            return section_counts(ks, c, nu0, nu_inf, d)
 
-        def holds(ks, n, tw):
-            return counting_window_holds(ks, n, c, nu0, nu_inf, tw)
+        def holds(ks, n, d):
+            return counting_window_holds(ks, n, c, nu0, nu_inf, d)
 
-        twists = [(TwistData(d), f"volume[{cfg.fixture},d={d}]", f"d={d}")
+        twists = [(d, f"volume[{cfg.fixture},d={d}]", f"d={d}")
                   for d in cfg.shifts]
     else:
         if cfg.shifts != [0]:
@@ -250,18 +249,18 @@ def run_volume(cfg: ExperimentConfig):
         body = f.body
         limit, dim = body.area, 2
 
-        def count(ks, tw):
-            return _h0_toric_counts(ks, f, tw)
+        def count(ks, d):
+            return _h0_toric_counts(ks, f, d)
 
-        def holds(ks, n, tw):
+        def holds(ks, n, d):
             return _toric_bound_holds(ks, n, body)
 
-        twists = [(TwistData(), f"volume[toric:{cfg.fixture}]", "toric")]
+        twists = [(0, f"volume[toric:{cfg.fixture}]", "toric")]
     rows, failures, series = [], [], []
-    for tw, label, series_name in twists:
-        counts = count(cfg.k, tw)
+    for d, label, series_name in twists:
+        counts = count(cfg.k, d)
         errs = []
-        for k, n, ok in zip(cfg.k, counts.tolist(), holds(cfg.k, counts, tw).tolist()):
+        for k, n, ok in zip(cfg.k, counts.tolist(), holds(cfg.k, counts, d).tolist()):
             val = Fraction(n, k ** dim)
             err = abs(val - limit)
             rows.append(ReportRow(label, k, float(val), float(limit), float(err), ok))
@@ -271,8 +270,8 @@ def run_volume(cfg: ExperimentConfig):
         series.append((series_name, cfg.k, errs))
     if cfg.sweep_max:
         ks = range(1, cfg.sweep_max + 1)
-        for tw, label, _ in twists:
-            broken = np.flatnonzero(~holds(ks, count(ks, tw), tw)) + 1
+        for d, label, _ in twists:
+            broken = np.flatnonzero(~holds(ks, count(ks, d), d)) + 1
             failures += [f"sweep: bound broken at k={k}: {label}" for k in broken.tolist()]
     artifacts = {"volume_convergence.svg": lambda path: svg_plot(
         path, series, title=f"volume convergence: {cfg.fixture}",
@@ -379,7 +378,7 @@ def _window_gaps(ks, u: ConvexProfile, env: ConvexProfile):
     at each k of an ascending sequence with a nonempty J, from F̃_k's tail
     slopes s₋ = j_min/k and s₊ = j_max/k."""
     _, _, j_min, j_max = _index_windows(ks, u.class_mass, u.s_minus,
-                                        u.class_mass - u.s_plus, TwistData())
+                                        u.class_mass - u.s_plus, 0)
     for k, lo, hi in zip(ks, j_min.tolist(), j_max.tolist()):
         if lo <= hi:
             s_minus, s_plus = Fraction(lo, k), Fraction(hi, k)

@@ -16,7 +16,6 @@ entry found by binary search: no query costs points × atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -41,8 +40,7 @@ class RadialMeasure:
     """Nonnegative measure: per-cell masses on breakpoints plus atoms.
 
     The CDF is taken linear inside cells; `density_fn`, when present, is
-    the exact density used by quadrature.  `exact_total` records the
-    rational total mass when the construction knows it.  Atoms are held
+    the exact density used by quadrature.  Atoms are held
     sorted by position (a stable sort: equal positions keep their given
     order), and `_atom_cum` is their weights' left-to-right running sum
     after a leading 0, so the atoms' CDF at t is one entry of it.
@@ -52,7 +50,6 @@ class RadialMeasure:
     cell_masses: np.ndarray
     atoms: tuple = ()
     density_fn: object = None
-    exact_total: Fraction | None = None
     _atom_ts: np.ndarray = field(init=False, repr=False, compare=False)
     _atom_cum: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -130,7 +127,7 @@ def ma_measure(p: ConvexProfile) -> RadialMeasure:
     c = float(p.class_mass)
     total = p.s_plus - p.s_minus
     if total == 0:  # affine, whatever its samples' rounding
-        return RadialMeasure(np.empty(0), np.empty(0), (), None, Fraction(0))
+        return RadialMeasure(np.empty(0), np.empty(0), ())
     if isinstance(p.exact, WindowEnvelope):
         lo, hi = float(p.s_minus), float(p.s_plus)
         t_lo = float(logit(lo / c)) if lo > 0 else float(p.grid[0])
@@ -140,7 +137,6 @@ def ma_measure(p: ConvexProfile) -> RadialMeasure:
         return RadialMeasure(
             bp, masses, (),
             density_fn=lambda t: c * logistic_density(t),
-            exact_total=total,
         )
     chords = p.chord_slopes()
     slopes = np.concatenate([[float(p.s_minus)], chords, [float(p.s_plus)]])
@@ -150,16 +146,14 @@ def ma_measure(p: ConvexProfile) -> RadialMeasure:
     for t, w in zip(p.grid, jumps):
         if w > 1e-13 * scale:
             atoms.append((float(t), float(w)))
-    return RadialMeasure(np.empty(0), np.empty(0), tuple(atoms),
-                         exact_total=total)
+    return RadialMeasure(np.empty(0), np.empty(0), tuple(atoms))
 
 
 def fs_measure() -> RadialMeasure:
     """Fubini–Study probability volume pushed to the t-line (σ' density)."""
     grid = default_grid()
     masses = np.diff(sigmoid(grid))
-    return RadialMeasure(grid, masses, (), density_fn=logistic_density,
-                         exact_total=Fraction(1))
+    return RadialMeasure(grid, masses, (), density_fn=logistic_density)
 
 
 @dataclass(frozen=True)
@@ -185,14 +179,12 @@ def annulus_area_measure(a: float = -1.0, b: float = 1.0) -> RadialMeasure:
     grid = np.linspace(a, b, max(2, int(np.ceil((b - a) * 64)) + 1))
     density = AreaDensity(float(a), float(b))
     masses = np.diff(np.exp(grid)) / (np.exp(density.b) - np.exp(density.a))
-    return RadialMeasure(grid, masses, (), density_fn=density,
-                         exact_total=Fraction(1))
+    return RadialMeasure(grid, masses, (), density_fn=density)
 
 
 def circle_atom(t: float = 0.0) -> RadialMeasure:
     """Unit point mass on the circle log|z|² = t."""
-    return RadialMeasure(np.empty(0), np.empty(0), ((float(t), 1.0),),
-                         exact_total=Fraction(1))
+    return RadialMeasure(np.empty(0), np.empty(0), ((float(t), 1.0),))
 
 
 def kolmogorov_distance(m1: RadialMeasure, m2: RadialMeasure) -> float:

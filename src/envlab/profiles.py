@@ -3,7 +3,9 @@
 A profile stores the full potential F = c·f_FS + u as grid samples with
 exactly affine tails of rational slope.  The slope pair (s₋, s₊) carries
 all singularity data: the pole masses are ν₀ = s₋ and ν_∞ = c − s₊, and
-the non-pluripolar mass is s₊ − s₋.
+the non-pluripolar mass is s₊ − s₋.  The slope window [s₋, s₊] ⊆ [0, c]
+is the singularity class, and a profile's `window` holds it as the
+class's model potential, a `WindowEnvelope`.
 
 Between grid nodes a profile evaluates either as the piecewise-linear
 interpolant of its samples (the exact object for PL fixtures) or through
@@ -38,41 +40,31 @@ TAIL_SEAM_TOL = 1e-12       # tail line must touch the boundary value
 
 
 @dataclass(frozen=True)
-class SlopeWindow:
-    """Closed slope interval [lo, hi] ⊆ [0, c]; the singularity class.
+class WindowEnvelope:
+    """The singularity class [lo, hi] ⊆ [0, c] as its model potential
+    t ↦ sup over s in [lo, hi] of s·t − (c·f_FS)*(s), in closed form.
 
-    Order: nested windows. lo = ν₀ and hi = c − ν_∞ in Lelong terms.
+    The slope window reads lo = ν₀ and hi = c − ν_∞ in Lelong terms, and
+    `ConvexProfile.window` is this object for a profile's tail slopes.
+    The envelope of c·softplus over it is c·softplus where c·σ(t) lies in
+    [lo, hi], tangent lines beyond; the window [0, c] is c·softplus
+    itself.  Profiles carry it as their `exact` evaluator, and the
+    closed-form paths of `ma_measure` and the section norms recognize it.
     """
 
+    c: Fraction
     lo: Fraction
     hi: Fraction
-    c: Fraction
 
     def __post_init__(self):
-        lo, hi, c = map(as_fraction, (self.lo, self.hi, self.c))
+        c, lo, hi = map(as_fraction, (self.c, self.lo, self.hi))
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "c", c)
         if not (0 <= lo <= hi <= c):
             raise InfeasibleClassError(
                 f"slope window [{lo}, {hi}] not inside [0, {c}]"
             )
-
-
-@dataclass(frozen=True)
-class WindowEnvelope:
-    """t ↦ sup over s in [lo, hi] of s·t − (c·f_FS)*(s), in closed form.
-
-    The envelope of c·softplus over a slope window: c·softplus where
-    c·σ(t) lies in [lo, hi], tangent lines beyond.  The window [0, c] is
-    c·softplus itself.  Profiles carry it as their `exact` evaluator, and
-    the closed-form paths of `ma_measure` and the section norms recognize
-    it.
-    """
-
-    c: Fraction
-    lo: Fraction
-    hi: Fraction
 
     def __call__(self, t):
         # the unconstrained argmax is s = c·σ(t); the sup clamps it
@@ -185,8 +177,8 @@ class ConvexProfile:
     # -- structure ---------------------------------------------------------
 
     @property
-    def window(self) -> SlopeWindow:
-        return SlopeWindow(self.s_minus, self.s_plus, self.class_mass)
+    def window(self) -> WindowEnvelope:
+        return WindowEnvelope(self.class_mass, self.s_minus, self.s_plus)
 
     @property
     def mass(self) -> Fraction:

@@ -105,16 +105,15 @@ def insert_interior(bp, extra) -> np.ndarray:
     return union(bp, inner[(inner > bp[0]) & (inner < bp[-1])])
 
 
-def refine_breakpoints(breakpoints, k: int, *, max_width=None):
+def refine_breakpoints(breakpoints, k: int):
     """Subdivide cells so widths track the k-fold weight's length scale.
 
-    Cell [a, b] splits into nsub = ⌈(b − a)/max_width⌉ equal parts with
-    nodes i·((b − a)/nsub) + a and the last node b exactly, as
-    `np.linspace(a, b, nsub + 1)` places them.
+    Cell [a, b] splits into nsub = ⌈(b − a)/w⌉ equal parts, with
+    w = min(1/2, 4/√(1 + k)), nodes i·((b − a)/nsub) + a and the last node
+    b exactly, as `np.linspace(a, b, nsub + 1)` places them.
     """
     bp = np.asarray(breakpoints, dtype=float)
-    if max_width is None:
-        max_width = min(0.5, 4.0 / np.sqrt(1.0 + float(k)))
+    max_width = min(0.5, 4.0 / np.sqrt(1.0 + float(k)))
     a, b = bp[:-1], bp[1:]
     width = b - a
     nsub = np.maximum(1, np.ceil(width / max_width)).astype(np.intp)

@@ -1,7 +1,8 @@
 """Filtered section spaces, weighted norms, and partial Bergman data.
 
-Degree bookkeeping: twisting by the degree shift d makes the level-k
-section space the degree m = ⌊k·c⌋ + d monomials, filtered by the exact
+Degree bookkeeping: twisting by O(d), the plain int `d` (default 0) that
+every count, norm and Bergman entry takes, makes the level-k section
+space the degree m = ⌊k·c⌋ + d monomials, filtered by the exact
 integrability inequalities j + 1 > k·ν₀ and m − j + 1 > k·ν_∞ (boundary
 indices diverge for exact linear tails and are excluded).
 
@@ -107,7 +108,6 @@ ROW_CHUNK = 128
 ROW_KEEP_BITS = 120
 
 __all__ = [
-    "TwistData",
     "SectionBasisData",
     "BergmanResult",
     "admissible_indices",
@@ -127,13 +127,6 @@ __all__ = [
     "bergman_approximant",
     "approximant_lower_bound_constant",
 ]
-
-
-@dataclass(frozen=True)
-class TwistData:
-    """Twist line bundle O(d), reduced to its degree shift d."""
-
-    degree_shift: int = 0
 
 
 @dataclass(frozen=True)
@@ -181,7 +174,7 @@ class BergmanResult:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _index_windows(ks, c, nu0, nu_inf, tw: TwistData):
+def _index_windows(ks, c, nu0, nu_inf, d: int):
     """(k, m, j_min, j_max) as int64 arrays, one entry per k of an
     ascending sequence; J = [j_min, j_max] ∩ ℤ at each k.
 
@@ -196,7 +189,6 @@ def _index_windows(ks, c, nu0, nu_inf, tw: TwistData):
     k_lo, k_hi = int(ks[0]), int(ks[-1])
     if k_lo < 1:
         raise InputError("k must be a positive integer")
-    d = tw.degree_shift
     q = nu0.denominator * nu_inf.denominator
     m = k_hi * abs(c.numerator) + abs(d)
     drop = k_hi * (abs(nu0.numerator) + abs(nu_inf.numerator))
@@ -211,30 +203,29 @@ def _index_windows(ks, c, nu0, nu_inf, tw: TwistData):
     return k, m, j_min, j_max
 
 
-def admissible_indices(k: int, c, nu0, nu_inf,
-                       tw: TwistData = TwistData()) -> tuple[int, list[int]]:
+def admissible_indices(k: int, c, nu0, nu_inf, d: int = 0) -> tuple[int, list[int]]:
     """(m, J): exact rational filter of degree-m monomials by (ν₀, ν_∞)."""
-    _, m, j_min, j_max = (int(x[0]) for x in _index_windows((k,), c, nu0, nu_inf, tw))
+    _, m, j_min, j_max = (int(x[0]) for x in _index_windows((k,), c, nu0, nu_inf, d))
     return m, list(range(j_min, j_max + 1))
 
 
-def admissible_set(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> SectionBasisData:
+def admissible_set(k: int, u: ConvexProfile, d: int = 0) -> SectionBasisData:
     m, J = admissible_indices(k, u.class_mass, u.s_minus,
-                              u.class_mass - u.s_plus, tw)
+                              u.class_mass - u.s_plus, d)
     return SectionBasisData(k, m, tuple(J))
 
 
-def section_counts(ks, c, nu0, nu_inf, tw: TwistData = TwistData()) -> np.ndarray:
+def section_counts(ks, c, nu0, nu_inf, d: int = 0) -> np.ndarray:
     """|J| at every k of an ascending sequence, as one int64 array.
 
     Each count is taken from the ends of its index window, in a few array
     operations for all k together; J itself is never built.
     """
-    _, _, j_min, j_max = _index_windows(ks, c, nu0, nu_inf, tw)
+    _, _, j_min, j_max = _index_windows(ks, c, nu0, nu_inf, d)
     return np.maximum(j_max - j_min + 1, 0)
 
 
-def h0(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> int:
+def h0(k: int, u: ConvexProfile, d: int = 0) -> int:
     """Section count |J|; satisfies |h0/k − mass₊| < (|d| + 3)/k.
 
     The one-k case of `section_counts`: O(1) integer operations, with J
@@ -243,11 +234,10 @@ def h0(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> int:
     runner calls it.
     """
     return int(section_counts((k,), u.class_mass, u.s_minus,
-                              u.class_mass - u.s_plus, tw)[0])
+                              u.class_mass - u.s_plus, d)[0])
 
 
-def counting_window_holds(ks, counts, c, nu0, nu_inf,
-                          tw: TwistData = TwistData()) -> np.ndarray:
+def counting_window_holds(ks, counts, c, nu0, nu_inf, d: int = 0) -> np.ndarray:
     """Whether each int64 count |J| lies in its exact counting window, at
     every k of an ascending sequence.
 
@@ -265,7 +255,7 @@ def counting_window_holds(ks, counts, c, nu0, nu_inf,
     ⌈L⌉ − 1 ≤ n ≤ ⌈L⌉, so each test compares counts with integers.
     """
     nu0, nu_inf = as_fraction(nu0), as_fraction(nu_inf)
-    k, m, _, _ = _index_windows(ks, c, nu0, nu_inf, tw)
+    k, m, _, _ = _index_windows(ks, c, nu0, nu_inf, d)
     q = nu0.denominator * nu_inf.denominator
     qL = q * (m + 2) - k * (nu0.numerator * nu_inf.denominator
                             + nu_inf.numerator * nu0.denominator)
@@ -684,8 +674,7 @@ def _closed_form_log_norms2(k: int, m: int, js: np.ndarray, u: ConvexProfile,
     if _closed_form_density(K, nu) is not logistic_density:
         return None
     w = u.exact
-    if singular and not (isinstance(w, WindowEnvelope)
-                         and (w.c, w.lo, w.hi) == (u.class_mass, u.s_minus, u.s_plus)):
+    if singular and w != u.window:
         return None
     log_beta = -math.log(m + 1) - _log_binomials(m)[js]
     if not singular or (w.lo == 0 and w.hi == w.c):
@@ -951,13 +940,12 @@ def _check_index(j: int, m: int) -> None:
 
 
 def log_norm2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
-              nu: RadialMeasure, tw: TwistData = TwistData(),
-              singular_weight: bool = False) -> float:
+              nu: RadialMeasure, d: int = 0, singular_weight: bool = False) -> float:
     """log N² of z^j in the weighted L² norm against ν (closed-form where
     one exists, see `_log_norms2`).  Under the singular weight on a
     whole-line ν an index outside J diverges.  One-index API for tests
     and the tracer; no runner calls it."""
-    basis = admissible_set(k, u, tw)
+    basis = admissible_set(k, u, d)
     _check_index(j, basis.m)
     if singular_weight and j not in basis.J and _measure_is_whole_line(nu):
         raise DivergentIntegralError(f"norm integral of index {j} diverges at k={k}")
@@ -965,37 +953,36 @@ def log_norm2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
 
 
 def log_sup2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
-             tw: TwistData = TwistData(), singular_weight: bool = False) -> float:
+             d: int = 0, singular_weight: bool = False) -> float:
     """log of the max over a scan of K of the squared pointwise weight of
     z^j, a lower bound on its sup over K: the one-index case of
     `_log_sups2`, as API for tests and the tracer; no runner calls it."""
-    m = admissible_set(k, u, tw).m
+    m = admissible_set(k, u, d).m
     _check_index(j, m)
     return float(_log_sups2(k, m, u, K, [j], singular_weight)[0])
 
 
 def section_basis(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
-                  tw: TwistData = TwistData(),
-                  singular_weight: bool = False) -> SectionBasisData:
+                  d: int = 0, singular_weight: bool = False) -> SectionBasisData:
     """Diagonal L² norm data over the admissible set (sup norms: `log_sup2`).
 
     The norms are closed-form where `_log_norms2` finds one, else from one
     quadrature plan shared by every index.
     """
-    basis = admissible_set(k, u, tw)
+    basis = admissible_set(k, u, d)
     logs = []
     if basis.J:
         logs = _log_norms2(k, basis.m, basis.J, u, K, nu, singular_weight)
     return SectionBasisData(k, basis.m, basis.J, np.asarray(logs))
 
 
-def reference_basis(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> SectionBasisData:
+def reference_basis(k: int, u: ConvexProfile, d: int = 0) -> SectionBasisData:
     """The v = 0 Fubini–Study norms on the same filtered space.
 
     In closed form: log N_j² = log B(j+1, m−j+1) = −log(m+1) − log C(m, j),
     from the exact binomial integer.
     """
-    return section_basis(k, u, WeightedSet.whole(), fs_measure(), tw)
+    return section_basis(k, u, WeightedSet.whole(), fs_measure(), d)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,7 +990,7 @@ def reference_basis(k: int, u: ConvexProfile, tw: TwistData = TwistData()) -> Se
 # ---------------------------------------------------------------------------
 
 def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
-            tw: TwistData = TwistData()) -> BergmanResult:
+            d: int = 0) -> BergmanResult:
     """The partial Bergman measure β = B·ν/k over (K, v, ν), with its mass.
 
     β's cells are ν's breakpoints (with v's kinks) refined at 4k.  Where
@@ -1025,7 +1012,7 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
     """
     if not abs(nu.total_mass() - 1.0) <= 1e-9:
         raise InputError("reference measure must be a probability measure")
-    basis = admissible_set(k, u, tw)
+    basis = admissible_set(k, u, d)
     if not basis.J:
         zero = RadialMeasure(np.empty(0), np.empty(0), ())
         return BergmanResult(k, zero, 0.0, 0)
@@ -1051,8 +1038,7 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
 # Donaldson functional and Bernstein–Markov diagnostics
 # ---------------------------------------------------------------------------
 
-def donaldson(k: int, u: ConvexProfile, A: SectionBasisData,
-              B: SectionBasisData) -> float:
+def donaldson(k: int, A: SectionBasisData, B: SectionBasisData) -> float:
     """ℒ(A) − ℒ(B) = (log det G_B − log det G_A)/k² at n = 1.
 
     The monomials are orthogonal for radial weights, so log det G is
@@ -1065,13 +1051,13 @@ def donaldson(k: int, u: ConvexProfile, A: SectionBasisData,
 
 
 def donaldson_functional(k: int, u: ConvexProfile, A: SectionBasisData,
-                         tw: TwistData = TwistData()) -> float:
+                         d: int = 0) -> float:
     """ℒ_{k,u}(A) against the v = 0 Fubini–Study reference norms."""
-    return donaldson(k, u, A, reference_basis(k, u, tw))
+    return donaldson(k, A, reference_basis(k, u, d))
 
 
 def bm_rate(k: int, K: WeightedSet, nu: RadialMeasure, c=Fraction(1),
-            tw: TwistData = TwistData()) -> float:
+            d: int = 0) -> float:
     """(2/k)·log max_j (sup norm / L² norm) over the full degree range,
     each sup norm a max over `_log_sups2`'s scan.
 
@@ -1079,7 +1065,7 @@ def bm_rate(k: int, K: WeightedSet, nu: RadialMeasure, c=Fraction(1),
     comparison on (K, v).
     """
     u = base_profile(as_fraction(c))
-    basis = admissible_set(k, u, tw)
+    basis = admissible_set(k, u, d)
     m, js = basis.m, np.asarray(basis.J, dtype=np.int64)
     gaps = _log_sups2(k, m, u, K, js, False) - _log_norms2(k, m, js, u, K, nu, False)
     return float(np.max(gaps, initial=-np.inf)) / float(k)

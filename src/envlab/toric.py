@@ -7,12 +7,13 @@ counts reduce to exact lattice-point counting inside the body's interior.
 
 Geometry is rational.  Counting is integer: each profile builds its body
 once, and each body its edge table once, one integer inequality
-P·α₁ + Q·α₂ > k·A − B per edge.  With the simplex α ≥ 0, α₁ + α₂ ≤ m
-these are lines bounding α₂ over α₁, and a count is a few Euclidean
-floor sums per line (`floor_sum`): O(edges²) int64 operations per k,
-whatever its size, done for every k of an ascending sequence at once
-after checking against integer bounds at the largest k that no
-intermediate leaves the int64 range; `h0_toric` is the one-k case.
+P·α₁ + Q·α₂ > k·A − B per edge.  With the simplex α ≥ 0, α₁ + α₂ ≤ m,
+where m = ⌊k·c⌋ + d for the twist d, a plain int as in `sections`, these
+are lines bounding α₂ over α₁, and a count is a few Euclidean floor
+sums per line (`floor_sum`): O(edges²) int64 operations per k, whatever
+its size, done for every k of an ascending sequence at once after
+checking against integer bounds at the largest k that no intermediate
+leaves the int64 range; `h0_toric` is the one-k case.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .basefun import as_fraction
 from .errors import InputError
-from .sections import _INT64_MAX, TwistData
+from .sections import _INT64_MAX
 
 __all__ = [
     "TorusProfile2",
@@ -268,7 +269,7 @@ def _lattice_counts(k, m, table):
     return -_floor_max_sum(upper, lo, hi) - _floor_max_sum(lower, lo, hi) - (hi - lo + 1)
 
 
-def _h0_toric_counts(ks, f: TorusProfile2, tw=None) -> np.ndarray:
+def _h0_toric_counts(ks, f: TorusProfile2, d: int = 0) -> np.ndarray:
     """`h0_toric` at every k of a strictly ascending sequence, as one int64
     array.
 
@@ -279,12 +280,11 @@ def _h0_toric_counts(ks, f: TorusProfile2, tw=None) -> np.ndarray:
     that no line value, cut, floor sum or count leaves int64; past it the
     call raises InputError.
     """
-    tw = tw or TwistData()
     # Python ints: numpy ints would wrap in the bounds below
     k_lo, k_hi = int(ks[0]), int(ks[-1])
     if k_lo < 1:
         raise InputError("k must be a positive integer")
-    c, d = f.class_mass, tw.degree_shift
+    c = f.class_mass
     m_hi = k_hi * c.numerator // c.denominator + d
     table = f.body.edge_table
     if m_hi < 0 or not table:
@@ -309,7 +309,7 @@ def _h0_toric_counts(ks, f: TorusProfile2, tw=None) -> np.ndarray:
     return counts
 
 
-def h0_toric(k: int, f: TorusProfile2, tw=None) -> int:
+def h0_toric(k: int, f: TorusProfile2, d: int = 0) -> int:
     """#{α ≥ 0 : α₁+α₂ ≤ m, (α+(1,1))/k ∈ int body}, exact integers.
 
     The one-k case of `_h0_toric_counts`: the body's integer edge table
@@ -320,13 +320,12 @@ def h0_toric(k: int, f: TorusProfile2, tw=None) -> int:
     is allocated; past it the call raises InputError.  One-k API for
     tests and the tracer; no runner calls it.
     """
-    return int(_h0_toric_counts((k,), f, tw)[0])
+    return int(_h0_toric_counts((k,), f, d)[0])
 
 
-def h0_toric_bruteforce(k: int, f: TorusProfile2, tw=None) -> int:
+def h0_toric_bruteforce(k: int, f: TorusProfile2, d: int = 0) -> int:
     """Independent oracle: direct strict point-in-polygon over all α."""
-    tw = tw or TwistData()
-    m = math.floor(k * f.class_mass) + tw.degree_shift
+    m = math.floor(k * f.class_mass) + d
     if m < 0:
         return 0
     body = f.body

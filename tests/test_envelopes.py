@@ -24,7 +24,7 @@ from envlab import (
 from envlab.envelopes import _obstacle_samples, envelope_of_samples, window_envelope
 from envlab.errors import InfeasibleClassError, InputError
 from envlab.experiments import weighted_fixture
-from envlab.profiles import SlopeWindow, WindowEnvelope
+from envlab.profiles import WindowEnvelope
 
 from conftest import random_pl_profile, random_weighted_set
 from test_mirror import mirror_windows, weighted_sets
@@ -42,7 +42,7 @@ def _flat_order_envelope(p, K):
     """Base-window envelope of the sampled (K, v) obstacle, then p's window."""
     c = p.class_mass
     obs_ts, obs_phi = _obstacle_samples(c, K)
-    q = envelope_of_samples(SlopeWindow(Fraction(0), c, c), obs_ts, obs_phi)
+    q = envelope_of_samples(WindowEnvelope(c, Fraction(0), c), obs_ts, obs_phi)
     return envelope_of_samples(p.window, q.grid, q.values)
 
 
@@ -58,12 +58,15 @@ class TestIModelEnvelope:
         env = window_envelope(1, Fraction(1, 3), Fraction(1, 4))
         assert env(0.0) == pytest.approx(math.log(2), abs=1e-14)
         assert lelong(env) == (Fraction(1, 3), Fraction(1, 4))
+        # the slope window is the model potential that evaluates the envelope
+        assert env.window == env.exact == WindowEnvelope(1, Fraction(1, 3), Fraction(3, 4))
 
     def test_degenerate_window_is_line(self):
         env = window_envelope(1, Fraction(1, 2), Fraction(1, 2))
         ts = np.asarray([-3.0, 0.0, 2.5])
         assert np.allclose(env(ts), 0.5 * ts + math.log(2), atol=1e-14)
         assert env.mass == 0
+        assert env.window == env.exact
         # G <= base with equality at t = 0 (AM-GM)
         b = base_profile(1)
         probe = np.linspace(-5, 5, 101)
@@ -78,6 +81,8 @@ class TestIModelEnvelope:
             p = random_pl_profile(rng)
             e1 = i_model_envelope(p)
             e2 = i_model_envelope(e1)
+            # a PL profile's projection is evaluated by its own window
+            assert p.exact is None and e1.exact == p.window
             assert e1.s_minus == e2.s_minus and e1.s_plus == e2.s_plus
             assert np.max(np.abs(e2(e1.grid) - e1.values)) < 1e-12
 
@@ -145,7 +150,7 @@ def windowed_obstacles(draw):
     c = Fraction(draw(st.integers(1, 3)))
     ends = st.integers(0, 12).map(lambda i: c * Fraction(i, 12))
     lo, hi = sorted([draw(ends), draw(ends)])
-    window = SlopeWindow(lo, hi, c)
+    window = WindowEnvelope(c, lo, hi)
     n = draw(st.integers(1, 24))
     eighths = st.integers(-80, 80).map(lambda i: i / 8)
     on_grid = draw(st.booleans())
@@ -231,25 +236,25 @@ class TestLowerHull:
 class TestEnvelopeOfSamples:
     @settings(max_examples=400, deadline=None)
     @given(case=windowed_obstacles())
-    @example(case=(SlopeWindow(Fraction(1, 2), Fraction(1, 2), 1),
+    @example(case=(WindowEnvelope(1, Fraction(1, 2), Fraction(1, 2)),
                    [-1.0, 0.0, 1.0, 2.0], [1.0, -0.5, 0.0, 0.5]))
     # one slope, and both samples maximize s·t − f: the slice is both
-    @example(case=(SlopeWindow(Fraction(1, 2), Fraction(1, 2), 1), [0.0, 1.0], [0.0, 0.5]))
-    @example(case=(SlopeWindow(0, Fraction(1, 3), 1),
+    @example(case=(WindowEnvelope(1, Fraction(1, 2), Fraction(1, 2)), [0.0, 1.0], [0.0, 0.5]))
+    @example(case=(WindowEnvelope(1, 0, Fraction(1, 3)),
                    [0.0, 1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 1.0, 1.0, 3.0]))
     # both orientation products underflow to 0.0 at the middle sample, which
     # lies strictly below the chord and is the conjugate's maximizer at lo
     # resp. hi: the whole-line hull once dropped it
-    @example(case=(SlopeWindow(0, Fraction(1, 12), 1),
+    @example(case=(WindowEnvelope(1, 0, Fraction(1, 12)),
                    [0.0, 8.567514649370104e-278, 2.4035891656995154e-259],
                    [0.0, 0.0, 7.377083652029965e-113]))
-    @example(case=(SlopeWindow(Fraction(1, 12), Fraction(1, 6), 1),
+    @example(case=(WindowEnvelope(1, Fraction(1, 12), Fraction(1, 6)),
                    [0.0, 8.567514649370104e-278, 2.4035891656995154e-259],
                    [0.0, 0.0, 7.377083652029965e-113]))
     # the last samples lie on the line of slope hi = 5/6 only to rounding:
     # decided among floats, the slice began at 3.75 and the whole line's
     # envelope at 4.0, and a_minus differed by an ulp
-    @example(case=(SlopeWindow(Fraction(2, 3), Fraction(5, 6), 1),
+    @example(case=(WindowEnvelope(1, Fraction(2, 3), Fraction(5, 6)),
                    [-7.37650428889, -7.17453620984, -0.23994121022, 2.89546731811,
                     4.007255903241038, 4.67789603005, 9.872586258767356],
                    [-5.10640627949377, -4.971760893460438, -0.34869756038043764,
@@ -275,7 +280,7 @@ class TestEnvelopeOfSamples:
         # −5.625 to the last sample and dropped it from the whole hull.  Both
         # hulls are exact, so the profiles have one grid and agree as
         # functions to within two float spacings at 8.
-        window = SlopeWindow(Fraction(2, 3), Fraction(5, 6), 1)
+        window = WindowEnvelope(1, Fraction(2, 3), Fraction(5, 6))
         ts = [-7.25, -5.625, -4.5, -1.25, -3.8001821797990174e-130]
         fs = [3.0, -5.6875, -4.75, -2.041666666666667, -1.0]
         got = envelope_of_samples(window, ts, fs)
@@ -342,7 +347,7 @@ class TestEnvelopeOfSamples:
     @given(case=windowed_obstacles())
     # two samples off the hull, 6e-8 apart: the chord between their
     # interpolated values once broke the profile's convexity check
-    @example(case=(SlopeWindow(0, Fraction(1, 12), 1),
+    @example(case=(WindowEnvelope(1, 0, Fraction(1, 12)),
                    [-0.5, -0.375, 1.0, 1.0000000596046448, 17.0],
                    [0.0, -1.0, 0.0, 0.0, 0.0]))
     def test_atoms_sit_on_samples(self, case):
@@ -351,7 +356,7 @@ class TestEnvelopeOfSamples:
 
     def test_non_finite_samples_raise(self):
         with pytest.raises(InputError, match="finite"):
-            envelope_of_samples(SlopeWindow(0, 1, 1), [0.0, 1.0], [0.0, np.nan])
+            envelope_of_samples(WindowEnvelope(1, 0, 1), [0.0, 1.0], [0.0, np.nan])
 
 
 class TestWeightedEnvelope:

@@ -183,14 +183,14 @@ class TestFromJson:
 
 
 def off_at(counter, chosen, move):
-    """A stand-in counter: the real counts, with `move(count, k, tw)` in
+    """A stand-in counter: the real counts, with `move(count, k, d)` in
     place of the count at each k in `chosen`."""
     def count(ks, *args):
         counts = counter(ks, *args).copy()
-        tw = args[-1]
+        d = args[-1]
         for i, k in enumerate(ks):
             if k in chosen:
-                counts[i] = move(int(counts[i]), k, tw)
+                counts[i] = move(int(counts[i]), k, d)
         return counts
     return count
 
@@ -209,7 +209,7 @@ class TestRunVolume:
     def test_radial_window_fails_where_counts_are_off(self, tmp_path, monkeypatch):
         # the window is two wide, so a count 2 off leaves it
         monkeypatch.setattr(experiments, "section_counts", off_at(
-            experiments.section_counts, (24, 37), lambda n, k, tw: n + 2))
+            experiments.section_counts, (24, 37), lambda n, k, d: n + 2))
         cfg = ExperimentConfig("volume", "third-quarter", k=[12, 24, 48],
                                sweep_max=60, shifts=[0, 1])
         rows, failures = run_experiment(cfg, str(tmp_path))
@@ -232,7 +232,7 @@ class TestRunVolume:
     def test_toric_bound_fails_where_counts_are_off(self, tmp_path, monkeypatch):
         # no count at all: |0 − area| = 1/2 exceeds 4·perimeter/k = 12/k for k > 24
         monkeypatch.setattr(experiments, "_h0_toric_counts", off_at(
-            experiments._h0_toric_counts, (50, 110), lambda n, k, tw: 0))
+            experiments._h0_toric_counts, (50, 110), lambda n, k, d: 0))
         cfg = ExperimentConfig("volume", "simplex", k=[10, 50, 100], sweep_max=120)
         rows, failures = run_experiment(cfg, str(tmp_path))
         label = "volume[toric:simplex]"
@@ -262,7 +262,7 @@ class TestRunVolume:
     def test_zero_area_bound_fails_on_one_count(self, tmp_path, monkeypatch):
         # a body with no perimeter asks for no section at all: one breaks it
         monkeypatch.setattr(experiments, "_h0_toric_counts", off_at(
-            experiments._h0_toric_counts, (3, 7), lambda n, k, tw: n + 1))
+            experiments._h0_toric_counts, (3, 7), lambda n, k, d: n + 1))
         cfg = ExperimentConfig("volume", "point", k=[3, 5], sweep_max=9)
         rows, failures = run_experiment(cfg, str(tmp_path))
         assert failures == [
@@ -432,8 +432,8 @@ class TestRunApprox:
         """Replace J's ends (j_min, j_max) at each k by ends(k, j_min, j_max)."""
         real = experiments._index_windows
 
-        def index_windows(ks, c, nu0, nu_inf, tw):
-            k, m, j_min, j_max = real(ks, c, nu0, nu_inf, tw)
+        def index_windows(ks, c, nu0, nu_inf, d):
+            k, m, j_min, j_max = real(ks, c, nu0, nu_inf, d)
             lo, hi = zip(*map(ends, k.tolist(), j_min.tolist(), j_max.tolist()))
             return k, m, np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
 

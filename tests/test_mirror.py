@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from envlab import (
-    TwistData,
     WeightedSet,
     admissible_set,
     annulus_area_measure,
@@ -81,42 +80,42 @@ def mirror(u, K, nu):
     rho = f if f is None or f is logistic_density else (lambda t: f(-np.asarray(t)))
     nu_m = RadialMeasure(-nu.breakpoints[::-1], nu.cell_masses[::-1],
                          tuple((-t, w) for t, w in reversed(nu.atoms)),
-                         density_fn=rho, exact_total=nu.exact_total)
+                         density_fn=rho)
     return window_envelope(c, c - u.s_plus, u.s_minus), K_m, nu_m
 
 
 def twists():
-    return st.builds(TwistData, st.integers(-3, 3))
+    return st.integers(-3, 3)
 
 
 @settings(max_examples=100, deadline=None)
-@given(u=window_profiles(), k=st.integers(1, 400), tw=twists())
-def test_index_sets_and_counts_reflect(u, k, tw):
+@given(u=window_profiles(), k=st.integers(1, 400), d=twists())
+def test_index_sets_and_counts_reflect(u, k, d):
     v = mirror(u, WeightedSet.whole(), fs_measure())[0]
-    a, b = admissible_set(k, u, tw), admissible_set(k, v, tw)
+    a, b = admissible_set(k, u, d), admissible_set(k, v, d)
     assert b.m == a.m
     assert b.J == tuple(a.m - j for j in reversed(a.J))
     c = u.class_mass
     ks = np.arange(1, k + 1)
     assert np.array_equal(
-        section_counts(ks, c, c - u.s_plus, u.s_minus, tw),
-        section_counts(ks, c, u.s_minus, c - u.s_plus, tw))
+        section_counts(ks, c, c - u.s_plus, u.s_minus, d),
+        section_counts(ks, c, u.s_minus, c - u.s_plus, d))
 
 
 @settings(max_examples=60, deadline=None)
-@given(u=window_profiles(), k=st.integers(1, 300), tw=twists())
-def test_fs_norms_reflect(u, k, tw):
+@given(u=window_profiles(), k=st.integers(1, 300), d=twists())
+def test_fs_norms_reflect(u, k, d):
     K, nu = WeightedSet.whole(), fs_measure()
     v, K_m, nu_m = mirror(u, K, nu)
-    a, b = section_basis(k, u, K, nu, tw), section_basis(k, v, K_m, nu_m, tw)
+    a, b = section_basis(k, u, K, nu, d), section_basis(k, v, K_m, nu_m, d)
     assert b.log_norms2.tobytes() == a.log_norms2[::-1].tobytes()
     try:
-        a = section_basis(k, u, K, nu, tw, singular_weight=True).log_norms2
+        a = section_basis(k, u, K, nu, d, singular_weight=True).log_norms2
     except EnvlabError as exc:
         with pytest.raises(type(exc)):
-            section_basis(k, v, K_m, nu_m, tw, singular_weight=True)
+            section_basis(k, v, K_m, nu_m, d, singular_weight=True)
         return
-    b = section_basis(k, v, K_m, nu_m, tw, singular_weight=True).log_norms2[::-1]
+    b = section_basis(k, v, K_m, nu_m, d, singular_weight=True).log_norms2[::-1]
     assert np.all(np.abs(b - a) <= SINGULAR_REL * np.maximum(1.0, np.abs(a)))
 
 
@@ -125,13 +124,12 @@ def test_fs_norms_reflect(u, k, tw):
 def test_third_quarter_singular_norms_reflect(k, d):
     u, K, nu = weighted_fixture("third-quarter-fs")
     v, K_m, nu_m = mirror(u, K, nu)
-    tw = TwistData(d)
-    a = section_basis(k, u, K, nu, tw, singular_weight=True).log_norms2
-    b = section_basis(k, v, K_m, nu_m, tw, singular_weight=True).log_norms2[::-1]
+    a = section_basis(k, u, K, nu, d, singular_weight=True).log_norms2
+    b = section_basis(k, v, K_m, nu_m, d, singular_weight=True).log_norms2[::-1]
     assert np.all(np.abs(b - a) <= THIRD_QUARTER_REL * np.abs(a))
 
 
-def annulus_cells(k, u, tw):
+def annulus_cells(k, u, d):
     """β's cells on annulus-area's (K, ν) with u, and those of the mirror
     image reflected back, after checking the routes each takes."""
     K, nu = WeightedSet.interval(-1.0, 1.0), annulus_area_measure()
@@ -139,12 +137,12 @@ def annulus_cells(k, u, tw):
     # e^{−t} is not an `AreaDensity`, so the mirror's β takes the plan
     assert _closed_form_density(K, nu) is not None
     assert _closed_form_density(K_m, nu_m) is None
-    res = bergman(k, v, K_m, nu_m, tw)
-    basis = admissible_set(k, u, tw)
+    res = bergman(k, v, K_m, nu_m, d)
+    basis = admissible_set(k, u, d)
     assert res.h0 == len(basis.J)
     if not basis.J:
         return np.empty(0), np.empty(0)
-    beta = bergman(k, u, K, nu, tw).beta
+    beta = bergman(k, u, K, nu, d).beta
     assert np.max(np.abs(-res.beta.breakpoints[::-1] - beta.breakpoints)) <= 1e-15
     # the original's β is `_area_beta_cell_masses`, which declines only at m = 0
     closed = _area_beta_cell_masses(beta.breakpoints, basis.m, basis.J, 1 / k)
@@ -153,48 +151,48 @@ def annulus_cells(k, u, tw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(u=window_profiles(), k=st.integers(1, 1000), tw=twists())
-def test_annulus_closed_form_matches_the_mirror_plan(u, k, tw):
+@given(u=window_profiles(), k=st.integers(1, 1000), d=twists())
+def test_annulus_closed_form_matches_the_mirror_plan(u, k, d):
     # far cells hold e^{−O(k)} of the mass: only the absolute error is bounded
-    want, got = annulus_cells(k, u, tw)
+    want, got = annulus_cells(k, u, d)
     assert np.all(np.abs(got - want) <= ANNULUS_OF_TOTAL * np.sum(want))
 
 
 @pytest.mark.parametrize("k", [1, 5, 25, 200, 1000])
 def test_annulus_area_matches_the_mirror_plan_per_cell(k):
     u = weighted_fixture("annulus-area")[0]
-    want, got = annulus_cells(k, u, TwistData())
+    want, got = annulus_cells(k, u, 0)
     err = np.abs(got - want)
     assert np.max(err) <= ANNULUS_ABS
     assert np.max(err / want) <= ANNULUS_REL
 
 
-def cdf_mirror_error(k, u, K, nu, tw):
+def cdf_mirror_error(k, u, K, nu, d):
     """max |F(t) + F′(−t) − mass| over β's breakpoints, of β's mass, where
     F is β's CDF and F′ that of the mirror image's β."""
-    beta = bergman(k, u, K, nu, tw).beta
+    beta = bergman(k, u, K, nu, d).beta
     if not beta.breakpoints.size:
         return 0.0
-    image = bergman(k, *mirror(u, K, nu), tw).beta
+    image = bergman(k, *mirror(u, K, nu), d).beta
     t = beta.breakpoints
     mass = beta.total_mass()
     return np.max(np.abs(beta.cdf(t) + image.cdf(-t) - mass)) / mass
 
 
 @settings(max_examples=40, deadline=None)
-@given(u=window_profiles(), k=st.integers(1, 400), tw=twists())
-def test_fs_beta_cdfs_reflect(u, k, tw):
+@given(u=window_profiles(), k=st.integers(1, 400), d=twists())
+def test_fs_beta_cdfs_reflect(u, k, d):
     K, nu = WeightedSet.whole(), fs_measure()
     assert _closed_form_density(K, nu) is logistic_density
-    assert cdf_mirror_error(k, u, K, nu, tw) <= FS_CDF_OF_MASS
+    assert cdf_mirror_error(k, u, K, nu, d) <= FS_CDF_OF_MASS
 
 
 @settings(max_examples=15, deadline=None)
-@given(u=window_profiles(), k=st.integers(1, 200), tw=twists())
-def test_bump_beta_cdfs_reflect(u, k, tw):
+@given(u=window_profiles(), k=st.integers(1, 200), d=twists())
+def test_bump_beta_cdfs_reflect(u, k, d):
     _, K, nu = weighted_fixture("bump-fs")
     assert _closed_form_density(K, nu) is None
-    assert cdf_mirror_error(k, u, K, nu, tw) <= BUMP_CDF_OF_MASS
+    assert cdf_mirror_error(k, u, K, nu, d) <= BUMP_CDF_OF_MASS
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,14 +6,15 @@ import pytest
 
 from envlab import (
     ConvexProfile,
-    SlopeWindow,
     WeightedSet,
     base_profile,
     lelong,
     mix_profiles,
     sup_difference,
+    window_envelope,
 )
 from envlab.errors import InfeasibleClassError, InputError
+from envlab.profiles import WindowEnvelope
 
 from conftest import random_pl_profile
 
@@ -104,9 +105,18 @@ class TestWindows:
 
     def test_window_validation(self):
         with pytest.raises(InfeasibleClassError):
-            SlopeWindow(Fraction(3, 4), Fraction(1, 4), Fraction(1))
+            WindowEnvelope(Fraction(1), Fraction(3, 4), Fraction(1, 4))
         with pytest.raises(InfeasibleClassError):
-            SlopeWindow(Fraction(0), Fraction(2), Fraction(1))
+            WindowEnvelope(Fraction(1), Fraction(0), Fraction(2))
+        # ints and strings are coerced to exact rationals; floats are refused
+        w = WindowEnvelope(1, "1/3", "3/4")
+        assert all(type(x) is Fraction for x in (w.c, w.lo, w.hi))
+        assert w == WindowEnvelope(Fraction(1), Fraction(1, 3), Fraction(3, 4))
+        with pytest.raises(TypeError):
+            WindowEnvelope(1, 0.25, Fraction(3, 4))
+        # ν₀ + ν_∞ > c: window_envelope's window [ν₀, c − ν_∞] is empty
+        with pytest.raises(InfeasibleClassError):
+            window_envelope(1, Fraction(2, 3), Fraction(1, 2))
 
 
 class TestMaxAndSup:

@@ -34,11 +34,10 @@ def filter_then_union(bp, extra):
     return np.union1d(bp, inner[(inner > bp[0]) & (inner < bp[-1])])
 
 
-def loop_refine(breakpoints, k, extra=None, max_width=None):
+def loop_refine(breakpoints, k, extra=None):
     """Reference: one `np.linspace` per cell, in a Python loop."""
     bp = filter_then_union(breakpoints, extra)
-    if max_width is None:
-        max_width = min(0.5, 4.0 / np.sqrt(1.0 + float(k)))
+    max_width = min(0.5, 4.0 / np.sqrt(1.0 + float(k)))
     out = [bp[0]]
     for a, b in zip(bp[:-1], bp[1:]):
         nsub = max(1, int(np.ceil((b - a) / max_width)))
@@ -71,12 +70,11 @@ class TestGaussTable:
 
 class TestRefineBreakpoints:
     @settings(max_examples=60, deadline=None)
-    @given(bp=breakpoints, k=st.integers(0, 10 ** 4),
-           extra=st.none() | st.lists(st.floats(-80.0, 80.0), max_size=12),
-           max_width=st.none() | st.floats(1e-2, 5.0))
-    def test_matches_linspace_loop(self, bp, k, extra, max_width):
-        want = loop_refine(bp, k, extra, max_width)
-        got = refine_breakpoints(insert_interior(bp, extra), k, max_width=max_width)
+    @given(bp=breakpoints, k=st.integers(0, 10 ** 5),
+           extra=st.none() | st.lists(st.floats(-80.0, 80.0), max_size=12))
+    def test_matches_linspace_loop(self, bp, k, extra):
+        want = loop_refine(bp, k, extra)
+        got = refine_breakpoints(insert_interior(bp, extra), k)
         assert np.array_equal(got, want)
 
     def test_default_grid_at_large_k(self):

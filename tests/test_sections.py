@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from envlab import (
     ConvexProfile,
-    TwistData,
     WeightedSet,
     admissible_indices,
     admissible_set,
@@ -106,7 +105,7 @@ class TestAdmissibleSet:
         ]
         for c, nu0, nu_inf, d in params:
             for k in range(1, 120):
-                _, J = admissible_indices(k, c, nu0, nu_inf, TwistData(d))
+                _, J = admissible_indices(k, c, nu0, nu_inf, d)
                 assert len(J) == oracle_count(k, c, nu0, nu_inf, d), (c, k, d)
 
     def test_boundary_exponent_excluded(self):
@@ -118,7 +117,7 @@ class TestAdmissibleSet:
 class TestH0:
     def test_spec_counts(self):
         assert h0(24, THIRD_QUARTER) == 11
-        assert h0(12, THIRD_QUARTER, TwistData(1)) == 7
+        assert h0(12, THIRD_QUARTER, 1) == 7
 
     def test_count_is_rank_times_index_set(self):
         # h0 takes the count from the ends of the window; J and the oracle
@@ -132,19 +131,18 @@ class TestH0:
             c, nu0, nu_inf = u.class_mass, u.s_minus, u.class_mass - u.s_plus
             for d in shifts:
                 for k in ks:
-                    _, J = admissible_indices(k, c, nu0, nu_inf, TwistData(d))
+                    _, J = admissible_indices(k, c, nu0, nu_inf, d)
                     assert len(J) == oracle_count(k, c, nu0, nu_inf, d), (c, d, k)
-                    assert h0(k, u, TwistData(d)) == len(J), (c, d, k)
+                    assert h0(k, u, d) == len(J), (c, d, k)
 
     def test_count_at_huge_k_is_closed_form(self):
         # J = [⌊k/3⌋, m − ⌊k/4⌋] with m = k + d; J is never built
         k = 10 ** 12
         assert h0(k, THIRD_QUARTER) == 416_666_666_668
         for d in (0, 1, -1):
-            count = h0(k, THIRD_QUARTER, TwistData(d))
+            count = h0(k, THIRD_QUARTER, d)
             assert count == k + d - k // 4 - k // 3 + 1
-            assert counting_window_holds((k,), (count,), 1, Fraction(1, 3), Fraction(1, 4),
-                                         TwistData(d))[0]
+            assert counting_window_holds((k,), (count,), 1, Fraction(1, 3), Fraction(1, 4), d)[0]
 
     def test_counting_bound(self):
         # J = integers in the open interval (k/3 − 1, m + 1 − k/4), m = k + d,
@@ -154,9 +152,8 @@ class TestH0:
         lim = limit_mass(1, Fraction(1, 3), Fraction(1, 4))
         assert lim == Fraction(5, 12)
         for d in (-1, 0, 1):
-            tw = TwistData(d)
             for k in range(1, 201):
-                count = h0(k, THIRD_QUARTER, tw)
+                count = h0(k, THIRD_QUARTER, d)
                 excess = count - k * lim
                 assert d + 1 <= excess < d + 3, (d, k)
                 err = abs(Fraction(count, k) - lim)
@@ -166,13 +163,12 @@ class TestH0:
         c, nu0, nu_inf = Fraction(1), Fraction(1, 3), Fraction(1, 4)
         ks = range(1, 201)
         for d in (-1, 0, 1):
-            tw = TwistData(d)
             counts = np.array([oracle_count(k, c, nu0, nu_inf, d) for k in ks])
-            assert counting_window_holds(ks, counts, c, nu0, nu_inf, tw).all(), d
+            assert counting_window_holds(ks, counts, c, nu0, nu_inf, d).all(), d
             # the window is two wide: a count two off is rejected
             for off in (-2, 2):
                 assert not counting_window_holds(
-                    ks, counts + off, c, nu0, nu_inf, tw).any(), (d, off)
+                    ks, counts + off, c, nu0, nu_inf, d).any(), (d, off)
 
     def test_counting_gate_fractional_class(self):
         # {k·c} ≠ 0 moves the window, and d = −4 empties J at small k
@@ -181,8 +177,7 @@ class TestH0:
             ks = range(1, 120)
             for d in (-4, -1, 0, 1):
                 counts = [oracle_count(k, c, nu0, nu_inf, d) for k in ks]
-                assert counting_window_holds(ks, counts, c, nu0, nu_inf,
-                                             TwistData(d)).all(), (c, d)
+                assert counting_window_holds(ks, counts, c, nu0, nu_inf, d).all(), (c, d)
 
 
 def py_window(k, c, nu0, nu_inf, d):
@@ -193,10 +188,10 @@ def py_window(k, c, nu0, nu_inf, d):
     return m, j_min, j_max
 
 
-def py_window_holds(k, count, c, nu0, nu_inf, tw):
+def py_window_holds(k, count, c, nu0, nu_inf, d):
     """Reference counting-window verdict for one k: q·(n − 1) < q·L ≤ q·(n + 1)
     in Python integers, with q = q₀·q_∞."""
-    m, _, _ = py_window(k, c, nu0, nu_inf, tw.degree_shift)
+    m, _, _ = py_window(k, c, nu0, nu_inf, d)
     q = nu0.denominator * nu_inf.denominator
     qL = q * (m + 2) - k * (nu0.numerator * nu_inf.denominator
                             + nu_inf.numerator * nu0.denominator)
@@ -218,18 +213,17 @@ class TestArrayCounts:
                st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=20,
                         unique=True).map(sorted)))
     def test_counts_and_verdicts_match_python_ints(self, c, nu0, nu_inf, d, ks):
-        tw = TwistData(d)
         want = []
         for k in ks:
             _, j_min, j_max = py_window(k, c, nu0, nu_inf, d)
             want.append(max(0, j_max - j_min + 1))
-        got = section_counts(ks, c, nu0, nu_inf, tw)
+        got = section_counts(ks, c, nu0, nu_inf, d)
         assert got.dtype == np.int64 and got.tolist() == want
         # the true counts, and counts moved by one or two
         for off in (0, -1, 1, -2, 2):
-            verdicts = counting_window_holds(ks, got + off, c, nu0, nu_inf, tw)
+            verdicts = counting_window_holds(ks, got + off, c, nu0, nu_inf, d)
             assert verdicts.tolist() == [
-                py_window_holds(k, n + off, c, nu0, nu_inf, tw)
+                py_window_holds(k, n + off, c, nu0, nu_inf, d)
                 for k, n in zip(ks, want)], off
 
     @pytest.mark.parametrize("k", [2 ** 62, 10 ** 19])
@@ -422,10 +416,10 @@ def per_index_log_norm2(k, m, u, K, nu, singular=False):
     return log_n2
 
 
-def plan_log_norms2(k, u, K, nu, tw=TwistData(), singular=False):
+def plan_log_norms2(k, u, K, nu, d=0, singular=False):
     """(J, log N² of each z^j from one `_NormPlan` on the norms' cells),
     bypassing the closed form."""
-    basis = admissible_set(k, u, tw)
+    basis = admissible_set(k, u, d)
     assert basis.J
     plan = _NormPlan(k, basis.m, u, K, nu, singular, sections._plan_cells(k, u, K, nu))
     return basis, plan.log_norms2(np.asarray(basis.J, dtype=np.int64))
@@ -633,7 +627,7 @@ class TestPlanCells:
                               np.union1d(nu.breakpoints, [-0.71, 0.71]))
 
 
-def mp_log_norms2(k, u, tw=TwistData(), singular=False):
+def mp_log_norms2(k, u, d=0, singular=False):
     """log N² over u's admissible set in mpmath: Beta values under the
     smooth convention; under the singular weight `betainc` for the middle
     and quadrature, split at x/2, for each tangent-line tail."""
@@ -642,7 +636,7 @@ def mp_log_norms2(k, u, tw=TwistData(), singular=False):
     def mpq(q):
         return mp.mpf(q.numerator) / q.denominator
 
-    basis = admissible_set(k, u, tw)
+    basis = admissible_set(k, u, d)
     assert basis.J
     m = basis.m
     w = u.exact
@@ -691,12 +685,11 @@ class TestClosedFormNorms:
     def test_against_mpmath(self, u, k, d, singular):
         import mpmath as mp
 
-        tw = TwistData(d)
         with mp.workdps(30):
-            basis, want = mp_log_norms2(k, u, tw, singular)
+            basis, want = mp_log_norms2(k, u, d, singular)
         if u is SQRT2_WINDOW:
             assert (k * SQRT2).denominator != 1
-        got = section_basis(k, u, WeightedSet.whole(), fs_measure(), tw,
+        got = section_basis(k, u, WeightedSet.whole(), fs_measure(), d,
                             singular_weight=singular).log_norms2
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
@@ -710,9 +703,8 @@ class TestClosedFormNorms:
     ])
     def test_agrees_with_the_plan(self, u, k, d, singular):
         K, nu = WeightedSet.whole(), fs_measure()
-        tw = TwistData(d)
-        _, want = plan_log_norms2(k, u, K, nu, tw, singular)
-        got = section_basis(k, u, K, nu, tw, singular_weight=singular).log_norms2
+        _, want = plan_log_norms2(k, u, K, nu, d, singular)
+        got = section_basis(k, u, K, nu, d, singular_weight=singular).log_norms2
         assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("u,k,d", [
@@ -723,16 +715,15 @@ class TestClosedFormNorms:
     ], ids=["d-2", "window-end-near-c", "window-at-c", "window-at-0"])
     def test_plan_where_the_series_does_not_apply(self, u, k, d):
         K, nu = WeightedSet.whole(), fs_measure()
-        tw = TwistData(d)
-        _, want = plan_log_norms2(k, u, K, nu, tw, singular=True)
-        got = section_basis(k, u, K, nu, tw, singular_weight=True).log_norms2
+        _, want = plan_log_norms2(k, u, K, nu, d, singular=True)
+        got = section_basis(k, u, K, nu, d, singular_weight=True).log_norms2
         assert np.array_equal(got, want)
 
     def test_window_at_c_is_a_beta_value(self):
         # u = c·t on the window [c, c]: with c = 1/2, k = 5 and d = 1, J = {2, 3}
         # and N_j² = B(j − 3/2, 4 − j), i.e. B(1/2, 2) = 4/3 and B(3/2, 1) = 2/3
         u = window_envelope(Fraction(1, 2), Fraction(1, 2), 0)
-        got = section_basis(5, u, WeightedSet.whole(), fs_measure(), TwistData(1),
+        got = section_basis(5, u, WeightedSet.whole(), fs_measure(), 1,
                             singular_weight=True).log_norms2
         assert np.max(np.abs(got - np.log([4 / 3, 2 / 3]))) <= 1e-13
 
@@ -747,14 +738,14 @@ class TestClosedFormNorms:
         # d = −2: B + 2 = 0, so the series does not apply and the plan
         # takes the norms
         u, K, nu = TQ_FS
-        tw = TwistData(-2)
-        m, J = admissible_indices(30, 1, Fraction(1, 3), Fraction(1, 4), tw)
+        d = -2
+        m, J = admissible_indices(30, 1, Fraction(1, 3), Fraction(1, 4), d)
         assert sections._closed_form_log_norms2(
             30, m, np.asarray(J), u, K, nu, True) is None
-        assert np.isfinite(log_norm2(J[0], 30, u, K, nu, tw, singular_weight=True))
+        assert np.isfinite(log_norm2(J[0], 30, u, K, nu, d, singular_weight=True))
         for j in (J[0] - 1, J[-1] + 1):
             with pytest.raises(DivergentIntegralError):
-                log_norm2(j, 30, u, K, nu, tw, singular_weight=True)
+                log_norm2(j, 30, u, K, nu, d, singular_weight=True)
 
     def test_index_outside_J_is_finite_on_compact_K(self):
         # annulus-area's ν lives on [−1, 1], so every index integrates
@@ -768,7 +759,7 @@ class TestClosedFormNorms:
         k = 4000
         with np.errstate(all="raise"):
             bases = [section_basis(k, u, K, nu, singular_weight=True),
-                     section_basis(k, u, K, nu, TwistData(1), singular_weight=True),
+                     section_basis(k, u, K, nu, 1, singular_weight=True),
                      reference_basis(k, u)]
         for basis in bases:
             assert len(basis.J) > 1600
@@ -802,8 +793,7 @@ def quadrature_route(nu):
     norms and β from one pass of a norm plan on β's 32-node Gauss cells."""
     density = nu.density_fn
     return RadialMeasure(nu.breakpoints, nu.cell_masses, nu.atoms,
-                         density_fn=lambda t: density(t),
-                         exact_total=nu.exact_total)
+                         density_fn=lambda t: density(t))
 
 
 def refuse(*args, **kwargs):
@@ -948,7 +938,7 @@ class TestBergman:
 
     def test_empty_index_set_is_zero_kernel(self):
         u = base_profile(1)
-        res = bergman(1, u, WeightedSet.whole(), fs_measure(), TwistData(-2))
+        res = bergman(1, u, WeightedSet.whole(), fs_measure(), -2)
         assert res.h0 == 0
         assert res.total_mass == 0.0
 
@@ -1007,9 +997,8 @@ class TestBergman:
     @pytest.mark.parametrize("d", SHIFTS)
     def test_matches_the_quadrature_route(self, fixture, k, d):
         u, K, nu = weighted_fixture(fixture)
-        tw = TwistData(d)
-        exact = bergman(k, u, K, nu, tw)
-        quad = bergman(k, u, K, quadrature_route(nu), tw)
+        exact = bergman(k, u, K, nu, d)
+        quad = bergman(k, u, K, quadrature_route(nu), d)
         assert np.array_equal(exact.beta.breakpoints, quad.beta.breakpoints)
         assert np.max(np.abs(exact.beta.cell_masses - quad.beta.cell_masses)) <= 1e-13
 
@@ -1064,7 +1053,7 @@ class TestBergman:
         for name in ("refine_breakpoints", "gauss_cells", "_NormPlan", "_log_norms2"):
             monkeypatch.setattr(sections, name, refuse)
         u, K, nu = weighted_fixture(fixture)
-        res = bergman(1, u, K, nu, TwistData(-2))
+        res = bergman(1, u, K, nu, -2)
         assert res.h0 == 0 and res.total_mass == 0.0
         assert res.beta.cell_masses.size == 0 and not res.beta.atoms
 
@@ -1123,9 +1112,8 @@ class TestBergman:
     @given(u=window_profiles(), k=st.integers(1, 80), d=st.integers(-1, 1))
     def test_random_windows_match_the_quadrature_route(self, u, k, d):
         K, nu = WeightedSet.whole(), fs_measure()
-        tw = TwistData(d)
-        exact = bergman(k, u, K, nu, tw)
-        quad = bergman(k, u, K, quadrature_route(nu), tw)
+        exact = bergman(k, u, K, nu, d)
+        quad = bergman(k, u, K, quadrature_route(nu), d)
         assert np.max(np.abs(exact.beta.cell_masses - quad.beta.cell_masses),
                       initial=0.0) <= 1e-12
         assert exact.total_mass == pytest.approx(exact.h0 / k, rel=1e-13, abs=0.0)
@@ -1257,9 +1245,9 @@ def same_bits(got, want):
         got is None or (got.shape == want.shape and got.tobytes() == want.tobytes()))
 
 
-def area_beta_args(k, u, K, nu, tw=TwistData()):
+def area_beta_args(k, u, K, nu, d=0):
     """`_area_beta_cell_masses`'s arguments as `bergman` passes them."""
-    basis = admissible_set(k, u, tw)
+    basis = admissible_set(k, u, d)
     bp = refine_breakpoints(sections._norm_breaks(K, nu), 4 * k)
     return bp, basis.m, basis.J, 1 / k
 
@@ -1285,7 +1273,7 @@ class TestWorkWindows:
     @settings(max_examples=40, deadline=None)
     @given(u=window_profiles(), k=st.integers(1, 600), d=st.integers(-1, 1))
     def test_random_windows_on_the_fs_volume(self, u, k, d):
-        basis = admissible_set(k, u, TwistData(d))
+        basis = admissible_set(k, u, d)
         if not basis.J:
             return
         t = refine_breakpoints(sections._norm_breaks(WeightedSet.whole(), fs_measure()),
@@ -1299,10 +1287,9 @@ class TestWorkWindows:
            k=st.integers(1, 600), d=st.integers(-1, 1))
     def test_random_annuli(self, u, ends, k, d):
         a, b = (e / 64 for e in sorted(ends))
-        tw = TwistData(d)
-        if not admissible_set(k, u, tw).J:
+        if not admissible_set(k, u, d).J:
             return
-        args = area_beta_args(k, u, *area_fixture(a, b)[1:], tw)
+        args = area_beta_args(k, u, *area_fixture(a, b)[1:], d)
         assert same_bits(sections._area_beta_cell_masses(*args),
                          on_tiny_windows(sections._area_beta_cell_masses, *args))
 
@@ -1353,13 +1340,13 @@ def area_fixture(a, b):
     return base_profile(1), WeightedSet.interval(a, b), annulus_area_measure(a, b)
 
 
-def closed_form_bergman(monkeypatch, k, u, K, nu, tw=TwistData()):
+def closed_form_bergman(monkeypatch, k, u, K, nu, d=0):
     """`bergman` with every quadrature builder stubbed to raise."""
     with monkeypatch.context() as patch:
         patch.setattr(sections._NormPlan, "beta", refuse)
         for name in ("gauss_cells", "_NormPlan", "_log_norms2"):
             patch.setattr(sections, name, refuse)
-        return bergman(k, u, K, nu, tw)
+        return bergman(k, u, K, nu, d)
 
 
 class TestAreaBeta:
@@ -1369,9 +1356,8 @@ class TestAreaBeta:
     @pytest.mark.parametrize("d", SHIFTS)
     def test_matches_the_quadrature_route(self, k, d, monkeypatch):
         u, K, nu = weighted_fixture("annulus-area")
-        tw = TwistData(d)
-        exact = closed_form_bergman(monkeypatch, k, u, K, nu, tw)
-        quad = bergman(k, u, K, quadrature_route(nu), tw)
+        exact = closed_form_bergman(monkeypatch, k, u, K, nu, d)
+        quad = bergman(k, u, K, quadrature_route(nu), d)
         assert np.array_equal(exact.beta.breakpoints, quad.beta.breakpoints)
         assert np.max(np.abs(exact.beta.cell_masses - quad.beta.cell_masses)) <= 1e-13
         assert abs(exact.total_mass - exact.h0 / k) <= 1e-14 * exact.h0 / k
@@ -1456,9 +1442,8 @@ class TestAreaBeta:
     def test_random_annuli_match_the_plan(self, u, ends, k, d):
         a, b = (e / 64 for e in sorted(ends))
         _, K, nu = area_fixture(a, b)
-        tw = TwistData(d)
-        exact = bergman(k, u, K, nu, tw)
-        quad = bergman(k, u, K, quadrature_route(nu), tw)
+        exact = bergman(k, u, K, nu, d)
+        quad = bergman(k, u, K, quadrature_route(nu), d)
         assert np.max(np.abs(exact.beta.cell_masses - quad.beta.cell_masses),
                       initial=0.0) <= 1e-12
         assert exact.total_mass == pytest.approx(exact.h0 / k, rel=1e-13, abs=0.0)
@@ -1468,7 +1453,7 @@ class TestDonaldson:
     def test_zero_on_equal(self):
         u = THIRD_QUARTER
         A = section_basis(10, u, WeightedSet.whole(), fs_measure())
-        assert donaldson(10, u, A, A) == 0.0
+        assert donaldson(10, A, A) == 0.0
 
     def test_constant_shift_closed_form(self):
         u = THIRD_QUARTER
@@ -1478,14 +1463,14 @@ class TestDonaldson:
         A = section_basis(k, u, K0, fs_measure())
         B = section_basis(k, u, Ka, fs_measure())
         want = -a * len(A.J) / k
-        assert donaldson(k, u, A, B) == pytest.approx(want, abs=1e-8)
+        assert donaldson(k, A, B) == pytest.approx(want, abs=1e-8)
 
     def test_mismatched_bases_rejected(self):
         u = THIRD_QUARTER
         A = section_basis(10, u, WeightedSet.whole(), fs_measure())
         B = section_basis(12, u, WeightedSet.whole(), fs_measure())
         with pytest.raises(InputError):
-            donaldson(10, u, A, B)
+            donaldson(10, A, B)
 
     def test_functional_of_reference_is_zero(self):
         u = THIRD_QUARTER
@@ -1610,7 +1595,7 @@ class TestApproximant:
         u = THIRD_QUARTER
         ks = range(1, 501)
         _, _, j_min, j_max = sections._index_windows(
-            ks, u.class_mass, u.s_minus, u.class_mass - u.s_plus, TwistData())
+            ks, u.class_mass, u.s_minus, u.class_mass - u.s_plus, 0)
         for k, lo, hi in zip(ks, j_min.tolist(), j_max.tolist()):
             ap = bergman_approximant(k, u)
             assert (ap.s_minus, ap.s_plus) == (Fraction(lo, k), Fraction(hi, k))

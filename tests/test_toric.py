@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envlab import TwistData, toric
+from envlab import toric
 from envlab.errors import InputError
 from envlab.experiments import ExperimentConfig, run_volume, toric_fixture
 from envlab.toric import (
@@ -21,9 +21,9 @@ from envlab.toric import (
 )
 
 
-def loop_h0_toric(k, f, tw=TwistData()):
+def loop_h0_toric(k, f, d=0):
     """Reference: Fraction edge inequalities per k, one Python loop per row."""
-    m = math.floor(k * f.class_mass) + tw.degree_shift
+    m = math.floor(k * f.class_mass) + d
     verts = f.body.vertices
     if m < 0 or len(verts) < 3:
         return 0
@@ -67,8 +67,7 @@ polygon_profile = st.lists(gradient, min_size=1, max_size=6).map(
 def assert_matches_bruteforce(f, ks):
     for d in range(-2, 3):
         for k in ks:
-            tw = TwistData(d)
-            assert h0_toric(k, f, tw) == h0_toric_bruteforce(k, f, tw), (k, d)
+            assert h0_toric(k, f, d) == h0_toric_bruteforce(k, f, d), (k, d)
 
 
 class TestAgainstBruteforce:
@@ -90,13 +89,12 @@ class TestAgainstRowLoop:
         f = toric_fixture(name)
         for d in (-2, 0, 2):
             for k in self.KS:
-                assert h0_toric(k, f, TwistData(d)) == loop_h0_toric(
-                    k, f, TwistData(d)), (k, d)
+                assert h0_toric(k, f, d) == loop_h0_toric(k, f, d), (k, d)
 
     @settings(max_examples=20, deadline=None)
     @given(f=polygon_profile, k=st.integers(1, 2000), d=st.integers(-2, 2))
     def test_rational_polygons_to_large_k(self, f, k, d):
-        assert h0_toric(k, f, TwistData(d)) == loop_h0_toric(k, f, TwistData(d))
+        assert h0_toric(k, f, d) == loop_h0_toric(k, f, d)
 
     def test_body_and_edge_table_are_built_once(self):
         f = toric_fixture("half-square")
@@ -111,7 +109,7 @@ class TestAgainstRowLoop:
 def loop_counts(name, d):
     """{k: loop_h0_toric} for k = 1..400, shared by the block sizes."""
     f = toric_fixture(name)
-    return {k: loop_h0_toric(k, f, TwistData(d)) for k in range(1, 401)}
+    return {k: loop_h0_toric(k, f, d) for k in range(1, 401)}
 
 
 def closed_form_count(name, k):
@@ -137,7 +135,7 @@ class TestBatchedCounts:
             want = loop_counts(name, d)
             for ks in self.KS:
                 assert len(ks) == 1 or len(ks) > block
-                got = _h0_toric_counts(ks, f, TwistData(d))
+                got = _h0_toric_counts(ks, f, d)
                 assert got.dtype == np.int64
                 assert got.tolist() == [want[k] for k in ks], (ks, d)
 
@@ -154,8 +152,8 @@ class TestBatchedCounts:
            d=st.integers(-6, 4), block=st.sampled_from([1, 3, 2 ** 13]))
     def test_rational_polygons_match_row_loop(self, f, ks, d, block):
         with mock.patch.object(toric, "K_BLOCK", block):
-            got = _h0_toric_counts(ks, f, TwistData(d)).tolist()
-        assert got == [loop_h0_toric(k, f, TwistData(d)) for k in ks]
+            got = _h0_toric_counts(ks, f, d).tolist()
+        assert got == [loop_h0_toric(k, f, d) for k in ks]
 
 
 class TestLargeK:
@@ -250,23 +248,21 @@ class TestPermutations:
     def test_fixtures(self, name, perm):
         f = toric_fixture(name)
         for d in range(-3, 3):
-            tw = TwistData(d)
-            assert np.array_equal(_h0_toric_counts(self.KS, permuted(f, perm), tw),
-                                  _h0_toric_counts(self.KS, f, tw)), d
+            assert np.array_equal(_h0_toric_counts(self.KS, permuted(f, perm), d),
+                                  _h0_toric_counts(self.KS, f, d)), d
 
     def test_the_simplex_binds_below_d_minus_3(self):
         # the identity's range is sharp: at d = −4, α₁ + α₂ ≤ m cuts
         # half-square's points and its rotated image's differently
         f = toric_fixture("half-square")
         ks = np.arange(1, 41)
-        tw = TwistData(-4)
-        assert not np.array_equal(_h0_toric_counts(ks, permuted(f, rotate), tw),
-                                  _h0_toric_counts(ks, f, tw))
+        d = -4
+        assert not np.array_equal(_h0_toric_counts(ks, permuted(f, rotate), d),
+                                  _h0_toric_counts(ks, f, d))
 
     @settings(max_examples=40, deadline=None)
     @given(f=polygon_profile, d=st.integers(-3, 2), perm=st.sampled_from([swap, rotate]))
     def test_rational_polygons(self, f, d, perm):
         ks = np.arange(1, 601)
-        tw = TwistData(d)
-        assert np.array_equal(_h0_toric_counts(ks, permuted(f, perm), tw),
-                              _h0_toric_counts(ks, f, tw))
+        assert np.array_equal(_h0_toric_counts(ks, permuted(f, perm), d),
+                              _h0_toric_counts(ks, f, d))
