@@ -180,6 +180,8 @@ class ExperimentConfig:
     def from_json(cls, path: str) -> "ExperimentConfig":
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise InputError(f"{path}: a config must be a JSON object, got {data!r}")
         required = {f.name for f in fields(cls)
                     if f.default is MISSING and f.default_factory is MISSING}
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
@@ -374,17 +376,18 @@ def run_energy(cfg: ExperimentConfig):
 
 
 def _window_gaps(ks, u: ConvexProfile, env: ConvexProfile):
-    """(k, Lelong gap, gap ≤ 1/k, mass gap, 0 ≤ gap ≤ 2/k) with exact gaps,
-    at each k of an ascending sequence with a nonempty J, from F̃_k's tail
-    slopes s₋ = j_min/k and s₊ = j_max/k."""
-    _, _, j_min, j_max = _index_windows(ks, u.class_mass, u.s_minus,
-                                        u.class_mass - u.s_plus, 0)
-    for k, lo, hi in zip(ks, j_min.tolist(), j_max.tolist()):
-        if lo <= hi:
-            s_minus, s_plus = Fraction(lo, k), Fraction(hi, k)
-            lelong = max(abs(s_minus - u.s_minus), abs(s_plus - u.s_plus))
-            mass = s_plus - s_minus - env.mass
-            yield k, lelong, lelong <= Fraction(1, k), mass, 0 <= mass <= Fraction(2, k)
+    """(k, Lelong gap, gap ≤ 1/k, mass gap, mass verdict) with exact gaps,
+    at each k of an ascending sequence, from F̃_k's tail slopes
+    s₋ = j_min/k and s₊ = j_max/k.  The mass gap is (|J| − 1)/k − mass,
+    and its verdict is `counting_window_holds` on the same J's count
+    |J| = j_max − j_min + 1: −{k·c} ≤ k·gap < 2 − {k·c}."""
+    c, nu0, nu_inf = u.class_mass, u.s_minus, u.class_mass - u.s_plus
+    _, _, j_min, j_max = _index_windows(ks, c, nu0, nu_inf, 0)
+    ok_mass = counting_window_holds(ks, j_max - j_min + 1, c, nu0, nu_inf)
+    for k, lo, hi, ok in zip(ks, j_min.tolist(), j_max.tolist(), ok_mass.tolist()):
+        s_minus, s_plus = Fraction(lo, k), Fraction(hi, k)
+        lelong = max(abs(s_minus - u.s_minus), abs(s_plus - u.s_plus))
+        yield k, lelong, lelong <= Fraction(1, k), s_plus - s_minus - env.mass, ok
 
 
 def run_approx(cfg: ExperimentConfig):
@@ -396,7 +399,7 @@ def run_approx(cfg: ExperimentConfig):
     rows, failures, divs = [], [], []
     gates = {k: g for k, *g in _window_gaps(cfg.k, u, env)}
     for k in cfg.k:
-        ap = bergman_approximant(k, u)  # raises NoSectionsError on an empty J
+        ap = bergman_approximant(k, u)  # raises NoSectionsError on a zero mass
         lelong_gap, ok_lelong, mass_gap, ok_mass = gates[k]
         div = divergence(ap, env)
         divs.append(float(div))

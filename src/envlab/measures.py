@@ -21,7 +21,7 @@ import numpy as np
 
 from .basefun import logistic_density, logit, sigmoid
 from .errors import InputError
-from .profiles import ConvexProfile, WindowEnvelope, default_grid
+from .profiles import ConvexProfile, WindowEnvelope, default_grid, interval_grid
 from .quadrature import gauss_cells, insert_interior, union
 
 __all__ = [
@@ -176,7 +176,7 @@ def annulus_area_measure(a: float = -1.0, b: float = 1.0) -> RadialMeasure:
     has the closed form of `sections._area_beta_cell_masses`."""
     if not a < b:
         raise InputError("annulus needs a < b")
-    grid = np.linspace(a, b, max(2, int(np.ceil((b - a) * 64)) + 1))
+    grid = interval_grid(a, b)
     density = AreaDensity(float(a), float(b))
     masses = np.diff(np.exp(grid)) / (np.exp(density.b) - np.exp(density.a))
     return RadialMeasure(grid, masses, (), density_fn=density)

@@ -216,6 +216,11 @@ def default_grid() -> np.ndarray:
     return np.linspace(-ASYMPTOTE_T, ASYMPTOTE_T, 2 * int(round(16 * ASYMPTOTE_T)) + 1)
 
 
+def interval_grid(a: float, b: float) -> np.ndarray:
+    """The 1/64 grid over [a, b]: ⌈64·(b − a)⌉ equal cells, at least one."""
+    return np.linspace(a, b, max(2, int(np.ceil((b - a) * 64)) + 1))
+
+
 def _pad_to_asymptotes(grid: np.ndarray) -> np.ndarray:
     """Extend a grid so it reaches the asymptotic range on both sides."""
     grid = np.asarray(grid, dtype=float)
@@ -384,7 +389,7 @@ class WeightedSet:
     def interval(cls, a: float, b: float, v=None) -> "WeightedSet":
         """K = [a, b] on a 1/64 grid with weight v (callable, kept exact,
         or samples)."""
-        grid = np.linspace(a, b, max(2, int(np.ceil((b - a) * 64)) + 1))
+        grid = interval_grid(a, b)
         vals, v_fn = _weight_samples(v, grid)
         return cls(((a, b, grid, vals),), v_fn=v_fn)
 

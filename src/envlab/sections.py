@@ -1,10 +1,14 @@
 """Filtered section spaces, weighted norms, and partial Bergman data.
 
-Degree bookkeeping: twisting by O(d), the plain int `d` (default 0) that
-every count, norm and Bergman entry takes, makes the level-k section
-space the degree m = ⌊k·c⌋ + d monomials, filtered by the exact
-integrability inequalities j + 1 > k·ν₀ and m − j + 1 > k·ν_∞ (boundary
-indices diverge for exact linear tails and are excluded).
+Degree bookkeeping: the level-k section space is the degree
+m = ⌊k·c⌋ monomials, filtered by the exact integrability inequalities
+j + 1 > k·ν₀ and m − j + 1 > k·ν_∞ (boundary indices diverge for exact
+linear tails and are excluded).  For 0 ≤ ν₀ ≤ c − ν_∞ that set J is
+never empty: j_max − j_min = ⌊k·c⌋ − ⌊k·ν_∞⌋ − ⌊k·ν₀⌋ ≥ 0.  The twist by
+O(d), a plain int, belongs to the count alone: `admissible_indices`,
+`section_counts`, `h0` and `counting_window_holds` take it, with
+m = ⌊k·c⌋ + d, to test how uniform the counts are in k.  The norms, β
+and the Donaldson functional are those of L^k itself.
 
 Norms follow the smooth-metric convention: the weight is m·f_FS + k·v and
 the singular potential enters only through the admissible index filter.
@@ -23,12 +27,12 @@ N_j² is the Beta value B(j+1, m−j+1) under the smooth-metric convention
 and, under the singular weight of a `WindowEnvelope` profile, a Beta value
 times a difference of regularized incomplete Beta functions plus two
 positive ₂F₁ tail series, all summed in numpy.  Everywhere else (sampled
-or nonzero weights, compact K, other measures, d ≤ −2 under the singular
-weight, a window end very near 0 or c) the norms come from one quadrature
-plan per (k, u, K, ν), on cells at the integrand's kinks refined at k.
-It evaluates all indices together, in blocks, each index's terms the
-arithmetic a separate quadrature of it on those cells would do, and has
-one reduction: the terms summed by cell, then over all the cells.
+or nonzero weights, compact K, other measures, a window end very near 0
+or c) the norms come from one quadrature plan per (k, u, K, ν), on cells
+at the integrand's kinks refined at k.  It evaluates all indices
+together, in blocks, each index's terms the arithmetic a separate
+quadrature of it on those cells would do, and has one reduction: the
+terms summed by cell, then over all the cells.
 
 The partial Bergman measure β = B·ν/k (`bergman`) takes one of two
 routes.  With v ≡ 0 against the FS volume on K = X, or against the area
@@ -209,9 +213,8 @@ def admissible_indices(k: int, c, nu0, nu_inf, d: int = 0) -> tuple[int, list[in
     return m, list(range(j_min, j_max + 1))
 
 
-def admissible_set(k: int, u: ConvexProfile, d: int = 0) -> SectionBasisData:
-    m, J = admissible_indices(k, u.class_mass, u.s_minus,
-                              u.class_mass - u.s_plus, d)
+def admissible_set(k: int, u: ConvexProfile) -> SectionBasisData:
+    m, J = admissible_indices(k, u.class_mass, u.s_minus, u.class_mass - u.s_plus)
     return SectionBasisData(k, m, tuple(J))
 
 
@@ -667,9 +670,9 @@ def _closed_form_log_norms2(k: int, m: int, js: np.ndarray, u: ConvexProfile,
 
     It applies on the FS volume (case (a) of `_closed_form_density`):
     always under the smooth-metric convention, and under the singular
-    weight when u is a `WindowEnvelope` profile and B + 2 = 2 + d − {k·c} > 0
-    (the tail series then has positive terms).  Every j lies in J, as in
-    `_log_norms2`.
+    weight when u is a `WindowEnvelope` profile, where the ₂F₁ parameter
+    B + 2 = m + 2 − k·c = 2 − {k·c} lies in (1, 2], so the tail series has
+    positive terms.  Every j lies in J, as in `_log_norms2`.
     """
     if _closed_form_density(K, nu) is not logistic_density:
         return None
@@ -685,8 +688,6 @@ def _closed_form_log_norms2(k: int, m: int, js: np.ndarray, u: ConvexProfile,
     a_left = (js - math.floor(kl)) + float(1 - (kl - math.floor(kl)))
     a_right = (m - js - math.floor(kr)) + float(1 - (kr - math.floor(kr)))
     b2 = Fraction(m + 2) - k * c
-    if b2 <= 0:
-        return None
     # I_{x₁} − I_{x₀} of (j + 1, m − j + 1) at x = lo/c, hi/c: t = logit(x),
     # ∓∞ at x = 0, 1
     with np.errstate(divide="ignore"):
@@ -926,8 +927,6 @@ def _log_norms2(k: int, m: int, J, u: ConvexProfile, K: WeightedSet,
     the quadrature plan.  Under the singular weight on a whole-line ν
     every j must lie in the admissible set, where the integrals converge."""
     js = np.asarray(J, dtype=np.int64)
-    if js.size == 0:
-        return np.empty(0)
     logs = _closed_form_log_norms2(k, m, js, u, K, nu, singular)
     if logs is not None:
         return logs
@@ -940,12 +939,12 @@ def _check_index(j: int, m: int) -> None:
 
 
 def log_norm2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
-              nu: RadialMeasure, d: int = 0, singular_weight: bool = False) -> float:
+              nu: RadialMeasure, singular_weight: bool = False) -> float:
     """log N² of z^j in the weighted L² norm against ν (closed-form where
     one exists, see `_log_norms2`).  Under the singular weight on a
     whole-line ν an index outside J diverges.  One-index API for tests
     and the tracer; no runner calls it."""
-    basis = admissible_set(k, u, d)
+    basis = admissible_set(k, u)
     _check_index(j, basis.m)
     if singular_weight and j not in basis.J and _measure_is_whole_line(nu):
         raise DivergentIntegralError(f"norm integral of index {j} diverges at k={k}")
@@ -953,44 +952,42 @@ def log_norm2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
 
 
 def log_sup2(j: int, k: int, u: ConvexProfile, K: WeightedSet,
-             d: int = 0, singular_weight: bool = False) -> float:
+             singular_weight: bool = False) -> float:
     """log of the max over a scan of K of the squared pointwise weight of
     z^j, a lower bound on its sup over K: the one-index case of
     `_log_sups2`, as API for tests and the tracer; no runner calls it."""
-    m = admissible_set(k, u, d).m
+    m = admissible_set(k, u).m
     _check_index(j, m)
     return float(_log_sups2(k, m, u, K, [j], singular_weight)[0])
 
 
 def section_basis(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
-                  d: int = 0, singular_weight: bool = False) -> SectionBasisData:
-    """Diagonal L² norm data over the admissible set (sup norms: `log_sup2`).
+                  singular_weight: bool = False) -> SectionBasisData:
+    """Diagonal L² norm data over the admissible set, which is never empty
+    (sup norms: `log_sup2`).
 
     The norms are closed-form where `_log_norms2` finds one, else from one
     quadrature plan shared by every index.
     """
-    basis = admissible_set(k, u, d)
-    logs = []
-    if basis.J:
-        logs = _log_norms2(k, basis.m, basis.J, u, K, nu, singular_weight)
-    return SectionBasisData(k, basis.m, basis.J, np.asarray(logs))
+    basis = admissible_set(k, u)
+    logs = _log_norms2(k, basis.m, basis.J, u, K, nu, singular_weight)
+    return SectionBasisData(k, basis.m, basis.J, logs)
 
 
-def reference_basis(k: int, u: ConvexProfile, d: int = 0) -> SectionBasisData:
+def reference_basis(k: int, u: ConvexProfile) -> SectionBasisData:
     """The v = 0 Fubini–Study norms on the same filtered space.
 
     In closed form: log N_j² = log B(j+1, m−j+1) = −log(m+1) − log C(m, j),
     from the exact binomial integer.
     """
-    return section_basis(k, u, WeightedSet.whole(), fs_measure(), d)
+    return section_basis(k, u, WeightedSet.whole(), fs_measure())
 
 
 # ---------------------------------------------------------------------------
 # partial Bergman kernels and measures
 # ---------------------------------------------------------------------------
 
-def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
-            d: int = 0) -> BergmanResult:
+def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure) -> BergmanResult:
     """The partial Bergman measure β = B·ν/k over (K, v, ν), with its mass.
 
     β's cells are ν's breakpoints (with v's kinks) refined at 4k.  Where
@@ -1007,15 +1004,11 @@ def bergman(k: int, u: ConvexProfile, K: WeightedSet, nu: RadialMeasure,
     `TestBergman::test_matches_the_quadrature_route`,
     `::test_random_windows_match_the_quadrature_route` and
     `TestAreaBeta::test_matches_the_quadrature_route`, and in the annulus
-    mirror of tests/test_mirror.py (`test_annulus_*_mirror_plan*`).  With
-    no admissible index β is 0 and nothing is built.
+    mirror of tests/test_mirror.py (`test_annulus_*_mirror_plan*`).
     """
     if not abs(nu.total_mass() - 1.0) <= 1e-9:
         raise InputError("reference measure must be a probability measure")
-    basis = admissible_set(k, u, d)
-    if not basis.J:
-        zero = RadialMeasure(np.empty(0), np.empty(0), ())
-        return BergmanResult(k, zero, 0.0, 0)
+    basis = admissible_set(k, u)
     m = basis.m
     breaks = _norm_breaks(K, nu)
     fine = np.empty(0) if breaks is None else refine_breakpoints(breaks, 4 * k)
@@ -1050,25 +1043,23 @@ def donaldson(k: int, A: SectionBasisData, B: SectionBasisData) -> float:
     return (B.log_det_gram - A.log_det_gram) / float(k) ** 2
 
 
-def donaldson_functional(k: int, u: ConvexProfile, A: SectionBasisData,
-                         d: int = 0) -> float:
+def donaldson_functional(k: int, u: ConvexProfile, A: SectionBasisData) -> float:
     """ℒ_{k,u}(A) against the v = 0 Fubini–Study reference norms."""
-    return donaldson(k, A, reference_basis(k, u, d))
+    return donaldson(k, A, reference_basis(k, u))
 
 
-def bm_rate(k: int, K: WeightedSet, nu: RadialMeasure, c=Fraction(1),
-            d: int = 0) -> float:
-    """(2/k)·log max_j (sup norm / L² norm) over the full degree range,
-    each sup norm a max over `_log_sups2`'s scan.
+def bm_rate(k: int, K: WeightedSet, nu: RadialMeasure, c=Fraction(1)) -> float:
+    """(2/k)·log max_j (sup norm / L² norm) over the full degree range
+    j = 0..⌊k·c⌋ of L^k, each sup norm a max over `_log_sups2`'s scan.
 
     Decays to 0 along k exactly when ν satisfies the Bernstein–Markov
     comparison on (K, v).
     """
     u = base_profile(as_fraction(c))
-    basis = admissible_set(k, u, d)
+    basis = admissible_set(k, u)
     m, js = basis.m, np.asarray(basis.J, dtype=np.int64)
     gaps = _log_sups2(k, m, u, K, js, False) - _log_norms2(k, m, js, u, K, nu, False)
-    return float(np.max(gaps, initial=-np.inf)) / float(k)
+    return float(np.max(gaps)) / float(k)
 
 
 # ---------------------------------------------------------------------------
@@ -1094,8 +1085,6 @@ def bergman_approximant(k: int, u: ConvexProfile) -> ConvexProfile:
         raise NoSectionsError("approximant needs positive mass")
     basis = section_basis(k, u, WeightedSet.whole(), fs_measure(),
                           singular_weight=True)
-    if not basis.J:
-        raise NoSectionsError(f"no admissible sections at k={k}")
     js = np.asarray(basis.J, dtype=float)
     logs = basis.log_norms2
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -94,6 +95,15 @@ class TestFromJson:
         payload = {"experiment": "volume", "fixture": "simplex", "k": k}
         with pytest.raises(InputError, match="'k' must be a non-empty list of integers"):
             load(tmp_path, payload)
+
+    @pytest.mark.parametrize("payload", [5, None, ["experiment", "fixture", "k"]],
+                             ids=["number", "null", "list"])
+    def test_config_must_be_a_json_object(self, tmp_path, payload):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        message = re.escape(f"{path}: a config must be a JSON object")
+        with pytest.raises(InputError, match=message):
+            ExperimentConfig.from_json(str(path))
 
     def test_missing_k_is_named(self, tmp_path):
         with pytest.raises(InputError, match=r"missing \['k'\]"):
@@ -446,14 +456,27 @@ class TestRunApprox:
 
     def test_sweep_gates_the_mass_gap(self, tmp_path, monkeypatch):
         # J one index shorter at its low end: s₋ moves up by 1/k, so the
-        # Lelong gap stays ≤ 1/k (allowed) and the mass gap is below 0 at
-        # k = 3, 4, 5; at k = 1, 2 the stand-in J is empty and the sweep
-        # skips k
-        self.stand_in(monkeypatch, lambda k, lo, hi: (lo + 1, hi if k >= 3 else lo))
+        # Lelong gap stays ≤ 1/k (allowed) and the count n falls below its
+        # window ⌈L⌉ − 1 ≤ n ≤ ⌈L⌉, L = 5k/12 + 2, at k = 1, 3, 4, 5; at
+        # k = 2 the real J = [0, 2] holds ⌈L⌉ = 3 indices, so the shorter
+        # one still passes
+        self.stand_in(monkeypatch, lambda k, lo, hi: (lo + 1, hi))
         cfg = ExperimentConfig("approx", "third-quarter", k=[12], sweep_max=5)
         _, failures = run_experiment(cfg, str(tmp_path))
         assert [f for f in failures if f.startswith("sweep:")] == [
-            f"sweep: mass bound broken at k={k}" for k in (3, 4, 5)]
+            f"sweep: mass bound broken at k={k}" for k in (1, 3, 4, 5)]
+
+    def test_fractional_class_passes_the_mass_gate(self, tmp_path):
+        # On sqrt2, c = 1.41421356 and mass = c: k·c is not an integer, so
+        # (|J| − 1)/k − mass = −{k·c}/k lies below 0, inside the counting
+        # window −{k·c} ≤ k·gap < 2 − {k·c}.  (The divergence gate is not
+        # asserted on: its values are fractional parts over k, not monotone.)
+        cfg = ExperimentConfig("approx", "sqrt2", k=list(range(1, 501)), sweep_max=500)
+        rows, failures = run_experiment(cfg, str(tmp_path))
+        mass = [r for r in rows if r.experiment == "approx[sqrt2:mass]"]
+        assert len(mass) == 500 and all(r.ok for r in mass)
+        assert any(r.value < r.reference for r in mass)
+        assert not [f for f in failures if "mass" in f]
 
     def test_lelong_gap_past_one_over_k_fails(self, tmp_path, monkeypatch):
         # J = [10, 21] for [8, 19] at k = 25: both ends move by 2/25, so at
