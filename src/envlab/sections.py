@@ -39,14 +39,14 @@ routes.  With v ≡ 0 against the FS volume on K = X, or against the area
 density on [a, b] ⊂ K (`_closed_form_density`), it is closed-form: at
 x = σ(t) z^j's normalized mass has an incomplete-Beta CDF, a binomial
 tail, and the sum over J is one binomial row per point against
-cumulative per-index weights (`_binomial_row_means`).  The rows are summed
-only where their entries are not 0.0, and built only where an entry is
-at least 2^−120/(n + 1) times the largest term of a sum it enters, so no
-sum moves by 2^−120 of its value.  Every cell mass is a difference of such
-sums, and no norm, plan or kernel value is computed.  Elsewhere one
-norm plan on β's own cells (refined at 4k) evaluates each exponent once:
-N_j² is the total of the per-cell sums it reduces to, so β's cells, tails
-and atoms are those pieces of N_j² over N_j², summed over J.
+cumulative per-index weights (`_binomial_row_means`).  The rows are built
+and summed only where an entry is not 0.0 (`exp_normal`'s rule, as in
+the norm plan's prune), so no sum leaves out a nonzero term.  Every cell
+mass is a difference of such sums, and no norm, plan or kernel value is
+computed.  Elsewhere one norm plan on β's own cells (refined at 4k)
+evaluates each exponent once: N_j² is the total of the per-cell sums it
+reduces to, so β's cells, tails and atoms are those pieces of N_j² over
+N_j², summed over J.
 
 Sup norms (`log_sup2`, `bm_rate`) are `_Exponent`'s conjugate: one hull
 walk (`_log_sups2`) takes G's Legendre conjugate at every slope j, G the
@@ -106,10 +106,6 @@ KERNEL_BLOCK = 2 ** 16
 # β's closed-form binomial rows are built this many points at a time, each
 # chunk on the span of its rows' live windows.
 ROW_CHUNK = 128
-
-# Within that span, β's binomial rows are built only where an entry is at
-# least 2^-ROW_KEEP_BITS/(n + 1) times the largest term of a sum it enters.
-ROW_KEEP_BITS = 120
 
 __all__ = [
     "SectionBasisData",
@@ -751,33 +747,17 @@ def _log_binomial_gap(ends: np.ndarray, n: int, js: np.ndarray):
     return _log_gap(*tails)
 
 
-def _row_windows(t: np.ndarray, n: int, log_ratio: np.ndarray, mode: np.ndarray,
-                 weights: np.ndarray):
-    """(first row, last row, lo, hi, a, b) of each chunk of ROW_CHUNK rows
-    of Bin(n, σ(t)), t ascending, to be summed against the nonnegative
-    columns of weights (n + 1 rows).
+def _row_windows(t: np.ndarray, n: int, log_ratio: np.ndarray, mode: np.ndarray):
+    """(first row, last row, lo, hi) of each chunk of ROW_CHUNK rows of
+    Bin(n, σ(t)), t ascending.
 
-    [lo, hi], the summation window, holds every entry of the chunk's rows
-    above LOG_TINY relative to its mode.  The modes are nondecreasing in t
-    and the rows log-concave, so both ends of a row's live window are
-    nondecreasing in t: lo is the chunk's first row's lowest live index and
-    hi its last row's highest.
-
-    [a, b] ⊂ [lo, hi], the work window, holds every index i of [lo, hi]
-    whose log term f_i = log P(i)/P(i₀) + log weights[i] (or the row
-    sum's, weight 1) is at least M − cut, cut = log(2^ROW_KEEP_BITS·(n + 1))
-    and M that sum's largest f over S.  S is the span above LOG_TINY + 1 in
-    both end rows, so in every row's sums: an entry left out lies below
-    e^−cut of a term that each sum it enters holds.  S and [lo, hi] are the
-    same for all rows, and f_i − f_p = C + (i − p)·t, so an index i kept at
-    t′ has one at or below it kept at any t < t′: S's argmax p at t if
-    p ≤ i, else i itself, as f_i(t) − M(t) ≥ f_i(t′) − f_p(t′) ≥ −cut.  So
-    the lowest and highest kept indices are nondecreasing in t: a is the
-    first row's lowest and b the last row's highest.
-
-    Both windows come from the prefix sums of log_ratio at each chunk's
-    first and last rows, less a unit margin for rounding (as in
-    `_NormPlan._blocks`' prune).
+    [lo, hi] holds every entry of the chunk's rows above LOG_TINY relative
+    to its mode.  The modes are nondecreasing in t and the rows
+    log-concave, so both ends of a row's live window are nondecreasing in
+    t: lo is the chunk's first row's lowest live index and hi its last
+    row's highest.  Both come from the prefix sums of log_ratio at those
+    two rows, less a unit margin for rounding (as in `_NormPlan._blocks`'
+    prune).
     """
     first = np.arange(0, t.size, ROW_CHUNK)
     last = np.minimum(first + ROW_CHUNK, t.size) - 1
@@ -787,23 +767,7 @@ def _row_windows(t: np.ndarray, n: int, log_ratio: np.ndarray, mode: np.ndarray,
     live = g > LOG_TINY - 1.0
     lo = np.argmax(live[:first.size], axis=1)
     hi = n - np.argmax(live[first.size:, ::-1], axis=1)
-    sure = g > LOG_TINY + 1.0
-    s_lo = np.argmax(sure[first.size:], axis=1)
-    s_hi = n - np.argmax(sure[:first.size, ::-1], axis=1)
-    chunk = np.tile(np.arange(first.size), 2)[:, None]     # of each end row
-    i = np.arange(n + 1)
-    in_sure = (i >= s_lo[chunk]) & (i <= s_hi[chunk])
-    cut = ROW_KEEP_BITS * math.log(2.0) + math.log(n + 1)
-    keep = np.zeros_like(live)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(weights)
-    for f in [g] + [g + col for col in log_w.T]:
-        top = np.max(f, axis=1, where=in_sure, initial=-np.inf)
-        keep |= f > (top - cut - 1.0)[:, None]
-    keep &= (i >= lo[chunk]) & (i <= hi[chunk])
-    a = np.argmax(keep[:first.size], axis=1)
-    b = n - np.argmax(keep[first.size:, ::-1], axis=1)
-    return zip(*(v.tolist() for v in (first, last, lo, hi, a, b)))
+    return zip(*(v.tolist() for v in (first, last, lo, hi)))
 
 
 def _binomial_row_means(t: np.ndarray, n: int, weights: np.ndarray,
@@ -814,25 +778,18 @@ def _binomial_row_means(t: np.ndarray, n: int, weights: np.ndarray,
     weights.
 
     Each row (`_log_rows`) is normalized by its own sum.  The rows are
-    summed a chunk at a time over its summation window [lo, hi]
-    (`_row_windows`), outside which `exp_normal` would write 0.0.  They are
-    folded and exponentiated only on the chunk's work window [a, b], and
-    written as 0.0 on the rest of [lo, hi].  An entry left out is below
-    2^−ROW_KEEP_BITS/(n + 1) times the largest term of every sum it
-    enters, so no sum moves by 2^−ROW_KEEP_BITS of its value, and the
-    products and sums run over the same shapes in the same order as over
-    the whole window: a rounded result moves only if its exact value lies
-    that close to a rounding boundary, about n·2^(53−ROW_KEEP_BITS) of the
-    time.  A value that would not be a normal float is written as 0.0.
+    built and summed a chunk at a time over its window [lo, hi]
+    (`_row_windows`), outside which `exp_normal` would write 0.0, so no
+    sum leaves out a nonzero term.  A value that would not be a normal
+    float is written as 0.0.
     """
     log_ratio, mode = _binomial_steps(t, n)
     num = np.empty((t.size, weights.shape[1]))
     den = np.empty((t.size, 1))
-    for r0, r1, lo, hi, a, b in _row_windows(t, n, log_ratio, mode, weights):
+    for r0, r1, lo, hi in _row_windows(t, n, log_ratio, mode):
         sl = slice(r0, r1 + 1)
-        w = np.zeros((r1 + 1 - r0, hi + 1 - lo))
-        lw = _log_rows(t[sl], log_ratio, mode[sl], a, b)
-        np.exp(lw, out=w[:, a - lo:b + 1 - lo], where=lw > LOG_TINY)
+        lw = _log_rows(t[sl], log_ratio, mode[sl], lo, hi)
+        w = exp_normal(lw, out=lw)
         num[sl] = w @ weights[lo:hi + 1]
         den[sl, 0] = np.sum(w, axis=1) / unit
     # 0.0 where num/den could leave the normal range; the bound is put on

@@ -51,6 +51,22 @@ class TestFromJson:
         with pytest.raises(InputError, match="'sweepmax'"):
             load(tmp_path, payload)
 
+    @pytest.mark.parametrize("experiment", [["bergman"], {"bergman": 1}, 5, None],
+                             ids=["list", "object", "number", "null"])
+    def test_experiment_must_be_a_string(self, tmp_path, experiment):
+        payload = dict(bergman_config(trend_slack=1.1, final_threshold=0.006,
+                                      leak_tol=1e-6), experiment=experiment)
+        with pytest.raises(InputError, match="'experiment' must be a string"):
+            load(tmp_path, payload)
+
+    @pytest.mark.parametrize("tolerances", [
+        5, ["trend_slack", "final_threshold", "leak_tol"], "trend_slack", None],
+        ids=["number", "list", "string", "null"])
+    def test_tolerances_must_be_a_json_object(self, tmp_path, tolerances):
+        payload = dict(bergman_config(), tolerances=tolerances)
+        with pytest.raises(InputError, match="'tolerances' must be a JSON object"):
+            load(tmp_path, payload)
+
     def test_bergman_tolerance_typo_is_named(self, tmp_path):
         with pytest.raises(InputError, match="'final_treshold'"):
             load(tmp_path, bergman_config(trend_slack=1.1, final_treshold=0.006))
@@ -469,14 +485,23 @@ class TestRunApprox:
     def test_fractional_class_passes_the_mass_gate(self, tmp_path):
         # On sqrt2, c = 1.41421356 and mass = c: k·c is not an integer, so
         # (|J| − 1)/k − mass = −{k·c}/k lies below 0, inside the counting
-        # window −{k·c} ≤ k·gap < 2 − {k·c}.  (The divergence gate is not
-        # asserted on: its values are fractional parts over k, not monotone.)
+        # window −{k·c} ≤ k·gap < 2 − {k·c}.
         cfg = ExperimentConfig("approx", "sqrt2", k=list(range(1, 501)), sweep_max=500)
         rows, failures = run_experiment(cfg, str(tmp_path))
         mass = [r for r in rows if r.experiment == "approx[sqrt2:mass]"]
         assert len(mass) == 500 and all(r.ok for r in mass)
         assert any(r.value < r.reference for r in mass)
         assert not [f for f in failures if "mass" in f]
+
+    def test_divergence_gate_does_not_read_the_schedule(self, tmp_path):
+        # on sqrt2 the divergence is c − ⌊k·c⌋/k = {k·c}/k, not monotone in
+        # k: {99c}/99 ≈ 7.2e-5 rises to {100c}/100 ≈ 0.0042, each below its
+        # own 2/k
+        cfg = ExperimentConfig("approx", "sqrt2", k=[99, 100])
+        rows, failures = run_experiment(cfg, str(tmp_path))
+        assert failures == [] and broken_rows(rows) == []
+        div = [r.value for r in rows if r.experiment == "approx[sqrt2:divergence]"]
+        assert div[0] < 1e-4 < div[1]
 
     def test_lelong_gap_past_one_over_k_fails(self, tmp_path, monkeypatch):
         # J = [10, 21] for [8, 19] at k = 25: both ends move by 2/25, so at
@@ -519,11 +544,28 @@ class TestRunApprox:
         assert built == cfg.k
 
     def test_rising_divergence_fails(self, tmp_path, monkeypatch):
-        # the approximant at k = 200 replaced by the window [1/3 − 1/200,
-        # 3/4 + 1/200], whose divergence from the envelope is 2/200; the
-        # gates read the real J and pass, but the divergence rises from
-        # 1/300 at k = 100 (J = [33, 75]) to 0.01; the divergence rows
-        # claim a pass regardless
+        # the approximant at k = 200 (J = [66, 150]) replaced by one whose
+        # lower tail slope is off by 2/200: 64/200 for 66/200, so its
+        # divergence from the envelope is 1/3 − 64/200 = 1/75, past 2/200;
+        # the Lelong and mass gates read the real J and pass
+        real = experiments.bergman_approximant
+
+        def approximant(k, u):
+            ap = real(k, u)
+            if k != 200:
+                return ap
+            return window_envelope(1, ap.s_minus - Fraction(2, 200), 1 - ap.s_plus)
+
+        monkeypatch.setattr(experiments, "bergman_approximant", approximant)
+        rows, failures = run_experiment(committed("approx_third_quarter"), str(tmp_path))
+        assert failures == ["divergence bound broken at k=200"]
+        assert broken_rows(rows) == [("approx[third-quarter:divergence]", 200)]
+        div = self.row(rows, "divergence", 200)
+        assert (div.value, div.abs_err) == (float(Fraction(1, 75)),) * 2
+
+    def test_divergence_at_its_bound_passes(self, tmp_path, monkeypatch):
+        # the window [1/3 − 1/200, 3/4 + 1/200] at k = 200: divergence 2/200,
+        # a rise from 1/300 at k = 100 (J = [33, 75]) up to the bound
         real = experiments.bergman_approximant
 
         def approximant(k, u):
@@ -534,11 +576,8 @@ class TestRunApprox:
 
         monkeypatch.setattr(experiments, "bergman_approximant", approximant)
         rows, failures = run_experiment(committed("approx_third_quarter"), str(tmp_path))
-        assert failures == ["divergence not monotone: 0.003333 -> 0.01"]
-        assert broken_rows(rows) == []
-        div, = [r.value for r in rows
-                if r.experiment.endswith(":divergence]") and r.k == 200]
-        assert div == 0.01
+        assert failures == [] and broken_rows(rows) == []
+        assert self.row(rows, "divergence", 200).value == 0.01
 
 
 CONFIGS = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))

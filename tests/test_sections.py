@@ -1167,12 +1167,6 @@ def full_row_fs_beta_cdfs(t, m, j_min, n_J, unit):
     return np.divide(num, den, out=np.zeros_like(num), where=normal)
 
 
-def fs_weights(m, J):
-    """The two clip columns `_fs_beta_cdfs` sums Bin(m + 1, x) against."""
-    lower = np.clip(np.arange(m + 2) - J[0], 0, len(J))
-    return np.stack([lower, len(J) - lower], axis=1).astype(float)
-
-
 def fs_beta_points(fixture, k):
     """β's interior cell ends on an FS fixture, and its (m, J)."""
     u, K, nu = weighted_fixture(fixture)
@@ -1206,29 +1200,30 @@ class TestWindowedRows:
             exact = math.fsum(w[r] * weights) / (math.fsum(w[r]) / unit)
             assert abs(got[r, c] - exact) <= 4 * np.spacing(exact)
 
-    @pytest.mark.parametrize("k", [1, 2, 25, 200, 3200])
+    @pytest.mark.parametrize("k", [1, 2, 25, 200, 3200, 10 ** 4])
     def test_every_live_entry_lies_in_its_window(self, k):
-        t, m, J = fs_beta_points("vtheta-fs", k)
+        t, m, _ = fs_beta_points("vtheta-fs", k)
         lw, log_ratio, mode = full_log_rows(t, m + 1)
-        windows = list(sections._row_windows(t, m + 1, log_ratio, mode, fs_weights(m, J)))
+        windows = list(sections._row_windows(t, m + 1, log_ratio, mode))
         assert windows[0][0] == 0 and windows[-1][1] == t.size - 1
-        for (r0, r1, lo, hi, _, _), nxt in zip(windows, windows[1:] + [(t.size,)]):
+        for (r0, r1, lo, hi), nxt in zip(windows, windows[1:] + [(t.size,)]):
             assert nxt[0] == r1 + 1
             live = np.flatnonzero(np.any(lw[r0:r1 + 1] > LOG_TINY, axis=0))
             assert lo <= live[0] and live[-1] <= hi
 
     def test_large_k_touches_a_quarter_of_the_table(self):
-        t, m, J = fs_beta_points("vtheta-fs", 3200)
+        t, m, _ = fs_beta_points("vtheta-fs", 3200)
         _, log_ratio, mode = full_log_rows(t, m + 1)
-        touched = sum((r1 + 1 - r0) * (hi + 1 - lo) for r0, r1, lo, hi, _, _
-                      in sections._row_windows(t, m + 1, log_ratio, mode, fs_weights(m, J)))
+        touched = sum((r1 + 1 - r0) * (hi + 1 - lo) for r0, r1, lo, hi
+                      in sections._row_windows(t, m + 1, log_ratio, mode))
         assert touched <= t.size * (m + 2) / 4
 
 
 def tiny_window_row_means(t, n, weights, unit):
-    """`_binomial_row_means` as it was before the work windows: each chunk
-    of rows folded (both folds over the whole span) and exponentiated on
-    every entry of its LOG_TINY window [lo, hi]."""
+    """`_binomial_row_means` written out with its windows found afresh:
+    each chunk of ROW_CHUNK rows folded (both folds over the whole span,
+    zeros included) and exponentiated on every entry of its LOG_TINY
+    window [lo, hi]."""
     log_ratio, mode = sections._binomial_steps(t, n)
     prefix = np.concatenate([[0.0], np.cumsum(log_ratio)])
     out = np.empty((t.size, weights.shape[1]))
@@ -1273,11 +1268,12 @@ def area_beta_args(k, u, K, nu):
 
 
 class TestWorkWindows:
-    """β's rows folded and exponentiated only on the work windows, bit for
-    bit against the kernel that builds every entry of the LOG_TINY windows."""
+    """Every closed-form β, bit for bit against `tiny_window_row_means`:
+    the kernel's one-sided folds and its windows from `_row_windows` give
+    the sums of the whole LOG_TINY windows, whatever the weights."""
 
     @pytest.mark.parametrize("fixture", ["vtheta-fs", "third-quarter-fs"])
-    @pytest.mark.parametrize("k", [1, 2, 25, 200, 3200])
+    @pytest.mark.parametrize("k", [1, 2, 25, 200, 3200, 10 ** 4])
     def test_fs_cdfs_are_the_tiny_window_kernels(self, fixture, k):
         t, m, J = fs_beta_points(fixture, k)
         args = (t, m, J[0], len(J), 1.0 / k)
@@ -1335,20 +1331,6 @@ class TestWorkWindows:
         log_w[p] = 700.0
         args = (t, n, np.exp(log_w)[:, None], 1.0)
         assert same_bits(sections._binomial_row_means(*args), tiny_window_row_means(*args))
-
-    def test_fs_work_at_k_200(self):
-        # the work windows hold at most 70 % of the LOG_TINY windows'
-        # entries on the two FS fixtures together (measured 64 %)
-        work = full = 0
-        for fixture in ("vtheta-fs", "third-quarter-fs"):
-            t, m, J = fs_beta_points(fixture, 200)
-            log_ratio, mode = sections._binomial_steps(t, m + 1)
-            for r0, r1, lo, hi, a, b in sections._row_windows(t, m + 1, log_ratio,
-                                                              mode, fs_weights(m, J)):
-                assert lo <= a <= b <= hi
-                work += (r1 + 1 - r0) * (b + 1 - a)
-                full += (r1 + 1 - r0) * (hi + 1 - lo)
-        assert work <= 0.7 * full
 
 
 def area_fixture(a, b):
